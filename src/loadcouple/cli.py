@@ -164,6 +164,8 @@ def _cmd_sweep(args) -> int:
         record += list(map(float, row.rho_lower)) if row.rho_lower is not None else [None] * len(ids)
         table.append(record)
     _write_csv(args.out, f"scales={args.scales}", header, table)
+    if any(row.solve_status == solver.MAX_ITER_EXCEEDED for row in rows):
+        return EXIT_MAX_ITER
     return EXIT_OK
 
 

@@ -5,48 +5,65 @@ Interference seen by a pixel grows with the loads of the other cells, which
 lowers the pixel's SINR and raises the resources its own cell must spend,
 so the network settles at a fixed point of the map built here.
 
-For a pixel j served by cell i the interference state is reduced to
+For a demanded pixel j the interference state is reduced to
 
-    u_j(rho) = sum_k rel_interference[i][k, j] * rho_k + rel_noise[i][j]
+    u_j(rho) = sum_k rel[k, j] * rho_k + noise[j]
 
 with everything expressed relative to the serving received power, so the
-SINR is 1/u_j and the load contribution of the pixel is
-1 / (rate_per_demand[j] * log2(1 + 1/u_j)).  The module also builds the two
-linear companions of the map: its slope limit at infinite load, which sits
-below the map everywhere, and its tangent plane at an anchor, which sits
-above it.
+SINR is 1/u_j and the pixel adds 1 / (a[j] * log2(1 + 1/u_j)) to the load
+of its serving cell.  The module also builds the two linear companions of
+the map: its slope limit at infinite load, which sits below the map
+everywhere, and its tangent plane at an anchor, which sits above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 LN2 = math.log(2.0)
 
 
+def _per_cell_views(packed_name: str) -> cached_property:
+    """Per-cell tuple of views into one packed array, built on first access."""
+    def views(cc):
+        packed = getattr(cc, packed_name)
+        return tuple(packed[..., s:e] for s, e in zip(cc.starts[:-1], cc.starts[1:]))
+    return cached_property(views)
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingCoefficients:
-    """Per-cell arrays describing the load coupling map of one instance.
+    """Per-pixel arrays of the load coupling map, packed by serving cell.
 
-    For cell i with m_i served, demanded pixels:
+    The M demanded pixels are sorted by serving cell, then by pixel index, so
+    cell i owns positions ``starts[i]:starts[i + 1]``; ``pixel`` and
+    ``cell_of`` give each position's global pixel index and serving cell.
+    ``a`` is the interval bit budget per unit spectral efficiency divided by
+    the demand, ``noise`` the noise power relative to the serving power, and
+    ``rel`` (num_cells x M) every cell's received power relative to the
+    serving power, with the serving cell's entry zeroed so that ``rho @ rel``
+    sums over the other cells only.
 
-    - ``pixel_idx[i]``: global pixel indices, ascending, shape (m_i,)
-    - ``rate_per_demand[i]``: interval bit budget per unit spectral
-      efficiency divided by the pixel demand, shape (m_i,), positive
-    - ``rel_interference[i]``: received power of every cell relative to the
-      serving power, shape (num_cells, m_i); row i is zeroed so that a
-      matrix product with a load vector sums over the other cells only
-    - ``rel_noise[i]``: noise power relative to the serving power, (m_i,)
+    ``pixel_idx``, ``rate_per_demand``, ``rel_interference`` and
+    ``rel_noise`` hold the same data per cell, as views into these arrays.
     """
 
     num_cells: int
-    pixel_idx: tuple[np.ndarray, ...]
-    rate_per_demand: tuple[np.ndarray, ...]
-    rel_interference: tuple[np.ndarray, ...]
-    rel_noise: tuple[np.ndarray, ...]
+    pixel: np.ndarray
+    cell_of: np.ndarray
+    starts: np.ndarray
+    a: np.ndarray
+    rel: np.ndarray
+    noise: np.ndarray
+
+    pixel_idx = _per_cell_views("pixel")
+    rate_per_demand = _per_cell_views("a")
+    rel_interference = _per_cell_views("rel")
+    rel_noise = _per_cell_views("noise")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,49 +88,53 @@ class LinearizedSystem:
 
 
 def coefficients(instance) -> CouplingCoefficients:
-    """Reduce an instance to the per-cell coupling arrays.
+    """Reduce an instance to the packed coupling arrays.
 
     Pixels with zero demand contribute nothing to any load and are dropped
     here once, so every stored coefficient is strictly positive.
     """
     n = instance.num_cells
-    powers = instance.powers()
     demands = instance.demands()
-    received = powers[:, None] * instance.gains
-    budget = instance.num_resource_units * instance.rate_scale
-
-    pixel_idx = []
-    rate_per_demand = []
-    rel_interference = []
-    rel_noise = []
-    for i in range(n):
-        served = np.array(
-            [j for j in instance.serving.areas[i] if demands[j] > 0], dtype=np.int64
-        )
-        pixel_idx.append(served)
-        if served.size == 0:
-            rate_per_demand.append(np.empty(0))
-            rel_interference.append(np.empty((n, 0)))
-            rel_noise.append(np.empty(0))
-            continue
-        serving_power = received[i, served]
-        rate_per_demand.append(budget / demands[served])
-        rel = received[:, served] / serving_power
-        rel[i, :] = 0.0  # own cell never interferes with itself
-        rel_interference.append(rel)
-        rel_noise.append(instance.noise_power / serving_power)
+    server_of = instance.serving.server_of
+    demanded = np.flatnonzero((demands > 0) & (server_of >= 0))
+    # the stable sort keeps ascending pixel order inside each cell
+    pixel = demanded[np.argsort(server_of[demanded], kind="stable")]
+    cell_of = server_of[pixel]
+    positions = np.arange(pixel.size)
+    received = instance.powers()[:, None] * instance.gains[:, pixel]
+    serving_power = received[cell_of, positions]
+    rel = received / serving_power
+    rel[cell_of, positions] = 0.0  # own cell never interferes with itself
     return CouplingCoefficients(
         num_cells=n,
-        pixel_idx=tuple(pixel_idx),
-        rate_per_demand=tuple(rate_per_demand),
-        rel_interference=tuple(rel_interference),
-        rel_noise=tuple(rel_noise),
+        pixel=pixel,
+        cell_of=cell_of,
+        starts=np.searchsorted(cell_of, np.arange(n + 1)),
+        a=instance.num_resource_units * instance.rate_scale / demands[pixel],
+        rel=rel,
+        noise=instance.noise_power / serving_power,
     )
 
 
 def _interference(cc: CouplingCoefficients, i: int, rho: np.ndarray) -> np.ndarray:
     """u for every pixel of cell i: noise plus load-weighted relative interference."""
     return cc.rel_interference[i].T @ rho + cc.rel_noise[i]
+
+
+def _loads(cc: CouplingCoefficients, u: np.ndarray) -> np.ndarray:
+    """Per-cell load when every pixel sees interference-plus-noise ``u``."""
+    # spectral efficiency log2(1 + 1/u), via log1p for large u accuracy
+    terms = 1.0 / (cc.a * np.log1p(1.0 / u))
+    return LN2 * np.bincount(cc.cell_of, weights=terms, minlength=cc.num_cells)
+
+
+def _cell_sums(cc: CouplingCoefficients, values: np.ndarray) -> np.ndarray:
+    """Row i sums the columns of ``values`` (shape (k, M)) that belong to cell i."""
+    out = np.zeros((cc.num_cells, values.shape[0]))
+    # reduceat yields one element, not zero, for an empty segment: skip those
+    nonempty = cc.starts[:-1] < cc.starts[1:]
+    out[nonempty] = np.add.reduceat(values, cc.starts[:-1][nonempty], axis=1).T
+    return out
 
 
 def sinr(cc: CouplingCoefficients, cell: int, pixel: int, rho) -> float:
@@ -130,15 +151,7 @@ def sinr(cc: CouplingCoefficients, cell: int, pixel: int, rho) -> float:
 def load_function(cc: CouplingCoefficients, rho) -> np.ndarray:
     """Evaluate the coupling map: the load each cell needs given loads ``rho``."""
     rho = np.asarray(rho, dtype=np.float64)
-    out = np.zeros(cc.num_cells)
-    for i in range(cc.num_cells):
-        a = cc.rate_per_demand[i]
-        if a.size == 0:
-            continue
-        u = _interference(cc, i, rho)
-        # spectral efficiency log2(1 + 1/u), via log1p for large u accuracy
-        out[i] = LN2 * np.sum(1.0 / (a * np.log1p(1.0 / u)))
-    return out
+    return _loads(cc, rho @ cc.rel + cc.noise)
 
 
 def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
@@ -148,16 +161,9 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
     pixels' interference.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    jac = np.zeros((cc.num_cells, cc.num_cells))
-    for i in range(cc.num_cells):
-        a = cc.rate_per_demand[i]
-        if a.size == 0:
-            continue
-        u = _interference(cc, i, rho)
-        lg = np.log1p(1.0 / u)
-        w = LN2 / (a * lg * lg * (u * u + u))
-        jac[i] = cc.rel_interference[i] @ w
-    return jac
+    u = rho @ cc.rel + cc.noise
+    lg = np.log1p(1.0 / u)
+    return _cell_sums(cc, cc.rel * (LN2 / (cc.a * lg * lg * (u * u + u))))
 
 
 def _curvature_weights(a, u):
@@ -200,21 +206,15 @@ def cell_hessian(cc: CouplingCoefficients, cell: int, rho) -> np.ndarray:
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
     """Slope limit of the coupling map at infinite load, anchored at zero.
 
-    Entry (i, k) is ln(2) * sum over cell i's pixels of
-    rel_interference / rate_per_demand; the offset is the map at zero load.
+    Entry (i, k) is ln(2) * sum over cell i's pixels of rel[k] / a; the
+    offset is the map at zero load.
     This affine map underestimates the coupling map everywhere on the
     nonnegative orthant.
     """
-    n = cc.num_cells
-    slope = np.zeros((n, n))
-    offset = np.zeros(n)
-    for i in range(n):
-        a = cc.rate_per_demand[i]
-        if a.size == 0:
-            continue
-        slope[i] = cc.rel_interference[i] @ (LN2 / a)
-        offset[i] = LN2 * np.sum(1.0 / (a * np.log1p(1.0 / cc.rel_noise[i])))
-    return LinearizedSystem(slope=slope, anchor=np.zeros(n), offset=offset, kind="asymptotic")
+    slope = _cell_sums(cc, cc.rel * (LN2 / cc.a))
+    return LinearizedSystem(
+        slope=slope, anchor=np.zeros(cc.num_cells), offset=_loads(cc, cc.noise), kind="asymptotic"
+    )
 
 
 def tangent_linearization(cc: CouplingCoefficients, anchor) -> LinearizedSystem:
@@ -224,12 +224,8 @@ def tangent_linearization(cc: CouplingCoefficients, anchor) -> LinearizedSystem:
     when one exists, bounds the coupling fixed point from above.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
-    return LinearizedSystem(
-        slope=jacobian(cc, anchor),
-        anchor=anchor,
-        offset=load_function(cc, anchor),
-        kind="tangent",
-    )
+    return LinearizedSystem(slope=jacobian(cc, anchor), anchor=anchor,
+                            offset=load_function(cc, anchor), kind="tangent")
 
 
 def evaluate(system: LinearizedSystem, rho) -> np.ndarray:

@@ -5,7 +5,8 @@ nonlinear load coupling system has a fixed point if and only if the
 asymptotic affine system ``rho = slope @ rho + offset`` has a nonnegative
 solution, and that solution sits below the nonlinear fixed point.  The
 tangent linearization at any anchor yields, when solvable, a vector above
-the nonlinear fixed point.  Both reduce to one dense linear solve.
+the nonlinear fixed point.  Both reduce to one dense linear solve; only the
+feasibility verdict also reports the slope's spectral radius.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def spectral_radius(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 10_0
     return hi_best - 1.0
 
 
+def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """Solve ``lhs @ x = rhs`` by LU; None when a pivot is below PIVOT_RTOL of the matrix scale."""
+    with warnings.catch_warnings():
+        # exactly singular systems are a legitimate outcome here, not a warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
+    if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * np.max(np.abs(lhs)):
+        return None
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optional[np.ndarray]]:
+    """Status and, when feasible, the nonnegative solution of the affine system."""
+    slope = system.slope
+    solution = _lu_solve(np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor)
+    if solution is None:
+        return SINGULAR, None
+    if np.min(solution) < -NEGATIVE_ATOL:
+        return INFEASIBLE_NEGATIVE, None
+    return FEASIBLE, np.maximum(solution, 0.0)
+
+
 def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
@@ -87,27 +110,14 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     A pivot smaller than PIVOT_RTOL of the matrix scale reports ``singular``;
     any solution component below -NEGATIVE_ATOL reports
     ``infeasible_negative``; components within rounding of zero are clamped.
+    The outcome also carries the slope's spectral radius.
     """
     slope = system.slope
     n = slope.shape[0]
     offdiag = slope[~np.eye(n, dtype=bool)]
     reducible = bool(n > 1 and np.any(offdiag == 0.0))
-    radius = spectral_radius(slope)
-
-    lhs = np.eye(n) - slope
-    rhs = system.offset - slope @ system.anchor
-    with warnings.catch_warnings():
-        # exactly singular systems are a legitimate outcome here, not a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    scale = np.max(np.abs(lhs))
-    if np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * scale:
-        return LinearSolveOutcome(SINGULAR, None, radius, reducible)
-    solution = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    if np.min(solution) < -NEGATIVE_ATOL:
-        return LinearSolveOutcome(INFEASIBLE_NEGATIVE, None, radius, reducible)
-    solution = np.maximum(solution, 0.0)
-    return LinearSolveOutcome(FEASIBLE, solution, radius, reducible)
+    status, solution = _affine_fixed_point(system)
+    return LinearSolveOutcome(status, solution, spectral_radius(slope), reducible)
 
 
 def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
@@ -130,12 +140,16 @@ def lower_bound(instance) -> np.ndarray:
     return outcome.solution
 
 
-def upper_bound(instance, anchor) -> Optional[np.ndarray]:
+def tangent_bound(cc: coupling.CouplingCoefficients, anchor) -> Optional[np.ndarray]:
     """Fixed point of the tangent plane at ``anchor``, above the nonlinear fixed point.
 
     Returns None when the tangent system is not solvable, which happens for
     anchors whose tangent slope already has spectral radius at or above one.
+    No spectral radius is computed: the bound is all the caller receives.
     """
-    cc = coupling.coefficients(instance)
-    outcome = solve_linear(coupling.tangent_linearization(cc, anchor))
-    return outcome.solution if outcome.status == FEASIBLE else None
+    return _affine_fixed_point(coupling.tangent_linearization(cc, anchor))[1]
+
+
+def upper_bound(instance, anchor) -> Optional[np.ndarray]:
+    """:func:`tangent_bound` for an instance."""
+    return tangent_bound(coupling.coefficients(instance), anchor)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -325,6 +326,25 @@ def save_instance(instance: NetworkInstance, path) -> None:
         fh.write("\n")
 
 
+def _typed(value, kind: str, what: str):
+    """``value`` if it is a JSON ``kind`` ("int", "float" or "bool"), else SchemaError.
+
+    Booleans are not numbers, floats must be finite, and an int may be
+    written as an integral float, which is returned as int.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int":
+        valid = number and (isinstance(value, int) or value.is_integer())
+    elif kind == "float":
+        # false for nan, inf and ints too large for a float
+        valid = number and abs(value) <= sys.float_info.max
+    else:
+        valid = isinstance(value, bool)
+    if not valid:
+        raise SchemaError(f"{what} must be of type {kind}, got {value!r}")
+    return int(value) if kind == "int" else value
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
@@ -358,7 +378,7 @@ def load_instance(path) -> NetworkInstance:
         try:
             cells.append(
                 Cell(
-                    id=int(c["id"]),
+                    id=_typed(c["id"], "int", "id"),
                     power_per_ru=float(c["power_per_ru_w"]),
                     x=float(c.get("x_m", 0.0)),
                     y=float(c.get("y_m", 0.0)),
@@ -372,7 +392,7 @@ def load_instance(path) -> NetworkInstance:
         try:
             pixels.append(
                 Pixel(
-                    id=int(p["id"]),
+                    id=_typed(p["id"], "int", "id"),
                     demand_bits=float(p["demand_bits"]),
                     x=float(p.get("x_m", 0.0)),
                     y=float(p.get("y_m", 0.0)),
@@ -409,7 +429,8 @@ def load_instance(path) -> NetworkInstance:
             np.full(len(pixels), -1, dtype=np.int64), len(cells)
         ),
         noise_power=float(_require(doc, "noise_power_w", str(path))),
-        num_resource_units=int(_require(doc, "num_resource_units", str(path))),
+        num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
+                                  f"{path}: num_resource_units"),
         rate_scale=float(_require(doc, "rate_scale", str(path))),
         wrap_periods=wrap,
     )
@@ -417,9 +438,10 @@ def load_instance(path) -> NetworkInstance:
         server_of = np.full(len(pixels), -1, dtype=np.int64)
         for k, pair in enumerate(doc["serving"]):
             try:
-                pixel_id, cell_id = int(pair[0]), int(pair[1])
-            except (TypeError, ValueError, IndexError) as exc:
-                raise SchemaError(f"{path}: serving[{k}] must be a [pixel_id, cell_id] pair") from exc
+                pixel_id, cell_id = pair
+                pixel_id, cell_id = _typed(pixel_id, "int", "pixel id"), _typed(cell_id, "int", "cell id")
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}: serving[{k}] must be a [pixel_id, cell_id] pair: {exc}") from exc
             if not (1 <= pixel_id <= len(pixels)) or not (1 <= cell_id <= len(cells)):
                 raise SchemaError(f"{path}: serving[{k}] references unknown pixel or cell id")
             if server_of[pixel_id - 1] >= 0:

@@ -26,6 +26,7 @@ from .netmodel import (
     Pixel,
     SchemaError,
     ServingAssignment,
+    _typed,
     assign_best_server,
     with_serving,
 )
@@ -67,13 +68,12 @@ class ScenarioSpec:
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     """Build a spec from a parsed JSON object, rejecting unknown or bad fields."""
     known = {f.name: f.type for f in fields(ScenarioSpec)}
-    for key in doc:
+    values = {}
+    for key, value in doc.items():
         if key not in known:
             raise SchemaError(f"unknown scenario field '{key}'")
-    try:
-        spec = ScenarioSpec(**doc)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad scenario field: {exc}") from exc
+        values[key] = _typed(value, known[key], f"scenario field '{key}'")
+    spec = ScenarioSpec(**values)
     _check_spec(spec)
     return spec
 

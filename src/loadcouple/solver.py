@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import coupling, linfeas
 
@@ -109,21 +108,6 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
     return rho, residual, max_iter, False
 
 
-def _tangent_bound(cc, anchor):
-    outcome = linfeas.solve_linear(coupling.tangent_linearization(cc, anchor))
-    return outcome.solution if outcome.status == linfeas.FEASIBLE else None
-
-
-def _newton_step(cc, rho, f_rho):
-    """Solve (I - jacobian) delta = f(rho) - rho; None when the system is unusable."""
-    jac = coupling.jacobian(cc, rho)
-    lhs = np.eye(len(rho)) - jac
-    lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < linfeas.PIVOT_RTOL * np.max(np.abs(lhs)):
-        return None
-    return scipy.linalg.lu_solve((lu, piv), f_rho - rho, check_finite=False)
-
-
 def _iterate(cc, rho, lower, config, stop_width):
     """Shared driver for both methods; returns a partially filled report."""
     upper = None
@@ -136,7 +120,7 @@ def _iterate(cc, rho, lower, config, stop_width):
         residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
         converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
         if converged or t % config.bound_refresh_every == 0:
-            refreshed = _tangent_bound(cc, rho)
+            refreshed = linfeas.tangent_bound(cc, rho)
             if refreshed is not None:
                 upper = refreshed
         width = float(np.max(np.abs(upper - rho))) if upper is not None else math.inf
@@ -152,9 +136,10 @@ def _iterate(cc, rho, lower, config, stop_width):
         if config.method == FIXED_POINT:
             rho = f_rho
             continue
-        # damped projected step on rho - f(rho); fall back to plain ascent
-        # when the linearized system is unusable or no damping helps
-        delta = _newton_step(cc, rho, f_rho)
+        # damped projected Newton step, (I - jacobian) delta = f(rho) - rho;
+        # fall back to plain ascent when that system is unusable (None) or
+        # no damping helps
+        delta = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), f_rho - rho)
         next_rho = None
         if delta is not None:
             alpha = 1.0
@@ -178,34 +163,7 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     the residual drops below ``tol_residual`` relative to 1 + the largest
     load.
     """
-    config = config or SolverConfig()
-    feasible, outcome = linfeas.feasibility_check(instance)
-    if not feasible:
-        return SolveReport(
-            status=INFEASIBLE,
-            fixed_point=None,
-            lower=None,
-            upper=None,
-            residual=math.nan,
-            iterations=0,
-            linear=outcome,
-        )
-    cc = coupling.coefficients(instance)
-    lower = outcome.solution
-    start = lower if config.start is None else np.asarray(config.start, dtype=np.float64)
-    status, rho, residual, iterations, upper, trace = _iterate(
-        cc, start.copy(), lower, config, stop_width=None
-    )
-    return SolveReport(
-        status=status,
-        fixed_point=rho,
-        lower=lower,
-        upper=upper,
-        residual=residual,
-        iterations=iterations,
-        trace=trace,
-        linear=outcome,
-    )
+    return _solve(instance, config or SolverConfig(), stop_width=None)
 
 
 def solve_with_interval_stop(
@@ -218,7 +176,10 @@ def solve_with_interval_stop(
     is met first).  The fixed point then lies between ``fixed_point`` (the
     final, lower iterate) and ``upper``.
     """
-    config = config or SolverConfig()
+    return _solve(instance, config or SolverConfig(), stop_width=max_interval_width)
+
+
+def _solve(instance, config: SolverConfig, stop_width: Optional[float]) -> SolveReport:
     feasible, outcome = linfeas.feasibility_check(instance)
     if not feasible:
         return SolveReport(
@@ -234,7 +195,7 @@ def solve_with_interval_stop(
     lower = outcome.solution
     start = lower if config.start is None else np.asarray(config.start, dtype=np.float64)
     status, rho, residual, iterations, upper, trace = _iterate(
-        cc, start.copy(), lower, config, stop_width=max_interval_width
+        cc, start.copy(), lower, config, stop_width
     )
     return SolveReport(
         status=status,

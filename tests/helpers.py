@@ -9,6 +9,8 @@ numpy's eigensolver, independent of the package's power iteration).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from loadcouple import (
@@ -122,6 +124,36 @@ def symmetric_pair_instance() -> NetworkInstance:
                       [5e-8, 1e-7]])
     return build_instance(gains, demands=[1.0, 1.0], powers=[1.0, 1.0], noise=1e-8,
                           num_resource_units=1, rate_scale=1.0)
+
+
+def pixel_loop_reference(instance, rho):
+    """Load map, Jacobian, asymptotic slope and asymptotic offset, one pixel at a time.
+
+    Reads gains, powers and demands straight from the instance and
+    accumulates each demanded pixel into its serving cell's row, so it
+    shares no code and no data layout with the packed kernels it checks.
+    """
+    n = instance.num_cells
+    powers = instance.powers()
+    budget = instance.num_resource_units * instance.rate_scale
+    load, offset = np.zeros(n), np.zeros(n)
+    jac, slope = np.zeros((n, n)), np.zeros((n, n))
+    for j, pixel in enumerate(instance.pixels):
+        if pixel.demand_bits == 0.0:
+            continue
+        i = int(instance.serving.server_of[j])
+        own = powers[i] * instance.gains[i, j]
+        rel = powers * instance.gains[:, j] / own
+        rel[i] = 0.0
+        noise = instance.noise_power / own
+        a = budget / pixel.demand_bits
+        u = float(rel @ rho) + noise
+        lg = math.log1p(1.0 / u)
+        load[i] += math.log(2.0) / (a * lg)
+        jac[i] += rel * math.log(2.0) / (a * lg * lg * (u * u + u))
+        slope[i] += rel * math.log(2.0) / a
+        offset[i] += math.log(2.0) / (a * math.log1p(1.0 / noise))
+    return load, jac, slope, offset
 
 
 def fd_jacobian(cc, rho, eps=1e-6) -> np.ndarray:

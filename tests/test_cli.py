@@ -153,6 +153,19 @@ def test_sweep_respects_thread_env(tmp_path, monkeypatch):
     assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:2"]) == 2
 
 
+def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
+    # plain iteration from the lower bound exhausts its budget this close to 1/rho(A)
+    rng = np.random.default_rng(SEED + 9)
+    inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=1.0))
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setenv("LOADCOUPLE_THREADS", "1")
+    assert main(["sweep", "--instance", str(inst), "--scales", "0.9999:0.99995:2",
+                 "--out", str(out)]) == 4
+    _, _, rows = _read_csv(out)
+    assert rows[0][3] == "max_iter_exceeded"
+    assert rows[1][3] == "converged"
+
+
 def test_boundary_command(tmp_path, capsys):
     rng = np.random.default_rng(SEED + 6)
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=0.5))
@@ -253,6 +266,50 @@ def test_invalid_inputs_exit_2(tmp_path):
     badspec = tmp_path / "badspec.json"
     badspec.write_text(json.dumps({"carrier_mhz": 2000}))
     assert main(["generate", "--spec", str(badspec), "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("users_per_cell_area", 2.5),
+    ("rng_seed", 1.5),
+    ("num_sites", True),
+    ("tx_power_dbm", False),
+    ("carrier_ghz", "2"),
+    ("wraparound", "no"),
+    ("wraparound", 0),
+])
+def test_generate_rejects_mistyped_spec_field(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"users_per_cell_area": 4, field: value}))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def _set_num_resource_units(doc):
+    doc["num_resource_units"] = 100.7
+
+
+def _set_cell_id(doc):
+    doc["cells"][1]["id"] = 2.6
+
+
+def _set_pixel_id(doc):
+    doc["pixels"][0]["id"] = True
+
+
+def _set_serving_pair(doc):
+    doc["serving"][0] = [1, 1.5]
+
+
+@pytest.mark.parametrize("mutate", [_set_num_resource_units, _set_cell_id, _set_pixel_id,
+                                    _set_serving_pair])
+def test_solve_rejects_non_integer_instance_field(tmp_path, capsys, mutate):
+    path = _write_instance(tmp_path, frozen_two_cell())
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert "must be of type int" in capsys.readouterr().err
 
 
 def test_unknown_command_is_argparse_error():

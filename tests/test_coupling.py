@@ -8,11 +8,13 @@ from helpers import (
     build_instance,
     fd_hessian_entry,
     fd_jacobian,
+    pixel_loop_reference,
     random_instance,
     symmetric_pair_instance,
 )
 from loadcouple import (
     LinearizedSystem,
+    ServingAssignment,
     asymptotic_linearization,
     cell_hessian,
     coefficients,
@@ -330,3 +332,54 @@ def test_empty_area_gives_zero_row_and_offset():
     assert np.all(system.slope[1, :] == 0.0)
     assert system.offset[1] == 0.0
     assert system.slope[0, 1] > 0.0
+
+
+def _instance_with_empty_cell(rng, n, empty):
+    """Random n-cell instance where cell ``empty`` serves only zero-demand pixels.
+
+    Besides those, some pixels of busy cells carry zero demand and some
+    zero-demand pixels have no serving cell at all.
+    """
+    m = 6 * n
+    gains = 10.0 ** rng.uniform(-9.0, -6.0, (n, m))
+    demands = rng.uniform(1.0, 4.0, m)
+    server_of = rng.choice([i for i in range(n) if i != empty], m)
+    server_of[:2] = empty
+    server_of[5:7] = -1
+    demands[:7] = 0.0
+    serving = ServingAssignment.from_server_of(server_of, n)
+    powers = 10.0 ** rng.uniform(-0.3, 0.3, n)
+    return build_instance(gains, demands, powers, noise=1e-9, serving=serving)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_packed_kernels_match_pixel_loop(where):
+    rng = np.random.default_rng(SEED + 40)
+    for _ in range(5):
+        n = int(rng.integers(3, 7))
+        empty = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        instance = _instance_with_empty_cell(rng, n, empty)
+        cc = coefficients(instance)
+        assert cc.starts[empty] == cc.starts[empty + 1]
+        rho = rng.uniform(0.0, 2.0, n)
+        load, jac, slope, offset = pixel_loop_reference(instance, rho)
+        np.testing.assert_allclose(load_function(cc, rho), load, rtol=1e-12)
+        np.testing.assert_allclose(jacobian(cc, rho), jac, rtol=1e-12)
+        asym = asymptotic_linearization(cc)
+        np.testing.assert_allclose(asym.slope, slope, rtol=1e-12)
+        np.testing.assert_allclose(asym.offset, offset, rtol=1e-12)
+        assert load[empty] == 0.0 and not np.any(jac[empty]) and not np.any(slope[empty])
+
+
+def test_per_cell_fields_are_views_of_packed_arrays():
+    rng = np.random.default_rng(SEED + 41)
+    instance = _instance_with_empty_cell(rng, 4, 1)
+    cc = coefficients(instance)
+    for per_cell, packed in ((cc.pixel_idx, cc.pixel), (cc.rate_per_demand, cc.a),
+                             (cc.rel_interference, cc.rel), (cc.rel_noise, cc.noise)):
+        assert len(per_cell) == 4
+        assert all(np.shares_memory(view, packed) for view in per_cell if view.size)
+        assert sum(view.nbytes for view in per_cell) == packed.nbytes
+    for i in range(4):
+        assert list(cc.pixel_idx[i]) == [j for j in instance.serving.areas[i]
+                                         if instance.pixels[j].demand_bits > 0]

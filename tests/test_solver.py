@@ -13,6 +13,7 @@ from loadcouple import (
     SolverConfig,
     coefficients,
     fixed_point_iteration,
+    linfeas,
     load_function,
     lower_bound,
     solve,
@@ -197,3 +198,34 @@ def test_config_rejects_bad_values():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(bound_refresh_every=0)
+
+
+def test_perron_root_computed_once_per_solve(monkeypatch):
+    """Only the reported feasibility verdict pays for a spectral radius.
+
+    Tangent refreshes and Newton steps solve linear systems too, but nothing
+    reads their radius, so they must not compute one.
+    """
+    calls = []
+    original = linfeas.spectral_radius
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(linfeas, "spectral_radius", counting)
+    instance = random_instance(np.random.default_rng(SEED + 50), 4, 5, radius_target=0.95)
+    runs = [
+        lambda: solve(instance),
+        lambda: solve(instance, SolverConfig(method="newton")),
+        lambda: solve_with_interval_stop(instance, 1e-6),
+    ]
+    for run in runs:
+        calls.clear()
+        report = run()
+        assert report.status == "converged" and report.upper is not None
+        assert report.iterations > 1
+        assert len(calls) == 1
+    calls.clear()
+    assert upper_bound(instance, report.fixed_point) is not None
+    assert calls == []
