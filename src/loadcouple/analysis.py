@@ -1,22 +1,22 @@
 """Demand-scaling studies built on the exact linear feasibility criterion.
 
-All questions here reduce to scaling every pixel demand by a factor s and
-asking where the network stops admitting a load fixed point.  Because the
-asymptotic slope matrix grows linearly in s, feasibility is monotone in s
-and the boundary is a single scale, located by bisection on the linear
-verdict alone; fixed points are only computed where they exist.
+All questions here scale every pixel demand by a factor s.  The asymptotic
+slope A and offset b are linear in the demand, so at scale s the linear
+system is rho = s (A rho + b), feasible iff s rho(A) < 1: the boundary is
+1/rho(A).  Each question builds the coupling coefficients and the Perron
+root rho(A) once, answers each scale from ``CouplingCoefficients.scaled``,
+and computes fixed points only where they exist.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import linfeas, solver
+from . import coupling, linfeas, solver
 
 BOUNDARY_BRACKET_LIMIT = 60  # doublings/halvings allowed while bracketing
 
@@ -39,7 +39,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class BoundaryCertificate:
-    """Bisection outcome: the boundary estimate bracketed by witnessed scales."""
+    """The boundary estimate, bracketed by a feasible and an infeasible verdict."""
 
     scale: float
     last_feasible: float
@@ -76,102 +76,98 @@ class ComparisonReport:
     bounds_b: Optional[list[CellBounds]]
 
 
-def _solve_at_scale(instance, scale, start=None, method=solver.FIXED_POINT):
-    scaled = instance.with_demand_scale(scale)
-    feasible, outcome = linfeas.feasibility_check(scaled)
-    if not feasible:
-        return SweepRow(
-            scale=scale,
-            feasible=False,
-            spectral_radius=outcome.spectral_radius,
-            rho_star=None,
-            rho_lower=None,
-            solve_status=None,
-        )
-    config = solver.SolverConfig(method=method, start=start)
-    report = solver.solve(scaled, config)
-    return SweepRow(
-        scale=scale,
-        feasible=True,
-        spectral_radius=outcome.spectral_radius,
-        rho_star=report.fixed_point,
-        rho_lower=report.lower,
-        solve_status=report.status,
-    )
+def _perron_root(cc: coupling.CouplingCoefficients) -> float:
+    """rho(A), the spectral radius of the asymptotic slope of ``cc``."""
+    return linfeas.spectral_radius(coupling.asymptotic_linearization(cc).slope)
 
 
-def demand_sweep(instance, scales, workers: int = 1) -> list[SweepRow]:
+def _verdict(cc: coupling.CouplingCoefficients, radius: float, scale: float) -> bool:
+    """LU feasibility verdict at ``scale``; ``radius`` is rho(A) of ``cc``."""
+    return linfeas.feasibility(cc.scaled(scale), scale * radius)[0]
+
+
+def demand_sweep(instance, scales) -> list[SweepRow]:
     """Fixed point and bounds across a grid of demand scales.
 
-    Sequential sweeps warm-start each solve from the previous feasible fixed
-    point (the loads grow with s, so the previous point is a good Newton
-    start); with ``workers`` > 1 the scales are solved independently in a
-    thread pool and warm starting is skipped.  Row order always matches the
-    input grid.
+    Each row reports s rho(A) and takes its verdict from one LU on the
+    scaled coefficients.  Each solve warm-starts from the previous feasible
+    fixed point (the loads grow with s, so the previous point is a good
+    Newton start).  Row order matches the input grid.  A negative or
+    non-finite scale raises ValueError.
     """
-    scales = [float(s) for s in scales]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: _solve_at_scale(instance, s), scales))
+    cc = coupling.coefficients(instance)
+    radius = _perron_root(cc)
     rows: list[SweepRow] = []
     previous = None
-    for s in scales:
+    for s in map(float, scales):
+        scaled = cc.scaled(s)
+        feasible, outcome = linfeas.feasibility(scaled, s * radius)
+        if not feasible:
+            rows.append(SweepRow(s, False, s * radius, None, None, None))
+            continue
         method = solver.NEWTON if previous is not None else solver.FIXED_POINT
-        row = _solve_at_scale(instance, s, start=previous, method=method)
-        if row.rho_star is not None:
-            previous = row.rho_star
-        rows.append(row)
+        config = solver.SolverConfig(method=method, start=previous)
+        report = solver.solve_coefficients(scaled, config, linear=outcome)
+        previous = report.fixed_point
+        rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
     return rows
 
 
 def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> BoundaryCertificate:
-    """Bisect the demand scale at which the network stops being feasible.
+    """The demand scale at which the network stops being feasible.
 
     Preconditions: the instance must be feasible at ``lo`` and infeasible at
-    ``hi``; anything else raises ValueError.  Bisection runs on the linear
-    verdict until the bracket's relative width drops below ``tol``.
+    ``hi``; anything else raises ValueError.  The estimate is 1/rho(A); the
+    returned bracket is at most ``tol`` times its lower end wide.
     """
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    feasible_lo, _ = linfeas.feasibility_check(instance.with_demand_scale(lo))
-    if not feasible_lo:
+    if not (0 < lo < hi and tol > 0):
+        raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
+    cc = coupling.coefficients(instance)
+    radius = _perron_root(cc)
+    if not _verdict(cc, radius, lo):
         raise PreconditionError(f"instance is infeasible at lo={lo}")
-    feasible_hi, _ = linfeas.feasibility_check(instance.with_demand_scale(hi))
-    if feasible_hi:
+    if _verdict(cc, radius, hi):
         raise PreconditionError(f"instance is feasible at hi={hi}")
+    return _boundary(cc, radius, tol, lo, hi)
+
+
+def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
+    """Boundary of ``cc`` inside (lo, hi), where lo is feasible and hi is not.
+
+    s* = 1/rho(A) is certified by LU verdicts at s*(1 -+ delta).  Bisection
+    on the verdicts is the fallback when the certificate fails (rho(A) is
+    not accurate enough, or is 0); without a finite ``hi`` it first finds a
+    bracket by doubling or halving from scale 1.
+    """
+    if radius > 0:
+        s = 1.0 / radius
+        # half the allowed width, less a margin for the rounding of s*(1 -+ delta)
+        delta = tol / (2.0 + tol) * (1.0 - 1e-6)
+        below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
+        if (below <= s <= above and above - below <= tol * below
+                and _verdict(cc, radius, below) and not _verdict(cc, radius, above)):
+            return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
+    if hi == math.inf:
+        lo, hi = _bracket(cc, radius)
     while (hi - lo) > tol * lo:
         mid = 0.5 * (lo + hi)
-        feasible_mid, _ = linfeas.feasibility_check(instance.with_demand_scale(mid))
-        if feasible_mid:
+        if _verdict(cc, radius, mid):
             lo = mid
         else:
             hi = mid
     return BoundaryCertificate(scale=0.5 * (lo + hi), last_feasible=lo, first_infeasible=hi)
 
 
-def _bracketed_boundary(instance, tol: float = 1e-6) -> float:
-    """Boundary scale with the bracket found automatically from scale 1."""
+def _bracket(cc, radius: float) -> tuple[float, float]:
+    """A feasible and an infeasible scale, found by doubling or halving from scale 1."""
     lo = hi = 1.0
-    feasible, _ = linfeas.feasibility_check(instance)
-    if feasible:
-        for _ in range(BOUNDARY_BRACKET_LIMIT):
-            hi *= 2.0
-            ok, _ = linfeas.feasibility_check(instance.with_demand_scale(hi))
-            if not ok:
-                break
-            lo = hi
-        else:
-            raise ValueError("no infeasible scale found while bracketing the boundary")
-    else:
-        for _ in range(BOUNDARY_BRACKET_LIMIT):
-            lo *= 0.5
-            ok, _ = linfeas.feasibility_check(instance.with_demand_scale(lo))
-            if ok:
-                break
-            hi = lo
-        else:
-            raise ValueError("no feasible scale found while bracketing the boundary")
-    return feasibility_boundary(instance, lo, hi, tol).scale
+    grow = _verdict(cc, radius, 1.0)
+    for _ in range(BOUNDARY_BRACKET_LIMIT):
+        probe = 2.0 * hi if grow else 0.5 * lo
+        if _verdict(cc, radius, probe) != grow:
+            return (lo, probe) if grow else (probe, hi)
+        lo = hi = probe
+    raise ValueError(f"no {'in' if grow else ''}feasible scale found while bracketing the boundary")
 
 
 def bound_quality(instance) -> list[CellBounds]:
@@ -182,31 +178,28 @@ def bound_quality(instance) -> list[CellBounds]:
     point (no demand) report zero gaps.  Raises ValueError on infeasible
     instances.
     """
-    report = solver.solve(instance)
+    cc = coupling.coefficients(instance)
+    return _bound_quality(instance, cc, solver.solve_coefficients(cc))
+
+
+def _bound_quality(instance, cc, report: solver.SolveReport) -> list[CellBounds]:
     if report.status == solver.INFEASIBLE:
         raise PreconditionError("no bound quality on an infeasible instance")
     rho = report.fixed_point
     lower = report.lower
-    upper = linfeas.upper_bound(instance, lower)
+    upper = linfeas.tangent_bound(cc, lower)
+    if upper is None:  # the tangent system at the lower bound is not solvable
+        upper = np.full(len(rho), math.nan)
     out = []
     for i, cell in enumerate(instance.cells):
         if rho[i] > 0.0:
             lower_gap = abs(lower[i] - rho[i]) / rho[i] * 100.0
-            upper_gap = (
-                abs(upper[i] - rho[i]) / rho[i] * 100.0 if upper is not None else math.nan
-            )
+            upper_gap = abs(upper[i] - rho[i]) / rho[i] * 100.0
         else:
             lower_gap = upper_gap = 0.0
-        out.append(
-            CellBounds(
-                cell_id=cell.id,
-                rho_star=float(rho[i]),
-                rho_lower=float(lower[i]),
-                rho_upper=float(upper[i]) if upper is not None else math.nan,
-                lower_gap_pct=lower_gap,
-                upper_gap_pct=upper_gap,
-            )
-        )
+        out.append(CellBounds(cell_id=cell.id, rho_star=float(rho[i]), rho_lower=float(lower[i]),
+                              rho_upper=float(upper[i]), lower_gap_pct=lower_gap,
+                              upper_gap_pct=upper_gap))
     return out
 
 
@@ -221,18 +214,19 @@ def compare_configs(instance_a, instance_b, boundary_tol: float = 1e-4) -> Compa
     """
     if instance_a.num_cells != instance_b.num_cells:
         raise ValueError("configurations must have the same number of cells")
-    boundary_a = _bracketed_boundary(instance_a, boundary_tol)
-    boundary_b = _bracketed_boundary(instance_b, boundary_tol)
 
-    def base_state(instance):
-        feasible, _ = linfeas.feasibility_check(instance)
+    def side(instance):
+        """Boundary scale, loads and bounds at base demand from one build and one rho(A)."""
+        cc = coupling.coefficients(instance)
+        feasible, linear = linfeas.feasibility(cc)
+        boundary = _boundary(cc, linear.spectral_radius, boundary_tol).scale
         if not feasible:
-            return None, None
-        bounds = bound_quality(instance)
-        return np.array([b.rho_star for b in bounds]), bounds
+            return boundary, None, None
+        bounds = _bound_quality(instance, cc, solver.solve_coefficients(cc, linear=linear))
+        return boundary, np.array([b.rho_star for b in bounds]), bounds
 
-    rho_a, bounds_a = base_state(instance_a)
-    rho_b, bounds_b = base_state(instance_b)
+    boundary_a, rho_a, bounds_a = side(instance_a)
+    boundary_b, rho_b, bounds_b = side(instance_b)
 
     if rho_a is not None and rho_b is not None:
         if boundary_a == boundary_b and np.array_equal(rho_a, rho_b):

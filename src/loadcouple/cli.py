@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -69,20 +68,6 @@ def _parse_scales(text: str) -> list[float]:
     if count < 1 or last < first or first <= 0:
         raise netmodel.SchemaError(f"--scales needs 0 < FIRST <= LAST and COUNT >= 1, got {text!r}")
     return list(np.linspace(first, last, count))
-
-
-def _sweep_workers(num_scales: int) -> int:
-    env = os.environ.get("LOADCOUPLE_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise netmodel.SchemaError(f"LOADCOUPLE_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise netmodel.SchemaError("LOADCOUPLE_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return min(cap, num_scales)
 
 
 def _load_validated(path) -> netmodel.NetworkInstance:
@@ -153,7 +138,7 @@ def _cmd_feasibility(args) -> int:
 def _cmd_sweep(args) -> int:
     instance = _load_validated(args.instance)
     scales = _parse_scales(args.scales)
-    rows = analysis.demand_sweep(instance, scales, workers=_sweep_workers(len(scales)))
+    rows = analysis.demand_sweep(instance, scales)
     ids = [c.id for c in instance.cells]
     header = (["scale", "feasible", "spectral_radius", "status"]
               + [f"rho_star_{i}" for i in ids] + [f"rho_lower_{i}" for i in ids])
@@ -241,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("boundary", help="bisect the feasibility boundary demand scale")
+    p = sub.add_parser("boundary", help="certified feasibility boundary demand scale")
     p.add_argument("--instance", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)

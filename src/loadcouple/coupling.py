@@ -19,7 +19,7 @@ everywhere, and its tangent plane at an anchor, which sits above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,21 @@ class CouplingCoefficients:
     rate_per_demand = _per_cell_views("a")
     rel_interference = _per_cell_views("rel")
     rel_noise = _per_cell_views("noise")
+
+    def scaled(self, s: float) -> "CouplingCoefficients":
+        """The coefficients with every pixel demand multiplied by ``s``.
+
+        Only ``a`` carries the demand, so it is the one array that changes.
+        At s = 0 every pixel drops out, as zero-demand pixels do in
+        :func:`coefficients`.
+        """
+        if not (math.isfinite(s) and s >= 0):
+            raise ValueError(f"demand scale must be finite and >= 0, got {s}")
+        if s == 0:
+            return replace(self, pixel=self.pixel[:0], cell_of=self.cell_of[:0],
+                           starts=np.zeros_like(self.starts), a=self.a[:0],
+                           rel=self.rel[:, :0], noise=self.noise[:0])
+        return replace(self, a=self.a / s)
 
 
 @dataclass(frozen=True, eq=False)

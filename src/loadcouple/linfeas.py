@@ -103,33 +103,41 @@ def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optiona
     return FEASIBLE, np.maximum(solution, 0.0)
 
 
-def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
+def solve_linear(system: coupling.LinearizedSystem, radius: Optional[float] = None) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
     The system is solved densely as (I - slope) rho = offset - slope @ anchor.
     A pivot smaller than PIVOT_RTOL of the matrix scale reports ``singular``;
     any solution component below -NEGATIVE_ATOL reports
     ``infeasible_negative``; components within rounding of zero are clamped.
-    The outcome also carries the slope's spectral radius.
+    The outcome also carries the slope's spectral radius: ``radius`` when the
+    caller already knows it, computed by :func:`spectral_radius` otherwise.
     """
     slope = system.slope
     n = slope.shape[0]
     offdiag = slope[~np.eye(n, dtype=bool)]
     reducible = bool(n > 1 and np.any(offdiag == 0.0))
     status, solution = _affine_fixed_point(system)
-    return LinearSolveOutcome(status, solution, spectral_radius(slope), reducible)
+    if radius is None:
+        radius = spectral_radius(slope)
+    return LinearSolveOutcome(status, solution, radius, reducible)
+
+
+def feasibility(cc, radius: Optional[float] = None) -> tuple[bool, LinearSolveOutcome]:
+    """Exact feasibility of the nonlinear load coupling system with coefficients ``cc``.
+
+    Solvability of the asymptotic linear system is necessary and sufficient,
+    so the verdict needs no nonlinear iteration and no spectral radius; the
+    radius is only reported (see :func:`solve_linear` for ``radius``).
+    Singular systems sit on the boundary and count as infeasible.
+    """
+    outcome = solve_linear(coupling.asymptotic_linearization(cc), radius)
+    return outcome.status == FEASIBLE, outcome
 
 
 def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
-    """Exact feasibility of the nonlinear load coupling system.
-
-    Solvability of the asymptotic linear system is necessary and sufficient,
-    so the verdict needs no nonlinear iteration.  Singular systems sit on
-    the boundary and count as infeasible.
-    """
-    cc = coupling.coefficients(instance)
-    outcome = solve_linear(coupling.asymptotic_linearization(cc))
-    return outcome.status == FEASIBLE, outcome
+    """:func:`feasibility` for an instance."""
+    return feasibility(coupling.coefficients(instance))
 
 
 def lower_bound(instance) -> np.ndarray:

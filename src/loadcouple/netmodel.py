@@ -345,6 +345,14 @@ def _typed(value, kind: str, what: str):
     return int(value) if kind == "int" else value
 
 
+def _float(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else SchemaError."""
+    # exact-type fast path for the per-pixel fields: json gives plain int and float
+    if type(value) in (float, int) and abs(value) <= sys.float_info.max:
+        return float(value)
+    return float(_typed(value, "float", what))
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
@@ -379,10 +387,10 @@ def load_instance(path) -> NetworkInstance:
             cells.append(
                 Cell(
                     id=_typed(c["id"], "int", "id"),
-                    power_per_ru=float(c["power_per_ru_w"]),
-                    x=float(c.get("x_m", 0.0)),
-                    y=float(c.get("y_m", 0.0)),
-                    azimuth_deg=float(c.get("azimuth_deg", 0.0)),
+                    power_per_ru=_float(c["power_per_ru_w"], "power_per_ru_w"),
+                    x=_float(c.get("x_m", 0.0), "x_m"),
+                    y=_float(c.get("y_m", 0.0), "y_m"),
+                    azimuth_deg=_float(c.get("azimuth_deg", 0.0), "azimuth_deg"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -393,9 +401,9 @@ def load_instance(path) -> NetworkInstance:
             pixels.append(
                 Pixel(
                     id=_typed(p["id"], "int", "id"),
-                    demand_bits=float(p["demand_bits"]),
-                    x=float(p.get("x_m", 0.0)),
-                    y=float(p.get("y_m", 0.0)),
+                    demand_bits=_float(p["demand_bits"], "demand_bits"),
+                    x=_float(p.get("x_m", 0.0), "x_m"),
+                    y=_float(p.get("y_m", 0.0), "y_m"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -428,10 +436,10 @@ def load_instance(path) -> NetworkInstance:
         serving=ServingAssignment.from_server_of(
             np.full(len(pixels), -1, dtype=np.int64), len(cells)
         ),
-        noise_power=float(_require(doc, "noise_power_w", str(path))),
+        noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
         num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
                                   f"{path}: num_resource_units"),
-        rate_scale=float(_require(doc, "rate_scale", str(path))),
+        rate_scale=_float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale"),
         wrap_periods=wrap,
     )
     if "serving" in doc:

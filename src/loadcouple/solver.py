@@ -108,8 +108,9 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
     return rho, residual, max_iter, False
 
 
-def _iterate(cc, rho, lower, config, stop_width):
-    """Shared driver for both methods; returns a partially filled report."""
+def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
+    """Shared driver for both methods, from ``rho`` on a feasible system."""
+    lower = linear.solution
     upper = None
     trace: list[TraceEntry] = []
     status = MAX_ITER_EXCEEDED
@@ -151,7 +152,7 @@ def _iterate(cc, rho, lower, config, stop_width):
                     break
                 alpha *= 0.5
         rho = np.maximum(f_rho, lower) if next_rho is None else next_rho
-    return status, rho, residual, iterations, upper, trace
+    return SolveReport(status, rho, lower, upper, residual, iterations, trace, linear)
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -163,7 +164,7 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     the residual drops below ``tol_residual`` relative to 1 + the largest
     load.
     """
-    return _solve(instance, config or SolverConfig(), stop_width=None)
+    return solve_coefficients(coupling.coefficients(instance), config)
 
 
 def solve_with_interval_stop(
@@ -176,34 +177,21 @@ def solve_with_interval_stop(
     is met first).  The fixed point then lies between ``fixed_point`` (the
     final, lower iterate) and ``upper``.
     """
-    return _solve(instance, config or SolverConfig(), stop_width=max_interval_width)
+    return solve_coefficients(coupling.coefficients(instance), config, max_interval_width)
 
 
-def _solve(instance, config: SolverConfig, stop_width: Optional[float]) -> SolveReport:
-    feasible, outcome = linfeas.feasibility_check(instance)
-    if not feasible:
-        return SolveReport(
-            status=INFEASIBLE,
-            fixed_point=None,
-            lower=None,
-            upper=None,
-            residual=math.nan,
-            iterations=0,
-            linear=outcome,
-        )
-    cc = coupling.coefficients(instance)
-    lower = outcome.solution
-    start = lower if config.start is None else np.asarray(config.start, dtype=np.float64)
-    status, rho, residual, iterations, upper, trace = _iterate(
-        cc, start.copy(), lower, config, stop_width
-    )
-    return SolveReport(
-        status=status,
-        fixed_point=rho,
-        lower=lower,
-        upper=upper,
-        residual=residual,
-        iterations=iterations,
-        trace=trace,
-        linear=outcome,
-    )
+def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[SolverConfig] = None,
+                       max_interval_width: Optional[float] = None,
+                       linear: Optional[linfeas.LinearSolveOutcome] = None) -> SolveReport:
+    """:func:`solve` (or, with ``max_interval_width``, the interval stop) on coefficients.
+
+    ``linear`` is the outcome of ``linfeas.feasibility(cc)`` when the caller
+    has already taken that verdict; it is taken here otherwise.
+    """
+    config = config or SolverConfig()
+    if linear is None:
+        _, linear = linfeas.feasibility(cc)
+    if linear.status != linfeas.FEASIBLE:
+        return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
+    start = linear.solution if config.start is None else np.asarray(config.start, dtype=np.float64)
+    return _iterate(cc, start.copy(), linear, config, max_interval_width)

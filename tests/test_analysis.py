@@ -1,17 +1,24 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import eig_radius, random_instance, two_cell_instance
 from loadcouple import (
+    NetworkInstance,
     PreconditionError,
     asymptotic_linearization,
     bound_quality,
     coefficients,
     compare_configs,
+    coupling,
     demand_sweep,
     feasibility_boundary,
+    feasibility_check,
+    linfeas,
     load_function,
     solve,
 )
@@ -67,17 +74,34 @@ def test_sweep_small_scale_limit_matches_zero_load():
     np.testing.assert_allclose(row.rho_star / 1e-5, offset_at_unit_scale, rtol=1e-3)
 
 
-def test_sweep_parallel_matches_sequential():
+def test_sweep_rows_do_not_depend_on_schedule():
     rng = np.random.default_rng(SEED + 4)
     instance = random_instance(rng, 4, 5, radius_target=1.0)
     scales = np.linspace(0.3, 1.2, 7)
-    warm = demand_sweep(instance, scales, workers=1)
-    cold = demand_sweep(instance, scales, workers=3)
-    for a, b in zip(warm, cold):
-        assert a.scale == b.scale
-        assert a.feasible == b.feasible
-        if a.feasible:
-            np.testing.assert_allclose(a.rho_star, b.rho_star, rtol=1e-8, atol=1e-10)
+    warm = demand_sweep(instance, scales)
+    reverse = demand_sweep(instance, scales[::-1])[::-1]
+    single = [demand_sweep(instance, [s])[0] for s in scales]
+    for other in (reverse, single):
+        for a, b in zip(warm, other):
+            assert a.scale == b.scale
+            assert a.feasible == b.feasible
+            assert a.spectral_radius == pytest.approx(b.spectral_radius, rel=1e-12)
+            if a.feasible:
+                np.testing.assert_allclose(a.rho_star, b.rho_star, rtol=1e-8, atol=1e-10)
+
+
+def test_sweep_scale_zero_and_bad_scales():
+    rng = np.random.default_rng(SEED + 15)
+    instance = random_instance(rng, 3, 4, radius_target=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = demand_sweep(instance, [0.0, 0.5, 0.0])
+    for row in rows[::2]:
+        assert row.feasible and row.spectral_radius == 0.0 and row.solve_status == "converged"
+        assert not np.any(row.rho_star) and not np.any(row.rho_lower)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            demand_sweep(instance, [0.5, bad])
 
 
 def test_boundary_matches_spectral_radius():
@@ -112,6 +136,8 @@ def test_boundary_precondition_errors():
         feasibility_boundary(instance, lo=-1.0, hi=2.0)
     with pytest.raises(ValueError):
         feasibility_boundary(instance, lo=2.0, hi=1.0)
+    with pytest.raises(ValueError):
+        feasibility_boundary(instance, lo=0.5, hi=6.0, tol=0.0)  # bisection would never end
 
 
 def test_bound_quality_fields_consistent():
@@ -193,3 +219,67 @@ def test_compare_rejects_mismatched_sizes():
     rng = np.random.default_rng(SEED + 14)
     with pytest.raises(ValueError):
         compare_configs(random_instance(rng, 3, 4), random_instance(rng, 4, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 5),
+       pixels_per_cell=st.integers(1, 4), radius=st.floats(0.2, 3.0),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-8]))
+def test_boundary_is_inverse_perron_root_property(seed, num_cells, pixels_per_cell, radius, tol):
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell,
+                               radius_target=radius)
+    expected = 1.0 / _slope_radius(instance)
+    cert = feasibility_boundary(instance, lo=0.1, hi=10.0, tol=tol)
+    assert abs(cert.scale - expected) <= tol * expected
+    assert cert.last_feasible <= cert.scale <= cert.first_infeasible
+    assert cert.first_infeasible - cert.last_feasible <= tol * cert.last_feasible
+    assert feasibility_check(instance.with_demand_scale(cert.last_feasible))[0]
+    assert not feasibility_check(instance.with_demand_scale(cert.first_infeasible))[0]
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count coefficient builds, Perron roots, LU verdicts and instance rebuilds from now on."""
+    counts = Counter()
+    targets = [(coupling, "coefficients"), (linfeas, "spectral_radius"),
+               (linfeas, "feasibility"), (NetworkInstance, "with_demand_scale")]
+    for owner, name in targets:
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def test_boundary_falls_back_to_bisection_when_radius_is_off(monkeypatch):
+    rng = np.random.default_rng(SEED + 16)
+    instance = random_instance(rng, 4, 5, radius_target=0.8)
+    expected = 1.0 / _slope_radius(instance)
+    exact = linfeas.spectral_radius
+    monkeypatch.setattr(linfeas, "spectral_radius", lambda matrix: 1.01 * exact(matrix))
+    counts = _count_calls(monkeypatch)
+    cert = feasibility_boundary(instance, lo=0.5, hi=4.0, tol=1e-6)
+    assert counts["feasibility"] > 4  # lo, hi, the failed certificate, then bisection
+    assert abs(cert.scale - expected) <= 1e-6 * expected
+    assert cert.first_infeasible - cert.last_feasible <= 1e-6 * cert.last_feasible
+    # compare_configs has no bracket: the fallback finds one from scale 1
+    report = compare_configs(instance, instance, boundary_tol=1e-6)
+    assert abs(report.boundary_a - expected) <= 1e-6 * expected
+
+
+@pytest.mark.parametrize("question,instances,verdicts", [
+    (lambda a, b: demand_sweep(a, np.linspace(0.2, 1.5, 8)), 1, 8),
+    (lambda a, b: feasibility_boundary(a, lo=0.5, hi=2.0), 1, 4),
+    (lambda a, b: compare_configs(a, b), 2, 6),
+    (lambda a, b: bound_quality(a), 1, 1),
+    (lambda a, b: solve(a), 1, 1),
+], ids=["demand_sweep", "feasibility_boundary", "compare_configs", "bound_quality", "solve"])
+def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, instances, verdicts):
+    rng = np.random.default_rng(SEED + 17)
+    a = random_instance(rng, 4, 5, radius_target=0.8)
+    b = a.with_demand_scale(1.1)
+    counts = _count_calls(monkeypatch)
+    question(a, b)
+    assert counts["coefficients"] == instances
+    assert counts["spectral_radius"] == instances
+    assert counts["with_demand_scale"] == 0
+    assert counts["feasibility"] == verdicts

@@ -131,34 +131,27 @@ def test_sweep_csv_layout(tmp_path):
     assert rows[-1][4] == "n/a"
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
+def test_sweep_output_ignores_thread_env(tmp_path, monkeypatch):
     rng = np.random.default_rng(SEED + 5)
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=0.8))
-    out_seq = tmp_path / "seq.csv"
-    out_par = tmp_path / "par.csv"
-    monkeypatch.setenv("LOADCOUPLE_THREADS", "1")
-    assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:5",
-                 "--out", str(out_seq)]) == 0
-    monkeypatch.setenv("LOADCOUPLE_THREADS", "4")
-    assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:5",
-                 "--out", str(out_par)]) == 0
-    _, _, seq_rows = _read_csv(out_seq)
-    _, _, par_rows = _read_csv(out_par)
-    for a, b in zip(seq_rows, par_rows):
-        assert a[:2] == b[:2]
-        np.testing.assert_allclose(
-            [float(x) for x in a[4:]], [float(x) for x in b[4:]], rtol=1e-8, atol=1e-10
-        )
-    monkeypatch.setenv("LOADCOUPLE_THREADS", "zero")
-    assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:2"]) == 2
+    outputs = []
+    for value in (None, "1", "4", "zero"):
+        if value is None:
+            monkeypatch.delenv("LOADCOUPLE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LOADCOUPLE_THREADS", value)
+        out = tmp_path / f"sweep-{value}.csv"
+        assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:5",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert all(o == outputs[0] for o in outputs)
 
 
-def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
+def test_sweep_exit_code_flags_unconverged_rows(tmp_path):
     # plain iteration from the lower bound exhausts its budget this close to 1/rho(A)
     rng = np.random.default_rng(SEED + 9)
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=1.0))
     out = tmp_path / "sweep.csv"
-    monkeypatch.setenv("LOADCOUPLE_THREADS", "1")
     assert main(["sweep", "--instance", str(inst), "--scales", "0.9999:0.99995:2",
                  "--out", str(out)]) == 4
     _, _, rows = _read_csv(out)
@@ -262,6 +255,7 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert main(["sweep", "--instance", str(good), "--scales", "0:1:3"]) == 2
     assert main(["sweep", "--instance", str(good), "--scales", "1:2"]) == 2
     assert main(["boundary", "--instance", str(good), "--lo", "2", "--hi", "1"]) == 2
+    assert main(["boundary", "--instance", str(good), "--lo", "1", "--hi", "2", "--tol", "0"]) == 2
 
     badspec = tmp_path / "badspec.json"
     badspec.write_text(json.dumps({"carrier_mhz": 2000}))
@@ -310,6 +304,27 @@ def test_solve_rejects_non_integer_instance_field(tmp_path, capsys, mutate):
     path.write_text(json.dumps(doc))
     assert main(["solve", "--instance", str(path)]) == 2
     assert "must be of type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,field,value", [
+    ("cells", "power_per_ru_w", True),
+    ("cells", "x_m", "60"),
+    ("cells", "y_m", float("nan")),
+    ("cells", "azimuth_deg", False),
+    ("pixels", "demand_bits", "60"),
+    ("pixels", "x_m", float("nan")),
+    ("pixels", "y_m", True),
+    (None, "noise_power_w", float("nan")),
+    (None, "rate_scale", "1"),
+])
+def test_solve_rejects_non_float_instance_field(tmp_path, capsys, where, field, value):
+    path = _write_instance(tmp_path, frozen_two_cell())
+    doc = json.loads(path.read_text())
+    (doc if where is None else doc[where][0])[field] = value
+    path.write_text(json.dumps(doc))  # a nan is written as the JSON extension NaN
+    assert main(["solve", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "must be of type float" in err
 
 
 def test_unknown_command_is_argparse_error():

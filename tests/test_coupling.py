@@ -383,3 +383,21 @@ def test_per_cell_fields_are_views_of_packed_arrays():
     for i in range(4):
         assert list(cc.pixel_idx[i]) == [j for j in instance.serving.areas[i]
                                          if instance.pixels[j].demand_bits > 0]
+
+
+def test_scaled_matches_rebuilt_coefficients():
+    rng = np.random.default_rng(SEED + 42)
+    instance = _instance_with_empty_cell(rng, 4, 2)
+    cc = coefficients(instance)
+    for s in (0.0, 0.3, 1.0, 7.5):
+        scaled, rebuilt = cc.scaled(s), coefficients(instance.with_demand_scale(s))
+        for name in ("pixel", "cell_of", "starts", "rel", "noise"):
+            np.testing.assert_array_equal(getattr(scaled, name), getattr(rebuilt, name))
+        # a / s against a / (demand * s): the two roundings differ by an ulp or two
+        np.testing.assert_allclose(scaled.a, rebuilt.a, rtol=1e-15)
+        rho = rng.uniform(0.0, 1.0, 4)
+        np.testing.assert_allclose(load_function(scaled, rho), load_function(rebuilt, rho),
+                                   rtol=1e-14)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cc.scaled(bad)
