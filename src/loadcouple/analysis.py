@@ -105,9 +105,7 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
         if not feasible:
             rows.append(SweepRow(s, False, s * radius, None, None, None))
             continue
-        method = solver.NEWTON if previous is not None else solver.FIXED_POINT
-        config = solver.SolverConfig(method=method, start=previous)
-        report = solver.solve_coefficients(scaled, config, linear=outcome)
+        report = solver.solve_coefficients(scaled, solver.SolverConfig(start=previous), linear=outcome)
         previous = report.fixed_point
         rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
     return rows

@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the load fixed point with certified bounds")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default="fixed_point")
+    p.add_argument("--method", choices=sorted(_METHODS), default="newton")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--interval-width", type=float, default=None,

@@ -3,9 +3,10 @@
 Feasibility is settled up front through the exact linear criterion, so the
 iterative part only ever runs on instances that do have a fixed point.  The
 asymptotic solution provides the starting iterate and a permanent lower
-bound; every few iterations the tangent plane at the current iterate is
-solved to refresh an upper bound, giving a shrinking interval around the
-fixed point as the iteration proceeds.
+bound.  The default safeguarded Newton method keeps its few-step
+convergence at the feasibility boundary.  One LU of I - J(rho) per Newton
+iteration (every few for plain iteration) gives the step, a tangent upper
+bound and a certified sub-solution, a bracket that shrinks as it proceeds.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ class SolverConfig:
 
     ``start`` overrides the default starting iterate (the asymptotic lower
     bound), which lets sweep drivers warm-start from a neighbouring fixed
-    point.  ``bound_refresh_every`` controls how often the tangent upper
-    bound is recomputed.
+    point.  ``bound_refresh_every`` controls how often plain iteration
+    refreshes the bounds; Newton does so every iteration.
     """
 
-    method: str = FIXED_POINT
+    method: str = NEWTON
     tol_residual: float = 1e-10
     max_iter: int = 10_000
     bound_refresh_every: int = 5
@@ -71,10 +72,12 @@ class SolveReport:
     """Everything :func:`solve` knows at termination.
 
     ``fixed_point`` is the final iterate (the fixed point itself once
-    ``status == "converged"``), ``lower`` the asymptotic solution and
-    ``upper`` the latest tangent bound; for feasible instances the three are
-    ordered lower <= fixed_point <= upper.  ``linear`` carries the
-    feasibility check's diagnostics, including the spectral radius.
+    ``status == "converged"``; the certified low end under the interval
+    stop), ``lower`` the asymptotic solution and ``upper`` the latest tangent
+    bound, raised to ``fixed_point``; for feasible instances the three are
+    ordered lower <= fixed_point <= upper.  ``residual`` is the final
+    iterate's.  ``linear`` carries the feasibility check's diagnostics.
+    ``fallbacks`` counts Newton iterations that took a plain step instead.
     """
 
     status: str
@@ -85,6 +88,7 @@ class SolveReport:
     iterations: int
     trace: list[TraceEntry] = field(default_factory=list)
     linear: Optional[linfeas.LinearSolveOutcome] = None
+    fallbacks: int = 0
 
 
 def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
@@ -109,50 +113,70 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
 
 
 def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
-    """Shared driver for both methods, from ``rho`` on a feasible system."""
+    """Shared driver for both methods, from ``rho`` on a feasible system.
+
+    ``low`` is a sub-solution, f(low) >= low: the asymptotic solution, then,
+    checked by evaluation, any iterate that is one and, under the interval
+    stop, the zero of the minorant through ``low`` with slope J(rho) - I at a
+    super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
+    """
+    newton = config.method == NEWTON
     lower = linear.solution
+    low, f_low = lower, None
     upper = None
     trace: list[TraceEntry] = []
     status = MAX_ITER_EXCEEDED
     residual = math.inf
-    iterations = 0
+    fallbacks = 0
     for t in range(config.max_iter + 1):
         f_rho = coupling.load_function(cc, rho)
         residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
         converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
-        if converged or t % config.bound_refresh_every == 0:
-            refreshed = linfeas.tangent_bound(cc, rho)
-            if refreshed is not None:
-                upper = refreshed
-        width = float(np.max(np.abs(upper - rho))) if upper is not None else math.inf
+        if np.all(f_rho >= rho) and np.all(rho >= low):
+            low, f_low = rho, f_rho
+        steps, lift = None, False
+        if newton or converged or t % config.bound_refresh_every == 0:
+            lift = stop_width is not None and bool(np.all(f_rho <= rho))
+            f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
+            rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
+            steps = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), rhs)
+        if steps is not None:
+            tangent = rho + steps[:, 0]  # the tangent plane's fixed point
+            if np.min(tangent) >= -linfeas.NEGATIVE_ATOL:
+                upper = np.maximum(tangent, 0.0)
+            if lift:
+                candidate = np.maximum(low + steps[:, 1], low)
+                f_candidate = coupling.load_function(cc, candidate)
+                if np.all(f_candidate >= candidate):
+                    low, f_low = candidate, f_candidate
+        width = float(np.max(upper - low)) if upper is not None else math.inf
         trace.append(TraceEntry(iteration=t, residual=residual, interval_width=width))
-        iterations = t
-        if converged:
-            status = CONVERGED
-            break
-        if stop_width is not None and upper is not None and width <= stop_width:
+        if converged or (stop_width is not None and width <= stop_width):
             status = CONVERGED
             break
 
-        if config.method == FIXED_POINT:
+        if not newton:
             rho = f_rho
             continue
-        # damped projected Newton step, (I - jacobian) delta = f(rho) - rho;
-        # fall back to plain ascent when that system is unusable (None) or
-        # no damping helps
-        delta = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), f_rho - rho)
+        # damped projected Newton step; plain ascent when the system is
+        # unusable (None) or no damping lowers the residual
         next_rho = None
-        if delta is not None:
+        if steps is not None:
             alpha = 1.0
             for _ in range(30):
-                candidate = np.maximum(rho + alpha * delta, lower)
+                candidate = np.maximum(rho + alpha * steps[:, 0], lower)
                 cand_res = float(np.max(np.abs(candidate - coupling.load_function(cc, candidate)), initial=0.0))
                 if cand_res < residual:
                     next_rho = candidate
                     break
                 alpha *= 0.5
+        if next_rho is None:
+            fallbacks += 1
         rho = np.maximum(f_rho, lower) if next_rho is None else next_rho
-    return SolveReport(status, rho, lower, upper, residual, iterations, trace, linear)
+    point = rho if stop_width is None else low
+    # the maximum of an upper bound and any vector is an upper bound
+    upper = None if upper is None else np.maximum(upper, point)
+    return SolveReport(status, point, lower, upper, residual, len(trace) - 1, trace, linear, fallbacks)
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -172,10 +196,9 @@ def solve_with_interval_stop(
 ) -> SolveReport:
     """Like :func:`solve` but stop once the certified interval is narrow enough.
 
-    Iteration ends as soon as the tangent upper bound is within
-    ``max_interval_width`` of the current iterate (or the residual tolerance
-    is met first).  The fixed point then lies between ``fixed_point`` (the
-    final, lower iterate) and ``upper``.
+    Iteration ends once ``upper`` is within ``max_interval_width`` of
+    ``fixed_point``, a sub-solution (f(rho) >= rho, checked by evaluation),
+    or the residual tolerance is met first; the fixed point lies between them.
     """
     return solve_coefficients(coupling.coefficients(instance), config, max_interval_width)
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import shutil
 import subprocess
@@ -8,7 +9,18 @@ import numpy as np
 import pytest
 
 from helpers import frozen_two_cell, random_instance
-from loadcouple import SolverConfig, load_instance, save_instance, solve
+from loadcouple import (
+    ScenarioSpec,
+    SolverConfig,
+    asymptotic_linearization,
+    coefficients,
+    generate,
+    load_function,
+    load_instance,
+    save_instance,
+    solve,
+    solver,
+)
 from loadcouple.cli import main
 
 SEED = 141421
@@ -101,6 +113,23 @@ def test_solve_interval_width_flag(tmp_path):
         assert float(row[3]) - float(row[1]) <= 1e-5
 
 
+@pytest.mark.parametrize("fraction", [0.9, 0.99, 0.999])
+def test_solve_newton_interval_low_end_is_sub_solution(tmp_path, fraction):
+    """The interval stop's rho_star column is a certified sub-solution: f(rho) >= rho."""
+    instance = generate(ScenarioSpec(num_sites=3, rng_seed=7, demand_bits_per_user=80_000.0))
+    slope = asymptotic_linearization(coefficients(instance)).slope
+    boundary = 1.0 / np.max(np.abs(np.linalg.eigvals(slope)))
+    inst = _write_instance(tmp_path, instance.with_demand_scale(fraction * boundary))
+    out = tmp_path / "interval.csv"
+    assert main(["solve", "--instance", str(inst), "--method", "newton",
+                 "--interval-width", "1e-3", "--out", str(out)]) == 0
+    comment, _, rows = _read_csv(out)
+    assert "status=converged" in comment
+    rho, upper = (np.array([float(row[k]) for row in rows]) for k in (1, 3))
+    assert np.all(load_function(coefficients(load_instance(inst)), rho) >= rho)
+    assert np.all(rho <= upper) and np.max(upper - rho) <= 1e-3
+
+
 def test_feasibility_command(tmp_path, capsys):
     rng = np.random.default_rng(SEED + 3)
     good = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=0.5), "good.json")
@@ -147,16 +176,21 @@ def test_sweep_output_ignores_thread_env(tmp_path, monkeypatch):
     assert all(o == outputs[0] for o in outputs)
 
 
-def test_sweep_exit_code_flags_unconverged_rows(tmp_path):
-    # plain iteration from the lower bound exhausts its budget this close to 1/rho(A)
+def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
     rng = np.random.default_rng(SEED + 9)
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=1.0))
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--instance", str(inst), "--scales", "0.9999:0.99995:2",
-                 "--out", str(out)]) == 4
+    argv = ["sweep", "--instance", str(inst), "--scales", "0.9999:0.99995:2", "--out", str(out)]
+    # this close to 1/rho(A) every row, the cold first one included, converges
+    assert main(argv) == 0
     _, _, rows = _read_csv(out)
-    assert rows[0][3] == "max_iter_exceeded"
-    assert rows[1][3] == "converged"
+    assert [row[3] for row in rows] == ["converged", "converged"]
+    # a budget of one iteration leaves a row unconverged: exit 4, CSV still written
+    monkeypatch.setattr(solver, "SolverConfig", functools.partial(solver.SolverConfig, max_iter=1))
+    out.unlink()
+    assert main(argv) == 4
+    _, _, rows = _read_csv(out)
+    assert len(rows) == 2 and rows[0][3] == "max_iter_exceeded"
 
 
 def test_boundary_command(tmp_path, capsys):

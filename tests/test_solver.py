@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     FROZEN_TWO_CELL_FIXED_POINT,
@@ -12,7 +13,9 @@ from helpers import (
 from loadcouple import (
     SolverConfig,
     coefficients,
+    coupling,
     fixed_point_iteration,
+    jacobian,
     linfeas,
     load_function,
     lower_bound,
@@ -115,11 +118,12 @@ def test_newton_matches_fixed_point_near_boundary():
 def test_max_iter_exceeded_reports_partial_state():
     rng = np.random.default_rng(SEED + 5)
     instance = random_instance(rng, 4, 5, radius_target=0.9)
-    report = solve(instance, SolverConfig(max_iter=3))
-    assert report.status == "max_iter_exceeded"
-    assert report.iterations == 3
-    assert report.fixed_point is not None
-    assert report.residual > 0.0
+    for method in ("fixed_point", "newton"):
+        report = solve(instance, SolverConfig(method=method, max_iter=1))
+        assert report.status == "max_iter_exceeded"
+        assert report.iterations == 1
+        assert report.fixed_point is not None
+        assert report.residual > 0.0
 
 
 def test_bounds_enclose_every_refresh():
@@ -229,3 +233,85 @@ def test_perron_root_computed_once_per_solve(monkeypatch):
     calls.clear()
     assert upper_bound(instance, report.fixed_point) is not None
     assert calls == []
+
+
+def _stop_distance(cc, rho, tol):
+    """How far a point meeting the residual stop rule may lie from the fixed point."""
+    inverse = np.linalg.inv(np.eye(len(rho)) - jacobian(cc, rho))
+    return np.max(np.sum(np.abs(inverse), axis=1)) * tol * (1.0 + np.max(rho))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
+       radius_target=st.floats(0.3, 0.999))
+def test_interval_stop_certifies_both_ends_property(seed, num_cells, radius_target):
+    """Both ends of the interval stop are certified by evaluation, for both methods.
+
+    The low end is a sub-solution (f(lo) >= lo) and the upper end a
+    super-solution (f(hi) <= hi), from the default start and from a warm
+    start 5% above the fixed point.  Plain iteration is only run up to 0.99
+    of the boundary, where its rate keeps it within the iteration budget.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
+    cc = coefficients(instance)
+    newton = solve(instance)
+    assert newton.status == "converged"
+    methods = ["newton"] + (["fixed_point"] if radius_target <= 0.99 else [])
+    if radius_target <= 0.99:
+        plain = solve(instance, SolverConfig(method="fixed_point", max_iter=100_000))
+        assert plain.status == "converged"
+        gap = np.max(np.abs(plain.fixed_point - newton.fixed_point))
+        assert gap <= (_stop_distance(cc, plain.fixed_point, 1e-10)
+                       + _stop_distance(cc, newton.fixed_point, 1e-10))
+    for method in methods:
+        for start in (None, 1.05 * newton.fixed_point):
+            for width in (1e-3, 1e-6):
+                config = SolverConfig(method=method, start=start)
+                report = solve_with_interval_stop(instance, width, config)
+                assert report.status == "converged"
+                lo, hi = report.fixed_point, report.upper
+                slack = 1e-12 * (1.0 + np.max(hi))
+                assert np.all(load_function(cc, lo) >= lo - slack)
+                assert np.all(load_function(cc, hi) <= hi + slack)
+                assert np.all(lo <= hi)
+                if report.residual > config.tol_residual * (1.0 + np.max(hi)):  # stopped by width
+                    assert np.max(hi - lo) <= width
+
+
+@pytest.mark.parametrize("radius_target", [0.99, 0.999])
+def test_report_ordering_is_exact_near_boundary(radius_target):
+    rng = np.random.default_rng(SEED + 60)
+    instance = random_instance(rng, 5, 4, radius_target=radius_target)
+    config = SolverConfig(method="newton")
+    for report in (solve(instance, config), solve_with_interval_stop(instance, 1e-6, config)):
+        assert report.status == "converged"
+        assert np.all(report.lower <= report.fixed_point)
+        assert np.all(report.fixed_point <= report.upper)
+
+
+def test_newton_fallbacks_are_counted(monkeypatch):
+    """A singular Newton system falls back to plain ascent, and says so."""
+    rng = np.random.default_rng(SEED + 61)
+    instance = random_instance(rng, 4, 5, radius_target=0.6)
+    assert solve(instance).fallbacks == 0
+    # every Newton system I - J is the zero matrix
+    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: np.eye(cc.num_cells))
+    report = solve(instance)
+    assert report.status == "converged"
+    assert report.iterations > 0
+    assert report.fallbacks == report.iterations
+
+
+def test_newton_iteration_factors_once(monkeypatch):
+    """A default solve evaluates the Jacobian once per iteration and no separate tangent bound."""
+    jacobians, tangents = [], []
+    original_jacobian, original_tangent = coupling.jacobian, linfeas.tangent_bound
+    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
+    monkeypatch.setattr(linfeas, "tangent_bound", lambda cc, anchor: tangents.append(1) or original_tangent(cc, anchor))
+    instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
+    for run in (lambda: solve(instance), lambda: solve_with_interval_stop(instance, 1e-6)):
+        jacobians.clear()
+        report = run()
+        assert report.status == "converged" and report.iterations > 1
+        assert len(jacobians) <= len(report.trace) == report.iterations + 1
+        assert tangents == []
