@@ -100,12 +100,15 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
     rows: list[SweepRow] = []
     previous = None
     for s in map(float, scales):
-        scaled = cc.scaled(s)
-        feasible, outcome = linfeas.feasibility(scaled, s * radius)
-        if not feasible:
-            rows.append(SweepRow(s, False, s * radius, None, None, None))
-            continue
-        report = solver.solve_coefficients(scaled, solver.SolverConfig(start=previous), linear=outcome)
+        # at scales near the float minimum the rate per demand a / s, and the
+        # kernels' products with it, overflow to inf: the zero-demand limit
+        with np.errstate(over="ignore"):
+            scaled = cc.scaled(s)
+            feasible, outcome = linfeas.feasibility(scaled, s * radius)
+            if not feasible:
+                rows.append(SweepRow(s, False, s * radius, None, None, None))
+                continue
+            report = solver.solve_coefficients(scaled, solver.SolverConfig(start=previous), linear=outcome)
         previous = report.fixed_point
         rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
     return rows

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -51,31 +52,27 @@ class Pixel:
 
 @dataclass(frozen=True, eq=False)
 class ServingAssignment:
-    """Pixel-to-cell map plus the per-cell pixel lists, kept mutually consistent.
+    """Pixel-to-cell map of an instance with ``num_cells`` cells.
 
     ``server_of[j]`` is the 0-based index of the cell serving pixel j, or -1
     when the pixel is unassigned (allowed only for zero-demand pixels).
-    ``areas[i]`` lists the served pixel indices of cell i in ascending order.
+    ``areas[i]`` lists the served pixel indices of cell i in ascending order;
+    it is derived from ``server_of`` on first use, so the two always agree.
     """
 
     server_of: np.ndarray
-    areas: tuple[tuple[int, ...], ...]
+    num_cells: int
 
     def __post_init__(self):
-        server_of = np.asarray(self.server_of, dtype=np.int64).copy()
+        server_of = np.array(self.server_of, dtype=np.int64)
         server_of.setflags(write=False)
         object.__setattr__(self, "server_of", server_of)
-        object.__setattr__(
-            self, "areas", tuple(tuple(int(j) for j in area) for area in self.areas)
-        )
 
-    @classmethod
-    def from_server_of(cls, server_of, num_cells: int) -> "ServingAssignment":
-        server_of = np.asarray(server_of, dtype=np.int64)
-        areas = tuple(
-            tuple(int(j) for j in np.flatnonzero(server_of == i)) for i in range(num_cells)
+    @cached_property
+    def areas(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(np.flatnonzero(self.server_of == i).tolist()) for i in range(self.num_cells)
         )
-        return cls(server_of=server_of, areas=areas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,20 +83,23 @@ class NetworkInstance:
     positive.  ``noise_power`` is the receiver noise power in watt over one
     resource unit, ``num_resource_units`` the number of resource units in the
     considered interval and ``rate_scale`` the bits one resource unit carries
-    per unit of spectral efficiency.
+    per unit of spectral efficiency.  An instance built without ``serving``
+    gets the best-server assignment of its own cells and gains.  Copies with
+    some fields changed are made with ``dataclasses.replace``; pass
+    ``serving=None`` there to reassign by best server.
     """
 
     cells: tuple[Cell, ...]
     pixels: tuple[Pixel, ...]
     gains: np.ndarray
-    serving: ServingAssignment
     noise_power: float
     num_resource_units: int
     rate_scale: float
     # Periodic replication vectors of the site grid, carried only so that
     # sector rotation can reproduce the wrap-around bearings; None for
     # instances without wrap-around geometry.
-    wrap_periods: Optional[np.ndarray] = field(default=None)
+    wrap_periods: Optional[np.ndarray] = None
+    serving: Optional[ServingAssignment] = None
 
     def __post_init__(self):
         gains = np.array(self.gains, dtype=np.float64, order="C")
@@ -111,6 +111,8 @@ class NetworkInstance:
             wrap = np.array(self.wrap_periods, dtype=np.float64)
             wrap.setflags(write=False)
             object.__setattr__(self, "wrap_periods", wrap)
+        if self.serving is None:
+            object.__setattr__(self, "serving", assign_best_server(self))
 
     @property
     def num_cells(self) -> int:
@@ -134,16 +136,7 @@ class NetworkInstance:
             Pixel(id=p.id, demand_bits=p.demand_bits * scale, x=p.x, y=p.y)
             for p in self.pixels
         )
-        return NetworkInstance(
-            cells=self.cells,
-            pixels=pixels,
-            gains=self.gains,
-            serving=self.serving,
-            noise_power=self.noise_power,
-            num_resource_units=self.num_resource_units,
-            rate_scale=self.rate_scale,
-            wrap_periods=self.wrap_periods,
-        )
+        return replace(self, pixels=pixels)
 
 
 @dataclass(frozen=True)
@@ -216,21 +209,11 @@ def validate(instance: NetworkInstance) -> list[Violation]:
                 Violation("unserved_demand_pixel",
                           f"pixel {pixel.id} has positive demand but no serving cell")
             )
-    if len(instance.serving.areas) != n:
+    if instance.serving.num_cells != n:
         out.append(
             Violation("serving_inconsistent",
-                      f"areas has {len(instance.serving.areas)} entries for {n} cells")
+                      f"serving map is for {instance.serving.num_cells} cells, instance has {n}")
         )
-    else:
-        # areas must be exactly the inverse image of server_of, in ascending order
-        for i, area in enumerate(instance.serving.areas):
-            expected = tuple(int(j) for j in np.flatnonzero(server_of == i))
-            if tuple(area) != expected:
-                out.append(
-                    Violation("serving_inconsistent",
-                              f"cell {instance.cells[i].id if i < n else i}: area list does not "
-                              f"match the pixel-to-cell map")
-                )
     return out
 
 
@@ -241,22 +224,12 @@ def assign_best_server(instance: NetworkInstance) -> ServingAssignment:
     index, which argmax delivers by scanning order.
     """
     received = instance.powers()[:, None] * instance.gains
-    server_of = np.argmax(received, axis=0).astype(np.int64)
-    return ServingAssignment.from_server_of(server_of, instance.num_cells)
+    return ServingAssignment(np.argmax(received, axis=0), instance.num_cells)
 
 
 def with_serving(instance: NetworkInstance, serving: ServingAssignment) -> NetworkInstance:
     """Copy of the instance with a different serving assignment."""
-    return NetworkInstance(
-        cells=instance.cells,
-        pixels=instance.pixels,
-        gains=instance.gains,
-        serving=serving,
-        noise_power=instance.noise_power,
-        num_resource_units=instance.num_resource_units,
-        rate_scale=instance.rate_scale,
-        wrap_periods=instance.wrap_periods,
-    )
+    return replace(instance, serving=serving)
 
 
 def _gains_to_db(linear: np.ndarray) -> np.ndarray:
@@ -353,6 +326,16 @@ def _float(value, what: str) -> float:
     return float(_typed(value, "float", what))
 
 
+def _float_matrix(rows, what: str) -> np.ndarray:
+    """``rows`` as a float64 array if it is a list of equal-length lists of JSON numbers."""
+    try:
+        if all(set(map(type, row)) <= {int, float} for row in rows):
+            return np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"{what} must be of type float, in rows of equal length")
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
@@ -414,10 +397,7 @@ def load_instance(path) -> NetworkInstance:
         if ids != list(range(1, len(ids) + 1)):
             raise SchemaError(f"{path}: {name} ids must be 1..{len(ids)} in order")
 
-    try:
-        gains = np.power(10.0, np.asarray(gains_db, dtype=np.float64) / 10.0)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: gains_db is not a rectangular numeric matrix") from exc
+    gains = np.power(10.0, _float_matrix(gains_db, f"{path}: gains_db") / 10.0)
     if gains.shape != (len(cells), len(pixels)):
         raise SchemaError(
             f"{path}: gains_db has shape {gains.shape}, expected ({len(cells)}, {len(pixels)})"
@@ -425,23 +405,11 @@ def load_instance(path) -> NetworkInstance:
 
     wrap = doc.get("wrap_periods_m")
     if wrap is not None:
-        wrap = np.asarray(wrap, dtype=np.float64)
+        wrap = _float_matrix(wrap, f"{path}: wrap_periods_m")
         if wrap.shape != (2, 2):
             raise SchemaError(f"{path}: wrap_periods_m must be two 2-vectors")
 
-    base = NetworkInstance(
-        cells=tuple(cells),
-        pixels=tuple(pixels),
-        gains=gains,
-        serving=ServingAssignment.from_server_of(
-            np.full(len(pixels), -1, dtype=np.int64), len(cells)
-        ),
-        noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
-        num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
-                                  f"{path}: num_resource_units"),
-        rate_scale=_float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale"),
-        wrap_periods=wrap,
-    )
+    serving = None
     if "serving" in doc:
         server_of = np.full(len(pixels), -1, dtype=np.int64)
         for k, pair in enumerate(doc["serving"]):
@@ -455,7 +423,15 @@ def load_instance(path) -> NetworkInstance:
             if server_of[pixel_id - 1] >= 0:
                 raise SchemaError(f"{path}: pixel {pixel_id} assigned more than once")
             server_of[pixel_id - 1] = cell_id - 1
-        serving = ServingAssignment.from_server_of(server_of, len(cells))
-    else:
-        serving = assign_best_server(base)
-    return with_serving(base, serving)
+        serving = ServingAssignment(server_of, len(cells))
+    return NetworkInstance(
+        cells=tuple(cells),
+        pixels=tuple(pixels),
+        gains=gains,
+        noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
+        num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
+                                  f"{path}: num_resource_units"),
+        rate_scale=_float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale"),
+        wrap_periods=wrap,
+        serving=serving,
+    )

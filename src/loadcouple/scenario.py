@@ -20,16 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .netmodel import (
-    Cell,
-    NetworkInstance,
-    Pixel,
-    SchemaError,
-    ServingAssignment,
-    _typed,
-    assign_best_server,
-    with_serving,
-)
+from .netmodel import Cell, NetworkInstance, Pixel, SchemaError, _typed
 
 BS_HEIGHT_M = 30.0
 UE_HEIGHT_M = 1.5
@@ -249,19 +240,15 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
         + 10.0 * math.log10(RESOURCE_UNIT_BANDWIDTH_HZ)
         + UE_NOISE_FIGURE_DB
     )
-    base = NetworkInstance(
+    return NetworkInstance(
         cells=tuple(cells),
         pixels=pixels,
         gains=np.power(10.0, gains_db / 10.0),
-        serving=ServingAssignment.from_server_of(
-            np.full(len(pixels), -1, dtype=np.int64), len(cells)
-        ),
         noise_power=_dbm_to_w(noise_dbm),
         num_resource_units=num_rb * round(spec.duration_s * 1000.0),
         rate_scale=RESOURCE_UNIT_BANDWIDTH_HZ * RESOURCE_UNIT_TIME_S,
         wrap_periods=wrap,
     )
-    return with_serving(base, assign_best_server(base))
 
 
 def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: float) -> NetworkInstance:
@@ -292,14 +279,4 @@ def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: floa
     gains[idx] *= np.power(10.0, delta_db / 10.0)
     cells = list(instance.cells)
     cells[idx] = replace(old, azimuth_deg=new_az)
-    base = NetworkInstance(
-        cells=tuple(cells),
-        pixels=instance.pixels,
-        gains=gains,
-        serving=instance.serving,
-        noise_power=instance.noise_power,
-        num_resource_units=instance.num_resource_units,
-        rate_scale=instance.rate_scale,
-        wrap_periods=instance.wrap_periods,
-    )
-    return with_serving(base, assign_best_server(base))
+    return replace(instance, cells=tuple(cells), gains=gains, serving=None)

@@ -37,8 +37,9 @@ class SolverConfig:
 
     ``start`` overrides the default starting iterate (the asymptotic lower
     bound), which lets sweep drivers warm-start from a neighbouring fixed
-    point.  ``bound_refresh_every`` controls how often plain iteration
-    refreshes the bounds; Newton does so every iteration.
+    point; it is raised to that bound where it lies below.
+    ``bound_refresh_every`` controls how often plain iteration refreshes the
+    bounds; Newton does so every iteration.
     """
 
     method: str = NEWTON
@@ -216,5 +217,5 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
         _, linear = linfeas.feasibility(cc)
     if linear.status != linfeas.FEASIBLE:
         return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
-    start = linear.solution if config.start is None else np.asarray(config.start, dtype=np.float64)
+    start = linear.solution if config.start is None else np.maximum(config.start, linear.solution)
     return _iterate(cc, start.copy(), linear, config, max_interval_width)

@@ -17,8 +17,6 @@ from loadcouple import (
     Cell,
     NetworkInstance,
     Pixel,
-    ServingAssignment,
-    assign_best_server,
     asymptotic_linearization,
     coefficients,
     load_function,
@@ -34,26 +32,14 @@ def build_instance(gains, demands, powers, noise, num_resource_units=100, rate_s
     n, m = gains.shape
     cells = tuple(Cell(id=i + 1, power_per_ru=float(powers[i])) for i in range(n))
     pixels = tuple(Pixel(id=j + 1, demand_bits=float(demands[j])) for j in range(m))
-    placeholder = ServingAssignment.from_server_of(np.full(m, -1, dtype=np.int64), n)
-    instance = NetworkInstance(
-        cells=cells,
-        pixels=pixels,
-        gains=gains,
-        serving=placeholder,
-        noise_power=float(noise),
-        num_resource_units=num_resource_units,
-        rate_scale=rate_scale,
-    )
-    if serving is None:
-        serving = assign_best_server(instance)
     return NetworkInstance(
         cells=cells,
         pixels=pixels,
         gains=gains,
-        serving=serving,
         noise_power=float(noise),
         num_resource_units=num_resource_units,
         rate_scale=rate_scale,
+        serving=serving,
     )
 
 

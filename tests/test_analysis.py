@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import eig_radius, random_instance, two_cell_instance
 from loadcouple import (
@@ -235,6 +235,29 @@ def test_boundary_is_inverse_perron_root_property(seed, num_cells, pixels_per_ce
     assert cert.first_infeasible - cert.last_feasible <= tol * cert.last_feasible
     assert feasibility_check(instance.with_demand_scale(cert.last_feasible))[0]
     assert not feasibility_check(instance.with_demand_scale(cert.first_infeasible))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
+       pixels_per_cell=st.integers(1, 4), radius_target=st.floats(0.3, 0.999),
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=8, max_size=8))
+# a warm start far below the next row's asymptotic lower bound
+@example(seed=0, num_cells=2, pixels_per_cell=1, radius_target=0.5,
+         fractions=[0.5] * 6 + [2.220446049250313e-16, 3.602710986699493e-106])
+# a scale so small that the rate per demand overflows
+@example(seed=0, num_cells=2, pixels_per_cell=1, radius_target=0.5, fractions=[0.5] * 7 + [5e-324])
+def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per_cell,
+                                                      radius_target, fractions):
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell,
+                               radius_target=radius_target)
+    scales = np.sort(fractions) * 0.999 / _slope_radius(instance)
+    rows = demand_sweep(instance, scales)
+    assert all(row.feasible and row.solve_status == "converged" for row in rows)
+    for row in rows:
+        assert np.all(row.rho_lower <= row.rho_star)
+    for prev, cur in zip(rows, rows[1:]):
+        assert np.all(prev.rho_star <= cur.rho_star)
 
 
 def _count_calls(monkeypatch) -> Counter:

@@ -350,6 +350,10 @@ def test_solve_rejects_non_integer_instance_field(tmp_path, capsys, mutate):
     ("pixels", "y_m", True),
     (None, "noise_power_w", float("nan")),
     (None, "rate_scale", "1"),
+    (None, "gains_db", [["-70.0", -70.0, -70.0, -70.0], [-70.0] * 4]),
+    (None, "gains_db", [[-70.0] * 4, [-70.0, -70.0, True, -70.0]]),
+    (None, "wrap_periods_m", [["750", "0"], [True, "866"]]),
+    (None, "wrap_periods_m", [[750.0, 0.0], [True, 866.0]]),
 ])
 def test_solve_rejects_non_float_instance_field(tmp_path, capsys, where, field, value):
     path = _write_instance(tmp_path, frozen_two_cell())

@@ -347,7 +347,7 @@ def _instance_with_empty_cell(rng, n, empty):
     server_of[:2] = empty
     server_of[5:7] = -1
     demands[:7] = 0.0
-    serving = ServingAssignment.from_server_of(server_of, n)
+    serving = ServingAssignment(server_of, n)
     powers = 10.0 ** rng.uniform(-0.3, 0.3, n)
     return build_instance(gains, demands, powers, noise=1e-9, serving=serving)
 

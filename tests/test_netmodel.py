@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,11 +9,14 @@ from loadcouple import (
     Cell,
     NetworkInstance,
     Pixel,
+    ScenarioSpec,
     SchemaError,
     SchemaVersionError,
     ServingAssignment,
     assign_best_server,
+    generate,
     load_instance,
+    rotate_sector,
     save_instance,
     validate,
     with_serving,
@@ -57,25 +61,21 @@ def test_validate_flags_bad_values(overrides, code):
 
 def test_validate_unserved_demand_pixel():
     instance = _small_instance()
-    serving = ServingAssignment.from_server_of(np.array([0, -1], dtype=np.int64), 2)
+    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
     bad = with_serving(instance, serving)
     assert "unserved_demand_pixel" in [v.code for v in validate(bad)]
 
 
 def test_validate_unserved_zero_demand_pixel_is_fine():
     instance = _small_instance(demands=[10.0, 0.0])
-    serving = ServingAssignment.from_server_of(np.array([0, -1], dtype=np.int64), 2)
+    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
     assert validate(with_serving(instance, serving)) == []
 
 
 def test_validate_inconsistent_serving_areas():
     instance = _small_instance()
-    # areas claim pixel 1 for both cells while server_of says otherwise
-    serving = ServingAssignment(
-        server_of=np.array([0, 1], dtype=np.int64),
-        areas=((0, 1), (1,)),
-    )
-    bad = with_serving(instance, serving)
+    # a serving map built for three cells on a two-cell instance
+    bad = with_serving(instance, ServingAssignment(np.array([0, 1]), 3))
     assert "serving_inconsistent" in [v.code for v in validate(bad)]
 
 
@@ -85,7 +85,7 @@ def test_validate_gain_shape_mismatch():
         cells=instance.cells,
         pixels=instance.pixels,
         gains=np.ones((2, 3)) * 1e-8,
-        serving=ServingAssignment.from_server_of(np.array([0, 1, 1], dtype=np.int64), 2),
+        serving=ServingAssignment(np.array([0, 1, 1], dtype=np.int64), 2),
         noise_power=instance.noise_power,
         num_resource_units=instance.num_resource_units,
         rate_scale=instance.rate_scale,
@@ -122,10 +122,60 @@ def test_best_server_tie_breaks_lowest_cell():
 def test_areas_sorted_and_consistent():
     rng = np.random.default_rng(SEED + 2)
     instance = random_instance(rng, 5, 7)
-    for i, area in enumerate(instance.serving.areas):
-        assert list(area) == sorted(area)
-        for j in area:
-            assert instance.serving.server_of[j] == i
+    # unassigned pixels, and empty first, middle and last cells
+    sparse = ServingAssignment(np.array([3, -1, 1, 3, -1, 1, 1]), 5)
+    assert sparse.areas == ((), (2, 5, 6), (), (0, 3), ())
+    for serving in (instance.serving, sparse):
+        assert len(serving.areas) == serving.num_cells
+        for i, area in enumerate(serving.areas):
+            assert list(area) == sorted(area)
+            assert all(type(j) is int and serving.server_of[j] == i for j in area)
+        served = sorted(j for area in serving.areas for j in area)
+        assert served == np.flatnonzero(serving.server_of >= 0).tolist()
+
+
+def _changed_fields(before, after) -> set:
+    """Names of the instance fields whose values differ between two instances."""
+    def same(a, b):
+        if isinstance(a, ServingAssignment):
+            return a.num_cells == b.num_cells and np.array_equal(a.server_of, b.server_of)
+        if isinstance(a, np.ndarray):
+            return np.array_equal(a, b)
+        return a == b
+    return {f.name for f in dataclasses.fields(NetworkInstance)
+            if not same(getattr(before, f.name), getattr(after, f.name))}
+
+
+def test_copies_change_only_the_named_field():
+    instance = generate(ScenarioSpec(users_per_cell_area=6, rng_seed=3))
+    assert np.array_equal(instance.serving.server_of, assign_best_server(instance).server_of)
+
+    all_to_first = ServingAssignment(np.zeros(instance.num_pixels), instance.num_cells)
+    reassigned = with_serving(instance, all_to_first)
+    assert _changed_fields(instance, reassigned) == {"serving"}
+    assert reassigned.serving is all_to_first
+
+    scaled = instance.with_demand_scale(2.0)
+    assert _changed_fields(instance, scaled) == {"pixels"}
+    assert np.array_equal(scaled.demands(), 2.0 * instance.demands())
+    assert scaled.serving is instance.serving
+
+    turned = rotate_sector(reassigned, 1, 180.0)
+    assert _changed_fields(reassigned, turned) == {"cells", "gains", "serving"}
+    assert np.array_equal(turned.serving.server_of, assign_best_server(turned).server_of)
+
+    # built without a serving map: best server of its own cells and gains
+    fresh = NetworkInstance(
+        cells=reassigned.cells,
+        pixels=reassigned.pixels,
+        gains=reassigned.gains,
+        noise_power=reassigned.noise_power,
+        num_resource_units=reassigned.num_resource_units,
+        rate_scale=reassigned.rate_scale,
+        wrap_periods=reassigned.wrap_periods,
+    )
+    assert _changed_fields(instance, fresh) == set()
+    assert np.array_equal(fresh.serving.server_of, assign_best_server(fresh).server_of)
 
 
 def test_with_demand_scale():
@@ -177,7 +227,7 @@ def test_save_load_bit_exact_after_first_trip(tmp_path):
 
 def test_save_load_preserves_unassigned_pixel(tmp_path):
     instance = _small_instance(demands=[10.0, 0.0])
-    serving = ServingAssignment.from_server_of(np.array([0, -1], dtype=np.int64), 2)
+    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
     instance = with_serving(instance, serving)
     path = tmp_path / "inst.json"
     save_instance(instance, path)
@@ -267,7 +317,7 @@ def test_cell_and_pixel_metadata_roundtrip(tmp_path):
     )
     pixels = (Pixel(id=1, demand_bits=5.0, x=1.5, y=2.5),)
     gains = np.array([[1e-7], [2e-8]])
-    serving = ServingAssignment.from_server_of(np.array([0], dtype=np.int64), 2)
+    serving = ServingAssignment(np.array([0], dtype=np.int64), 2)
     instance = NetworkInstance(
         cells=cells,
         pixels=pixels,
