@@ -3,9 +3,9 @@
 All questions here scale every pixel demand by a factor s.  The asymptotic
 slope A and offset b are linear in the demand, so at scale s the linear
 system is rho = s (A rho + b), feasible iff s rho(A) < 1: the boundary is
-1/rho(A).  Each question builds the coupling coefficients and the Perron
-root rho(A) once, answers each scale from ``CouplingCoefficients.scaled``,
-and computes fixed points only where they exist.
+1/rho(A).  Each question builds the coupling coefficients once and rho(A)
+at most once, answers each scale from ``CouplingCoefficients.scaled``, and
+computes fixed points only where they exist.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _perron_root(cc: coupling.CouplingCoefficients) -> float:
     return linfeas.spectral_radius(coupling.asymptotic_linearization(cc).slope)
 
 
-def _verdict(cc: coupling.CouplingCoefficients, radius: float, scale: float) -> bool:
-    """LU feasibility verdict at ``scale``; ``radius`` is rho(A) of ``cc``."""
-    return linfeas.feasibility(cc.scaled(scale), scale * radius)[0]
+def _verdict(cc: coupling.CouplingCoefficients, scale: float) -> bool:
+    """LU feasibility verdict at ``scale``."""
+    return linfeas.feasibility(cc.scaled(scale))[0]
 
 
 def demand_sweep(instance, scales) -> list[SweepRow]:
@@ -104,7 +104,7 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
         # kernels' products with it, overflow to inf: the zero-demand limit
         with np.errstate(over="ignore"):
             scaled = cc.scaled(s)
-            feasible, outcome = linfeas.feasibility(scaled, s * radius)
+            feasible, outcome = linfeas.feasibility(scaled)
             if not feasible:
                 rows.append(SweepRow(s, False, s * radius, None, None, None))
                 continue
@@ -124,12 +124,11 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> B
     if not (0 < lo < hi and tol > 0):
         raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
     cc = coupling.coefficients(instance)
-    radius = _perron_root(cc)
-    if not _verdict(cc, radius, lo):
+    if not _verdict(cc, lo):
         raise PreconditionError(f"instance is infeasible at lo={lo}")
-    if _verdict(cc, radius, hi):
+    if _verdict(cc, hi):
         raise PreconditionError(f"instance is feasible at hi={hi}")
-    return _boundary(cc, radius, tol, lo, hi)
+    return _boundary(cc, _perron_root(cc), tol, lo, hi)
 
 
 def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
@@ -138,34 +137,37 @@ def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCer
     s* = 1/rho(A) is certified by LU verdicts at s*(1 -+ delta).  Bisection
     on the verdicts is the fallback when the certificate fails (rho(A) is
     not accurate enough, or is 0); without a finite ``hi`` it first finds a
-    bracket by doubling or halving from scale 1.
+    bracket by doubling or halving from scale 1.  With rho(A) = 0 and no
+    finite ``hi`` every scale is feasible, so all three scales are infinite.
     """
+    if radius == 0 and hi == math.inf:
+        return BoundaryCertificate(math.inf, math.inf, math.inf)
     if radius > 0:
         s = 1.0 / radius
         # half the allowed width, less a margin for the rounding of s*(1 -+ delta)
         delta = tol / (2.0 + tol) * (1.0 - 1e-6)
         below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
         if (below <= s <= above and above - below <= tol * below
-                and _verdict(cc, radius, below) and not _verdict(cc, radius, above)):
+                and _verdict(cc, below) and not _verdict(cc, above)):
             return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
     if hi == math.inf:
-        lo, hi = _bracket(cc, radius)
+        lo, hi = _bracket(cc)
     while (hi - lo) > tol * lo:
         mid = 0.5 * (lo + hi)
-        if _verdict(cc, radius, mid):
+        if _verdict(cc, mid):
             lo = mid
         else:
             hi = mid
     return BoundaryCertificate(scale=0.5 * (lo + hi), last_feasible=lo, first_infeasible=hi)
 
 
-def _bracket(cc, radius: float) -> tuple[float, float]:
+def _bracket(cc) -> tuple[float, float]:
     """A feasible and an infeasible scale, found by doubling or halving from scale 1."""
     lo = hi = 1.0
-    grow = _verdict(cc, radius, 1.0)
+    grow = _verdict(cc, 1.0)
     for _ in range(BOUNDARY_BRACKET_LIMIT):
         probe = 2.0 * hi if grow else 0.5 * lo
-        if _verdict(cc, radius, probe) != grow:
+        if _verdict(cc, probe) != grow:
             return (lo, probe) if grow else (probe, hi)
         lo = hi = probe
     raise ValueError(f"no {'in' if grow else ''}feasible scale found while bracketing the boundary")

@@ -25,8 +25,6 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_MAX_ITER = 4
 
-_METHODS = {"fp": solver.FIXED_POINT, "fixed_point": solver.FIXED_POINT, "newton": solver.NEWTON}
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -95,7 +93,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_validated(args.instance)
-    config = solver.SolverConfig(method=_METHODS[args.method], tol_residual=args.tol,
+    config = solver.SolverConfig(method=args.method, tol_residual=args.tol,
                                  max_iter=args.max_iter)
     if args.interval_width is not None:
         report = solver.solve_with_interval_stop(instance, args.interval_width, config)
@@ -208,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the load fixed point with certified bounds")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default="newton")
+    p.add_argument("--method", choices=(solver.FIXED_POINT, solver.NEWTON), default=solver.NEWTON)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--interval-width", type=float, default=None,

@@ -5,15 +5,16 @@ nonlinear load coupling system has a fixed point if and only if the
 asymptotic affine system ``rho = slope @ rho + offset`` has a nonnegative
 solution, and that solution sits below the nonlinear fixed point.  The
 tangent linearization at any anchor yields, when solvable, a vector above
-the nonlinear fixed point.  Both reduce to one dense linear solve; only the
-feasibility verdict also reports the slope's spectral radius.
+the nonlinear fixed point.  Both reduce to one dense linear solve.  The
+feasibility outcome also reports the slope's spectral radius, from one dense
+eigenvalue solve, and only when a caller reads it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,49 +37,34 @@ class LinearSolveOutcome:
     """Result of solving an affine load system ``rho = slope @ (rho - anchor) + offset``.
 
     ``solution`` is present exactly when ``status == "feasible"``.
-    ``spectral_radius`` is the power-iteration estimate for the slope matrix;
-    values below one characterize solvable systems.  ``reducible`` flags
-    slope matrices with zero off-diagonal entries, where some cell pair
-    shares no interference path and the spectral characterization weakens
-    from strictly positive to nonnegative coupling.
+    ``spectral_radius`` is the slope's spectral radius, computed the first
+    time it is read; values below one characterize solvable systems.
+    ``reducible`` flags slope matrices with zero off-diagonal entries, where
+    some cell pair shares no interference path and the spectral
+    characterization weakens from strictly positive to nonnegative coupling.
     """
 
     status: str
     solution: Optional[np.ndarray]
-    spectral_radius: float
-    reducible: bool = False
+    slope: np.ndarray
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        return spectral_radius(self.slope)
+
+    @cached_property
+    def reducible(self) -> bool:
+        n = self.slope.shape[0]
+        return bool(n > 1 and np.any(self.slope[~np.eye(n, dtype=bool)] == 0.0))
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue magnitude of a nonnegative matrix by power iteration.
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of ``matrix``, from one dense eigenvalue solve.
 
-    The iteration runs on matrix + I, which keeps zero-diagonal coupling
-    patterns (where plain power iteration can oscillate between two rays)
-    aperiodic; the shift is subtracted at the end.  For a positive test
-    vector the componentwise ratios (A x)_i / x_i bracket the radius of a
-    nonnegative A from both sides; the bracket width is a rigorous error
-    bound and closing it is the stop rule.  On reducible matrices the lower
-    ratio can stall below the radius (it only reaches it for irreducible
-    ones), so the returned value is the best certified upper ratio, which
-    still converges onto the radius.
+    Raises ``numpy.linalg.LinAlgError`` (a ValueError) when the solve does
+    not converge or the matrix is not finite, so no value is unconverged.
     """
-    n = matrix.shape[0]
-    if n == 0:
-        return 0.0
-    shifted = matrix + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    hi_best = math.inf
-    for _ in range(max_iter):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        hi_best = min(hi_best, hi)
-        if hi_best - lo <= tol * max(1.0, lo):
-            break
-        # the floor keeps the vector strictly positive when decoupled
-        # components decay below the smallest normal float
-        x = np.maximum(y / np.max(y), 1e-300)
-    return hi_best - 1.0
+    return float(np.max(np.abs(np.linalg.eigvals(matrix)), initial=0.0))
 
 
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
@@ -105,35 +91,25 @@ def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optiona
     return FEASIBLE, np.maximum(solution, 0.0)
 
 
-def solve_linear(system: coupling.LinearizedSystem, radius: Optional[float] = None) -> LinearSolveOutcome:
+def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
     The system is solved densely as (I - slope) rho = offset - slope @ anchor.
     A pivot smaller than PIVOT_RTOL of the matrix scale reports ``singular``;
     any solution component below -NEGATIVE_ATOL reports
     ``infeasible_negative``; components within rounding of zero are clamped.
-    The outcome also carries the slope's spectral radius: ``radius`` when the
-    caller already knows it, computed by :func:`spectral_radius` otherwise.
     """
-    slope = system.slope
-    n = slope.shape[0]
-    offdiag = slope[~np.eye(n, dtype=bool)]
-    reducible = bool(n > 1 and np.any(offdiag == 0.0))
-    status, solution = _affine_fixed_point(system)
-    if radius is None:
-        radius = spectral_radius(slope)
-    return LinearSolveOutcome(status, solution, radius, reducible)
+    return LinearSolveOutcome(*_affine_fixed_point(system), system.slope)
 
 
-def feasibility(cc, radius: Optional[float] = None) -> tuple[bool, LinearSolveOutcome]:
+def feasibility(cc) -> tuple[bool, LinearSolveOutcome]:
     """Exact feasibility of the nonlinear load coupling system with coefficients ``cc``.
 
     Solvability of the asymptotic linear system is necessary and sufficient,
-    so the verdict needs no nonlinear iteration and no spectral radius; the
-    radius is only reported (see :func:`solve_linear` for ``radius``).
+    so the verdict needs no nonlinear iteration and no spectral radius.
     Singular systems sit on the boundary and count as infeasible.
     """
-    outcome = solve_linear(coupling.asymptotic_linearization(cc), radius)
+    outcome = solve_linear(coupling.asymptotic_linearization(cc))
     return outcome.status == FEASIBLE, outcome
 
 

@@ -29,23 +29,22 @@ NEWTON = "newton"
 # iterates beyond this magnitude mean the map is being iterated on an
 # infeasible system (possible only when the pre-check is bypassed)
 DIVERGENCE_LIMIT = 1e15
+# plain iteration refreshes its bounds every this many iterations; Newton every iteration
+BOUND_REFRESH_EVERY = 5
 
 
 @dataclass
 class SolverConfig:
-    """Tuning knobs for :func:`solve`.
+    """Method, stop rule and start of :func:`solve`.
 
     ``start`` overrides the default starting iterate (the asymptotic lower
     bound), which lets sweep drivers warm-start from a neighbouring fixed
     point; it is raised to that bound where it lies below.
-    ``bound_refresh_every`` controls how often plain iteration refreshes the
-    bounds; Newton does so every iteration.
     """
 
     method: str = NEWTON
     tol_residual: float = 1e-10
     max_iter: int = 10_000
-    bound_refresh_every: int = 5
     start: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.bound_refresh_every < 1:
-            raise ValueError("bound_refresh_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
         if np.all(f_rho >= rho) and np.all(rho >= low):
             low, f_low = rho, f_rho
         steps, lift = None, False
-        if newton or converged or t % config.bound_refresh_every == 0:
+        if newton or converged or t % BOUND_REFRESH_EVERY == 0:
             lift = stop_width is not None and bool(np.all(f_rho <= rho))
             f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
             rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))

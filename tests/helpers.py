@@ -4,7 +4,7 @@ The abstract instance builder keeps every structural knob under test
 control: serving follows best server, interferer gains stay within three
 orders of magnitude of the serving gain, and demands are rescaled so the
 asymptotic slope matrix hits an exact spectral radius target (computed with
-numpy's eigensolver, independent of the package's power iteration).
+numpy's eigensolver in this file, not through the package).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def build_instance(gains, demands, powers, noise, num_resource_units=100, rate_s
 
 
 def eig_radius(matrix) -> float:
-    """Spectral radius via numpy's eigensolver (oracle for the power iteration)."""
+    """Spectral radius via numpy's eigensolver, computed here without the package."""
     if matrix.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))

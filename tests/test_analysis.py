@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import eig_radius, random_instance, two_cell_instance
+from helpers import build_instance, eig_radius, random_instance, two_cell_instance
 from loadcouple import (
     NetworkInstance,
     PreconditionError,
@@ -194,6 +194,18 @@ def test_compare_instance_with_itself_is_equal():
     np.testing.assert_allclose(report.rho_star_a, report.rho_star_b, rtol=0)
 
 
+def test_compare_without_perron_root_has_no_boundary():
+    # cell 1 serves both pixels, so the slope [[0, a], [0, 0]] is nilpotent: rho(A) = 0
+    # and the network carries every demand scale
+    instance = build_instance([[1e-7, 1e-7], [1e-8, 1e-8]], demands=[10, 20], powers=[1, 1],
+                              noise=1e-9)
+    report = compare_configs(instance, instance)
+    assert report.verdict == "equal"
+    assert report.boundary_a == report.boundary_b == math.inf
+    with pytest.raises(PreconditionError):
+        feasibility_boundary(instance, lo=1.0, hi=1e6)  # still feasible at hi
+
+
 def test_compare_detects_dominance():
     rng = np.random.default_rng(SEED + 12)
     instance = random_instance(rng, 4, 5, radius_target=0.6)
@@ -221,7 +233,7 @@ def test_compare_rejects_mismatched_sizes():
         compare_configs(random_instance(rng, 3, 4), random_instance(rng, 4, 4))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 5),
        pixels_per_cell=st.integers(1, 4), radius=st.floats(0.2, 3.0),
        tol=st.sampled_from([1e-3, 1e-6, 1e-8]))
@@ -237,7 +249,7 @@ def test_boundary_is_inverse_perron_root_property(seed, num_cells, pixels_per_ce
     assert not feasibility_check(instance.with_demand_scale(cert.first_infeasible))[0]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
        pixels_per_cell=st.integers(1, 4), radius_target=st.floats(0.3, 0.999),
        fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -289,20 +301,20 @@ def test_boundary_falls_back_to_bisection_when_radius_is_off(monkeypatch):
     assert abs(report.boundary_a - expected) <= 1e-6 * expected
 
 
-@pytest.mark.parametrize("question,instances,verdicts", [
-    (lambda a, b: demand_sweep(a, np.linspace(0.2, 1.5, 8)), 1, 8),
-    (lambda a, b: feasibility_boundary(a, lo=0.5, hi=2.0), 1, 4),
-    (lambda a, b: compare_configs(a, b), 2, 6),
-    (lambda a, b: bound_quality(a), 1, 1),
-    (lambda a, b: solve(a), 1, 1),
+@pytest.mark.parametrize("question,instances,radii,verdicts", [
+    (lambda a, b: demand_sweep(a, np.linspace(0.2, 1.5, 8)), 1, 1, 8),
+    (lambda a, b: feasibility_boundary(a, lo=0.5, hi=2.0), 1, 1, 4),
+    (lambda a, b: compare_configs(a, b), 2, 2, 6),
+    (lambda a, b: bound_quality(a), 1, 0, 1),
+    (lambda a, b: solve(a), 1, 0, 1),
 ], ids=["demand_sweep", "feasibility_boundary", "compare_configs", "bound_quality", "solve"])
-def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, instances, verdicts):
+def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, instances, radii, verdicts):
     rng = np.random.default_rng(SEED + 17)
     a = random_instance(rng, 4, 5, radius_target=0.8)
     b = a.with_demand_scale(1.1)
     counts = _count_calls(monkeypatch)
     question(a, b)
     assert counts["coefficients"] == instances
-    assert counts["spectral_radius"] == instances
+    assert counts["spectral_radius"] == radii
     assert counts["with_demand_scale"] == 0
     assert counts["feasibility"] == verdicts

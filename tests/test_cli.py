@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import frozen_two_cell, random_instance
+from helpers import build_instance, frozen_two_cell, random_instance
 from loadcouple import (
     ScenarioSpec,
     SolverConfig,
@@ -221,6 +221,17 @@ def test_compare_command(tmp_path, capsys):
         assert float(row[1]) < float(row[2])  # a's loads are lower cell by cell here
 
 
+def test_compare_without_perron_root_reports_infinite_boundaries(tmp_path, capsys):
+    nilpotent = build_instance([[1e-7, 1e-7], [1e-8, 1e-8]], demands=[10, 20], powers=[1, 1],
+                               noise=1e-9)
+    inst = _write_instance(tmp_path, nilpotent)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--a", str(inst), "--b", str(inst), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("equal (boundary a inf, b inf)")
+    comment, _, _ = _read_csv(out)
+    assert comment == "# verdict=equal boundary_a=inf boundary_b=inf"
+
+
 def test_bounds_command(tmp_path):
     rng = np.random.default_rng(SEED + 8)
     instance = random_instance(rng, 4, 5, radius_target=0.6)
@@ -368,6 +379,13 @@ def test_solve_rejects_non_float_instance_field(tmp_path, capsys, where, field, 
 def test_unknown_command_is_argparse_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_solve_method_takes_only_the_full_names(tmp_path):
+    inst = _write_instance(tmp_path, frozen_two_cell())
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(inst), "--method", "fp"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.skipif(shutil.which("loadcouple") is None, reason="entry point not installed")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import build_instance, eig_radius, random_instance, two_cell_instance
 from loadcouple import (
@@ -8,10 +9,12 @@ from loadcouple import (
     coefficients,
     feasibility_check,
     fixed_point_iteration,
+    linfeas,
     load_function,
     lower_bound,
     solve,
     solve_linear,
+    solver,
     spectral_radius,
     tangent_linearization,
     upper_bound,
@@ -89,26 +92,67 @@ def test_feasibility_matches_eigenvalue_oracle():
 
 
 def test_spectral_radius_matches_eigvals():
+    """Known radii, and a Collatz-Wielandt bracket around the radius of irreducible matrices.
+
+    For A >= 0 and any v > 0, min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i
+    (Horn & Johnson, Matrix Analysis, 2nd ed., section 8.1), however v was
+    computed.  The bracket closes on the Perron vector of an irreducible A,
+    so a narrow bracket checks the radius without trusting the eigenvalue solve.
+    """
     rng = np.random.default_rng(SEED + 2)
-    matrices = [
-        np.zeros((1, 1)),
-        np.array([[0.0, 2.0], [0.5, 0.0]]),
-        np.diag([0.2, 0.9, 0.4]),
-        np.triu(rng.uniform(0.0, 1.0, (5, 5)), k=1),  # nilpotent: radius 0
-        rng.uniform(0.0, 1.0, (8, 8)),
+    known = [
+        (np.zeros((1, 1)), 0.0),
+        (np.array([[0.0, 2.0], [0.5, 0.0]]), 1.0),
+        (np.diag([0.2, 0.9, 0.4]), 0.9),
+        (np.triu(rng.uniform(0.0, 1.0, (5, 5)), k=1), 0.0),  # nilpotent
     ]
+    for m, radius in known:
+        assert spectral_radius(m) == pytest.approx(radius, rel=1e-14, abs=1e-14)
+    matrices = [rng.uniform(0.0, 1.0, (8, 8))]
     for _ in range(20):
         n = int(rng.integers(2, 10))
         m = rng.uniform(0.0, 1.0, (n, n))
         m[rng.uniform(size=(n, n)) < 0.3] = 0.0  # sprinkle reducibility
         matrices.append(m)
-    for m in matrices:
-        estimate = spectral_radius(m)
-        truth = eig_radius(m)
-        # the estimate is a certified upper ratio; it approaches the radius
-        # slowly (polynomially) only on defective or nilpotent patterns
-        assert estimate >= truth - 1e-8
-        np.testing.assert_allclose(estimate, truth, rtol=1e-5, atol=2e-3)
+    irreducible = [m for m in matrices
+                   if np.all(np.linalg.matrix_power(np.eye(len(m)) + (m > 0), len(m) - 1) > 0)]
+    assert len(irreducible) >= 10
+    for m in irreducible:
+        values, vectors = np.linalg.eig(m)
+        perron = np.abs(vectors[:, np.argmax(np.abs(values))])
+        ratios = (m @ perron) / perron
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        radius = spectral_radius(m)
+        # the eigenvalue solve is backward stable: its rounding is a few n eps ||A||
+        rounding = 4 * len(m) * np.finfo(float).eps * np.linalg.norm(m, np.inf)
+        assert lo - rounding <= radius <= hi + rounding
+        assert hi - lo <= 1e-12 * radius
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
+       radius_target=st.floats(0.3, 0.95), margin=st.sampled_from([0.02, 0.1]))
+def test_verdict_matches_solvability_property(seed, num_cells, radius_target, margin):
+    """The LU verdict is feasible exactly where the load map has a fixed point.
+
+    Just below 1/rho(A) the verdict is feasible and the solve converges
+    between its bounds; just above, the verdict is infeasible and plain
+    iteration from zero diverges.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
+    cc = coefficients(instance)
+    boundary = 1.0 / eig_radius(asymptotic_linearization(cc).slope)
+
+    below = cc.scaled((1.0 - margin) * boundary)
+    assert linfeas.feasibility(below)[0]
+    report = solver.solve_coefficients(below)
+    assert report.status == "converged"
+    assert np.all(report.lower <= report.fixed_point) and np.all(report.fixed_point <= report.upper)
+
+    above = cc.scaled((1.0 + margin) * boundary)
+    assert not linfeas.feasibility(above)[0]
+    rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
+    assert not converged and steps < 10_000 and np.max(rho) > solver.DIVERGENCE_LIMIT
 
 
 def test_spectral_radius_tight_on_coupling_slopes():
