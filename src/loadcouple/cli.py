@@ -93,12 +93,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = _load_validated(args.instance)
-    config = solver.SolverConfig(method=args.method, tol_residual=args.tol,
-                                 max_iter=args.max_iter)
-    if args.interval_width is not None:
-        report = solver.solve_with_interval_stop(instance, args.interval_width, config)
-    else:
-        report = solver.solve(instance, config)
+    report = solver.solve(instance, solver.SolverConfig(
+        tol_residual=args.tol, max_iter=args.max_iter, interval_width=args.interval_width))
 
     header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "residual"]
     if report.status == solver.INFEASIBLE:
@@ -206,11 +202,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the load fixed point with certified bounds")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=(solver.FIXED_POINT, solver.NEWTON), default=solver.NEWTON)
+    p.add_argument("--method", choices=("newton",), default="newton",
+                   help="safeguarded Newton, the only method")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--interval-width", type=float, default=None,
-                   help="stop once the certified interval is this narrow")
+                   help="stop once the certified interval is this narrow (positive)")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p.set_defaults(func=_cmd_solve)
 

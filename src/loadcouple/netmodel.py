@@ -227,11 +227,6 @@ def assign_best_server(instance: NetworkInstance) -> ServingAssignment:
     return ServingAssignment(np.argmax(received, axis=0), instance.num_cells)
 
 
-def with_serving(instance: NetworkInstance, serving: ServingAssignment) -> NetworkInstance:
-    """Copy of the instance with a different serving assignment."""
-    return replace(instance, serving=serving)
-
-
 def _gains_to_db(linear: np.ndarray) -> np.ndarray:
     """dB image of a linear gain matrix, adjusted so the load-time conversion inverts it.
 

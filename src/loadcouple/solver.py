@@ -3,10 +3,11 @@
 Feasibility is settled up front through the exact linear criterion, so the
 iterative part only ever runs on instances that do have a fixed point.  The
 asymptotic solution provides the starting iterate and a permanent lower
-bound.  The default safeguarded Newton method keeps its few-step
-convergence at the feasibility boundary.  One LU of I - J(rho) per Newton
-iteration (every few for plain iteration) gives the step, a tangent upper
-bound and a certified sub-solution, a bracket that shrinks as it proceeds.
+bound.  A safeguarded Newton method keeps its few-step convergence at the
+feasibility boundary.  One LU of I - J(rho) per iteration gives the step, a
+tangent upper bound and a certified sub-solution, a bracket that shrinks as
+it proceeds.  Plain iteration of the map, the paper's scheme, stays
+available as :func:`fixed_point_iteration`.
 """
 
 from __future__ import annotations
@@ -23,35 +24,32 @@ CONVERGED = "converged"
 INFEASIBLE = "infeasible"
 MAX_ITER_EXCEEDED = "max_iter_exceeded"
 
-FIXED_POINT = "fixed_point"
-NEWTON = "newton"
-
 # iterates beyond this magnitude mean the map is being iterated on an
 # infeasible system (possible only when the pre-check is bypassed)
 DIVERGENCE_LIMIT = 1e15
-# plain iteration refreshes its bounds every this many iterations; Newton every iteration
-BOUND_REFRESH_EVERY = 5
 
 
 @dataclass
 class SolverConfig:
-    """Method, stop rule and start of :func:`solve`.
+    """Stop rule and start of :func:`solve`.
 
-    ``start`` overrides the default starting iterate (the asymptotic lower
-    bound), which lets sweep drivers warm-start from a neighbouring fixed
-    point; it is raised to that bound where it lies below.
+    The solve stops once the residual rule holds or, when ``interval_width``
+    is set, once the certified interval is at most that wide.  ``start``
+    overrides the default starting iterate (the asymptotic lower bound),
+    which lets sweep drivers warm-start from a neighbouring fixed point; it
+    is raised to that bound where it lies below.
     """
 
-    method: str = NEWTON
     tol_residual: float = 1e-10
+    interval_width: Optional[float] = None
     max_iter: int = 10_000
     start: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.method not in (FIXED_POINT, NEWTON):
-            raise ValueError(f"unknown method {self.method!r}")
         if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
+        if not (self.interval_width is None or self.interval_width > 0.0):
+            raise ValueError("interval_width must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -110,15 +108,15 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
     return rho, residual, max_iter, False
 
 
-def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
-    """Shared driver for both methods, from ``rho`` on a feasible system.
+def _iterate(cc, rho, linear, config) -> SolveReport:
+    """Safeguarded Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration.
 
     ``low`` is a sub-solution, f(low) >= low: the asymptotic solution, then,
     checked by evaluation, any iterate that is one and, under the interval
     stop, the zero of the minorant through ``low`` with slope J(rho) - I at a
     super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
     """
-    newton = config.method == NEWTON
+    stop_width = config.interval_width
     lower = linear.solution
     low, f_low = lower, None
     upper = None
@@ -132,12 +130,10 @@ def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
         converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
         if np.all(f_rho >= rho) and np.all(rho >= low):
             low, f_low = rho, f_rho
-        steps, lift = None, False
-        if newton or converged or t % BOUND_REFRESH_EVERY == 0:
-            lift = stop_width is not None and bool(np.all(f_rho <= rho))
-            f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
-            rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
-            steps = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), rhs)
+        lift = stop_width is not None and bool(np.all(f_rho <= rho))
+        f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
+        rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
+        steps = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), rhs)
         if steps is not None:
             tangent = rho + steps[:, 0]  # the tangent plane's fixed point
             if np.min(tangent) >= -linfeas.NEGATIVE_ATOL:
@@ -153,9 +149,6 @@ def _iterate(cc, rho, linear, config, stop_width) -> SolveReport:
             status = CONVERGED
             break
 
-        if not newton:
-            rho = f_rho
-            continue
         # damped projected Newton step; plain ascent when the system is
         # unusable (None) or no damping lowers the residual
         next_rho = None
@@ -181,30 +174,22 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     """Compute the load coupling fixed point together with certified bounds.
 
     The exact linear feasibility check runs first; infeasible instances are
-    reported without a single nonlinear iteration.  Otherwise the chosen
-    method iterates from the asymptotic solution (or ``config.start``) until
+    reported without a single nonlinear iteration.  Otherwise safeguarded
+    Newton iterates from the asymptotic solution (or ``config.start``) until
     the residual drops below ``tol_residual`` relative to 1 + the largest
     load.
+
+    With ``config.interval_width`` set, iteration also ends once ``upper`` is
+    within that width of ``fixed_point``, which is then a sub-solution
+    (f(rho) >= rho, checked by evaluation) rather than the last iterate; the
+    fixed point lies between them.
     """
     return solve_coefficients(coupling.coefficients(instance), config)
 
 
-def solve_with_interval_stop(
-    instance, max_interval_width: float, config: Optional[SolverConfig] = None
-) -> SolveReport:
-    """Like :func:`solve` but stop once the certified interval is narrow enough.
-
-    Iteration ends once ``upper`` is within ``max_interval_width`` of
-    ``fixed_point``, a sub-solution (f(rho) >= rho, checked by evaluation),
-    or the residual tolerance is met first; the fixed point lies between them.
-    """
-    return solve_coefficients(coupling.coefficients(instance), config, max_interval_width)
-
-
 def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[SolverConfig] = None,
-                       max_interval_width: Optional[float] = None,
                        linear: Optional[linfeas.LinearSolveOutcome] = None) -> SolveReport:
-    """:func:`solve` (or, with ``max_interval_width``, the interval stop) on coefficients.
+    """:func:`solve` on coefficients.
 
     ``linear`` is the outcome of ``linfeas.feasibility(cc)`` when the caller
     has already taken that verdict; it is taken here otherwise.
@@ -215,4 +200,4 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
     if linear.status != linfeas.FEASIBLE:
         return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
     start = linear.solution if config.start is None else np.maximum(config.start, linear.solution)
-    return _iterate(cc, start.copy(), linear, config, max_interval_width)
+    return _iterate(cc, start.copy(), linear, config)

@@ -36,10 +36,10 @@ def criterion(number, label):
     print(f"criterion {number:2d} [{label}]: PASS")
 
 
-def _tight(method=solver.FIXED_POINT):
+def _tight():
     # 1e-12 residual keeps the iterate-vs-truth error far below the 1e-8
     # agreement tolerances even when the contraction rate nears 1
-    return solver.SolverConfig(method=method, tol_residual=1e-12)
+    return solver.SolverConfig(tol_residual=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +72,15 @@ def test_01_both_methods_converge_and_agree(corpus):
     with criterion(1, "fixed-point correctness, 200 instances, < 60 s"):
         started = time.perf_counter()
         for inst in corpus:
-            plain = solver.solve(inst, _tight(solver.FIXED_POINT))
-            newton = solver.solve(inst, _tight(solver.NEWTON))
-            assert plain.status == solver.CONVERGED
+            newton = solver.solve(inst, _tight())
             assert newton.status == solver.CONVERGED
             cc = coupling.coefficients(inst)
-            for report in (plain, newton):
-                rho = report.fixed_point
+            plain, _, _, converged = solver.fixed_point_iteration(cc, newton.lower, 1e-12)
+            assert converged
+            for rho in (plain, newton.fixed_point):
                 residual = np.max(np.abs(rho - coupling.load_function(cc, rho)))
                 assert residual <= 1e-10 * (1.0 + np.max(rho))
-            assert np.max(np.abs(plain.fixed_point - newton.fixed_point)) <= 1e-8
+            assert np.max(np.abs(plain - newton.fixed_point)) <= 1e-8
         assert time.perf_counter() - started < 60.0
 
 
@@ -92,9 +91,7 @@ def test_02_fixed_point_unique_across_starts(corpus):
             ends = []
             for _ in range(10):
                 start = rng.uniform(0.0, 3.0, size=len(inst.cells))
-                config = solver.SolverConfig(
-                    method=solver.NEWTON, tol_residual=1e-12, start=start
-                )
+                config = solver.SolverConfig(tol_residual=1e-12, start=start)
                 report = solver.solve(inst, config)
                 assert report.status == solver.CONVERGED
                 ends.append(report.fixed_point)

@@ -1,9 +1,12 @@
+import argparse
 import csv
 import functools
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from loadcouple import (
     solve,
     solver,
 )
-from loadcouple.cli import main
+from loadcouple.cli import _build_parser, main
 
 SEED = 141421
 
@@ -74,7 +77,7 @@ def test_solve_newton_method_flag(tmp_path):
     assert main(["solve", "--instance", str(inst), "--method", "newton",
                  "--tol", "1e-12", "--out", str(out)]) == 0
     _, _, rows = _read_csv(out)
-    expected = solve(load_instance(inst), SolverConfig(method="newton", tol_residual=1e-12))
+    expected = solve(load_instance(inst), SolverConfig(tol_residual=1e-12))
     for i, row in enumerate(rows):
         assert float(row[1]) == expected.fixed_point[i]
 
@@ -297,6 +300,8 @@ def test_invalid_inputs_exit_2(tmp_path):
 
     good = tmp_path / "good.json"
     save_instance(instance, good)
+    for width in ("0", "-1", "nan"):
+        assert main(["solve", "--instance", str(good), "--interval-width", width]) == 2
     assert main(["sweep", "--instance", str(good), "--scales", "0:1:3"]) == 2
     assert main(["sweep", "--instance", str(good), "--scales", "1:2"]) == 2
     assert main(["boundary", "--instance", str(good), "--lo", "2", "--hi", "1"]) == 2
@@ -386,6 +391,38 @@ def test_solve_method_takes_only_the_full_names(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--instance", str(inst), "--method", "fp"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(inst), "--method", "fixed_point"])
+    assert exc.value.code == 2
+
+
+def _readme_usage():
+    """Subcommand -> {--flag: the word after it} from the README's command line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["loadcouple"]:
+            command = usage.setdefault(words[1], {})
+        for flag, value in re.findall(r"(--[\w-]+)(?:\s+([^\s\[\]]+))?", line):
+            command[flag] = value
+    return usage
+
+
+def test_readme_usage_matches_parser():
+    """The README's usage block names the parser's subcommands, flags and choices."""
+    usage = _readme_usage()
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(usage) == set(commands)
+    for name, sub in commands.items():
+        options = {flag: action for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+        assert set(usage[name]) == set(options), name
+        for flag, action in options.items():
+            if action.choices is not None:
+                assert set(usage[name][flag].split("|")) == set(action.choices), (name, flag)
 
 
 @pytest.mark.skipif(shutil.which("loadcouple") is None, reason="entry point not installed")

@@ -98,6 +98,7 @@ def test_spectral_radius_matches_eigvals():
     (Horn & Johnson, Matrix Analysis, 2nd ed., section 8.1), however v was
     computed.  The bracket closes on the Perron vector of an irreducible A,
     so a narrow bracket checks the radius without trusting the eigenvalue solve.
+    Random matrices and the asymptotic slopes of random networks both pass.
     """
     rng = np.random.default_rng(SEED + 2)
     known = [
@@ -114,10 +115,17 @@ def test_spectral_radius_matches_eigvals():
         m = rng.uniform(0.0, 1.0, (n, n))
         m[rng.uniform(size=(n, n)) < 0.3] = 0.0  # sprinkle reducibility
         matrices.append(m)
-    irreducible = [m for m in matrices
-                   if np.all(np.linalg.matrix_power(np.eye(len(m)) + (m > 0), len(m) - 1) > 0)]
-    assert len(irreducible) >= 10
-    for m in irreducible:
+
+    def irreducible(m):
+        return bool(np.all(np.linalg.matrix_power(np.eye(len(m)) + (m > 0), len(m) - 1) > 0))
+
+    matrices = [m for m in matrices if irreducible(m)]
+    assert len(matrices) >= 10
+    slope_rng = np.random.default_rng(SEED + 3)
+    slopes = [asymptotic_linearization(coefficients(random_instance(
+        slope_rng, int(slope_rng.integers(2, 9)), 5))).slope for _ in range(10)]
+    assert all(irreducible(m) for m in slopes)
+    for m in matrices + slopes:
         values, vectors = np.linalg.eig(m)
         perron = np.abs(vectors[:, np.argmax(np.abs(values))])
         ratios = (m @ perron) / perron
@@ -153,14 +161,6 @@ def test_verdict_matches_solvability_property(seed, num_cells, radius_target, ma
     assert not linfeas.feasibility(above)[0]
     rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
     assert not converged and steps < 10_000 and np.max(rho) > solver.DIVERGENCE_LIMIT
-
-
-def test_spectral_radius_tight_on_coupling_slopes():
-    rng = np.random.default_rng(SEED + 3)
-    for _ in range(10):
-        instance = random_instance(rng, int(rng.integers(2, 9)), 5)
-        slope = asymptotic_linearization(coefficients(instance)).slope
-        np.testing.assert_allclose(spectral_radius(slope), eig_radius(slope), rtol=1e-6)
 
 
 def test_reducible_flag_for_isolated_cell():

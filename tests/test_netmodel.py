@@ -19,7 +19,6 @@ from loadcouple import (
     rotate_sector,
     save_instance,
     validate,
-    with_serving,
 )
 
 SEED = 20260814
@@ -62,20 +61,20 @@ def test_validate_flags_bad_values(overrides, code):
 def test_validate_unserved_demand_pixel():
     instance = _small_instance()
     serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    bad = with_serving(instance, serving)
+    bad = dataclasses.replace(instance, serving=serving)
     assert "unserved_demand_pixel" in [v.code for v in validate(bad)]
 
 
 def test_validate_unserved_zero_demand_pixel_is_fine():
     instance = _small_instance(demands=[10.0, 0.0])
     serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    assert validate(with_serving(instance, serving)) == []
+    assert validate(dataclasses.replace(instance, serving=serving)) == []
 
 
 def test_validate_inconsistent_serving_areas():
     instance = _small_instance()
     # a serving map built for three cells on a two-cell instance
-    bad = with_serving(instance, ServingAssignment(np.array([0, 1]), 3))
+    bad = dataclasses.replace(instance, serving=ServingAssignment(np.array([0, 1]), 3))
     assert "serving_inconsistent" in [v.code for v in validate(bad)]
 
 
@@ -151,7 +150,7 @@ def test_copies_change_only_the_named_field():
     assert np.array_equal(instance.serving.server_of, assign_best_server(instance).server_of)
 
     all_to_first = ServingAssignment(np.zeros(instance.num_pixels), instance.num_cells)
-    reassigned = with_serving(instance, all_to_first)
+    reassigned = dataclasses.replace(instance, serving=all_to_first)
     assert _changed_fields(instance, reassigned) == {"serving"}
     assert reassigned.serving is all_to_first
 
@@ -228,7 +227,7 @@ def test_save_load_bit_exact_after_first_trip(tmp_path):
 def test_save_load_preserves_unassigned_pixel(tmp_path):
     instance = _small_instance(demands=[10.0, 0.0])
     serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    instance = with_serving(instance, serving)
+    instance = dataclasses.replace(instance, serving=serving)
     path = tmp_path / "inst.json"
     save_instance(instance, path)
     loaded = load_instance(path)

@@ -20,7 +20,6 @@ from loadcouple import (
     load_function,
     lower_bound,
     solve,
-    solve_with_interval_stop,
     upper_bound,
 )
 
@@ -32,14 +31,22 @@ def test_frozen_two_cell_fixed_point(method):
     """Pin the solution of a hand-built instance against a long-run oracle.
 
     The expected vector comes from a million plain iterations of the load
-    map and is confirmed by a 40-digit arbitrary precision computation.
+    map and is confirmed by a 40-digit arbitrary precision computation.  Both
+    :func:`solve` and the paper's plain iteration, from the same start, must
+    reproduce it.
     """
     instance = frozen_two_cell()
-    report = solve(instance, SolverConfig(method=method, tol_residual=1e-13))
-    assert report.status == "converged"
-    np.testing.assert_allclose(report.fixed_point, FROZEN_TWO_CELL_FIXED_POINT, rtol=1e-11)
-    assert report.iterations > 0
-    assert report.residual <= 1e-13 * (1.0 + np.max(np.abs(report.fixed_point)))
+    if method == "newton":
+        report = solve(instance, SolverConfig(tol_residual=1e-13))
+        assert report.status == "converged"
+        rho, residual, iterations = report.fixed_point, report.residual, report.iterations
+    else:
+        rho, residual, iterations, converged = fixed_point_iteration(
+            coefficients(instance), lower_bound(instance), tol_residual=1e-13)
+        assert converged
+    np.testing.assert_allclose(rho, FROZEN_TWO_CELL_FIXED_POINT, rtol=1e-11)
+    assert iterations > 0
+    assert residual <= 1e-13 * (1.0 + np.max(np.abs(rho)))
 
 
 def test_residual_criterion_is_relative():
@@ -95,7 +102,7 @@ def test_unique_fixed_point_from_random_starts():
         solutions = []
         for _ in range(5):
             start = rng.uniform(0.0, 3.0, n)
-            report = solve(instance, SolverConfig(method="newton", start=start))
+            report = solve(instance, SolverConfig(start=start))
             assert report.status == "converged"
             solutions.append(report.fixed_point)
         for other in solutions[1:]:
@@ -107,23 +114,22 @@ def test_newton_matches_fixed_point_near_boundary():
     # the contraction conditioning, hence the looser agreement tolerance
     rng = np.random.default_rng(SEED + 4)
     instance = random_instance(rng, 4, 5, radius_target=0.995)
-    fp = solve(instance, SolverConfig(method="fixed_point", tol_residual=1e-12,
-                                      max_iter=500_000))
-    newton = solve(instance, SolverConfig(method="newton", tol_residual=1e-12))
-    assert fp.status == "converged" and newton.status == "converged"
-    assert newton.iterations < fp.iterations
-    np.testing.assert_allclose(fp.fixed_point, newton.fixed_point, rtol=1e-6)
+    plain, _, plain_iterations, converged = fixed_point_iteration(
+        coefficients(instance), lower_bound(instance), 1e-12, 500_000)
+    newton = solve(instance, SolverConfig(tol_residual=1e-12))
+    assert converged and newton.status == "converged"
+    assert newton.iterations < plain_iterations
+    np.testing.assert_allclose(plain, newton.fixed_point, rtol=1e-6)
 
 
 def test_max_iter_exceeded_reports_partial_state():
     rng = np.random.default_rng(SEED + 5)
     instance = random_instance(rng, 4, 5, radius_target=0.9)
-    for method in ("fixed_point", "newton"):
-        report = solve(instance, SolverConfig(method=method, max_iter=1))
-        assert report.status == "max_iter_exceeded"
-        assert report.iterations == 1
-        assert report.fixed_point is not None
-        assert report.residual > 0.0
+    report = solve(instance, SolverConfig(max_iter=1))
+    assert report.status == "max_iter_exceeded"
+    assert report.iterations == 1
+    assert report.fixed_point is not None
+    assert report.residual > 0.0
 
 
 def test_bounds_enclose_every_refresh():
@@ -156,7 +162,7 @@ def test_interval_stop_reaches_requested_width():
     rng = np.random.default_rng(SEED + 8)
     instance = random_instance(rng, 4, 6, radius_target=0.8)
     truth = solve(instance, SolverConfig(tol_residual=1e-12)).fixed_point
-    report = solve_with_interval_stop(instance, max_interval_width=1e-6)
+    report = solve(instance, SolverConfig(interval_width=1e-6))
     assert report.status == "converged"
     assert np.max(report.upper - report.fixed_point) <= 1e-6
     assert np.all(report.fixed_point <= truth + 1e-9)
@@ -166,7 +172,7 @@ def test_interval_stop_reaches_requested_width():
 def test_interval_stop_infinite_width_returns_first_certificate():
     rng = np.random.default_rng(SEED + 9)
     instance = random_instance(rng, 3, 5, radius_target=0.4)
-    report = solve_with_interval_stop(instance, max_interval_width=math.inf)
+    report = solve(instance, SolverConfig(interval_width=math.inf))
     assert report.status == "converged"
     assert report.upper is not None
     assert report.iterations == 0
@@ -195,11 +201,12 @@ def test_plain_iteration_diverges_when_infeasible():
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        SolverConfig(method="bisection")
-    with pytest.raises(ValueError):
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for width in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(interval_width=width)
 
 
 def test_perron_root_computed_once_per_solve(monkeypatch):
@@ -217,14 +224,9 @@ def test_perron_root_computed_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(linfeas, "spectral_radius", counting)
     instance = random_instance(np.random.default_rng(SEED + 50), 4, 5, radius_target=0.95)
-    runs = [
-        lambda: solve(instance),
-        lambda: solve(instance, SolverConfig(method="newton")),
-        lambda: solve_with_interval_stop(instance, 1e-6),
-    ]
-    for run in runs:
+    for config in (None, SolverConfig(interval_width=1e-6)):
         calls.clear()
-        report = run()
+        report = solve(instance, config)
         assert report.status == "converged" and report.upper is not None
         assert report.iterations > 1
         assert len(calls) == 0
@@ -246,45 +248,68 @@ def _stop_distance(cc, rho, tol):
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
        radius_target=st.floats(0.3, 0.999))
 def test_interval_stop_certifies_both_ends_property(seed, num_cells, radius_target):
-    """Both ends of the interval stop are certified by evaluation, for both methods.
+    """Both ends of the interval stop are certified by evaluation.
 
     The low end is a sub-solution (f(lo) >= lo) and the upper end a
     super-solution (f(hi) <= hi), from the default start and from a warm
-    start 5% above the fixed point.  Plain iteration is only run up to 0.99
-    of the boundary, where its rate keeps it within the iteration budget.
+    start 5% above the fixed point.  Up to 0.99 of the boundary, where its
+    rate keeps it within the iteration budget, the paper's plain iteration
+    must also land within the stop distances of the Newton solve.
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
     cc = coefficients(instance)
     newton = solve(instance)
     assert newton.status == "converged"
-    methods = ["newton"] + (["fixed_point"] if radius_target <= 0.99 else [])
     if radius_target <= 0.99:
-        plain = solve(instance, SolverConfig(method="fixed_point", max_iter=100_000))
-        assert plain.status == "converged"
-        gap = np.max(np.abs(plain.fixed_point - newton.fixed_point))
-        assert gap <= (_stop_distance(cc, plain.fixed_point, 1e-10)
+        plain, _, _, converged = fixed_point_iteration(cc, newton.lower, 1e-10, 100_000)
+        assert converged
+        gap = np.max(np.abs(plain - newton.fixed_point))
+        assert gap <= (_stop_distance(cc, plain, 1e-10)
                        + _stop_distance(cc, newton.fixed_point, 1e-10))
-    for method in methods:
-        for start in (None, 1.05 * newton.fixed_point):
-            for width in (1e-3, 1e-6):
-                config = SolverConfig(method=method, start=start)
-                report = solve_with_interval_stop(instance, width, config)
-                assert report.status == "converged"
-                lo, hi = report.fixed_point, report.upper
-                slack = 1e-12 * (1.0 + np.max(hi))
-                assert np.all(load_function(cc, lo) >= lo - slack)
-                assert np.all(load_function(cc, hi) <= hi + slack)
-                assert np.all(lo <= hi)
-                if report.residual > config.tol_residual * (1.0 + np.max(hi)):  # stopped by width
-                    assert np.max(hi - lo) <= width
+    for start in (None, 1.05 * newton.fixed_point):
+        for width in (1e-3, 1e-6):
+            config = SolverConfig(start=start, interval_width=width)
+            report = solve(instance, config)
+            assert report.status == "converged"
+            lo, hi = report.fixed_point, report.upper
+            slack = 1e-12 * (1.0 + np.max(hi))
+            assert np.all(load_function(cc, lo) >= lo - slack)
+            assert np.all(load_function(cc, hi) <= hi + slack)
+            assert np.all(lo <= hi)
+            if report.residual > config.tol_residual * (1.0 + np.max(hi)):  # stopped by width
+                assert np.max(hi - lo) <= width
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
+       radius_target=st.floats(0.3, 0.999))
+def test_fixed_point_does_not_depend_on_start_property(seed, num_cells, radius_target):
+    """Solves from the default start, from 0 and from twice the fixed point agree.
+
+    A start of 0 is raised to the asymptotic solution, so it must give the
+    default solve; the start 2 rho* approaches from above.  Each pair may
+    differ by at most the sum of the distances their residual stops allow.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
+    cc = coefficients(instance)
+    default = solve(instance)
+    assert default.status == "converged"
+    points = [default.fixed_point]
+    for start in (np.zeros(num_cells), 2.0 * default.fixed_point):
+        report = solve(instance, SolverConfig(start=start))
+        assert report.status == "converged"
+        points.append(report.fixed_point)
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
+            assert np.max(np.abs(a - b)) <= _stop_distance(cc, a, 1e-10) + _stop_distance(cc, b, 1e-10)
 
 
 @pytest.mark.parametrize("radius_target", [0.99, 0.999])
 def test_report_ordering_is_exact_near_boundary(radius_target):
     rng = np.random.default_rng(SEED + 60)
     instance = random_instance(rng, 5, 4, radius_target=radius_target)
-    config = SolverConfig(method="newton")
-    for report in (solve(instance, config), solve_with_interval_stop(instance, 1e-6, config)):
+    for config in (None, SolverConfig(interval_width=1e-6)):
+        report = solve(instance, config)
         assert report.status == "converged"
         assert np.all(report.lower <= report.fixed_point)
         assert np.all(report.fixed_point <= report.upper)
@@ -310,9 +335,9 @@ def test_newton_iteration_factors_once(monkeypatch):
     monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
     monkeypatch.setattr(linfeas, "tangent_bound", lambda cc, anchor: tangents.append(1) or original_tangent(cc, anchor))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
-    for run in (lambda: solve(instance), lambda: solve_with_interval_stop(instance, 1e-6)):
+    for config in (None, SolverConfig(interval_width=1e-6)):
         jacobians.clear()
-        report = run()
+        report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
         assert len(jacobians) <= len(report.trace) == report.iterations + 1
         assert tangents == []
