@@ -18,9 +18,6 @@ import numpy as np
 
 from . import coupling, linfeas, solver
 
-BOUNDARY_BRACKET_LIMIT = 60  # doublings/halvings allowed while bracketing
-
-
 class PreconditionError(ValueError):
     """An analysis was asked about a regime where its question has no answer."""
 
@@ -83,7 +80,9 @@ def _perron_root(cc: coupling.CouplingCoefficients) -> float:
 
 def _verdict(cc: coupling.CouplingCoefficients, scale: float) -> bool:
     """LU feasibility verdict at ``scale``."""
-    return linfeas.feasibility(cc.scaled(scale))[0]
+    # near the float minimum the rate per demand a / scale overflows to inf: the zero-demand limit
+    with np.errstate(over="ignore"):
+        return linfeas.feasibility(cc.scaled(scale))[0]
 
 
 def demand_sweep(instance, scales) -> list[SweepRow]:
@@ -118,8 +117,10 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> B
     """The demand scale at which the network stops being feasible.
 
     Preconditions: the instance must be feasible at ``lo`` and infeasible at
-    ``hi``; anything else raises ValueError.  The estimate is 1/rho(A); the
-    returned bracket is at most ``tol`` times its lower end wide.
+    ``hi`` (PreconditionError otherwise), with 0 < lo < hi and tol > 0
+    (ValueError otherwise).  The boundary is 1/rho(A), certified by two LU
+    verdicts that bracket it at most ``tol`` times the lower end wide; a
+    ``tol`` too small to certify in double precision raises ValueError.
     """
     if not (0 < lo < hi and tol > 0):
         raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
@@ -132,45 +133,25 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> B
 
 
 def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
-    """Boundary of ``cc`` inside (lo, hi), where lo is feasible and hi is not.
+    """Boundary s* = 1/rho(A) of ``cc`` inside (lo, hi), where lo is feasible and hi is not.
 
-    s* = 1/rho(A) is certified by LU verdicts at s*(1 -+ delta).  Bisection
-    on the verdicts is the fallback when the certificate fails (rho(A) is
-    not accurate enough, or is 0); without a finite ``hi`` it first finds a
-    bracket by doubling or halving from scale 1.  With rho(A) = 0 and no
-    finite ``hi`` every scale is feasible, so all three scales are infinite.
+    LU verdicts at s*(1 -+ delta) certify s*: the lower must be feasible, the
+    upper infeasible, and the bracket at most ``tol`` times its lower end
+    wide.  When they do not (``tol`` below what double precision resolves,
+    a wrong rho(A), or rho(A) = 0 with an infeasible finite ``hi``) it raises
+    ValueError.  With rho(A) = 0 and no finite ``hi`` every scale is
+    feasible, so all three scales are infinite.
     """
     if radius == 0 and hi == math.inf:
         return BoundaryCertificate(math.inf, math.inf, math.inf)
-    if radius > 0:
-        s = 1.0 / radius
-        # half the allowed width, less a margin for the rounding of s*(1 -+ delta)
-        delta = tol / (2.0 + tol) * (1.0 - 1e-6)
-        below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
-        if (below <= s <= above and above - below <= tol * below
-                and _verdict(cc, below) and not _verdict(cc, above)):
-            return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
-    if hi == math.inf:
-        lo, hi = _bracket(cc)
-    while (hi - lo) > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if _verdict(cc, mid):
-            lo = mid
-        else:
-            hi = mid
-    return BoundaryCertificate(scale=0.5 * (lo + hi), last_feasible=lo, first_infeasible=hi)
-
-
-def _bracket(cc) -> tuple[float, float]:
-    """A feasible and an infeasible scale, found by doubling or halving from scale 1."""
-    lo = hi = 1.0
-    grow = _verdict(cc, 1.0)
-    for _ in range(BOUNDARY_BRACKET_LIMIT):
-        probe = 2.0 * hi if grow else 0.5 * lo
-        if _verdict(cc, probe) != grow:
-            return (lo, probe) if grow else (probe, hi)
-        lo = hi = probe
-    raise ValueError(f"no {'in' if grow else ''}feasible scale found while bracketing the boundary")
+    s = 1.0 / radius if radius > 0 else math.inf
+    # half the allowed width, less a margin for the rounding of s*(1 -+ delta)
+    delta = tol / (2.0 + tol) * (1.0 - 1e-6)
+    below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
+    if not (below <= s <= above and above - below <= tol * below
+            and _verdict(cc, below) and not _verdict(cc, above)):
+        raise ValueError(f"boundary scale 1/rho(A) = {s:.17g} is not certified at tol={tol:g}")
+    return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
 
 
 def bound_quality(instance) -> list[CellBounds]:

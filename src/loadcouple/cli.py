@@ -225,7 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="relative width of the certified bracket (positive); "
+                        "too narrow to certify in double precision exits 2")
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("compare", help="rank two instance files of the same cell set")

@@ -26,7 +26,7 @@ FEASIBLE = "feasible"
 INFEASIBLE_NEGATIVE = "infeasible_negative"
 SINGULAR = "singular"
 
-# pivot threshold (relative to matrix scale) below which I - slope counts as singular
+# pivot threshold, relative to the unit diagonal of I - slope, below which it counts as singular
 PIVOT_RTOL = 1e-12
 # components of a solution this far below zero are rounding leakage, not infeasibility
 NEGATIVE_ATOL = 1e-12
@@ -68,12 +68,13 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``lhs @ x = rhs`` (columns of ``rhs`` share one LU); None on a pivot <= PIVOT_RTOL of scale."""
+    """Solve ``lhs @ x = rhs`` (columns of ``rhs`` share one LU); None on a pivot <= PIVOT_RTOL of max|diag|."""
     with warnings.catch_warnings():
         # exactly singular systems are a legitimate outcome here, not a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * np.max(np.abs(lhs)):
+    # not max|lhs|: on a nilpotent slope every pivot is 1 while max|I - s A| grows with s
+    if np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * np.max(np.abs(np.diag(lhs))):
         return None
     # a vector at a time: a multi-column solve wakes OpenBLAS threads (8 ms vs 17 us on 2 cores)
     columns = [scipy.linalg.lu_solve((lu, piv), col, check_finite=False) for col in np.atleast_2d(rhs.T)]
@@ -95,7 +96,7 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
     The system is solved densely as (I - slope) rho = offset - slope @ anchor.
-    A pivot smaller than PIVOT_RTOL of the matrix scale reports ``singular``;
+    A pivot at most PIVOT_RTOL of the unit diagonal reports ``singular``;
     any solution component below -NEGATIVE_ATOL reports
     ``infeasible_negative``; components within rounding of zero are clamped.
     """

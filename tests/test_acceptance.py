@@ -229,7 +229,7 @@ def test_09_two_cell_closed_form_and_boundary():
             ]
             np.testing.assert_allclose(outcome.solution, expected, rtol=1e-12)
             # slopes scale linearly with demand, so the product crosses 1 at
-            # exactly 1/sqrt(h12*h21); bisection must land on that scale
+            # exactly 1/sqrt(h12*h21); the certified boundary must be that scale
             analytic = 1.0 / math.sqrt(h12 * h21)
             cert = analysis.feasibility_boundary(
                 inst, lo=0.5 * analytic, hi=2.0 * analytic, tol=1e-8

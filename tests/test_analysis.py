@@ -114,6 +114,10 @@ def test_boundary_matches_spectral_radius():
                                     tol=1e-7)
         np.testing.assert_allclose(cert.scale, expected, rtol=1e-6)
         assert cert.last_feasible <= cert.scale <= cert.first_infeasible
+        # a lower end near the float minimum overflows the rate per demand (the
+        # zero-demand limit) without a warning, and leaves the certificate as it is
+        for lo in (1e-308, 1e-320):
+            assert feasibility_boundary(instance, lo=lo, hi=1.5 * expected, tol=1e-7) == cert
 
 
 def test_boundary_two_cell_closed_form():
@@ -137,7 +141,7 @@ def test_boundary_precondition_errors():
     with pytest.raises(ValueError):
         feasibility_boundary(instance, lo=2.0, hi=1.0)
     with pytest.raises(ValueError):
-        feasibility_boundary(instance, lo=0.5, hi=6.0, tol=0.0)  # bisection would never end
+        feasibility_boundary(instance, lo=0.5, hi=6.0, tol=0.0)  # no bracket is zero wide
 
 
 def test_bound_quality_fields_consistent():
@@ -202,8 +206,16 @@ def test_compare_without_perron_root_has_no_boundary():
     report = compare_configs(instance, instance)
     assert report.verdict == "equal"
     assert report.boundary_a == report.boundary_b == math.inf
-    with pytest.raises(PreconditionError):
-        feasibility_boundary(instance, lo=1.0, hi=1e6)  # still feasible at hi
+    for hi in (1e6, 1e14):  # still feasible at hi, however large
+        with pytest.raises(PreconditionError):
+            feasibility_boundary(instance, lo=1.0, hi=hi)
+    # in the other cell order partial pivoting leaves a pivot of about 1/s, so the verdict
+    # reads singular from s ~ 5e13; still no certificate, since rho(A) = 0 has no boundary
+    swapped = build_instance([[1e-8, 1e-8], [1e-7, 1e-7]], demands=[10, 20], powers=[1, 1],
+                             noise=1e-9)
+    assert compare_configs(swapped, swapped).boundary_a == math.inf
+    with pytest.raises(ValueError):
+        feasibility_boundary(swapped, lo=1.0, hi=1e14)
 
 
 def test_compare_detects_dominance():
@@ -236,7 +248,7 @@ def test_compare_rejects_mismatched_sizes():
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 5),
        pixels_per_cell=st.integers(1, 4), radius=st.floats(0.2, 3.0),
-       tol=st.sampled_from([1e-3, 1e-6, 1e-8]))
+       tol=st.sampled_from([1e-3, 1e-6, 1e-8, 1e-9]))
 def test_boundary_is_inverse_perron_root_property(seed, num_cells, pixels_per_cell, radius, tol):
     instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell,
                                radius_target=radius)
@@ -285,20 +297,17 @@ def _count_calls(monkeypatch) -> Counter:
     return counts
 
 
-def test_boundary_falls_back_to_bisection_when_radius_is_off(monkeypatch):
+def test_boundary_raises_when_radius_is_off(monkeypatch):
     rng = np.random.default_rng(SEED + 16)
     instance = random_instance(rng, 4, 5, radius_target=0.8)
-    expected = 1.0 / _slope_radius(instance)
     exact = linfeas.spectral_radius
     monkeypatch.setattr(linfeas, "spectral_radius", lambda matrix: 1.01 * exact(matrix))
     counts = _count_calls(monkeypatch)
-    cert = feasibility_boundary(instance, lo=0.5, hi=4.0, tol=1e-6)
-    assert counts["feasibility"] > 4  # lo, hi, the failed certificate, then bisection
-    assert abs(cert.scale - expected) <= 1e-6 * expected
-    assert cert.first_infeasible - cert.last_feasible <= 1e-6 * cert.last_feasible
-    # compare_configs has no bracket: the fallback finds one from scale 1
-    report = compare_configs(instance, instance, boundary_tol=1e-6)
-    assert abs(report.boundary_a - expected) <= 1e-6 * expected
+    with pytest.raises(ValueError, match="not certified"):
+        feasibility_boundary(instance, lo=0.5, hi=4.0, tol=1e-6)
+    assert counts["feasibility"] == 4  # lo, hi and the two certificate verdicts, nothing more
+    with pytest.raises(ValueError, match="not certified"):
+        compare_configs(instance, instance, boundary_tol=1e-6)
 
 
 @pytest.mark.parametrize("question,instances,radii,verdicts", [

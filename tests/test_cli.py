@@ -306,6 +306,8 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert main(["sweep", "--instance", str(good), "--scales", "1:2"]) == 2
     assert main(["boundary", "--instance", str(good), "--lo", "2", "--hi", "1"]) == 2
     assert main(["boundary", "--instance", str(good), "--lo", "1", "--hi", "2", "--tol", "0"]) == 2
+    # s*(1 -+ delta) rounds to s* itself, so no two verdicts can certify the boundary
+    assert main(["boundary", "--instance", str(good), "--lo", "1", "--hi", "10", "--tol", "1e-16"]) == 2
 
     badspec = tmp_path / "badspec.json"
     badspec.write_text(json.dumps({"carrier_mhz": 2000}))
