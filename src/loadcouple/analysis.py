@@ -3,9 +3,10 @@
 All questions here scale every pixel demand by a factor s.  The asymptotic
 slope A and offset b are linear in the demand, so at scale s the linear
 system is rho = s (A rho + b), feasible iff s rho(A) < 1: the boundary is
-1/rho(A).  Each question builds the coupling coefficients once and rho(A)
-at most once, answers each scale from ``CouplingCoefficients.scaled``, and
-computes fixed points only where they exist.
+1/rho(A).  Each question builds the coupling coefficients, A and b once
+and rho(A) at most once, takes each scale's verdict from s A and s b, and
+computes fixed points, from ``CouplingCoefficients.scaled``, only where
+they exist.
 """
 
 from __future__ import annotations
@@ -73,41 +74,26 @@ class ComparisonReport:
     bounds_b: Optional[list[CellBounds]]
 
 
-def _perron_root(cc: coupling.CouplingCoefficients) -> float:
-    """rho(A), the spectral radius of the asymptotic slope of ``cc``."""
-    return linfeas.spectral_radius(coupling.asymptotic_linearization(cc).slope)
-
-
-def _verdict(cc: coupling.CouplingCoefficients, scale: float) -> bool:
-    """LU feasibility verdict at ``scale``."""
-    # near the float minimum the rate per demand a / scale overflows to inf: the zero-demand limit
-    with np.errstate(over="ignore"):
-        return linfeas.feasibility(cc.scaled(scale))[0]
-
-
 def demand_sweep(instance, scales) -> list[SweepRow]:
     """Fixed point and bounds across a grid of demand scales.
 
-    Each row reports s rho(A) and takes its verdict from one LU on the
-    scaled coefficients.  Each solve warm-starts from the previous feasible
-    fixed point (the loads grow with s, so the previous point is a good
-    Newton start).  Row order matches the input grid.  A negative or
+    Each row reports s rho(A) and takes its verdict from one LU of
+    I - s A, with A built once.  Each solve warm-starts from the previous
+    feasible fixed point (the loads grow with s, so the previous point is a
+    good Newton start).  Row order matches the input grid.  A negative or
     non-finite scale raises ValueError.
     """
     cc = coupling.coefficients(instance)
-    radius = _perron_root(cc)
+    system = coupling.asymptotic_linearization(cc)
+    radius = linfeas.spectral_radius(system.slope)
     rows: list[SweepRow] = []
     previous = None
     for s in map(float, scales):
-        # at scales near the float minimum the rate per demand a / s, and the
-        # kernels' products with it, overflow to inf: the zero-demand limit
-        with np.errstate(over="ignore"):
-            scaled = cc.scaled(s)
-            feasible, outcome = linfeas.feasibility(scaled)
-            if not feasible:
-                rows.append(SweepRow(s, False, s * radius, None, None, None))
-                continue
-            report = solver.solve_coefficients(scaled, solver.SolverConfig(start=previous), linear=outcome)
+        feasible, outcome = linfeas.feasibility(system, s)
+        if not feasible:
+            rows.append(SweepRow(s, False, s * radius, None, None, None))
+            continue
+        report = solver.solve_coefficients(cc.scaled(s), solver.SolverConfig(start=previous), linear=outcome)
         previous = report.fixed_point
         rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
     return rows
@@ -124,16 +110,16 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> B
     """
     if not (0 < lo < hi and tol > 0):
         raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
-    cc = coupling.coefficients(instance)
-    if not _verdict(cc, lo):
+    system = coupling.asymptotic_linearization(coupling.coefficients(instance))
+    if not linfeas.feasibility(system, lo)[0]:
         raise PreconditionError(f"instance is infeasible at lo={lo}")
-    if _verdict(cc, hi):
+    if linfeas.feasibility(system, hi)[0]:
         raise PreconditionError(f"instance is feasible at hi={hi}")
-    return _boundary(cc, _perron_root(cc), tol, lo, hi)
+    return _boundary(system, linfeas.spectral_radius(system.slope), tol, lo, hi)
 
 
-def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
-    """Boundary s* = 1/rho(A) of ``cc`` inside (lo, hi), where lo is feasible and hi is not.
+def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
+    """Boundary s* = 1/rho(A) of the asymptotic ``system`` inside (lo, hi), lo feasible, hi not.
 
     LU verdicts at s*(1 -+ delta) certify s*: the lower must be feasible, the
     upper infeasible, and the bracket at most ``tol`` times its lower end
@@ -149,7 +135,7 @@ def _boundary(cc, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCer
     delta = tol / (2.0 + tol) * (1.0 - 1e-6)
     below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
     if not (below <= s <= above and above - below <= tol * below
-            and _verdict(cc, below) and not _verdict(cc, above)):
+            and linfeas.feasibility(system, below)[0] and not linfeas.feasibility(system, above)[0]):
         raise ValueError(f"boundary scale 1/rho(A) = {s:.17g} is not certified at tol={tol:g}")
     return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
 
@@ -202,8 +188,9 @@ def compare_configs(instance_a, instance_b, boundary_tol: float = 1e-4) -> Compa
     def side(instance):
         """Boundary scale, loads and bounds at base demand from one build and one rho(A)."""
         cc = coupling.coefficients(instance)
-        feasible, linear = linfeas.feasibility(cc)
-        boundary = _boundary(cc, linear.spectral_radius, boundary_tol).scale
+        system = coupling.asymptotic_linearization(cc)
+        feasible, linear = linfeas.feasibility(system)
+        boundary = _boundary(system, linear.spectral_radius, boundary_tol).scale
         if not feasible:
             return boundary, None, None
         bounds = _bound_quality(instance, cc, solver.solve_coefficients(cc, linear=linear))

@@ -25,6 +25,15 @@ from functools import cached_property
 import numpy as np
 
 LN2 = math.log(2.0)
+# cap on the rate per demand ``a``: a pixel at the cap adds a load of
+# 1e-300 ln(2) / ln(1 + SINR), the zero-demand limit, and no kernel
+# product of ``a`` overflows
+RATE_PER_DEMAND_MAX = 1e300
+
+
+def _check_scale(s: float) -> None:
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"demand scale must be finite and >= 0, got {s}")
 
 
 def _per_cell_views(packed_name: str) -> cached_property:
@@ -43,10 +52,10 @@ class CouplingCoefficients:
     cell i owns positions ``starts[i]:starts[i + 1]``; ``pixel`` and
     ``cell_of`` give each position's global pixel index and serving cell.
     ``a`` is the interval bit budget per unit spectral efficiency divided by
-    the demand, ``noise`` the noise power relative to the serving power, and
-    ``rel`` (num_cells x M) every cell's received power relative to the
-    serving power, with the serving cell's entry zeroed so that ``rho @ rel``
-    sums over the other cells only.
+    the demand, capped at RATE_PER_DEMAND_MAX, ``noise`` the noise power
+    relative to the serving power, and ``rel`` (num_cells x M) every cell's
+    received power relative to the serving power, with the serving cell's
+    entry zeroed so that ``rho @ rel`` sums over the other cells only.
 
     ``pixel_idx``, ``rate_per_demand``, ``rel_interference`` and
     ``rel_noise`` hold the same data per cell, as views into these arrays.
@@ -72,13 +81,12 @@ class CouplingCoefficients:
         At s = 0 every pixel drops out, as zero-demand pixels do in
         :func:`coefficients`.
         """
-        if not (math.isfinite(s) and s >= 0):
-            raise ValueError(f"demand scale must be finite and >= 0, got {s}")
+        _check_scale(s)
         if s == 0:
             return replace(self, pixel=self.pixel[:0], cell_of=self.cell_of[:0],
                            starts=np.zeros_like(self.starts), a=self.a[:0],
                            rel=self.rel[:, :0], noise=self.noise[:0])
-        return replace(self, a=self.a / s)
+        return replace(self, a=self.a / np.maximum(s, self.a / RATE_PER_DEMAND_MAX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +117,7 @@ def coefficients(instance) -> CouplingCoefficients:
     here once, so every stored coefficient is strictly positive.
     """
     n = instance.num_cells
+    budget = instance.num_resource_units * instance.rate_scale
     demands = instance.demands()
     server_of = instance.serving.server_of
     demanded = np.flatnonzero((demands > 0) & (server_of >= 0))
@@ -125,7 +134,7 @@ def coefficients(instance) -> CouplingCoefficients:
         pixel=pixel,
         cell_of=cell_of,
         starts=np.searchsorted(cell_of, np.arange(n + 1)),
-        a=instance.num_resource_units * instance.rate_scale / demands[pixel],
+        a=budget / np.maximum(demands[pixel], budget / RATE_PER_DEMAND_MAX),
         rel=rel,
         noise=instance.noise_power / serving_power,
     )

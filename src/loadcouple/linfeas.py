@@ -13,7 +13,7 @@ eigenvalue solve, and only when a caller reads it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -103,20 +103,24 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     return LinearSolveOutcome(*_affine_fixed_point(system), system.slope)
 
 
-def feasibility(cc) -> tuple[bool, LinearSolveOutcome]:
-    """Exact feasibility of the nonlinear load coupling system with coefficients ``cc``.
+def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[bool, LinearSolveOutcome]:
+    """Exact feasibility of the nonlinear load coupling system at demand scale ``scale``.
 
-    Solvability of the asymptotic linear system is necessary and sufficient,
-    so the verdict needs no nonlinear iteration and no spectral radius.
-    Singular systems sit on the boundary and count as infeasible.
+    ``system`` is the asymptotic linearization of the coefficients at unit
+    scale.  Its slope and offset are linear in the demand, so the system at
+    scale s is s times both.  Solvability of the asymptotic linear system is
+    necessary and sufficient, so the verdict needs no nonlinear iteration
+    and no spectral radius.  Singular systems sit on the boundary and count
+    as infeasible.
     """
-    outcome = solve_linear(coupling.asymptotic_linearization(cc))
+    coupling._check_scale(scale)
+    outcome = solve_linear(replace(system, slope=scale * system.slope, offset=scale * system.offset))
     return outcome.status == FEASIBLE, outcome
 
 
 def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
     """:func:`feasibility` for an instance."""
-    return feasibility(coupling.coefficients(instance))
+    return feasibility(coupling.asymptotic_linearization(coupling.coefficients(instance)))
 
 
 def lower_bound(instance) -> np.ndarray:

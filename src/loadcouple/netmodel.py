@@ -2,9 +2,11 @@
 
 Everything downstream (coupling coefficients, solvers, sweeps) works on the
 immutable :class:`NetworkInstance` defined here.  Gains are kept linear-scale
-in memory; the interchange file stores them in dB and they are converted on
-load.  Identifiers are 1-based in files and in reports, 0-based positions are
-used for array indexing internally.
+in memory.  The interchange file, compact one-line JSON, stores them in dB,
+each value chosen so that the load-time conversion gives the linear gain
+back bit for bit wherever a float dB value can.  Identifiers are 1-based
+in files and in reports, 0-based positions are used for array indexing
+internally.
 """
 
 from __future__ import annotations
@@ -230,31 +232,25 @@ def assign_best_server(instance: NetworkInstance) -> ServingAssignment:
 def _gains_to_db(linear: np.ndarray) -> np.ndarray:
     """dB image of a linear gain matrix, adjusted so the load-time conversion inverts it.
 
-    10**(10*log10(g)/10) can land one ulp off g; where it does, the dB value
-    is nudged to the neighbouring float that converts back exactly.  Gains
-    whose exact preimage does not exist as a float keep the closest dB value.
+    np.power(10, 10*log10(g)/10) can land a few ulps off g.  Where it does,
+    the dB value becomes the one, of itself and its neighbours up to 4 ulps
+    away on either side, that converts back closest to g; ties go to the
+    first in the order itself, +1..+4, -1..-4.  So g comes back exactly
+    whenever one of them converts to it.
     """
     db = 10.0 * np.log10(linear)
-    flat_db = db.ravel()
-    flat_lin = linear.ravel()
-    back = np.power(10.0, flat_db / 10.0)
-    for idx in np.flatnonzero(back != flat_lin):
-        g = flat_lin[idx]
-        best = flat_db[idx]
-        best_err = abs(back[idx] - g)
-        for direction in (math.inf, -math.inf):
-            cand = flat_db[idx]
-            for _ in range(4):
-                cand = math.nextafter(cand, direction)
-                got = 10.0 ** (cand / 10.0)
-                err = abs(got - g)
-                if err < best_err:
-                    best, best_err = cand, err
-                if got == g:
-                    break
-            if best_err == 0.0:
-                break
-        flat_db[idx] = best
+    miss = np.flatnonzero(np.power(10.0, db / 10.0) != linear)
+    target, start = linear.flat[miss], db.flat[miss]
+    candidates = [start]
+    for direction in (np.inf, -np.inf):
+        cand = start
+        for _ in range(4):
+            cand = np.nextafter(cand, direction)
+            candidates.append(cand)
+    candidates = np.array(candidates)
+    # argmin keeps the first candidate among equal errors: the scan order above
+    best = np.argmin(np.abs(np.power(10.0, candidates / 10.0) - target), axis=0)
+    db.flat[miss] = candidates[best, np.arange(miss.size)]
     return db
 
 
@@ -281,16 +277,16 @@ def save_instance(instance: NetworkInstance, path) -> None:
         ],
         "gains_db": _gains_to_db(instance.gains).tolist(),
     }
-    server_of = instance.serving.server_of
     doc["serving"] = [
-        [instance.pixels[j].id, instance.cells[int(server_of[j])].id]
-        for j in range(instance.num_pixels)
-        if server_of[j] >= 0
+        [pixel.id, instance.cells[k].id]
+        for pixel, k in zip(instance.pixels, instance.serving.server_of.tolist())
+        if k >= 0
     ]
     if instance.wrap_periods is not None:
         doc["wrap_periods_m"] = instance.wrap_periods.tolist()
+    # one C-encoder pass: json.dump, and any indent, take the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -14,6 +14,7 @@ per field.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -125,16 +126,15 @@ def _link_geometry(cell_xy, pixel_xy, wrap_periods):
     """
     pixel_xy = np.asarray(pixel_xy, dtype=np.float64)
     if wrap_periods is None:
-        diff = pixel_xy - cell_xy
+        dx, dy = pixel_xy[:, 0] - cell_xy[0], pixel_xy[:, 1] - cell_xy[1]
     else:
         steps = np.array([[m1, m2] for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)], dtype=np.float64)
-        images = pixel_xy[None, :, :] + (steps @ wrap_periods)[:, None, :] - cell_xy
-        dist_sq = np.sum(images * images, axis=2)
-        best = np.argmin(dist_sq, axis=0)
-        diff = images[best, np.arange(pixel_xy.shape[0]), :]
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    bearing = np.degrees(np.arctan2(diff[:, 1], diff[:, 0]))
-    return dist, bearing
+        offsets = steps @ wrap_periods
+        dx = pixel_xy[:, 0] + offsets[:, :1] - cell_xy[0]
+        dy = pixel_xy[:, 1] + offsets[:, 1:] - cell_xy[1]
+        best = np.argmin(dx * dx + dy * dy, axis=0)[None, :]
+        dx, dy = np.take_along_axis(dx, best, 0)[0], np.take_along_axis(dy, best, 0)[0]
+    return np.hypot(dx, dy), np.degrees(np.arctan2(dy, dx))
 
 
 def okumura_hata_db(distance_m, freq_mhz: float) -> np.ndarray:
@@ -186,53 +186,52 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
 
     num_rb = round(RESOURCE_BLOCKS_PER_MHZ * spec.bandwidth_mhz)
     power_per_ru = _dbm_to_w(spec.tx_power_dbm) / num_rb
-    cells = []
-    for s, site in enumerate(sites):
-        for az in azimuths:
-            cells.append(
-                Cell(
-                    id=len(cells) + 1,
-                    power_per_ru=power_per_ru,
-                    x=float(site[0]),
-                    y=float(site[1]),
-                    azimuth_deg=az,
-                )
-            )
+    cells = tuple(
+        Cell(id=i + 1, power_per_ru=power_per_ru, x=float(x), y=float(y), azimuth_deg=az)
+        for i, ((x, y), az) in enumerate(itertools.product(sites, azimuths))
+    )
 
     # nominal wedge: disk sector of the hex circumradius around the boresight
     cell_radius = spec.inter_site_distance_m / math.sqrt(3.0)
     n_hot = round(spec.users_per_cell_area * spec.hotspot_fraction)
-    n_uniform = spec.users_per_cell_area - n_hot
-    positions = []
-    for cell in cells:
-        center_r = max(cell_radius - spec.hotspot_radius_m, 0.0) * math.sqrt(rng.uniform())
-        center_t = math.radians(cell.azimuth_deg + (rng.uniform() - 0.5) * sector_width)
-        center = (cell.x + center_r * math.cos(center_t), cell.y + center_r * math.sin(center_t))
-        for _ in range(n_hot):
-            r = spec.hotspot_radius_m * math.sqrt(rng.uniform())
-            t = rng.uniform(0.0, 2.0 * math.pi)
-            positions.append((center[0] + r * math.cos(t), center[1] + r * math.sin(t)))
-        for _ in range(n_uniform):
-            r = cell_radius * math.sqrt(rng.uniform())
-            t = math.radians(cell.azimuth_deg + (rng.uniform() - 0.5) * sector_width)
-            positions.append((cell.x + r * math.cos(t), cell.y + r * math.sin(t)))
+    # per cell, in stream order: a (radius, angle) pair for the hotspot
+    # centre, then one per hotspot user, then one per uniform user
+    draws = rng.uniform(size=(len(cells), 1 + spec.users_per_cell_area, 2))
+    origin = np.array([[[c.x, c.y]] for c in cells])
+    boresight = np.array([[c.azimuth_deg] for c in cells])
+
+    def polar(r, t):
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+    def wedge_angle(u):
+        return np.radians(boresight + (u - 0.5) * sector_width)
+
+    center_r = max(cell_radius - spec.hotspot_radius_m, 0.0) * np.sqrt(draws[:, :1, 0])
+    center = origin + polar(center_r, wedge_angle(draws[:, :1, 1]))
+    hot, uniform = draws[:, 1:1 + n_hot], draws[:, 1 + n_hot:]
+    hot_xy = center + polar(spec.hotspot_radius_m * np.sqrt(hot[..., 0]), 2.0 * math.pi * hot[..., 1])
+    uniform_xy = origin + polar(cell_radius * np.sqrt(uniform[..., 0]), wedge_angle(uniform[..., 1]))
+    pixel_xy = np.concatenate([hot_xy, uniform_xy], axis=1).reshape(-1, 2)
     pixels = tuple(
         Pixel(id=j + 1, demand_bits=spec.demand_bits_per_user, x=x, y=y)
-        for j, (x, y) in enumerate(positions)
+        for j, (x, y) in enumerate(pixel_xy.tolist())
     )
 
-    pixel_xy = np.array(positions)
     shadow = rng.normal(0.0, spec.shadow_sigma_db, size=(len(cells), len(pixels)))
-    gains_db = np.empty((len(cells), len(pixels)))
+    gains_db = np.empty_like(shadow)
     freq_mhz = spec.carrier_ghz * 1000.0
-    for i, cell in enumerate(cells):
-        dist, bearing = _link_geometry(np.array([cell.x, cell.y]), pixel_xy, wrap)
-        gains_db[i] = (
+    per_site = len(azimuths)
+    boresights = np.array(azimuths)[:, None]
+    for s, site in enumerate(sites):
+        # the sectors of a site share its position, hence its link geometry
+        dist, bearing = _link_geometry(site, pixel_xy, wrap)
+        rows = slice(s * per_site, (s + 1) * per_site)
+        gains_db[rows] = (
             -okumura_hata_db(dist, freq_mhz)
             + spec.antenna_gain_dbi
             + spec.ue_gain_dbi
-            + sector_pattern_db(_wrap_angle(bearing - cell.azimuth_deg))
-            + shadow[i]
+            + sector_pattern_db(_wrap_angle(bearing - boresights))
+            + shadow[rows]
         )
 
     noise_dbm = (
@@ -241,7 +240,7 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
         + UE_NOISE_FIGURE_DB
     )
     return NetworkInstance(
-        cells=tuple(cells),
+        cells=cells,
         pixels=pixels,
         gains=np.power(10.0, gains_db / 10.0),
         noise_power=_dbm_to_w(noise_dbm),

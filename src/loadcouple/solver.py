@@ -191,12 +191,12 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
                        linear: Optional[linfeas.LinearSolveOutcome] = None) -> SolveReport:
     """:func:`solve` on coefficients.
 
-    ``linear`` is the outcome of ``linfeas.feasibility(cc)`` when the caller
-    has already taken that verdict; it is taken here otherwise.
+    ``linear`` is the outcome of :func:`linfeas.feasibility` on ``cc`` when the
+    caller has already taken that verdict; it is taken here otherwise.
     """
     config = config or SolverConfig()
     if linear is None:
-        _, linear = linfeas.feasibility(cc)
+        _, linear = linfeas.feasibility(coupling.asymptotic_linearization(cc))
     if linear.status != linfeas.FEASIBLE:
         return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
     start = linear.solution if config.start is None else np.maximum(config.start, linear.solution)

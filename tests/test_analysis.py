@@ -114,8 +114,8 @@ def test_boundary_matches_spectral_radius():
                                     tol=1e-7)
         np.testing.assert_allclose(cert.scale, expected, rtol=1e-6)
         assert cert.last_feasible <= cert.scale <= cert.first_infeasible
-        # a lower end near the float minimum overflows the rate per demand (the
-        # zero-demand limit) without a warning, and leaves the certificate as it is
+        # a lower end near the float minimum is the zero-demand limit: no
+        # warning, and the certificate stays as it is
         for lo in (1e-308, 1e-320):
             assert feasibility_boundary(instance, lo=lo, hi=1.5 * expected, tol=1e-7) == cert
 
@@ -285,10 +285,11 @@ def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Count coefficient builds, Perron roots, LU verdicts and instance rebuilds from now on."""
+    """Count coefficient and slope builds, Perron roots, LU verdicts and instance rebuilds from now on."""
     counts = Counter()
-    targets = [(coupling, "coefficients"), (linfeas, "spectral_radius"),
-               (linfeas, "feasibility"), (NetworkInstance, "with_demand_scale")]
+    targets = [(coupling, "coefficients"), (coupling, "asymptotic_linearization"),
+               (linfeas, "spectral_radius"), (linfeas, "feasibility"),
+               (NetworkInstance, "with_demand_scale")]
     for owner, name in targets:
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -323,7 +324,7 @@ def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, insta
     b = a.with_demand_scale(1.1)
     counts = _count_calls(monkeypatch)
     question(a, b)
-    assert counts["coefficients"] == instances
+    assert counts["coefficients"] == counts["asymptotic_linearization"] == instances
     assert counts["spectral_radius"] == radii
     assert counts["with_demand_scale"] == 0
     assert counts["feasibility"] == verdicts

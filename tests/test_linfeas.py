@@ -149,16 +149,17 @@ def test_verdict_matches_solvability_property(seed, num_cells, radius_target, ma
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
     cc = coefficients(instance)
-    boundary = 1.0 / eig_radius(asymptotic_linearization(cc).slope)
+    system = asymptotic_linearization(cc)
+    boundary = 1.0 / eig_radius(system.slope)
 
+    assert linfeas.feasibility(system, (1.0 - margin) * boundary)[0]
     below = cc.scaled((1.0 - margin) * boundary)
-    assert linfeas.feasibility(below)[0]
     report = solver.solve_coefficients(below)
     assert report.status == "converged"
     assert np.all(report.lower <= report.fixed_point) and np.all(report.fixed_point <= report.upper)
 
+    assert not linfeas.feasibility(system, (1.0 + margin) * boundary)[0]
     above = cc.scaled((1.0 + margin) * boundary)
-    assert not linfeas.feasibility(above)[0]
     rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
     assert not converged and steps < 10_000 and np.max(rho) > solver.DIVERGENCE_LIMIT
 

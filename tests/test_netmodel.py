@@ -20,6 +20,7 @@ from loadcouple import (
     save_instance,
     validate,
 )
+from loadcouple.netmodel import _gains_to_db
 
 SEED = 20260814
 
@@ -222,6 +223,71 @@ def test_save_load_bit_exact_after_first_trip(tmp_path):
     assert np.array_equal(once.gains, twice.gains)
     assert np.array_equal(twice.gains, load_instance(paths[2]).gains)
     assert paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def _assert_same_instance(a, b):
+    assert np.array_equal(a.gains, b.gains)
+    assert np.array_equal(a.serving.server_of, b.serving.server_of)
+    assert np.array_equal(a.demands(), b.demands())
+    assert np.array_equal(a.powers(), b.powers())
+    assert [(c.x, c.y, c.azimuth_deg) for c in a.cells] == [(c.x, c.y, c.azimuth_deg) for c in b.cells]
+    assert [(p.x, p.y) for p in a.pixels] == [(p.x, p.y) for p in b.pixels]
+    assert np.array_equal(a.wrap_periods, b.wrap_periods)
+    for name in ("noise_power", "num_resource_units", "rate_scale"):
+        assert getattr(a, name) == getattr(b, name)
+
+
+def test_indented_file_loads_like_the_compact_one(tmp_path):
+    """Files written with ``json.dump(doc, fh, indent=1)``, the earlier layout, still load."""
+    instance = rotate_sector(generate(ScenarioSpec(rng_seed=5, users_per_cell_area=6)), 2, 75.0)
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    save_instance(instance, compact)
+    assert compact.read_text().count("\n") == 1
+    with open(indented, "w") as fh:
+        json.dump(json.loads(compact.read_text()), fh, indent=1)
+        fh.write("\n")
+    _assert_same_instance(load_instance(indented), load_instance(compact))
+
+
+def test_rotated_instance_round_trip_is_exact_after_first_save(tmp_path):
+    """Generated gains come back bit-exact; rotated ones after the first save, which nudges dB values."""
+    generated = generate(ScenarioSpec(num_sites=12, rng_seed=9))
+    save_instance(generated, tmp_path / "generated.json")
+    assert np.array_equal(load_instance(tmp_path / "generated.json").gains, generated.gains)
+    instance = rotate_sector(generated, 7, 200.0)
+    assert instance.num_cells >= 36
+    db = 10.0 * np.log10(instance.gains)
+    assert np.count_nonzero(np.power(10.0, db / 10.0) != instance.gains) > 100
+    paths = [tmp_path / f"trip{k}.json" for k in range(2)]
+    save_instance(instance, paths[0])
+    once = load_instance(paths[0])
+    save_instance(once, paths[1])
+    _assert_same_instance(load_instance(paths[1]), once)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _gains_to_db_scan(linear):
+    """Entry by entry: of +1..+4 ulps, then -1..-4, each one converting back strictly closer wins."""
+    db = 10.0 * np.log10(linear)
+    out = db.copy()
+    for idx in zip(*np.nonzero(np.power(10.0, db / 10.0) != linear)):
+        best_err = abs(np.power(10.0, db[idx] / 10.0) - linear[idx])
+        for direction in (np.inf, -np.inf):
+            cand = db[idx]
+            for _ in range(4):
+                cand = np.nextafter(cand, direction)
+                err = abs(np.power(10.0, cand / 10.0) - linear[idx])
+                if err < best_err:
+                    out[idx], best_err = cand, err
+    return out
+
+
+def test_gains_to_db_matches_the_entrywise_scan():
+    generated = generate(ScenarioSpec(rng_seed=4))
+    rotated = rotate_sector(rotate_sector(generated, 1, 45.0), 5, 300.0)
+    assert np.count_nonzero(np.power(10.0, 10.0 * np.log10(rotated.gains) / 10.0) != rotated.gains) > 50
+    for gains in (generated.gains, rotated.gains):
+        assert np.array_equal(_gains_to_db(gains), _gains_to_db_scan(gains))
 
 
 def test_save_load_preserves_unassigned_pixel(tmp_path):

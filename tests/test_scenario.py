@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -49,6 +50,23 @@ def test_generation_is_deterministic(tmp_path):
     save_instance(generate(spec), a)
     save_instance(generate(spec), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of gains.tobytes() followed by the pixel (x, y) array's bytes, for
+# ScenarioSpec(num_sites=3, rng_seed=20261018, wraparound=...); any change to
+# the draw order, the geometry or the arithmetic of generate shows here
+GENERATOR_DIGESTS = {
+    True: "74461f3490f21d1862a720a6e5b1aa0d22e2d0b6a3c695cf3d765b363aa1345a",
+    False: "e870f695250a971c9f5097c327d4ad304ae8278ca6deeacf0deb3b1a5144aa5d",
+}
+
+
+@pytest.mark.parametrize("wraparound", [True, False])
+def test_generator_output_is_frozen(wraparound):
+    instance = generate(ScenarioSpec(num_sites=3, rng_seed=20261018, wraparound=wraparound))
+    digest = hashlib.sha256(instance.gains.tobytes())
+    digest.update(np.array([[p.x, p.y] for p in instance.pixels]).tobytes())
+    assert digest.hexdigest() == GENERATOR_DIGESTS[wraparound]
 
 
 def test_seed_changes_instance():

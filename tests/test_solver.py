@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from loadcouple import (
     SolverConfig,
     coefficients,
     coupling,
+    demand_sweep,
     fixed_point_iteration,
     jacobian,
     linfeas,
@@ -120,6 +122,20 @@ def test_newton_matches_fixed_point_near_boundary():
     assert converged and newton.status == "converged"
     assert newton.iterations < plain_iterations
     np.testing.assert_allclose(plain, newton.fixed_point, rtol=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-308, 1e-320])
+def test_tiny_demand_is_the_zero_demand_limit(scale):
+    # the rate per demand budget / demand would overflow here; capped, it is the zero-demand limit
+    instance = frozen_two_cell().with_demand_scale(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(instance)
+        feasible, outcome = linfeas.feasibility_check(instance)
+        (row,) = demand_sweep(frozen_two_cell(), [scale])
+    assert report.status == "converged" and feasible and row.solve_status == "converged"
+    for loads in (report.fixed_point, report.lower, report.upper, outcome.solution, row.rho_star):
+        assert np.all(loads >= 0.0) and np.max(loads) <= 1e-290
 
 
 def test_max_iter_exceeded_reports_partial_state():
