@@ -149,10 +149,10 @@ def bound_quality(instance) -> list[CellBounds]:
     instances.
     """
     cc = coupling.coefficients(instance)
-    return _bound_quality(instance, cc, solver.solve_coefficients(cc))
+    return _bound_quality(cc, solver.solve_coefficients(cc))
 
 
-def _bound_quality(instance, cc, report: solver.SolveReport) -> list[CellBounds]:
+def _bound_quality(cc, report: solver.SolveReport) -> list[CellBounds]:
     if report.status == solver.INFEASIBLE:
         raise PreconditionError("no bound quality on an infeasible instance")
     rho = report.fixed_point
@@ -161,13 +161,13 @@ def _bound_quality(instance, cc, report: solver.SolveReport) -> list[CellBounds]
     if upper is None:  # the tangent system at the lower bound is not solvable
         upper = np.full(len(rho), math.nan)
     out = []
-    for i, cell in enumerate(instance.cells):
+    for i in range(len(rho)):
         if rho[i] > 0.0:
             lower_gap = abs(lower[i] - rho[i]) / rho[i] * 100.0
             upper_gap = abs(upper[i] - rho[i]) / rho[i] * 100.0
         else:
             lower_gap = upper_gap = 0.0
-        out.append(CellBounds(cell_id=cell.id, rho_star=float(rho[i]), rho_lower=float(lower[i]),
+        out.append(CellBounds(cell_id=i + 1, rho_star=float(rho[i]), rho_lower=float(lower[i]),
                               rho_upper=float(upper[i]), lower_gap_pct=lower_gap,
                               upper_gap_pct=upper_gap))
     return out
@@ -193,7 +193,7 @@ def compare_configs(instance_a, instance_b, boundary_tol: float = 1e-4) -> Compa
         boundary = _boundary(system, linear.spectral_radius, boundary_tol).scale
         if not feasible:
             return boundary, None, None
-        bounds = _bound_quality(instance, cc, solver.solve_coefficients(cc, linear=linear))
+        bounds = _bound_quality(cc, solver.solve_coefficients(cc, linear=linear))
         return boundary, np.array([b.rho_star for b in bounds]), bounds
 
     boundary_a, rho_a, bounds_a = side(instance_a)

@@ -102,7 +102,7 @@ def _cmd_solve(args) -> int:
             f"status={report.status} iterations=0 "
             f"linear_status={report.linear.status} spectral_radius={_fmt(report.linear.spectral_radius)}"
         )
-        rows = [[c.id, None, None, None, None] for c in instance.cells]
+        rows = [[i + 1, None, None, None, None] for i in range(instance.num_cells)]
         _write_csv(args.out, comment, header, rows)
         return EXIT_INFEASIBLE
     comment = (
@@ -110,9 +110,9 @@ def _cmd_solve(args) -> int:
         f"residual={_fmt(report.residual)} spectral_radius={_fmt(report.linear.spectral_radius)}"
     )
     rows = []
-    for i, cell in enumerate(instance.cells):
+    for i in range(instance.num_cells):
         upper = float(report.upper[i]) if report.upper is not None else None
-        rows.append([cell.id, float(report.fixed_point[i]), float(report.lower[i]),
+        rows.append([i + 1, float(report.fixed_point[i]), float(report.lower[i]),
                      upper, report.residual])
     _write_csv(args.out, comment, header, rows)
     return EXIT_OK if report.status == solver.CONVERGED else EXIT_MAX_ITER
@@ -133,7 +133,7 @@ def _cmd_sweep(args) -> int:
     instance = _load_validated(args.instance)
     scales = _parse_scales(args.scales)
     rows = analysis.demand_sweep(instance, scales)
-    ids = [c.id for c in instance.cells]
+    ids = range(1, instance.num_cells + 1)
     header = (["scale", "feasible", "spectral_radius", "status"]
               + [f"rho_star_{i}" for i in ids] + [f"rho_lower_{i}" for i in ids])
     table = []
@@ -163,11 +163,11 @@ def _cmd_compare(args) -> int:
     header = ["cell_id", "rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
               "rho_upper_a", "rho_upper_b"]
     rows = []
-    for i, cell in enumerate(instance_a.cells):
+    for i in range(instance_a.num_cells):
         def pick(bounds, attr):
             return getattr(bounds[i], attr) if bounds is not None else None
         rows.append([
-            cell.id,
+            i + 1,
             pick(report.bounds_a, "rho_star"), pick(report.bounds_b, "rho_star"),
             pick(report.bounds_a, "rho_lower"), pick(report.bounds_b, "rho_lower"),
             pick(report.bounds_a, "rho_upper"), pick(report.bounds_b, "rho_upper"),

@@ -110,33 +110,56 @@ class LinearizedSystem:
             object.__setattr__(self, name, arr)
 
 
+def _finite_positive(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values > 0)
+
+
+def _require(ok: np.ndarray, pixel: np.ndarray, what: str) -> None:
+    """ValueError naming the lowest pixel whose entry of ``ok`` is false."""
+    if not np.all(ok):
+        raise ValueError(f"pixel {int(pixel[~ok].min()) + 1}: {what} is not finite and positive")
+
+
+@np.errstate(over="ignore")  # whatever overflows is rejected below
 def coefficients(instance) -> CouplingCoefficients:
     """Reduce an instance to the packed coupling arrays.
 
     Pixels with zero demand contribute nothing to any load and are dropped
-    here once, so every stored coefficient is strictly positive.
+    here once, so every stored coefficient is strictly positive.  Raises
+    ValueError when the resource budget, a served pixel's serving power or
+    any coefficient is not finite and positive (``rel`` only finite).
     """
     n = instance.num_cells
-    budget = instance.num_resource_units * instance.rate_scale
-    demands = instance.demands()
-    server_of = instance.serving.server_of
+    try:
+        budget = instance.num_resource_units * instance.rate_scale
+    except OverflowError:  # an int budget beyond the float range
+        budget = math.inf
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"resource budget num_resource_units * rate_scale = {budget} "
+                         "is not finite and positive")
+    demands, server_of = instance.demand_bits, instance.server_of
     demanded = np.flatnonzero((demands > 0) & (server_of >= 0))
     # the stable sort keeps ascending pixel order inside each cell
     pixel = demanded[np.argsort(server_of[demanded], kind="stable")]
     cell_of = server_of[pixel]
     positions = np.arange(pixel.size)
-    received = instance.powers()[:, None] * instance.gains[:, pixel]
+    received = instance.power_per_ru[:, None] * instance.gains[:, pixel]
     serving_power = received[cell_of, positions]
+    _require(_finite_positive(serving_power), pixel, "serving power")
     rel = received / serving_power
     rel[cell_of, positions] = 0.0  # own cell never interferes with itself
+    a = budget / np.maximum(demands[pixel], budget / RATE_PER_DEMAND_MAX)
+    noise = instance.noise_power / serving_power
+    _require(_finite_positive(a) & _finite_positive(noise) & np.isfinite(rel).all(axis=0),
+             pixel, "a coupling coefficient")
     return CouplingCoefficients(
         num_cells=n,
         pixel=pixel,
         cell_of=cell_of,
         starts=np.searchsorted(cell_of, np.arange(n + 1)),
-        a=budget / np.maximum(demands[pixel], budget / RATE_PER_DEMAND_MAX),
+        a=a,
         rel=rel,
-        noise=instance.noise_power / serving_power,
+        noise=noise,
     )
 
 

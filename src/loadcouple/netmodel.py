@@ -1,12 +1,12 @@
-"""Network data model: cells, demand pixels, gains, serving areas and file I/O.
+"""Network data model: per-cell and per-pixel columns, gains, serving map and file I/O.
 
 Everything downstream (coupling coefficients, solvers, sweeps) works on the
-immutable :class:`NetworkInstance` defined here.  Gains are kept linear-scale
-in memory.  The interchange file, compact one-line JSON, stores them in dB,
-each value chosen so that the load-time conversion gives the linear gain
-back bit for bit wherever a float dB value can.  Identifiers are 1-based
-in files and in reports, 0-based positions are used for array indexing
-internally.
+immutable :class:`NetworkInstance` defined here, a set of read-only arrays
+and scalars.  Gains are kept linear-scale in memory.  The interchange file,
+compact one-line JSON, stores them in dB, each value chosen so that the
+load-time conversion gives the linear gain back bit for bit wherever a
+float dB value can.  A cell or pixel is identified by its position: 1-based
+in files and in reports, 0-based for array indexing internally.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,114 +30,74 @@ class SchemaVersionError(SchemaError):
     """File declares a schema version this code does not read."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One base station sector: identity, per-resource-unit transmit power, site geometry."""
-
-    id: int
-    power_per_ru: float
-    x: float = 0.0
-    y: float = 0.0
-    azimuth_deg: float = 0.0
-
-
-@dataclass(frozen=True)
-class Pixel:
-    """One demand point: identity, bits to deliver in the interval, position."""
-
-    id: int
-    demand_bits: float
-    x: float = 0.0
-    y: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ServingAssignment:
-    """Pixel-to-cell map of an instance with ``num_cells`` cells.
-
-    ``server_of[j]`` is the 0-based index of the cell serving pixel j, or -1
-    when the pixel is unassigned (allowed only for zero-demand pixels).
-    ``areas[i]`` lists the served pixel indices of cell i in ascending order;
-    it is derived from ``server_of`` on first use, so the two always agree.
-    """
-
-    server_of: np.ndarray
-    num_cells: int
-
-    def __post_init__(self):
-        server_of = np.array(self.server_of, dtype=np.int64)
-        server_of.setflags(write=False)
-        object.__setattr__(self, "server_of", server_of)
-
-    @cached_property
-    def areas(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(np.flatnonzero(self.server_of == i).tolist()) for i in range(self.num_cells)
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
-    """Immutable snapshot of one network: geometry, demand, gains and serving map.
+    """Immutable snapshot of one network: per-cell and per-pixel columns, gains, serving map.
 
-    ``gains[i, j]`` is the linear power gain from cell i to pixel j, strictly
-    positive.  ``noise_power`` is the receiver noise power in watt over one
-    resource unit, ``num_resource_units`` the number of resource units in the
-    considered interval and ``rate_scale`` the bits one resource unit carries
-    per unit of spectral efficiency.  An instance built without ``serving``
-    gets the best-server assignment of its own cells and gains.  Copies with
-    some fields changed are made with ``dataclasses.replace``; pass
-    ``serving=None`` there to reassign by best server.
+    At 0-based positions i and j, cell i transmits ``power_per_ru[i]`` watt
+    per resource unit from site position ``cell_xy[i]`` towards
+    ``azimuth_deg[i]``, and pixel j demands ``demand_bits[j]`` bits in the
+    interval at ``pixel_xy[j]``.  ``gains[i, j]`` is the linear power gain
+    from cell i to pixel j, strictly positive.  ``noise_power`` is the receiver noise
+    power in watt over one resource unit, ``num_resource_units`` the number
+    of resource units in the considered interval and ``rate_scale`` the bits
+    one resource unit carries per unit of spectral efficiency.
+    ``server_of[j]`` is the 0-based index of the cell serving pixel j, or -1
+    when the pixel is unassigned (allowed only for zero-demand pixels).
+
+    Positions and azimuths default to zeros.  An instance built without
+    ``server_of`` gets the best-server assignment of its own powers and
+    gains.  Copies with some fields changed are made with
+    ``dataclasses.replace``; pass ``server_of=None`` there to reassign by
+    best server.  The geometry columns must match the cell and pixel counts
+    and be finite, or the constructor raises ValueError; everything else is
+    checked by :func:`validate`.
     """
 
-    cells: tuple[Cell, ...]
-    pixels: tuple[Pixel, ...]
+    power_per_ru: np.ndarray
+    demand_bits: np.ndarray
     gains: np.ndarray
     noise_power: float
     num_resource_units: int
     rate_scale: float
+    cell_xy: Optional[np.ndarray] = None
+    azimuth_deg: Optional[np.ndarray] = None
+    pixel_xy: Optional[np.ndarray] = None
     # Periodic replication vectors of the site grid, carried only so that
     # sector rotation can reproduce the wrap-around bearings; None for
     # instances without wrap-around geometry.
     wrap_periods: Optional[np.ndarray] = None
-    serving: Optional[ServingAssignment] = None
+    server_of: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=np.float64, order="C")
-        gains.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "cells", tuple(self.cells))
-        object.__setattr__(self, "pixels", tuple(self.pixels))
-        if self.wrap_periods is not None:
-            wrap = np.array(self.wrap_periods, dtype=np.float64)
-            wrap.setflags(write=False)
-            object.__setattr__(self, "wrap_periods", wrap)
-        if self.serving is None:
-            object.__setattr__(self, "serving", assign_best_server(self))
+        n, m = len(self.power_per_ru), len(self.demand_bits)
+        geometry = {"cell_xy": (n, 2), "azimuth_deg": (n,), "pixel_xy": (m, 2), "wrap_periods": (2, 2)}
+        for name in ("power_per_ru", "demand_bits", "gains", *geometry, "server_of"):
+            value = getattr(self, name)
+            if value is None and name == "wrap_periods":
+                continue
+            if value is None:  # the columns above it are set by now
+                value = assign_best_server(self) if name == "server_of" else np.zeros(geometry[name])
+            value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
+            if name in geometry and not (value.shape == geometry[name] and np.all(np.isfinite(value))):
+                raise ValueError(f"{name} must be finite of shape {geometry[name]}, got {value.shape}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.power_per_ru)
 
     @property
     def num_pixels(self) -> int:
-        return len(self.pixels)
-
-    def powers(self) -> np.ndarray:
-        return np.array([c.power_per_ru for c in self.cells])
-
-    def demands(self) -> np.ndarray:
-        return np.array([p.demand_bits for p in self.pixels])
+        return len(self.demand_bits)
 
     def with_demand_scale(self, scale: float) -> "NetworkInstance":
         """Copy of the instance with every pixel demand multiplied by ``scale``."""
         if not (math.isfinite(scale) and scale >= 0):
             raise ValueError(f"demand scale must be finite and >= 0, got {scale}")
-        pixels = tuple(
-            Pixel(id=p.id, demand_bits=p.demand_bits * scale, x=p.x, y=p.y)
-            for p in self.pixels
-        )
-        return replace(self, pixels=pixels)
+        with np.errstate(over="ignore"):  # an infinite demand is validate's to reject
+            return replace(self, demand_bits=self.demand_bits * scale)
 
 
 @dataclass(frozen=True)
@@ -171,18 +130,17 @@ def validate(instance: NetworkInstance) -> list[Violation]:
             Violation("rate_scale_nonpositive",
                       f"rate_scale must be positive and finite, got {instance.rate_scale}")
         )
-    for idx, cell in enumerate(instance.cells):
-        if cell.power_per_ru <= 0 or not math.isfinite(cell.power_per_ru):
-            out.append(
-                Violation("cell_power_nonpositive",
-                          f"cell {cell.id}: power_per_ru must be positive and finite, got {cell.power_per_ru}")
-            )
-    for pixel in instance.pixels:
-        if pixel.demand_bits < 0 or not math.isfinite(pixel.demand_bits):
-            out.append(
-                Violation("pixel_demand_negative",
-                          f"pixel {pixel.id}: demand_bits must be finite and >= 0, got {pixel.demand_bits}")
-            )
+    power, demand = instance.power_per_ru, instance.demand_bits
+    for i in np.flatnonzero(~(np.isfinite(power) & (power > 0))).tolist():
+        out.append(
+            Violation("cell_power_nonpositive",
+                      f"cell {i + 1}: power_per_ru must be positive and finite, got {power[i]}")
+        )
+    for j in np.flatnonzero(~(np.isfinite(demand) & (demand >= 0))).tolist():
+        out.append(
+            Violation("pixel_demand_negative",
+                      f"pixel {j + 1}: demand_bits must be finite and >= 0, got {demand[j]}")
+        )
 
     if instance.gains.shape != (n, m):
         out.append(
@@ -194,41 +152,36 @@ def validate(instance: NetworkInstance) -> list[Violation]:
     if m and not (np.all(np.isfinite(instance.gains)) and np.all(instance.gains > 0)):
         out.append(Violation("gain_nonpositive", "every gain must be strictly positive and finite"))
 
-    server_of = instance.serving.server_of
+    server_of = instance.server_of
     if server_of.shape != (m,):
         out.append(
             Violation("serving_shape_mismatch",
                       f"server_of length {server_of.shape} does not match pixel count {m}")
         )
         return out
-    assigned = server_of >= 0
-    if np.any(server_of[assigned] >= n):
-        out.append(Violation("serving_out_of_range", "server_of references a cell index >= num_cells"))
+    if np.any((server_of < -1) | (server_of >= n)):
+        out.append(Violation("serving_out_of_range",
+                             "server_of references a cell index outside -1..num_cells-1"))
         return out
-    for j, pixel in enumerate(instance.pixels):
-        if pixel.demand_bits > 0 and server_of[j] < 0:
-            out.append(
-                Violation("unserved_demand_pixel",
-                          f"pixel {pixel.id} has positive demand but no serving cell")
-            )
-    if instance.serving.num_cells != n:
+    for j in np.flatnonzero((demand > 0) & (server_of < 0)).tolist():
         out.append(
-            Violation("serving_inconsistent",
-                      f"serving map is for {instance.serving.num_cells} cells, instance has {n}")
+            Violation("unserved_demand_pixel",
+                      f"pixel {j + 1} has positive demand but no serving cell")
         )
     return out
 
 
-def assign_best_server(instance: NetworkInstance) -> ServingAssignment:
-    """Assign every pixel to the cell with the strongest received power.
+@np.errstate(over="ignore", invalid="ignore")  # validate rejects what overflows here
+def assign_best_server(instance: NetworkInstance) -> np.ndarray:
+    """``server_of``: every pixel goes to the cell with the strongest received power.
 
     The winner maximizes power_per_ru * gain; ties go to the lowest cell
     index, which argmax delivers by scanning order.
     """
-    received = instance.powers()[:, None] * instance.gains
-    return ServingAssignment(np.argmax(received, axis=0), instance.num_cells)
+    return np.argmax(instance.power_per_ru[:, None] * instance.gains, axis=0)
 
 
+@np.errstate(over="ignore")  # a candidate that overflows converts back to inf and loses
 def _gains_to_db(linear: np.ndarray) -> np.ndarray:
     """dB image of a linear gain matrix, adjusted so the load-time conversion inverts it.
 
@@ -262,26 +215,20 @@ def save_instance(instance: NetworkInstance, path) -> None:
         "num_resource_units": int(instance.num_resource_units),
         "rate_scale": instance.rate_scale,
         "cells": [
-            {
-                "id": c.id,
-                "power_per_ru_w": c.power_per_ru,
-                "x_m": c.x,
-                "y_m": c.y,
-                "azimuth_deg": c.azimuth_deg,
-            }
-            for c in instance.cells
+            {"id": i, "power_per_ru_w": power, "x_m": x, "y_m": y, "azimuth_deg": azimuth}
+            for i, power, x, y, azimuth in zip(
+                range(1, instance.num_cells + 1), instance.power_per_ru.tolist(),
+                *instance.cell_xy.T.tolist(), instance.azimuth_deg.tolist())
         ],
         "pixels": [
-            {"id": p.id, "demand_bits": p.demand_bits, "x_m": p.x, "y_m": p.y}
-            for p in instance.pixels
+            {"id": j, "demand_bits": demand, "x_m": x, "y_m": y}
+            for j, demand, x, y in zip(
+                range(1, instance.num_pixels + 1), instance.demand_bits.tolist(),
+                *instance.pixel_xy.T.tolist())
         ],
         "gains_db": _gains_to_db(instance.gains).tolist(),
+        "serving": [[j + 1, i + 1] for j, i in enumerate(instance.server_of.tolist()) if i >= 0],
     }
-    doc["serving"] = [
-        [pixel.id, instance.cells[k].id]
-        for pixel, k in zip(instance.pixels, instance.serving.server_of.tolist())
-        if k >= 0
-    ]
     if instance.wrap_periods is not None:
         doc["wrap_periods_m"] = instance.wrap_periods.tolist()
     # one C-encoder pass: json.dump, and any indent, take the pure-Python encoder
@@ -311,9 +258,6 @@ def _typed(value, kind: str, what: str):
 
 def _float(value, what: str) -> float:
     """``value`` as a float if it is a finite JSON number, else SchemaError."""
-    # exact-type fast path for the per-pixel fields: json gives plain int and float
-    if type(value) in (float, int) and abs(value) <= sys.float_info.max:
-        return float(value)
     return float(_typed(value, "float", what))
 
 
@@ -327,17 +271,49 @@ def _float_matrix(rows, what: str) -> np.ndarray:
     raise SchemaError(f"{what} must be of type float, in rows of equal length")
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str, where: str, kind: type = object):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
+    if not isinstance(doc[key], kind):
+        raise SchemaError(f"{where}: field '{key}' must be a {kind.__name__}, got {type(doc[key]).__name__}")
     return doc[key]
+
+
+def _columns(items: list, fields: tuple, where: str) -> tuple[list, np.ndarray]:
+    """The ``id`` list and the float ``fields`` of a list of JSON objects, one row per field.
+
+    ``fields`` pairs each key with its default, None for a required key.
+    Ids must be ints and the fields finite numbers, as :func:`_typed`
+    checks them; a list that fails is walked object by object, so the error
+    names the first bad object and field in file order.
+    """
+    try:
+        ids = [item["id"] for item in items]
+        columns = [[item[key] if default is None else item.get(key, default) for item in items]
+                   for key, default in fields]
+        if set(map(type, ids)) <= {int} and all(set(map(type, col)) <= {int, float} for col in columns):
+            values = np.array(columns, dtype=np.float64)
+            if np.all(np.abs(values) < sys.float_info.max):  # false for nan and inf
+                return ids, values
+    except (KeyError, TypeError, OverflowError):
+        pass
+    ids, rows = [], []
+    for k, item in enumerate(items):
+        try:
+            ids.append(_typed(item["id"], "int", "id"))
+            rows.append([_float(item[key] if default is None else item.get(key, default), key)
+                         for key, default in fields])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}[{k}]: {exc!r}") from exc
+    return ids, np.array(rows, dtype=np.float64).reshape(len(items), len(fields)).T
 
 
 def load_instance(path) -> NetworkInstance:
     """Read an instance file, converting gains from dB and rebuilding the serving map.
 
-    Files without a ``serving`` block get a best-server assignment.  A wrong
-    or missing schema version is rejected outright.
+    The file's ids must be 1..n and 1..m in order; they are positions and
+    are not kept.  Files without a ``serving`` block get a best-server
+    assignment.  A wrong or missing schema version is rejected outright.
     """
     try:
         with open(path) as fh:
@@ -351,78 +327,56 @@ def load_instance(path) -> NetworkInstance:
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(f"{path}: schema version {version!r} not supported (expected {SCHEMA_VERSION})")
 
-    cells_doc = _require(doc, "cells", str(path))
-    pixels_doc = _require(doc, "pixels", str(path))
-    gains_db = _require(doc, "gains_db", str(path))
+    cells_doc = _require(doc, "cells", str(path), list)
+    pixels_doc = _require(doc, "pixels", str(path), list)
+    gains_db = _require(doc, "gains_db", str(path), list)
 
-    cells = []
-    for k, c in enumerate(cells_doc):
-        try:
-            cells.append(
-                Cell(
-                    id=_typed(c["id"], "int", "id"),
-                    power_per_ru=_float(c["power_per_ru_w"], "power_per_ru_w"),
-                    x=_float(c.get("x_m", 0.0), "x_m"),
-                    y=_float(c.get("y_m", 0.0), "y_m"),
-                    azimuth_deg=_float(c.get("azimuth_deg", 0.0), "azimuth_deg"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: cells[{k}]: {exc!r}") from exc
-    pixels = []
-    for k, p in enumerate(pixels_doc):
-        try:
-            pixels.append(
-                Pixel(
-                    id=_typed(p["id"], "int", "id"),
-                    demand_bits=_float(p["demand_bits"], "demand_bits"),
-                    x=_float(p.get("x_m", 0.0), "x_m"),
-                    y=_float(p.get("y_m", 0.0), "y_m"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: pixels[{k}]: {exc!r}") from exc
-
-    for name, items in (("cells", cells), ("pixels", pixels)):
-        ids = [item.id for item in items]
+    cell_ids, (power, cell_x, cell_y, azimuth) = _columns(
+        cells_doc, (("power_per_ru_w", None), ("x_m", 0.0), ("y_m", 0.0), ("azimuth_deg", 0.0)),
+        f"{path}: cells")
+    pixel_ids, (demand, pixel_x, pixel_y) = _columns(
+        pixels_doc, (("demand_bits", None), ("x_m", 0.0), ("y_m", 0.0)), f"{path}: pixels")
+    n, m = len(cell_ids), len(pixel_ids)
+    for name, ids in (("cells", cell_ids), ("pixels", pixel_ids)):
         if ids != list(range(1, len(ids) + 1)):
             raise SchemaError(f"{path}: {name} ids must be 1..{len(ids)} in order")
 
-    gains = np.power(10.0, _float_matrix(gains_db, f"{path}: gains_db") / 10.0)
-    if gains.shape != (len(cells), len(pixels)):
-        raise SchemaError(
-            f"{path}: gains_db has shape {gains.shape}, expected ({len(cells)}, {len(pixels)})"
-        )
+    with np.errstate(over="ignore"):  # an infinite gain is validate's to reject
+        gains = np.power(10.0, _float_matrix(gains_db, f"{path}: gains_db") / 10.0)
+    if gains.shape != (n, m):
+        raise SchemaError(f"{path}: gains_db has shape {gains.shape}, expected ({n}, {m})")
 
     wrap = doc.get("wrap_periods_m")
     if wrap is not None:
         wrap = _float_matrix(wrap, f"{path}: wrap_periods_m")
-        if wrap.shape != (2, 2):
-            raise SchemaError(f"{path}: wrap_periods_m must be two 2-vectors")
+        if wrap.shape != (2, 2) or not np.all(np.isfinite(wrap)):
+            raise SchemaError(f"{path}: wrap_periods_m must be two finite 2-vectors")
 
-    serving = None
+    server_of = None
     if "serving" in doc:
-        server_of = np.full(len(pixels), -1, dtype=np.int64)
-        for k, pair in enumerate(doc["serving"]):
+        server_of = np.full(m, -1, dtype=np.int64)
+        for k, pair in enumerate(_require(doc, "serving", str(path), list)):
             try:
                 pixel_id, cell_id = pair
                 pixel_id, cell_id = _typed(pixel_id, "int", "pixel id"), _typed(cell_id, "int", "cell id")
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}: serving[{k}] must be a [pixel_id, cell_id] pair: {exc}") from exc
-            if not (1 <= pixel_id <= len(pixels)) or not (1 <= cell_id <= len(cells)):
+            if not (1 <= pixel_id <= m) or not (1 <= cell_id <= n):
                 raise SchemaError(f"{path}: serving[{k}] references unknown pixel or cell id")
             if server_of[pixel_id - 1] >= 0:
                 raise SchemaError(f"{path}: pixel {pixel_id} assigned more than once")
             server_of[pixel_id - 1] = cell_id - 1
-        serving = ServingAssignment(server_of, len(cells))
     return NetworkInstance(
-        cells=tuple(cells),
-        pixels=tuple(pixels),
+        power_per_ru=power,
+        demand_bits=demand,
         gains=gains,
         noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
         num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
                                   f"{path}: num_resource_units"),
         rate_scale=_float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale"),
+        cell_xy=np.stack([cell_x, cell_y], axis=1),
+        azimuth_deg=azimuth,
+        pixel_xy=np.stack([pixel_x, pixel_y], axis=1),
         wrap_periods=wrap,
-        serving=serving,
+        server_of=server_of,
     )

@@ -14,14 +14,13 @@ per field.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .netmodel import Cell, NetworkInstance, Pixel, SchemaError, _typed
+from .netmodel import NetworkInstance, SchemaError, _typed
 
 BS_HEIGHT_M = 30.0
 UE_HEIGHT_M = 1.5
@@ -182,23 +181,21 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
     sites, periods = _site_layout(spec.num_sites, spec.inter_site_distance_m)
     wrap = periods if spec.wraparound else None
     sector_width = 360.0 / spec.sectors_per_site
-    azimuths = [k * sector_width for k in range(spec.sectors_per_site)]
-
+    azimuths = np.arange(spec.sectors_per_site) * sector_width
+    # cells site by site, the sectors of a site in azimuth order
+    cell_xy = np.repeat(sites, spec.sectors_per_site, axis=0)
+    cell_azimuth = np.tile(azimuths, len(sites))
+    num_cells = len(cell_xy)
     num_rb = round(RESOURCE_BLOCKS_PER_MHZ * spec.bandwidth_mhz)
-    power_per_ru = _dbm_to_w(spec.tx_power_dbm) / num_rb
-    cells = tuple(
-        Cell(id=i + 1, power_per_ru=power_per_ru, x=float(x), y=float(y), azimuth_deg=az)
-        for i, ((x, y), az) in enumerate(itertools.product(sites, azimuths))
-    )
 
     # nominal wedge: disk sector of the hex circumradius around the boresight
     cell_radius = spec.inter_site_distance_m / math.sqrt(3.0)
     n_hot = round(spec.users_per_cell_area * spec.hotspot_fraction)
     # per cell, in stream order: a (radius, angle) pair for the hotspot
     # centre, then one per hotspot user, then one per uniform user
-    draws = rng.uniform(size=(len(cells), 1 + spec.users_per_cell_area, 2))
-    origin = np.array([[[c.x, c.y]] for c in cells])
-    boresight = np.array([[c.azimuth_deg] for c in cells])
+    draws = rng.uniform(size=(num_cells, 1 + spec.users_per_cell_area, 2))
+    origin = cell_xy[:, None, :]
+    boresight = cell_azimuth[:, None]
 
     def polar(r, t):
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
@@ -212,16 +209,12 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
     hot_xy = center + polar(spec.hotspot_radius_m * np.sqrt(hot[..., 0]), 2.0 * math.pi * hot[..., 1])
     uniform_xy = origin + polar(cell_radius * np.sqrt(uniform[..., 0]), wedge_angle(uniform[..., 1]))
     pixel_xy = np.concatenate([hot_xy, uniform_xy], axis=1).reshape(-1, 2)
-    pixels = tuple(
-        Pixel(id=j + 1, demand_bits=spec.demand_bits_per_user, x=x, y=y)
-        for j, (x, y) in enumerate(pixel_xy.tolist())
-    )
 
-    shadow = rng.normal(0.0, spec.shadow_sigma_db, size=(len(cells), len(pixels)))
+    shadow = rng.normal(0.0, spec.shadow_sigma_db, size=(num_cells, len(pixel_xy)))
     gains_db = np.empty_like(shadow)
     freq_mhz = spec.carrier_ghz * 1000.0
     per_site = len(azimuths)
-    boresights = np.array(azimuths)[:, None]
+    boresights = azimuths[:, None]
     for s, site in enumerate(sites):
         # the sectors of a site share its position, hence its link geometry
         dist, bearing = _link_geometry(site, pixel_xy, wrap)
@@ -240,12 +233,15 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
         + UE_NOISE_FIGURE_DB
     )
     return NetworkInstance(
-        cells=cells,
-        pixels=pixels,
+        power_per_ru=np.full(num_cells, _dbm_to_w(spec.tx_power_dbm) / num_rb),
+        demand_bits=np.full(len(pixel_xy), spec.demand_bits_per_user, dtype=np.float64),
         gains=np.power(10.0, gains_db / 10.0),
         noise_power=_dbm_to_w(noise_dbm),
         num_resource_units=num_rb * round(spec.duration_s * 1000.0),
         rate_scale=RESOURCE_UNIT_BANDWIDTH_HZ * RESOURCE_UNIT_TIME_S,
+        cell_xy=cell_xy,
+        azimuth_deg=cell_azimuth,
+        pixel_xy=pixel_xy,
         wrap_periods=wrap,
     )
 
@@ -262,20 +258,16 @@ def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: floa
     if not 1 <= cell_id <= instance.num_cells:
         raise ValueError(f"cell_id {cell_id} out of range 1..{instance.num_cells}")
     idx = cell_id - 1
-    old = instance.cells[idx]
+    old_az = float(instance.azimuth_deg[idx])
     new_az = float(new_azimuth_deg) % 360.0
-    old_az = old.azimuth_deg % 360.0
-    if new_az == old_az:
+    if new_az == old_az % 360.0:
         return instance
-    pixel_xy = np.array([[p.x, p.y] for p in instance.pixels])
-    _, bearing = _link_geometry(
-        np.array([old.x, old.y]), pixel_xy, instance.wrap_periods
-    )
+    _, bearing = _link_geometry(instance.cell_xy[idx], instance.pixel_xy, instance.wrap_periods)
     delta_db = sector_pattern_db(_wrap_angle(bearing - new_az)) - sector_pattern_db(
-        _wrap_angle(bearing - old.azimuth_deg)
+        _wrap_angle(bearing - old_az)
     )
     gains = instance.gains.copy()
     gains[idx] *= np.power(10.0, delta_db / 10.0)
-    cells = list(instance.cells)
-    cells[idx] = replace(old, azimuth_deg=new_az)
-    return replace(instance, cells=tuple(cells), gains=gains, serving=None)
+    azimuth = instance.azimuth_deg.copy()
+    azimuth[idx] = new_az
+    return replace(instance, azimuth_deg=azimuth, gains=gains, server_of=None)

@@ -14,9 +14,7 @@ import math
 import numpy as np
 
 from loadcouple import (
-    Cell,
     NetworkInstance,
-    Pixel,
     asymptotic_linearization,
     coefficients,
     load_function,
@@ -24,23 +22,23 @@ from loadcouple import (
 
 
 def build_instance(gains, demands, powers, noise, num_resource_units=100, rate_scale=1.0,
-                   serving=None) -> NetworkInstance:
+                   server_of=None) -> NetworkInstance:
     """Instance from raw arrays; serving defaults to best server."""
-    gains = np.asarray(gains, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
-    powers = np.asarray(powers, dtype=np.float64)
-    n, m = gains.shape
-    cells = tuple(Cell(id=i + 1, power_per_ru=float(powers[i])) for i in range(n))
-    pixels = tuple(Pixel(id=j + 1, demand_bits=float(demands[j])) for j in range(m))
     return NetworkInstance(
-        cells=cells,
-        pixels=pixels,
+        power_per_ru=powers,
+        demand_bits=demands,
         gains=gains,
         noise_power=float(noise),
         num_resource_units=num_resource_units,
         rate_scale=rate_scale,
-        serving=serving,
+        server_of=server_of,
     )
+
+
+def areas(server_of, num_cells) -> tuple[tuple[int, ...], ...]:
+    """Ascending served pixel indices of each cell."""
+    server_of = np.asarray(server_of)
+    return tuple(tuple(np.flatnonzero(server_of == i).tolist()) for i in range(num_cells))
 
 
 def eig_radius(matrix) -> float:
@@ -120,19 +118,19 @@ def pixel_loop_reference(instance, rho):
     shares no code and no data layout with the packed kernels it checks.
     """
     n = instance.num_cells
-    powers = instance.powers()
+    powers = instance.power_per_ru
     budget = instance.num_resource_units * instance.rate_scale
     load, offset = np.zeros(n), np.zeros(n)
     jac, slope = np.zeros((n, n)), np.zeros((n, n))
-    for j, pixel in enumerate(instance.pixels):
-        if pixel.demand_bits == 0.0:
+    for j, demand in enumerate(instance.demand_bits.tolist()):
+        if demand == 0.0:
             continue
-        i = int(instance.serving.server_of[j])
+        i = int(instance.server_of[j])
         own = powers[i] * instance.gains[i, j]
         rel = powers * instance.gains[:, j] / own
         rel[i] = 0.0
         noise = instance.noise_power / own
-        a = budget / pixel.demand_bits
+        a = budget / demand
         u = float(rel @ rho) + noise
         lg = math.log1p(1.0 / u)
         load[i] += math.log(2.0) / (a * lg)

@@ -90,7 +90,7 @@ def test_02_fixed_point_unique_across_starts(corpus):
         for inst in corpus[:20]:
             ends = []
             for _ in range(10):
-                start = rng.uniform(0.0, 3.0, size=len(inst.cells))
+                start = rng.uniform(0.0, 3.0, size=inst.num_cells)
                 config = solver.SolverConfig(tol_residual=1e-12, start=start)
                 report = solver.solve(inst, config)
                 assert report.status == solver.CONVERGED
@@ -111,7 +111,7 @@ def test_03_linear_verdict_matches_nonlinear_solvability(corpus):
                 cc = coupling.coefficients(scaled)
                 _, _, _, converged = solver.fixed_point_iteration(
                     cc,
-                    np.zeros(len(inst.cells)),
+                    np.zeros(inst.num_cells),
                     tol_residual=1e-10,
                     max_iter=100_000,
                 )
@@ -135,7 +135,7 @@ def test_05_derivatives_match_finite_differences(corpus):
         for _ in range(50):
             inst = corpus[int(rng.integers(len(corpus)))]
             cc = coupling.coefficients(inst)
-            n = len(inst.cells)
+            n = inst.num_cells
             rho = rng.uniform(0.05, 1.5, size=n)
             jac = coupling.jacobian(cc, rho)
             approx = fd_jacobian(cc, rho)
@@ -161,7 +161,7 @@ def test_06_loads_strictly_concave(corpus):
         for t in range(100):
             inst = corpus[picks[t % 20]]
             cc = coupling.coefficients(inst)
-            n = len(inst.cells)
+            n = inst.num_cells
             rho = rng.uniform(0.0, 2.0, size=n)
             for cell in range(n):
                 top = np.max(np.linalg.eigvalsh(coupling.cell_hessian(cc, cell, rho)))
@@ -169,7 +169,7 @@ def test_06_loads_strictly_concave(corpus):
         for t in range(1000):
             inst = corpus[picks[t % 20]]
             cc = coupling.coefficients(inst)
-            n = len(inst.cells)
+            n = inst.num_cells
             first = rng.uniform(0.0, 2.0, size=n)
             second = rng.uniform(0.0, 2.0, size=n)
             mid = coupling.load_function(cc, 0.5 * (first + second))
@@ -185,7 +185,7 @@ def test_07_jacobian_flattens_to_asymptotic_slope(corpus):
         for idx in rng.choice(len(corpus), size=20, replace=False):
             inst = corpus[int(idx)]
             cc = coupling.coefficients(inst)
-            n = len(inst.cells)
+            n = inst.num_cells
             slope = coupling.asymptotic_linearization(cc).slope
             jac = coupling.jacobian(cc, np.full(n, 1e6))
             off = ~np.eye(n, dtype=bool)
@@ -199,7 +199,7 @@ def test_08_affine_envelope_brackets_the_map(corpus):
         for idx in rng.choice(len(corpus), size=20, replace=False):
             inst = corpus[int(idx)]
             cc = coupling.coefficients(inst)
-            n = len(inst.cells)
+            n = inst.num_cells
             base = coupling.asymptotic_linearization(cc)
             tangent = coupling.tangent_linearization(cc, rng.uniform(0.05, 1.5, size=n))
             for _ in range(50):
@@ -244,7 +244,7 @@ def test_10_no_admissible_point_beats_fixed_point_total(corpus, fixed_points):
         # the volume check on the twenty smallest instances
         by_size = sorted(
             range(len(corpus)),
-            key=lambda i: (len(corpus[i].cells), len(corpus[i].pixels)),
+            key=lambda i: (corpus[i].num_cells, corpus[i].num_pixels),
         )
         chosen = by_size[:20]
         per_instance = 100_000 // 20

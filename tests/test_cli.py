@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import csv
 import functools
+import hashlib
+import io
 import json
 import re
 import shutil
@@ -274,6 +277,90 @@ def test_generate_and_rotate(tmp_path):
                  "--rotate", "1-180"]) == 2
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stdout_digest(argv) -> str:
+    """sha256 of one CLI run's exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return _sha256(f"{code}\n{out.getvalue()}".encode())
+
+
+FROZEN_COMMANDS = [
+    ("solve", []),
+    ("feasibility", []),
+    ("bounds", []),
+    ("sweep", ["--scales", "1:16:8"]),
+    ("boundary", ["--lo", "0.01", "--hi", "100"]),
+]
+
+# sha256 of every instance file ``generate`` writes for the seed-7 scenarios
+# with 9 and 36 cells (80 kbit per user), unrotated and with cell 2 turned
+# to 45 degrees, and of every command's exit code and stdout on them; the
+# sweep crosses the feasibility boundary of both sizes
+FROZEN_FILES = {
+    "n9": "a724209a0c37ef5eba55bafbd98af7ffe17dbdc69c3c2e5bdbffa2b48fe04b33",
+    "n9_rot": "9ce0e43e08fde82430edc7f53172e8c00cdaaf85025a935c7f15a1446c8d4f24",
+    "n36": "05bc6e3bf89bf9145b06b237804cdef2b603806483ac057bddec752d252051ef",
+    "n36_rot": "c535e2b36dada001f12a5f22d248b6654a224c3bda1eb6665ba75a0be98ff532",
+}
+FROZEN_STDOUT = {
+    "n9 solve": "ef9356173c37b1598f8424d22a007afe52ad606134fc0f68405946453d5c0ed2",
+    "n9 feasibility": "20e65291ccad69561e4c1ffca5b74346c5cf8f39777040c184f41241a6db536f",
+    "n9 bounds": "c40fbc0970684cc50bffd8680bc14f74827e15bb4744cb88bd176617f75ff7d6",
+    "n9 sweep": "4a73d27c162e2b7047d340bdfc8dc0362931dedd4d99726f73eb19ba4ea9bb03",
+    "n9 boundary": "048e8472aadecbc8d91f630ffdd4a3e7732b4595e3179964942c9bb36c1587df",
+    "n9_rot solve": "61a0fd92334657801f62b257b97286c19f430d9653b1992ff41f44e8c2c5ab1c",
+    "n9_rot feasibility": "37cf64ef6a49bfed7768b6ea581508b810624e02867dceda7761b5dcb0db0c3c",
+    "n9_rot bounds": "2a6eae5808afc9eac62d37502ed5369ed9a1dc377f00b8585bd42f5f3a7af15c",
+    "n9_rot sweep": "972416ff684780b9c4bb640440903dade942abf1a106065ad3c885f071ea5288",
+    "n9_rot boundary": "effd99f38fab5a08ac1a401f3d2d1844ea57626f8d127cbcd13ffce8393839f3",
+    "n9 compare": "3bb3ab1176837a1526f2a54ebc6fa1dfdd037821240f6b9a8d38b230cdaa336a",
+    "n36 solve": "cc79730438401a01edc1bcc8b18d35514755427e63b82a044380f9e9f300a117",
+    "n36 feasibility": "622cb05e6a92dd26d1b7a326d98fa54f568c2ef900814c18825ce47d877f749b",
+    "n36 bounds": "7fb241a7c60271ee20195ef65f45cfcf42f0ea9f302b2ff92791db0a9921911b",
+    "n36 sweep": "6dd0ed20caf80bf7070000a4eb39c6bab8a4ebc343814e3383745b3507304575",
+    "n36 boundary": "5816ca67f76f729da4a67aebb6f5c8c4a11a33bde7136e7b4fd1f5cb783b0ad9",
+    "n36_rot solve": "e55c006ecbf228aabe17f3c92b7b656d01fcbb35eeb5f57dc56250853e0bc1aa",
+    "n36_rot feasibility": "c08b4196688a8d818db5c74f6d1e170a7daf0d97be8b91e1fd0848ef30970086",
+    "n36_rot bounds": "10abe3c4a3db59f48c22fab7743d44d1f6dadfc64d6765355d6100a5d08495fa",
+    "n36_rot sweep": "1240a604838ac655e4237ff6a02d00d2240340e5967b0ff7a8ecd491ef670b63",
+    "n36_rot boundary": "5d001589ee2412fc24194eca3b701d19cc875d208012067858c55bbd13ef66f4",
+    "n36 compare": "3ea173b4bf895d13f7c7a5213db104f2f3b3f8742eac7cedfd365c4e49778048",
+}
+
+
+@pytest.fixture(scope="module")
+def frozen_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("frozen")
+    files, stdout = {}, {}
+    for name, sites in (("n9", 3), ("n36", 12)):
+        spec = root / f"{name}_spec.json"
+        spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
+                                    "demand_bits_per_user": 80_000.0}))
+        paths = [root / f"{name}.json", root / f"{name}_rot.json"]
+        for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
+            _stdout_digest(["generate", "--spec", str(spec), "--out", str(path), *rotate])
+            files[path.stem] = _sha256(path.read_bytes())
+            for command, extra in FROZEN_COMMANDS:
+                stdout[f"{path.stem} {command}"] = _stdout_digest(
+                    [command, "--instance", str(path), *extra])
+        stdout[f"{name} compare"] = _stdout_digest(
+            ["compare", "--a", str(paths[0]), "--b", str(paths[1])])
+    return files, stdout
+
+
+def test_generate_writes_frozen_files(frozen_outputs):
+    assert frozen_outputs[0] == FROZEN_FILES
+
+
+def test_cli_stdout_is_frozen(frozen_outputs):
+    assert frozen_outputs[1] == FROZEN_STDOUT
+
+
 def test_invalid_inputs_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["solve", "--instance", str(missing)]) == 2
@@ -312,6 +399,34 @@ def test_invalid_inputs_exit_2(tmp_path):
     badspec = tmp_path / "badspec.json"
     badspec.write_text(json.dumps({"carrier_mhz": 2000}))
     assert main(["generate", "--spec", str(badspec), "--out", str(tmp_path / "x.json")]) == 2
+
+
+def _set_gain_db(doc):
+    doc["gains_db"][0][0] = 1e300
+
+
+MALFORMED = {
+    "cells=5": lambda doc: doc.update(cells=5),
+    "pixels=null": lambda doc: doc.update(pixels=None),
+    "serving=null": lambda doc: doc.update(serving=None),
+    "num_resource_units=10**400": lambda doc: doc.update(num_resource_units=10**400),
+    "power_per_ru_w=5e-324": lambda doc: doc["cells"][0].update(power_per_ru_w=5e-324),
+    "gains_db=1e300": _set_gain_db,
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_instance_exits_2_with_one_error_line(tmp_path, capsys, case):
+    rng = np.random.default_rng(SEED + 30)
+    path = _write_instance(tmp_path, random_instance(rng, 3, 2, radius_target=0.5))
+    doc = json.loads(path.read_text())
+    MALFORMED[case](doc)
+    path.write_text(json.dumps(doc))
+    for command, extra in (("solve", []), ("feasibility", []), ("sweep", ["--scales", "0.5:1:2"]),
+                           ("boundary", ["--lo", "0.1", "--hi", "10"]), ("bounds", [])):
+        assert main([command, "--instance", str(path), *extra]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     SYMMETRIC_PAIR_LOAD,
+    areas,
     build_instance,
     fd_hessian_entry,
     fd_jacobian,
@@ -14,7 +15,6 @@ from helpers import (
 )
 from loadcouple import (
     LinearizedSystem,
-    ServingAssignment,
     asymptotic_linearization,
     cell_hessian,
     coefficients,
@@ -38,7 +38,7 @@ def test_coefficient_values_single_pixel_each():
                               noise=1e-8, num_resource_units=10, rate_scale=5.0)
     cc = coefficients(instance)
     assert cc.num_cells == 2
-    assert list(instance.serving.server_of) == [0, 1]
+    assert list(instance.server_of) == [0, 1]
     # budget per demand: num_resource_units * rate_scale / demand
     assert cc.rate_per_demand[0][0] == 10 * 5.0 / 50.0
     assert cc.rate_per_demand[1][0] == 10 * 5.0 / 20.0
@@ -64,10 +64,10 @@ def test_sinr_matches_direct_formula():
     rng = np.random.default_rng(SEED)
     instance = random_instance(rng, 4, 5)
     cc = coefficients(instance)
-    powers = instance.powers()
+    powers = instance.power_per_ru
     rho = rng.uniform(0.0, 1.0, 4)
     for i in range(4):
-        for j in instance.serving.areas[i]:
+        for j in areas(instance.server_of, 4)[i]:
             interference = sum(
                 powers[k] * instance.gains[k, j] * rho[k] for k in range(4) if k != i
             )
@@ -89,7 +89,7 @@ def test_sinr_rejects_pixel_not_in_area():
     rng = np.random.default_rng(SEED + 2)
     instance = random_instance(rng, 3, 4)
     cc = coefficients(instance)
-    j = instance.serving.areas[0][0]
+    j = areas(instance.server_of, 3)[0][0]
     with pytest.raises(ValueError):
         sinr(cc, 1, j, np.zeros(3))
 
@@ -110,7 +110,7 @@ def test_load_single_cell_is_constant():
     cc = coefficients(instance)
     expected = 0.0
     for j in range(2):
-        a = 4 * 2.0 / instance.pixels[j].demand_bits
+        a = 4 * 2.0 / instance.demand_bits[j]
         c = 1e-9 / gains[0, j]
         expected += math.log(2) / (a * math.log1p(1.0 / c))
     for rho in ([0.0], [0.5], [123.0]):
@@ -326,7 +326,7 @@ def test_empty_area_gives_zero_row_and_offset():
     # cell 2 loses both pixels to cell 1: its load is identically zero
     gains = np.array([[1e-7, 9e-8], [1e-8, 2e-8]])
     instance = build_instance(gains, demands=[5.0, 5.0], powers=[1.0, 1.0], noise=1e-9)
-    assert list(instance.serving.server_of) == [0, 0]
+    assert list(instance.server_of) == [0, 0]
     cc = coefficients(instance)
     system = asymptotic_linearization(cc)
     assert np.all(system.slope[1, :] == 0.0)
@@ -347,9 +347,8 @@ def _instance_with_empty_cell(rng, n, empty):
     server_of[:2] = empty
     server_of[5:7] = -1
     demands[:7] = 0.0
-    serving = ServingAssignment(server_of, n)
     powers = 10.0 ** rng.uniform(-0.3, 0.3, n)
-    return build_instance(gains, demands, powers, noise=1e-9, serving=serving)
+    return build_instance(gains, demands, powers, noise=1e-9, server_of=server_of)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -381,8 +380,8 @@ def test_per_cell_fields_are_views_of_packed_arrays():
         assert all(np.shares_memory(view, packed) for view in per_cell if view.size)
         assert sum(view.nbytes for view in per_cell) == packed.nbytes
     for i in range(4):
-        assert list(cc.pixel_idx[i]) == [j for j in instance.serving.areas[i]
-                                         if instance.pixels[j].demand_bits > 0]
+        assert list(cc.pixel_idx[i]) == [j for j in areas(instance.server_of, 4)[i]
+                                         if instance.demand_bits[j] > 0]
 
 
 def test_scaled_matches_rebuilt_coefficients():

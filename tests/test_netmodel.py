@@ -1,18 +1,19 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import build_instance, random_instance
+from helpers import areas, build_instance, random_instance
 from loadcouple import (
-    Cell,
     NetworkInstance,
-    Pixel,
     ScenarioSpec,
     SchemaError,
     SchemaVersionError,
-    ServingAssignment,
     assign_best_server,
     generate,
     load_instance,
@@ -61,31 +62,22 @@ def test_validate_flags_bad_values(overrides, code):
 
 def test_validate_unserved_demand_pixel():
     instance = _small_instance()
-    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    bad = dataclasses.replace(instance, serving=serving)
+    bad = dataclasses.replace(instance, server_of=[0, -1])
     assert "unserved_demand_pixel" in [v.code for v in validate(bad)]
 
 
 def test_validate_unserved_zero_demand_pixel_is_fine():
     instance = _small_instance(demands=[10.0, 0.0])
-    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    assert validate(dataclasses.replace(instance, serving=serving)) == []
-
-
-def test_validate_inconsistent_serving_areas():
-    instance = _small_instance()
-    # a serving map built for three cells on a two-cell instance
-    bad = dataclasses.replace(instance, serving=ServingAssignment(np.array([0, 1]), 3))
-    assert "serving_inconsistent" in [v.code for v in validate(bad)]
+    assert validate(dataclasses.replace(instance, server_of=[0, -1])) == []
 
 
 def test_validate_gain_shape_mismatch():
     instance = _small_instance()
     wrong = NetworkInstance(
-        cells=instance.cells,
-        pixels=instance.pixels,
+        power_per_ru=instance.power_per_ru,
+        demand_bits=instance.demand_bits,
         gains=np.ones((2, 3)) * 1e-8,
-        serving=ServingAssignment(np.array([0, 1, 1], dtype=np.int64), 2),
+        server_of=[0, 1],
         noise_power=instance.noise_power,
         num_resource_units=instance.num_resource_units,
         rate_scale=instance.rate_scale,
@@ -98,47 +90,46 @@ def test_instance_arrays_are_immutable():
     with pytest.raises(ValueError):
         instance.gains[0, 0] = 1.0
     with pytest.raises(ValueError):
-        instance.serving.server_of[0] = 1
+        instance.server_of[0] = 1
 
 
 def test_best_server_matches_bruteforce():
     rng = np.random.default_rng(SEED + 1)
     for _ in range(20):
         instance = random_instance(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
-        serving = assign_best_server(instance)
-        powers = instance.powers()
+        server_of = assign_best_server(instance)
+        powers = instance.power_per_ru
         for j in range(instance.num_pixels):
             received = [powers[i] * instance.gains[i, j] for i in range(instance.num_cells)]
             best = max(range(instance.num_cells), key=lambda i: (received[i], -i))
-            assert serving.server_of[j] == best
+            assert server_of[j] == best
 
 
 def test_best_server_tie_breaks_lowest_cell():
     gains = np.array([[1e-7, 4e-8], [1e-7, 4e-8], [5e-8, 4e-8]])
     instance = build_instance(gains, demands=[1.0, 1.0], powers=[1.0, 1.0, 1.0], noise=1e-9)
-    assert list(instance.serving.server_of) == [0, 0]
+    assert list(instance.server_of) == [0, 0]
 
 
 def test_areas_sorted_and_consistent():
     rng = np.random.default_rng(SEED + 2)
     instance = random_instance(rng, 5, 7)
     # unassigned pixels, and empty first, middle and last cells
-    sparse = ServingAssignment(np.array([3, -1, 1, 3, -1, 1, 1]), 5)
-    assert sparse.areas == ((), (2, 5, 6), (), (0, 3), ())
-    for serving in (instance.serving, sparse):
-        assert len(serving.areas) == serving.num_cells
-        for i, area in enumerate(serving.areas):
+    sparse = np.array([3, -1, 1, 3, -1, 1, 1])
+    assert areas(sparse, 5) == ((), (2, 5, 6), (), (0, 3), ())
+    for server_of in (instance.server_of, sparse):
+        cell_areas = areas(server_of, 5)
+        assert len(cell_areas) == 5
+        for i, area in enumerate(cell_areas):
             assert list(area) == sorted(area)
-            assert all(type(j) is int and serving.server_of[j] == i for j in area)
-        served = sorted(j for area in serving.areas for j in area)
-        assert served == np.flatnonzero(serving.server_of >= 0).tolist()
+            assert all(type(j) is int and server_of[j] == i for j in area)
+        served = sorted(j for area in cell_areas for j in area)
+        assert served == np.flatnonzero(server_of >= 0).tolist()
 
 
 def _changed_fields(before, after) -> set:
     """Names of the instance fields whose values differ between two instances."""
     def same(a, b):
-        if isinstance(a, ServingAssignment):
-            return a.num_cells == b.num_cells and np.array_equal(a.server_of, b.server_of)
         if isinstance(a, np.ndarray):
             return np.array_equal(a, b)
         return a == b
@@ -148,40 +139,42 @@ def _changed_fields(before, after) -> set:
 
 def test_copies_change_only_the_named_field():
     instance = generate(ScenarioSpec(users_per_cell_area=6, rng_seed=3))
-    assert np.array_equal(instance.serving.server_of, assign_best_server(instance).server_of)
+    assert np.array_equal(instance.server_of, assign_best_server(instance))
 
-    all_to_first = ServingAssignment(np.zeros(instance.num_pixels), instance.num_cells)
-    reassigned = dataclasses.replace(instance, serving=all_to_first)
-    assert _changed_fields(instance, reassigned) == {"serving"}
-    assert reassigned.serving is all_to_first
+    reassigned = dataclasses.replace(instance, server_of=np.zeros(instance.num_pixels))
+    assert _changed_fields(instance, reassigned) == {"server_of"}
+    assert not reassigned.server_of.any()
 
     scaled = instance.with_demand_scale(2.0)
-    assert _changed_fields(instance, scaled) == {"pixels"}
-    assert np.array_equal(scaled.demands(), 2.0 * instance.demands())
-    assert scaled.serving is instance.serving
+    assert _changed_fields(instance, scaled) == {"demand_bits"}
+    assert np.array_equal(scaled.demand_bits, 2.0 * instance.demand_bits)
+    assert np.array_equal(scaled.server_of, instance.server_of)
 
     turned = rotate_sector(reassigned, 1, 180.0)
-    assert _changed_fields(reassigned, turned) == {"cells", "gains", "serving"}
-    assert np.array_equal(turned.serving.server_of, assign_best_server(turned).server_of)
+    assert _changed_fields(reassigned, turned) == {"azimuth_deg", "gains", "server_of"}
+    assert np.array_equal(turned.server_of, assign_best_server(turned))
 
-    # built without a serving map: best server of its own cells and gains
+    # built without a serving map: best server of its own powers and gains
     fresh = NetworkInstance(
-        cells=reassigned.cells,
-        pixels=reassigned.pixels,
+        power_per_ru=reassigned.power_per_ru,
+        demand_bits=reassigned.demand_bits,
         gains=reassigned.gains,
         noise_power=reassigned.noise_power,
         num_resource_units=reassigned.num_resource_units,
         rate_scale=reassigned.rate_scale,
+        cell_xy=reassigned.cell_xy,
+        azimuth_deg=reassigned.azimuth_deg,
+        pixel_xy=reassigned.pixel_xy,
         wrap_periods=reassigned.wrap_periods,
     )
     assert _changed_fields(instance, fresh) == set()
-    assert np.array_equal(fresh.serving.server_of, assign_best_server(fresh).server_of)
+    assert np.array_equal(fresh.server_of, assign_best_server(fresh))
 
 
 def test_with_demand_scale():
     instance = _small_instance()
     scaled = instance.with_demand_scale(2.5)
-    assert np.array_equal(scaled.demands(), instance.demands() * 2.5)
+    assert np.array_equal(scaled.demand_bits, instance.demand_bits * 2.5)
     assert np.array_equal(scaled.gains, instance.gains)
     with pytest.raises(ValueError):
         instance.with_demand_scale(-1.0)
@@ -195,12 +188,12 @@ def test_save_load_roundtrip_values(tmp_path):
     loaded = load_instance(path)
     assert loaded.num_cells == instance.num_cells
     assert loaded.num_pixels == instance.num_pixels
-    assert np.array_equal(loaded.serving.server_of, instance.serving.server_of)
+    assert np.array_equal(loaded.server_of, instance.server_of)
     assert loaded.noise_power == instance.noise_power
     assert loaded.num_resource_units == instance.num_resource_units
     assert loaded.rate_scale == instance.rate_scale
-    assert np.array_equal(loaded.demands(), instance.demands())
-    assert np.array_equal(loaded.powers(), instance.powers())
+    assert np.array_equal(loaded.demand_bits, instance.demand_bits)
+    assert np.array_equal(loaded.power_per_ru, instance.power_per_ru)
     # gains pass through a decibel encoding; one trip may round by < 1e-15
     np.testing.assert_allclose(loaded.gains, instance.gains, rtol=1e-13)
 
@@ -227,12 +220,9 @@ def test_save_load_bit_exact_after_first_trip(tmp_path):
 
 def _assert_same_instance(a, b):
     assert np.array_equal(a.gains, b.gains)
-    assert np.array_equal(a.serving.server_of, b.serving.server_of)
-    assert np.array_equal(a.demands(), b.demands())
-    assert np.array_equal(a.powers(), b.powers())
-    assert [(c.x, c.y, c.azimuth_deg) for c in a.cells] == [(c.x, c.y, c.azimuth_deg) for c in b.cells]
-    assert [(p.x, p.y) for p in a.pixels] == [(p.x, p.y) for p in b.pixels]
-    assert np.array_equal(a.wrap_periods, b.wrap_periods)
+    for name in ("server_of", "demand_bits", "power_per_ru", "cell_xy", "azimuth_deg", "pixel_xy",
+                 "wrap_periods"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     for name in ("noise_power", "num_resource_units", "rate_scale"):
         assert getattr(a, name) == getattr(b, name)
 
@@ -292,12 +282,11 @@ def test_gains_to_db_matches_the_entrywise_scan():
 
 def test_save_load_preserves_unassigned_pixel(tmp_path):
     instance = _small_instance(demands=[10.0, 0.0])
-    serving = ServingAssignment(np.array([0, -1], dtype=np.int64), 2)
-    instance = dataclasses.replace(instance, serving=serving)
+    instance = dataclasses.replace(instance, server_of=[0, -1])
     path = tmp_path / "inst.json"
     save_instance(instance, path)
     loaded = load_instance(path)
-    assert list(loaded.serving.server_of) == [0, -1]
+    assert list(loaded.server_of) == [0, -1]
 
 
 def test_load_without_serving_uses_best_server(tmp_path):
@@ -308,8 +297,7 @@ def test_load_without_serving_uses_best_server(tmp_path):
     del raw["serving"]
     path.write_text(json.dumps(raw))
     loaded = load_instance(path)
-    expected = assign_best_server(loaded)
-    assert np.array_equal(loaded.serving.server_of, expected.server_of)
+    assert np.array_equal(loaded.server_of, assign_best_server(loaded))
 
 
 def test_load_rejects_bad_version(tmp_path):
@@ -376,26 +364,79 @@ def test_load_rejects_unknown_serving_ids(tmp_path):
 
 
 def test_cell_and_pixel_metadata_roundtrip(tmp_path):
-    cells = (
-        Cell(id=1, power_per_ru=0.5, x=10.0, y=-3.5, azimuth_deg=120.0),
-        Cell(id=2, power_per_ru=0.25, x=0.0, y=4.0, azimuth_deg=240.0),
-    )
-    pixels = (Pixel(id=1, demand_bits=5.0, x=1.5, y=2.5),)
-    gains = np.array([[1e-7], [2e-8]])
-    serving = ServingAssignment(np.array([0], dtype=np.int64), 2)
     instance = NetworkInstance(
-        cells=cells,
-        pixels=pixels,
-        gains=gains,
-        serving=serving,
+        power_per_ru=[0.5, 0.25],
+        demand_bits=[5.0],
+        gains=np.array([[1e-7], [2e-8]]),
+        server_of=[0],
         noise_power=1e-9,
         num_resource_units=100,
         rate_scale=180.0,
+        cell_xy=[[10.0, -3.5], [0.0, 4.0]],
+        azimuth_deg=[120.0, 240.0],
+        pixel_xy=[[1.5, 2.5]],
         wrap_periods=((750.0, 433.0), (0.0, 866.0)),
     )
     path = tmp_path / "meta.json"
     save_instance(instance, path)
     loaded = load_instance(path)
-    assert loaded.cells == cells
-    assert loaded.pixels == pixels
-    assert np.array_equal(loaded.wrap_periods, instance.wrap_periods)
+    for name in ("power_per_ru", "cell_xy", "azimuth_deg", "demand_bits", "pixel_xy",
+                 "wrap_periods"):
+        assert np.array_equal(getattr(loaded, name), getattr(instance, name))
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_instances(draw):
+    """Any instance that validates, with some unserved zero-demand pixels."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    unserved = draw(arrays(bool, m))
+    demand = draw(arrays(np.float64, m, elements=st.floats(0.0, 1e300)))
+    server_of = draw(arrays(np.int64, m, elements=st.integers(0, n - 1)))
+    demand[unserved], server_of[unserved] = 0.0, -1
+    instance = NetworkInstance(
+        power_per_ru=draw(arrays(np.float64, n, elements=_POSITIVE)),
+        demand_bits=demand,
+        gains=draw(arrays(np.float64, (n, m), elements=_POSITIVE)),
+        noise_power=draw(_POSITIVE),
+        num_resource_units=draw(st.integers(1, 10**400)),
+        rate_scale=draw(_POSITIVE),
+        cell_xy=draw(arrays(np.float64, (n, 2), elements=_FINITE)),
+        azimuth_deg=draw(arrays(np.float64, n, elements=_FINITE)),
+        pixel_xy=draw(arrays(np.float64, (m, 2), elements=_FINITE)),
+        wrap_periods=draw(st.none() | arrays(np.float64, (2, 2), elements=_FINITE)),
+        server_of=server_of,
+    )
+    assert validate(instance) == []
+    return instance
+
+
+def _assert_same_columns(a, b):
+    for name in ("power_per_ru", "demand_bits", "cell_xy", "azimuth_deg", "pixel_xy", "server_of"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.wrap_periods is None) == (b.wrap_periods is None)
+    assert a.wrap_periods is None or np.array_equal(a.wrap_periods, b.wrap_periods)
+    for name in ("noise_power", "num_resource_units", "rate_scale"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@settings(max_examples=60)
+@given(instance=_valid_instances())
+def test_valid_instance_saves_and_loads_back_equal(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"trip{k}.json" for k in range(2)]
+        save_instance(instance, paths[0])
+        once = load_instance(paths[0])
+        _assert_same_columns(once, instance)
+        assert validate(once) == []
+        # the first trip may move a gain by up to one step of its dB value, at
+        # most ln(10) / 10 * 2**-41 ~ 1.05e-13 relative for |dB| < 4096; later
+        # trips by none
+        np.testing.assert_allclose(once.gains, instance.gains, rtol=2e-13)
+        save_instance(once, paths[1])
+        twice = load_instance(paths[1])
+        _assert_same_columns(twice, instance)
+        assert np.array_equal(twice.gains, once.gains)

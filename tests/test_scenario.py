@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import areas
 from loadcouple import (
     ScenarioSpec,
     SchemaError,
@@ -28,15 +29,15 @@ def test_default_spec_shape_and_units():
     assert instance.num_pixels == 270
     assert instance.num_resource_units == 50 * 1000
     assert instance.rate_scale == 180.0
-    assert np.all(instance.demands() == 400_000.0)
+    assert np.all(instance.demand_bits == 400_000.0)
     # 46 dBm shared equally over 50 resource blocks
-    np.testing.assert_allclose(instance.powers(), 10.0 ** 1.6 / 50.0, rtol=1e-12)
+    np.testing.assert_allclose(instance.power_per_ru, 10.0 ** 1.6 / 50.0, rtol=1e-12)
     # -174 dBm/Hz thermal floor + 9 dB noise figure over one 180 kHz block
     noise_dbm = -174.0 + 10.0 * math.log10(180e3) + 9.0
     np.testing.assert_allclose(instance.noise_power, 10.0 ** ((noise_dbm - 30.0) / 10.0),
                                rtol=1e-12)
-    assert [c.azimuth_deg for c in instance.cells] == [0.0, 120.0, 240.0] * 3
-    sites = sorted({(c.x, c.y) for c in instance.cells})
+    assert instance.azimuth_deg.tolist() == [0.0, 120.0, 240.0] * 3
+    sites = sorted(set(map(tuple, instance.cell_xy.tolist())))
     assert len(sites) == 3
     np.testing.assert_allclose(
         sites, [(0.0, 0.0), (250.0, 500.0 * math.sqrt(3) / 2), (500.0, 0.0)], atol=1e-9
@@ -65,7 +66,7 @@ GENERATOR_DIGESTS = {
 def test_generator_output_is_frozen(wraparound):
     instance = generate(ScenarioSpec(num_sites=3, rng_seed=20261018, wraparound=wraparound))
     digest = hashlib.sha256(instance.gains.tobytes())
-    digest.update(np.array([[p.x, p.y] for p in instance.pixels]).tobytes())
+    digest.update(instance.pixel_xy.tobytes())
     assert digest.hexdigest() == GENERATOR_DIGESTS[wraparound]
 
 
@@ -111,9 +112,10 @@ def test_gains_recomputable_without_wraparound():
     instance = generate(spec)
     assert instance.wrap_periods is None
     corr = 3.2 * math.log10(11.75 * 1.5) ** 2 - 4.97
-    for i, cell in enumerate(instance.cells):
-        for j, pixel in enumerate(instance.pixels):
-            d = max(math.hypot(pixel.x - cell.x, pixel.y - cell.y), 10.0)
+    for i, ((cx, cy), azimuth) in enumerate(zip(instance.cell_xy.tolist(),
+                                                instance.azimuth_deg.tolist())):
+        for j, (px, py) in enumerate(instance.pixel_xy.tolist()):
+            d = max(math.hypot(px - cx, py - cy), 10.0)
             loss = (
                 69.55
                 + 26.16 * math.log10(2000.0)
@@ -121,8 +123,8 @@ def test_gains_recomputable_without_wraparound():
                 - corr
                 + (44.9 - 6.55 * math.log10(30.0)) * math.log10(d / 1000.0)
             )
-            bearing = math.degrees(math.atan2(pixel.y - cell.y, pixel.x - cell.x))
-            off = (bearing - cell.azimuth_deg + 180.0) % 360.0 - 180.0
+            bearing = math.degrees(math.atan2(py - cy, px - cx))
+            off = (bearing - azimuth + 180.0) % 360.0 - 180.0
             pattern = -min(12.0 * (off / 70.0) ** 2, 20.0)
             gain_db = -loss + 14.0 + 0.0 + pattern
             np.testing.assert_allclose(
@@ -139,11 +141,12 @@ def test_gains_recomputable_with_wraparound():
         periods, [[750.0, 500.0 * math.sqrt(3) / 2], [0.0, 500.0 * math.sqrt(3)]], atol=1e-9
     )
     corr = 3.2 * math.log10(11.75 * 1.5) ** 2 - 4.97
-    for i, cell in enumerate(instance.cells):
-        for j, pixel in enumerate(instance.pixels):
+    for i, ((cx, cy), azimuth) in enumerate(zip(instance.cell_xy.tolist(),
+                                                instance.azimuth_deg.tolist())):
+        for j, (px, py) in enumerate(instance.pixel_xy.tolist()):
             images = [
-                (pixel.x + m1 * periods[0][0] + m2 * periods[1][0] - cell.x,
-                 pixel.y + m1 * periods[0][1] + m2 * periods[1][1] - cell.y)
+                (px + m1 * periods[0][0] + m2 * periods[1][0] - cx,
+                 py + m1 * periods[0][1] + m2 * periods[1][1] - cy)
                 for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)
             ]
             dx, dy = min(images, key=lambda im: im[0] ** 2 + im[1] ** 2)
@@ -155,7 +158,7 @@ def test_gains_recomputable_with_wraparound():
                 - corr
                 + (44.9 - 6.55 * math.log10(30.0)) * math.log10(d / 1000.0)
             )
-            off = (math.degrees(math.atan2(dy, dx)) - cell.azimuth_deg + 180.0) % 360.0 - 180.0
+            off = (math.degrees(math.atan2(dy, dx)) - azimuth + 180.0) % 360.0 - 180.0
             pattern = -min(12.0 * (off / 70.0) ** 2, 20.0)
             np.testing.assert_allclose(
                 instance.gains[i, j], 10.0 ** ((-loss + 14.0 + pattern) / 10.0), rtol=1e-12
@@ -184,11 +187,10 @@ def test_user_placement_counts_and_spread():
     n_hot = round(per_cell * spec.hotspot_fraction)
     assert instance.num_pixels == per_cell * instance.num_cells
     cell_radius = spec.inter_site_distance_m / math.sqrt(3.0)
-    for i, cell in enumerate(instance.cells):
-        chunk = instance.pixels[i * per_cell:(i + 1) * per_cell]
-        xy = np.array([[p.x, p.y] for p in chunk])
+    for i, (cx, cy) in enumerate(instance.cell_xy.tolist()):
+        xy = instance.pixel_xy[i * per_cell:(i + 1) * per_cell]
         # everyone stays within the nominal wedge radius of the site
-        assert np.max(np.hypot(xy[:, 0] - cell.x, xy[:, 1] - cell.y)) <= cell_radius + 1e-9
+        assert np.max(np.hypot(xy[:, 0] - cx, xy[:, 1] - cy)) <= cell_radius + 1e-9
         # the first n_hot users cluster inside one hotspot disk
         hot = xy[:n_hot]
         centroid = hot.mean(axis=0)
@@ -200,45 +202,46 @@ def test_rotation_to_same_azimuth_is_identity():
     instance = generate(ScenarioSpec(rng_seed=4))
     assert rotate_sector(instance, 1, 0.0) is instance
     assert rotate_sector(instance, 1, 360.0) is instance
-    assert rotate_sector(instance, 5, instance.cells[4].azimuth_deg + 720.0) is instance
+    assert rotate_sector(instance, 5, instance.azimuth_deg[4] + 720.0) is instance
 
 
 def test_rotation_touches_only_one_row():
     instance = generate(ScenarioSpec(rng_seed=4))
     turned = rotate_sector(instance, 2, 45.0)
-    assert turned.cells[1].azimuth_deg == 45.0
+    assert turned.azimuth_deg[1] == 45.0
     for i in range(instance.num_cells):
         if i == 1:
             assert not np.array_equal(turned.gains[i], instance.gains[i])
         else:
             assert np.array_equal(turned.gains[i], instance.gains[i])
     # serving is rebuilt for the new gains
-    assert np.array_equal(
-        turned.serving.server_of, assign_best_server(turned).server_of
-    )
+    assert np.array_equal(turned.server_of, assign_best_server(turned))
     # untouched metadata survives
-    assert turned.cells[0] == instance.cells[0]
-    assert turned.pixels == instance.pixels
+    assert turned.azimuth_deg[0] == instance.azimuth_deg[0]
+    assert np.array_equal(turned.cell_xy, instance.cell_xy)
+    assert np.array_equal(turned.power_per_ru, instance.power_per_ru)
+    assert np.array_equal(turned.demand_bits, instance.demand_bits)
+    assert np.array_equal(turned.pixel_xy, instance.pixel_xy)
     assert turned.noise_power == instance.noise_power
 
 
 def test_rotation_round_trip_restores_gains():
     instance = generate(ScenarioSpec(rng_seed=6))
-    back = rotate_sector(rotate_sector(instance, 3, 100.0), 3, instance.cells[2].azimuth_deg)
+    back = rotate_sector(rotate_sector(instance, 3, 100.0), 3, instance.azimuth_deg[2])
     np.testing.assert_allclose(back.gains[2], instance.gains[2], rtol=1e-12)
-    assert back.cells[2].azimuth_deg == instance.cells[2].azimuth_deg % 360.0
+    assert back.azimuth_deg[2] == instance.azimuth_deg[2] % 360.0
 
 
 def test_rotation_away_sheds_served_pixels():
     instance = generate(ScenarioSpec(rng_seed=1))
     turned = rotate_sector(instance, 1, 180.0)
-    before = len(instance.serving.areas[0])
-    after = len(turned.serving.areas[0])
-    assert after < before
-    lost = set(instance.serving.areas[0]) - set(turned.serving.areas[0])
+    area_before = areas(instance.server_of, instance.num_cells)[0]
+    area_after = areas(turned.server_of, turned.num_cells)[0]
+    assert len(area_after) < len(area_before)
+    lost = set(area_before) - set(area_after)
     assert lost
     # every lost pixel is picked up by some other cell, not dropped
-    assert all(turned.serving.server_of[j] >= 0 for j in lost)
+    assert all(turned.server_of[j] >= 0 for j in lost)
 
 
 def test_spec_file_round_trip(tmp_path):
@@ -276,5 +279,5 @@ def test_generated_instance_survives_file_round_trip(tmp_path):
     loaded = load_instance(path)
     assert validate(loaded) == []
     np.testing.assert_allclose(loaded.gains, instance.gains, rtol=1e-13)
-    assert np.array_equal(loaded.serving.server_of, instance.serving.server_of)
+    assert np.array_equal(loaded.server_of, instance.server_of)
     assert np.array_equal(np.asarray(loaded.wrap_periods), np.asarray(instance.wrap_periods))
