@@ -5,21 +5,29 @@ immutable :class:`NetworkInstance` defined here, a set of read-only arrays
 and scalars.  Gains are kept linear-scale in memory.  The interchange file,
 compact one-line JSON, stores them in dB, each value chosen so that the
 load-time conversion gives the linear gain back bit for bit wherever a
-float dB value can.  A cell or pixel is identified by its position: 1-based
-in files and in reports, 0-based for array indexing internally.
+float dB value can.  Files are read and written with orjson.  The stdlib
+``json`` module reads only what orjson rejects: NaN, Infinity, numbers
+beyond the float range, and invalid JSON, whose error it locates.  A cell
+or pixel is identified by its position: 1-based in files and in reports,
+0-based for array indexing internally.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
+import orjson
 
 SCHEMA_VERSION = 1
+# int64's largest: orjson cannot write an int of 2**64 or more and reads one back as a float
+_MAX_RESOURCE_UNITS = 2**63 - 1
 
 
 class SchemaError(ValueError):
@@ -93,11 +101,19 @@ class NetworkInstance:
         return len(self.demand_bits)
 
     def with_demand_scale(self, scale: float) -> "NetworkInstance":
-        """Copy of the instance with every pixel demand multiplied by ``scale``."""
+        """Copy of the instance with every pixel demand multiplied by ``scale``.
+
+        The copy shares the other columns, which are read-only, instead of
+        copying them as ``dataclasses.replace`` would.
+        """
         if not (math.isfinite(scale) and scale >= 0):
             raise ValueError(f"demand scale must be finite and >= 0, got {scale}")
         with np.errstate(over="ignore"):  # an infinite demand is validate's to reject
-            return replace(self, demand_bits=self.demand_bits * scale)
+            demand = self.demand_bits * scale
+        demand.setflags(write=False)
+        scaled = copy.copy(self)
+        object.__setattr__(scaled, "demand_bits", demand)
+        return scaled
 
 
 @dataclass(frozen=True)
@@ -120,10 +136,11 @@ def validate(instance: NetworkInstance) -> list[Violation]:
             Violation("noise_power_nonpositive",
                       f"noise_power must be positive and finite, got {instance.noise_power}")
         )
-    if instance.num_resource_units < 1 or instance.num_resource_units != int(instance.num_resource_units):
+    units = instance.num_resource_units
+    if not 1 <= units <= _MAX_RESOURCE_UNITS or units != int(units):
         out.append(
             Violation("resource_units_nonpositive",
-                      f"num_resource_units must be a positive integer, got {instance.num_resource_units}")
+                      f"num_resource_units must be an integer in 1..2**63-1, got {units}")
         )
     if instance.rate_scale <= 0 or not math.isfinite(instance.rate_scale):
         out.append(
@@ -226,15 +243,17 @@ def save_instance(instance: NetworkInstance, path) -> None:
                 range(1, instance.num_pixels + 1), instance.demand_bits.tolist(),
                 *instance.pixel_xy.T.tolist())
         ],
-        "gains_db": _gains_to_db(instance.gains).tolist(),
+        "gains_db": _gains_to_db(instance.gains),
         "serving": [[j + 1, i + 1] for j, i in enumerate(instance.server_of.tolist()) if i >= 0],
     }
     if instance.wrap_periods is not None:
-        doc["wrap_periods_m"] = instance.wrap_periods.tolist()
-    # one C-encoder pass: json.dump, and any indent, take the pure-Python encoder
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")))
-        fh.write("\n")
+        doc["wrap_periods_m"] = instance.wrap_periods
+    try:
+        data = orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError as exc:  # num_resource_units beyond 64 bits
+        raise SchemaError(f"{path}: cannot write the instance: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _typed(value, kind: str, what: str):
@@ -262,10 +281,12 @@ def _float(value, what: str) -> float:
 
 
 def _float_matrix(rows, what: str) -> np.ndarray:
-    """``rows`` as a float64 array if it is a list of equal-length lists of JSON numbers."""
+    """``rows`` as a float64 array if it is a list of equal-length lists of finite JSON numbers."""
     try:
         if all(set(map(type, row)) <= {int, float} for row in rows):
-            return np.asarray(rows, dtype=np.float64)
+            values = np.asarray(rows, dtype=np.float64)
+            if np.all(np.abs(values) <= sys.float_info.max):  # false for nan and inf
+                return values
     except (TypeError, ValueError, OverflowError):
         pass
     raise SchemaError(f"{what} must be of type float, in rows of equal length")
@@ -308,6 +329,38 @@ def _columns(items: list, fields: tuple, where: str) -> tuple[list, np.ndarray]:
     return ids, np.array(rows, dtype=np.float64).reshape(len(items), len(fields)).T
 
 
+def _serving(pairs: list, n: int, m: int, where: str) -> np.ndarray:
+    """``server_of`` from the file's 1-based [pixel_id, cell_id] pairs, -1 for unlisted pixels.
+
+    A list of int pairs in range, each pixel listed at most once, is checked
+    and converted as one array; a list that fails is walked pair by pair, so
+    the error names the first bad pair in file order.
+    """
+    server_of = np.full(m, -1, dtype=np.int64)
+    try:
+        if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int}):
+            pixel_id, cell_id = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            if (np.all((1 <= pixel_id) & (pixel_id <= m) & (1 <= cell_id) & (cell_id <= n))
+                    and np.unique(pixel_id).size == pixel_id.size):
+                server_of[pixel_id - 1] = cell_id - 1
+                return server_of
+    except OverflowError:  # an int beyond int64
+        pass
+    for k, pair in enumerate(pairs):
+        try:
+            pixel_id, cell_id = pair
+            pixel_id, cell_id = _typed(pixel_id, "int", "pixel id"), _typed(cell_id, "int", "cell id")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: serving[{k}] must be a [pixel_id, cell_id] pair: {exc}") from exc
+        if not (1 <= pixel_id <= m) or not (1 <= cell_id <= n):
+            raise SchemaError(f"{where}: serving[{k}] references unknown pixel or cell id")
+        if server_of[pixel_id - 1] >= 0:
+            raise SchemaError(f"{where}: pixel {pixel_id} assigned more than once")
+        server_of[pixel_id - 1] = cell_id - 1
+    return server_of
+
+
 def load_instance(path) -> NetworkInstance:
     """Read an instance file, converting gains from dB and rebuilding the serving map.
 
@@ -315,11 +368,18 @@ def load_instance(path) -> NetworkInstance:
     are not kept.  Files without a ``serving`` block get a best-server
     assignment.  A wrong or missing schema version is rejected outright.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # the stdlib reads NaN, Infinity and numbers beyond the float range,
+        # which orjson rejects, and locates the error in invalid JSON
+        try:
+            doc = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(
+                f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
 
@@ -349,23 +409,12 @@ def load_instance(path) -> NetworkInstance:
     wrap = doc.get("wrap_periods_m")
     if wrap is not None:
         wrap = _float_matrix(wrap, f"{path}: wrap_periods_m")
-        if wrap.shape != (2, 2) or not np.all(np.isfinite(wrap)):
+        if wrap.shape != (2, 2):
             raise SchemaError(f"{path}: wrap_periods_m must be two finite 2-vectors")
 
     server_of = None
     if "serving" in doc:
-        server_of = np.full(m, -1, dtype=np.int64)
-        for k, pair in enumerate(_require(doc, "serving", str(path), list)):
-            try:
-                pixel_id, cell_id = pair
-                pixel_id, cell_id = _typed(pixel_id, "int", "pixel id"), _typed(cell_id, "int", "cell id")
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: serving[{k}] must be a [pixel_id, cell_id] pair: {exc}") from exc
-            if not (1 <= pixel_id <= m) or not (1 <= cell_id <= n):
-                raise SchemaError(f"{path}: serving[{k}] references unknown pixel or cell id")
-            if server_of[pixel_id - 1] >= 0:
-                raise SchemaError(f"{path}: pixel {pixel_id} assigned more than once")
-            server_of[pixel_id - 1] = cell_id - 1
+        server_of = _serving(_require(doc, "serving", str(path), list), n, m, str(path))
     return NetworkInstance(
         power_per_ru=power,
         demand_bits=demand,

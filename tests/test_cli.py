@@ -410,6 +410,8 @@ MALFORMED = {
     "pixels=null": lambda doc: doc.update(pixels=None),
     "serving=null": lambda doc: doc.update(serving=None),
     "num_resource_units=10**400": lambda doc: doc.update(num_resource_units=10**400),
+    # orjson reads a literal of 2**64 or more as a float, here 2**64 exactly
+    "num_resource_units=2**64+1": lambda doc: doc.update(num_resource_units=2**64 + 1),
     "power_per_ru_w=5e-324": lambda doc: doc["cells"][0].update(power_per_ru_w=5e-324),
     "gains_db=1e300": _set_gain_db,
 }
@@ -443,6 +445,16 @@ def test_generate_rejects_mistyped_spec_field(tmp_path, capsys, field, value):
     spec.write_text(json.dumps({"users_per_cell_area": 4, field: value}))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_generate_rejects_a_spec_whose_instance_cannot_be_written(tmp_path, capsys):
+    """A duration of 1e20 s gives 2**64 or more resource units, more than a file can carry."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_sites": 1, "users_per_cell_area": 2, "duration_s": 1e20}))
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "64-bit" in err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -487,12 +499,16 @@ def test_solve_rejects_non_integer_instance_field(tmp_path, capsys, mutate):
     (None, "gains_db", [[-70.0] * 4, [-70.0, -70.0, True, -70.0]]),
     (None, "wrap_periods_m", [["750", "0"], [True, "866"]]),
     (None, "wrap_periods_m", [[750.0, 0.0], [True, 866.0]]),
+    ("cells", "power_per_ru_w", float("inf")),
+    ("cells", "x_m", float("-inf")),
+    (None, "gains_db", [[float("inf"), -70.0, -70.0, -70.0], [-70.0] * 4]),
+    (None, "gains_db", [[-70.0] * 4, [-70.0, float("-inf"), -70.0, -70.0]]),
 ])
 def test_solve_rejects_non_float_instance_field(tmp_path, capsys, where, field, value):
     path = _write_instance(tmp_path, frozen_two_cell())
     doc = json.loads(path.read_text())
     (doc if where is None else doc[where][0])[field] = value
-    path.write_text(json.dumps(doc))  # a nan is written as the JSON extension NaN
+    path.write_text(json.dumps(doc))  # nan and inf are written as the JSON extensions NaN, Infinity
     assert main(["solve", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert field in err and "must be of type float" in err

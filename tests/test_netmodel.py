@@ -53,6 +53,7 @@ def _small_instance(**overrides):
         (dict(gains=np.array([[1e-7, 0.0], [3e-8, 9e-8]])), "gain_nonpositive"),
         (dict(num_resource_units=0), "resource_units_nonpositive"),
         (dict(rate_scale=0.0), "rate_scale_nonpositive"),
+        (dict(num_resource_units=2**63), "resource_units_nonpositive"),
     ],
 )
 def test_validate_flags_bad_values(overrides, code):
@@ -171,6 +172,14 @@ def test_copies_change_only_the_named_field():
     assert np.array_equal(fresh.server_of, assign_best_server(fresh))
 
 
+def test_resource_units_range_is_int64():
+    """A file cannot carry 2**64 or more exactly, so validate stops at int64's largest."""
+    assert validate(_small_instance(num_resource_units=2**63 - 1)) == []
+    [violation] = validate(_small_instance(num_resource_units=2**63))
+    assert violation.code == "resource_units_nonpositive"
+    assert "1..2**63-1" in violation.message
+
+
 def test_with_demand_scale():
     instance = _small_instance()
     scaled = instance.with_demand_scale(2.5)
@@ -178,6 +187,36 @@ def test_with_demand_scale():
     assert np.array_equal(scaled.gains, instance.gains)
     with pytest.raises(ValueError):
         instance.with_demand_scale(-1.0)
+
+
+def test_demand_scaled_copy_shares_the_other_columns():
+    instance = generate(ScenarioSpec(users_per_cell_area=6, rng_seed=3))
+    scaled = instance.with_demand_scale(2.0)
+    for name in ("gains", "power_per_ru", "server_of", "pixel_xy"):
+        column = getattr(scaled, name)
+        assert np.shares_memory(column, getattr(instance, name)), name
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert not scaled.demand_bits.flags.writeable
+    assert np.array_equal(scaled.demand_bits, 2.0 * instance.demand_bits)
+
+
+def test_instance_does_not_follow_a_writable_source_array():
+    gains = np.array([[1e-7, 2e-8], [3e-8, 9e-8]])
+    demands = np.array([10.0, 20.0])
+    instance = _small_instance(gains=gains, demands=demands)
+    gains[0, 0], demands[1] = 5.0, -1.0
+    assert instance.gains[0, 0] == 1e-7 and instance.demand_bits[1] == 20.0
+    assert not np.shares_memory(instance.gains, gains)
+    # a read-only array is copied too: a writable view taken before could change it
+    owner = np.array([10.0, 20.0])
+    writable = owner.view()
+    owner.setflags(write=False)
+    instance = _small_instance(demands=owner)
+    writable[0] = 5.0
+    assert instance.demand_bits[0] == 10.0
+    assert not np.shares_memory(instance.demand_bits, owner)
 
 
 def test_save_load_roundtrip_values(tmp_path):
@@ -330,6 +369,54 @@ def test_load_rejects_malformed_json(tmp_path):
     assert "line" in str(err.value)
 
 
+def test_truncated_file_names_line_and_column(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    with pytest.raises(SchemaError, match=r"not valid JSON at line 1, column \d+: "):
+        load_instance(path)
+
+
+def test_saved_file_reads_the_same_with_the_stdlib(tmp_path):
+    """Another reader of the file, such as the stdlib ``json``, gets the saved values bit for bit."""
+    instance = NetworkInstance(
+        power_per_ru=[1e16, 1e-5],
+        demand_bits=[5e-324, 1.5e300, 0.0],
+        gains=np.array([[1e-7, 2e-8, 0.1], [3e-8, 9e-8, 1e-300]]),
+        noise_power=1e-9,
+        num_resource_units=2**63 - 1,
+        rate_scale=180.0,
+        cell_xy=[[-0.0, 1.2345678901234567e-5], [1e22, -123456789012345680.0]],
+        pixel_xy=[[0.1, 0.2], [1e-7, 3.0], [2.5e-310, -1e16]],
+        wrap_periods=((750.0, 433.0), (0.0, 866.0)),
+    )
+    path = tmp_path / "inst.json"
+    save_instance(instance, path)
+    text = path.read_text()
+    assert "1e16" in text and "1e+16" not in text  # only the spelling differs from json.dumps
+    doc = json.loads(text)
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+    cells, pixels = doc["cells"], doc["pixels"]
+    for got, want in (
+        ([c["power_per_ru_w"] for c in cells], instance.power_per_ru),
+        ([[c["x_m"], c["y_m"]] for c in cells], instance.cell_xy),
+        ([c["azimuth_deg"] for c in cells], instance.azimuth_deg),
+        ([p["demand_bits"] for p in pixels], instance.demand_bits),
+        ([[p["x_m"], p["y_m"]] for p in pixels], instance.pixel_xy),
+        (doc["gains_db"], _gains_to_db(instance.gains)),
+        (doc["wrap_periods_m"], instance.wrap_periods),
+        ([doc["noise_power_w"], doc["rate_scale"]], [instance.noise_power, instance.rate_scale]),
+    ):
+        assert np.array_equal(bits(got), bits(want))
+    assert doc["num_resource_units"] == 2**63 - 1
+    assert doc["serving"] == [[j + 1, i + 1] for j, i in enumerate(instance.server_of.tolist())]
+    _assert_same_columns(load_instance(path), instance)
+
+
 def test_load_rejects_noncontiguous_ids(tmp_path):
     instance = _small_instance()
     path = tmp_path / "inst.json"
@@ -361,6 +448,35 @@ def test_load_rejects_unknown_serving_ids(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(SchemaError):
         load_instance(path)
+
+
+@pytest.mark.parametrize("serving, message", [
+    ([[1, 9], [2, "x"]], "serving[0] references unknown pixel or cell id"),
+    ([[1, 1], [2, True]], "serving[1] must be a [pixel_id, cell_id] pair"),
+    ([[1, 1], [2, 1, 1]], "serving[1] must be a [pixel_id, cell_id] pair"),
+    ([[1, 1], [2, 2**64]], "serving[1] references unknown pixel or cell id"),
+    ([[2, 1], [0, 2]], "serving[1] references unknown pixel or cell id"),
+    ([[2, 1], [2, 2], [1, 7]], "pixel 2 assigned more than once"),
+])
+def test_bad_serving_error_names_the_first_bad_pair(tmp_path, serving, message):
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(), path)
+    raw = json.loads(path.read_text())
+    raw["serving"] = serving
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError) as err:
+        load_instance(path)
+    assert message in str(err.value)
+
+
+def test_serving_pairs_may_be_integral_floats_and_partial(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(demands=[10.0, 0.0]), path)
+    raw = json.loads(path.read_text())
+    for serving, server_of in (([[1, 2.0]], [1, -1]), ([[2, 1], [1, 2]], [1, 0]), ([], [-1, -1])):
+        raw["serving"] = serving
+        path.write_text(json.dumps(raw))
+        assert load_instance(path).server_of.tolist() == server_of
 
 
 def test_cell_and_pixel_metadata_roundtrip(tmp_path):
@@ -402,7 +518,7 @@ def _valid_instances(draw):
         demand_bits=demand,
         gains=draw(arrays(np.float64, (n, m), elements=_POSITIVE)),
         noise_power=draw(_POSITIVE),
-        num_resource_units=draw(st.integers(1, 10**400)),
+        num_resource_units=draw(st.integers(1, 2**63 - 1)),
         rate_scale=draw(_POSITIVE),
         cell_xy=draw(arrays(np.float64, (n, 2), elements=_FINITE)),
         azimuth_deg=draw(arrays(np.float64, n, elements=_FINITE)),
