@@ -14,23 +14,17 @@ from .coupling import (
     CouplingCoefficients,
     LinearizedSystem,
     asymptotic_linearization,
-    cell_hessian,
     coefficients,
-    evaluate,
-    hessian_entry,
     jacobian,
     load_function,
-    sinr,
     tangent_linearization,
 )
 from .linfeas import (
     LinearSolveOutcome,
     feasibility_check,
-    lower_bound,
     solve_linear,
     spectral_radius,
     tangent_bound,
-    upper_bound,
 )
 from .solver import (
     SolveReport,
@@ -65,20 +59,14 @@ __all__ = [
     "CouplingCoefficients",
     "LinearizedSystem",
     "coefficients",
-    "sinr",
     "load_function",
     "jacobian",
-    "hessian_entry",
-    "cell_hessian",
     "asymptotic_linearization",
     "tangent_linearization",
-    "evaluate",
     "LinearSolveOutcome",
     "solve_linear",
     "spectral_radius",
     "feasibility_check",
-    "lower_bound",
-    "upper_bound",
     "tangent_bound",
     "SolverConfig",
     "SolveReport",

@@ -56,9 +56,6 @@ class CouplingCoefficients:
     relative to the serving power, and ``rel`` (num_cells x M) every cell's
     received power relative to the serving power, with the serving cell's
     entry zeroed so that ``rho @ rel`` sums over the other cells only.
-
-    ``pixel_idx``, ``rate_per_demand``, ``rel_interference`` and
-    ``rel_noise`` hold the same data per cell, as views into these arrays.
     """
 
     num_cells: int
@@ -69,7 +66,8 @@ class CouplingCoefficients:
     rel: np.ndarray
     noise: np.ndarray
 
-    pixel_idx = _per_cell_views("pixel")
+    # per-cell views of a, rel and noise: only bench/tracer.py reads them, to size a
+    # map evaluation, and they go once the benchmark sizes the packed arrays instead
     rate_per_demand = _per_cell_views("a")
     rel_interference = _per_cell_views("rel")
     rel_noise = _per_cell_views("noise")
@@ -93,15 +91,14 @@ class CouplingCoefficients:
 class LinearizedSystem:
     """Affine stand-in for the coupling map: slope @ (rho - anchor) + offset.
 
-    ``offset`` equals the coupling map evaluated at ``anchor``.  ``kind`` is
-    ``"asymptotic"`` for the infinite-load slope limit anchored at zero and
-    ``"tangent"`` for the first-order expansion at the anchor.
+    ``offset`` equals the coupling map evaluated at ``anchor``: the map at
+    zero for :func:`asymptotic_linearization`, the map at the anchor for
+    :func:`tangent_linearization`.
     """
 
     slope: np.ndarray
     anchor: np.ndarray
     offset: np.ndarray
-    kind: str
 
     def __post_init__(self):
         for name in ("slope", "anchor", "offset"):
@@ -120,14 +117,15 @@ def _require(ok: np.ndarray, pixel: np.ndarray, what: str) -> None:
         raise ValueError(f"pixel {int(pixel[~ok].min()) + 1}: {what} is not finite and positive")
 
 
-@np.errstate(over="ignore")  # whatever overflows is rejected below
+@np.errstate(over="ignore", divide="ignore")  # whatever overflows or divides by 0 is rejected below
 def coefficients(instance) -> CouplingCoefficients:
     """Reduce an instance to the packed coupling arrays.
 
     Pixels with zero demand contribute nothing to any load and are dropped
     here once, so every stored coefficient is strictly positive.  Raises
-    ValueError when the resource budget, a served pixel's serving power or
-    any coefficient is not finite and positive (``rel`` only finite).
+    ValueError when the resource budget, a served pixel's serving power,
+    any coefficient or the reciprocal of ``a`` or ``noise`` is not finite
+    and positive (``rel`` only finite).
     """
     n = instance.num_cells
     try:
@@ -150,8 +148,10 @@ def coefficients(instance) -> CouplingCoefficients:
     rel[cell_of, positions] = 0.0  # own cell never interferes with itself
     a = budget / np.maximum(demands[pixel], budget / RATE_PER_DEMAND_MAX)
     noise = instance.noise_power / serving_power
-    _require(_finite_positive(a) & _finite_positive(noise) & np.isfinite(rel).all(axis=0),
-             pixel, "a coupling coefficient")
+    # the load map divides by a and noise, so their reciprocals must be finite too;
+    # 1/x finite and positive also makes x finite and positive
+    _require(_finite_positive(1.0 / a) & _finite_positive(1.0 / noise) & np.isfinite(rel).all(axis=0),
+             pixel, "a coupling coefficient or its reciprocal")
     return CouplingCoefficients(
         num_cells=n,
         pixel=pixel,
@@ -161,11 +161,6 @@ def coefficients(instance) -> CouplingCoefficients:
         rel=rel,
         noise=noise,
     )
-
-
-def _interference(cc: CouplingCoefficients, i: int, rho: np.ndarray) -> np.ndarray:
-    """u for every pixel of cell i: noise plus load-weighted relative interference."""
-    return cc.rel_interference[i].T @ rho + cc.rel_noise[i]
 
 
 def _loads(cc: CouplingCoefficients, u: np.ndarray) -> np.ndarray:
@@ -184,17 +179,6 @@ def _cell_sums(cc: CouplingCoefficients, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def sinr(cc: CouplingCoefficients, cell: int, pixel: int, rho) -> float:
-    """SINR of one pixel of ``cell`` at load state ``rho`` (both 0-based indices)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    idx = cc.pixel_idx[cell]
-    pos = np.searchsorted(idx, pixel)
-    if pos >= idx.size or idx[pos] != pixel:
-        raise ValueError(f"pixel {pixel} is not a demanded pixel of cell {cell}")
-    u = cc.rel_interference[cell][:, pos] @ rho + cc.rel_noise[cell][pos]
-    return 1.0 / u
-
-
 def load_function(cc: CouplingCoefficients, rho) -> np.ndarray:
     """Evaluate the coupling map: the load each cell needs given loads ``rho``."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -210,44 +194,14 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64)
     u = rho @ cc.rel + cc.noise
     lg = np.log1p(1.0 / u)
-    return _cell_sums(cc, cc.rel * (LN2 / (cc.a * lg * lg * (u * u + u))))
-
-
-def _curvature_weights(a, u):
-    """Second-derivative weight per pixel; strictly negative for positive u."""
-    lg = np.log1p(1.0 / u)
-    # 2 - (2u + 1) log(1 + 1/u) < 0 for every u > 0
-    neg = 2.0 - (2.0 * u + 1.0) * lg
-    denom = (lg * lg * (u * u + u)) ** 2
-    return LN2 * lg * neg / (a * denom)
-
-
-def hessian_entry(cc: CouplingCoefficients, cell: int, k: int, h: int, rho) -> float:
-    """Second partial derivative of cell ``cell``'s load w.r.t. rho_k and rho_h."""
-    rho = np.asarray(rho, dtype=np.float64)
-    a = cc.rate_per_demand[cell]
-    if a.size == 0 or k == cell or h == cell:
-        return 0.0
-    u = _interference(cc, cell, rho)
-    rel = cc.rel_interference[cell]
-    return float(np.sum(rel[k] * rel[h] * _curvature_weights(a, u)))
-
-
-def cell_hessian(cc: CouplingCoefficients, cell: int, rho) -> np.ndarray:
-    """Full Hessian of one cell's load over the other cells' loads.
-
-    Returns the (n-1) x (n-1) symmetric matrix with row/column ``cell``
-    removed; it is negative definite wherever the cell serves demand.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    n = cc.num_cells
-    a = cc.rate_per_demand[cell]
-    others = [k for k in range(n) if k != cell]
-    if a.size == 0:
-        return np.zeros((n - 1, n - 1))
-    u = _interference(cc, cell, rho)
-    rel = cc.rel_interference[cell][others, :]
-    return (rel * _curvature_weights(a, u)) @ rel.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = cc.a * lg * lg * (u * u + u)
+    if not np.all(_finite_positive(denom)):
+        # a huge u (noise or interference far above the serving power) takes u * u or
+        # a * lg * lg out of the float range; regrouped, the factors stay near 1.  Only
+        # here: the regrouped form changes the Jacobian's last bits, so the printed loads.
+        denom = cc.a * (lg * u) * (lg * (u + 1.0))
+    return _cell_sums(cc, cc.rel * (LN2 / denom))
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
@@ -260,7 +214,7 @@ def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
     """
     slope = _cell_sums(cc, cc.rel * (LN2 / cc.a))
     return LinearizedSystem(
-        slope=slope, anchor=np.zeros(cc.num_cells), offset=_loads(cc, cc.noise), kind="asymptotic"
+        slope=slope, anchor=np.zeros(cc.num_cells), offset=_loads(cc, cc.noise)
     )
 
 
@@ -272,10 +226,4 @@ def tangent_linearization(cc: CouplingCoefficients, anchor) -> LinearizedSystem:
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     return LinearizedSystem(slope=jacobian(cc, anchor), anchor=anchor,
-                            offset=load_function(cc, anchor), kind="tangent")
-
-
-def evaluate(system: LinearizedSystem, rho) -> np.ndarray:
-    """Evaluate the affine map at ``rho``."""
-    rho = np.asarray(rho, dtype=np.float64)
-    return system.slope @ (rho - system.anchor) + system.offset
+                            offset=load_function(cc, anchor))

