@@ -12,13 +12,11 @@ eigenvalue solve, and only when a caller reads it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import coupling
 
@@ -66,19 +64,16 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """Solve ``lhs @ x = rhs`` (columns of ``rhs`` share one LU); None when x is not finite.
+    """Solve ``lhs @ x = rhs`` by one LAPACK ``gesv``; None on an exact zero pivot or a non-finite x.
 
-    An exact zero pivot always gives an infinite or NaN x, and so does a NaN
-    or infinite ``lhs``.  No pivot threshold applies: a relative one depends
-    on the row order.
+    All columns of ``rhs`` share the one LU.  numpy raises ``LinAlgError``
+    when ``gesv`` meets an exact zero pivot; a NaN ``lhs`` gives a NaN x.  No
+    pivot threshold applies: a relative one depends on the row order.
     """
-    with warnings.catch_warnings():
-        # exactly singular systems are a legitimate outcome here, not a warning
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    # a vector at a time: a multi-column solve wakes OpenBLAS threads (8 ms vs 17 us on 2 cores)
-    columns = [scipy.linalg.lu_solve((lu, piv), col, check_finite=False) for col in np.atleast_2d(rhs.T)]
-    x = columns[0] if rhs.ndim == 1 else np.column_stack(columns)
+    try:
+        x = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        return None
     return x if np.all(np.isfinite(x)) else None
 
 
@@ -96,11 +91,12 @@ def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optiona
 def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
-    The system is solved densely as (I - slope) rho = offset - slope @ anchor.
-    A non-finite solution reports ``singular``; an exact zero LU pivot, a
-    NaN or infinite slope or offset, or a pivot so small that the solve
-    overflows all give one.  Any solution component below -NEGATIVE_ATOL reports
-    ``infeasible_negative``; components within rounding of zero are clamped.
+    The system is solved densely as (I - slope) rho = offset - slope @ anchor,
+    with one LAPACK ``gesv``.  ``singular`` means an exact zero LU pivot
+    (numpy's ``LinAlgError``) or a non-finite solution, as from a NaN slope
+    or offset or a pivot so small that the solve overflows.  Any solution
+    component below -NEGATIVE_ATOL reports ``infeasible_negative``;
+    components within rounding of zero are clamped.
     """
     return LinearSolveOutcome(*_affine_fixed_point(system), system.slope)
 

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -29,6 +31,7 @@ from loadcouple import (
     save_instance,
     solve,
     solver,
+    validate,
 )
 from loadcouple.cli import _build_parser, main
 
@@ -314,14 +317,14 @@ FROZEN_STDOUT = {
     "n9 solve": "ef9356173c37b1598f8424d22a007afe52ad606134fc0f68405946453d5c0ed2",
     "n9 feasibility": "20e65291ccad69561e4c1ffca5b74346c5cf8f39777040c184f41241a6db536f",
     "n9 bounds": "c40fbc0970684cc50bffd8680bc14f74827e15bb4744cb88bd176617f75ff7d6",
-    "n9 sweep": "4a73d27c162e2b7047d340bdfc8dc0362931dedd4d99726f73eb19ba4ea9bb03",
+    "n9 sweep": "3afd9f326ff47f268a80b79438500f6c920939bfcbc3b01150c5227c4a623f3b",
     "n9 boundary": "048e8472aadecbc8d91f630ffdd4a3e7732b4595e3179964942c9bb36c1587df",
-    "n9_rot solve": "61a0fd92334657801f62b257b97286c19f430d9653b1992ff41f44e8c2c5ab1c",
+    "n9_rot solve": "ad4e83a5202402372e2ae3e9d4aefc8ed712f591e510b85edc1f4309a5b53431",
     "n9_rot feasibility": "37cf64ef6a49bfed7768b6ea581508b810624e02867dceda7761b5dcb0db0c3c",
-    "n9_rot bounds": "2a6eae5808afc9eac62d37502ed5369ed9a1dc377f00b8585bd42f5f3a7af15c",
-    "n9_rot sweep": "972416ff684780b9c4bb640440903dade942abf1a106065ad3c885f071ea5288",
+    "n9_rot bounds": "d8fc7f18189b07a2b6fc55f9e5644ba1a22187c4561ec2bf3559c032d0a9c371",
+    "n9_rot sweep": "86469b69e211077758628170c9ceab7cfb3c3b9d14a786e5f7478775ad4b7a99",
     "n9_rot boundary": "effd99f38fab5a08ac1a401f3d2d1844ea57626f8d127cbcd13ffce8393839f3",
-    "n9 compare": "3bb3ab1176837a1526f2a54ebc6fa1dfdd037821240f6b9a8d38b230cdaa336a",
+    "n9 compare": "3467429a628c4af7c6802533129cd5e27ccc394a306506fb51c6229d3601ce7f",
     "n36 solve": "cc79730438401a01edc1bcc8b18d35514755427e63b82a044380f9e9f300a117",
     "n36 feasibility": "622cb05e6a92dd26d1b7a326d98fa54f568c2ef900814c18825ce47d877f749b",
     "n36 bounds": "7fb241a7c60271ee20195ef65f45cfcf42f0ea9f302b2ff92791db0a9921911b",
@@ -470,8 +473,9 @@ FUZZ_COMMANDS = [("solve", []), ("feasibility", []), ("sweep", ["--scales", "0.5
 def test_mutated_schema_field_exits_cleanly_property(tmp_path_factory, fuzz_doc, path, value):
     """One field set to another type or an extreme number, or deleted: a documented exit, no warning.
 
-    Exit 0 comes with an empty stderr; exit 2, 3 or 4 with one ``error:``
-    line or none.  An exception escaping ``main`` fails the test.
+    Exit 0 comes with an empty stderr, and only from an instance that
+    validates and has finite coefficients; exit 2, 3 or 4 with one
+    ``error:`` line or none.  An exception escaping ``main`` fails the test.
     """
     doc = json.loads(json.dumps(fuzz_doc))
     *parents, last = path
@@ -493,6 +497,12 @@ def test_mutated_schema_field_exits_cleanly_property(tmp_path_factory, fuzz_doc,
         err = err.getvalue()
         assert err == "" or (code != 0 and err.startswith("error: ") and err.count("\n") == 1), \
             (command, code, err)
+        if code == 0:
+            loaded = load_instance(instance)
+            assert validate(loaded) == [], command
+            cc = coefficients(loaded)
+            arrays = [getattr(cc, f.name) for f in dataclasses.fields(cc)]
+            assert all(np.all(np.isfinite(a)) for a in arrays if isinstance(a, np.ndarray)), command
 
 
 @pytest.mark.parametrize("field,value", [
@@ -641,6 +651,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("feasible")
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command pays the CLI's imports before it reads a byte; scipy is not among them."""
+    src = str(Path(loadcouple.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, loadcouple.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_exported_name_resolves():
