@@ -63,8 +63,8 @@ def _parse_scales(text: str) -> list[float]:
         first, last, count = float(first), float(last), int(count)
     except ValueError as exc:
         raise netmodel.SchemaError(f"--scales expects FIRST:LAST:COUNT, got {text!r}") from exc
-    if count < 1 or last < first or first <= 0:
-        raise netmodel.SchemaError(f"--scales needs 0 < FIRST <= LAST and COUNT >= 1, got {text!r}")
+    if not (count >= 1 and 0 < first <= last < math.inf):  # false for nan too
+        raise netmodel.SchemaError(f"--scales needs finite 0 < FIRST <= LAST and COUNT >= 1, got {text!r}")
     return list(np.linspace(first, last, count))
 
 

@@ -7,9 +7,12 @@ compact one-line JSON, stores them in dB, each value chosen so that the
 load-time conversion gives the linear gain back bit for bit wherever a
 float dB value can.  Files are read and written with orjson.  The stdlib
 ``json`` module reads only what orjson rejects: NaN, Infinity, numbers
-beyond the float range, and invalid JSON, whose error it locates.  A cell
-or pixel is identified by its position: 1-based in files and in reports,
-0-based for array indexing internally.
+beyond the float range, and invalid JSON, whose error it locates.  Each
+block of numbers is checked and converted as one numpy array; a block that
+fails goes through a typed walk, which decides it, and the walks over
+cells, pixels and serving pairs name the first bad entry.  A cell or pixel
+is identified by its position: 1-based in files and in reports, 0-based
+for array indexing internally.
 """
 
 from __future__ import annotations
@@ -281,7 +284,26 @@ def _float(value, what: str) -> float:
 
 
 def _float_matrix(rows, what: str) -> np.ndarray:
-    """``rows`` as a float64 array if it is a list of equal-length lists of finite JSON numbers."""
+    """``rows`` as a float64 array if it is a list of equal-length lists of finite JSON numbers.
+
+    numpy's dtype discovery checks and converts the rows in C: a string,
+    null, object or int beyond int64 gives another dtype, a ragged row
+    raises and a nested one adds a dimension.  The one non-number it takes
+    is a bool, as exactly 0 or 1, so an array holding 0, 1 or a non-finite
+    value is left to :func:`_float_rows`, which decides every other input.
+    """
+    try:
+        values = np.array(rows)
+    except (TypeError, ValueError, OverflowError):
+        return _float_rows(rows, what)
+    if (values.ndim == 2 and values.dtype in (np.float64, np.int64)
+            and np.all(np.isfinite(values) & (values != 0) & (values != 1))):
+        return values.astype(np.float64, copy=False)
+    return _float_rows(rows, what)
+
+
+def _float_rows(rows, what: str) -> np.ndarray:
+    """:func:`_float_matrix` by a typed walk of each row, which tells a bool from a number."""
     try:
         if all(set(map(type, row)) <= {int, float} for row in rows):
             values = np.asarray(rows, dtype=np.float64)
@@ -338,13 +360,15 @@ def _serving(pairs: list, n: int, m: int, where: str) -> np.ndarray:
     """
     server_of = np.full(m, -1, dtype=np.int64)
     try:
-        if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-                and set(map(type, chain.from_iterable(pairs))) <= {int}):
-            pixel_id, cell_id = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            if (np.all((1 <= pixel_id) & (pixel_id <= m) & (1 <= cell_id) & (cell_id <= n))
-                    and np.unique(pixel_id).size == pixel_id.size):
-                server_of[pixel_id - 1] = cell_id - 1
-                return server_of
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+            ids = list(chain.from_iterable(pairs))  # converts faster flat than as pairs
+            # np.array takes a bool as an int, so the element types are checked first
+            if set(map(type, ids)) <= {int}:
+                pixel_id, cell_id = np.array(ids, dtype=np.int64).reshape(-1, 2).T
+                if (np.all((1 <= pixel_id) & (pixel_id <= m) & (1 <= cell_id) & (cell_id <= n))
+                        and np.bincount(pixel_id, minlength=m + 1).max() <= 1):
+                    server_of[pixel_id - 1] = cell_id - 1
+                    return server_of
     except OverflowError:  # an int beyond int64
         pass
     for k, pair in enumerate(pairs):

@@ -5,22 +5,28 @@ control: serving follows best server, interferer gains stay within three
 orders of magnitude of the serving gain, and demands are rescaled so the
 asymptotic slope matrix hits an exact spectral radius target (computed with
 numpy's eigensolver in this file, not through the package).
+``float_matrix_reference`` and ``serving_reference`` convert instance-file
+blocks by typed walks, the references for the loader's numpy paths.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from itertools import chain
 
 import numpy as np
 
 from loadcouple import (
     NetworkInstance,
+    SchemaError,
     asymptotic_linearization,
     coefficients,
     feasibility_check,
     load_function,
     tangent_bound,
 )
+from loadcouple.netmodel import _typed
 
 
 def build_instance(gains, demands, powers, noise, num_resource_units=100, rate_scale=1.0,
@@ -215,3 +221,42 @@ def cell_hessian(cc, cell, rho) -> np.ndarray:
     rel, weights = _cell_curvature(cc, cell, rho)
     rel = np.delete(rel, cell, axis=0)
     return (rel * weights) @ rel.T
+
+
+def float_matrix_reference(rows, what: str) -> np.ndarray:
+    """``netmodel._float_matrix`` as one typed walk: each row's element types are checked in Python."""
+    try:
+        if all(set(map(type, row)) <= {int, float} for row in rows):
+            values = np.asarray(rows, dtype=np.float64)
+            if np.all(np.abs(values) <= sys.float_info.max):  # false for nan and inf
+                return values
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"{what} must be of type float, in rows of equal length")
+
+
+def serving_reference(pairs: list, n: int, m: int, where: str) -> np.ndarray:
+    """``netmodel._serving`` converting the pairs as nested lists and finding duplicates by ``np.unique``."""
+    server_of = np.full(m, -1, dtype=np.int64)
+    try:
+        if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int}):
+            pixel_id, cell_id = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            if (np.all((1 <= pixel_id) & (pixel_id <= m) & (1 <= cell_id) & (cell_id <= n))
+                    and np.unique(pixel_id).size == pixel_id.size):
+                server_of[pixel_id - 1] = cell_id - 1
+                return server_of
+    except OverflowError:  # an int beyond int64
+        pass
+    for k, pair in enumerate(pairs):
+        try:
+            pixel_id, cell_id = pair
+            pixel_id, cell_id = _typed(pixel_id, "int", "pixel id"), _typed(cell_id, "int", "cell id")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: serving[{k}] must be a [pixel_id, cell_id] pair: {exc}") from exc
+        if not (1 <= pixel_id <= m) or not (1 <= cell_id <= n):
+            raise SchemaError(f"{where}: serving[{k}] references unknown pixel or cell id")
+        if server_of[pixel_id - 1] >= 0:
+            raise SchemaError(f"{where}: pixel {pixel_id} assigned more than once")
+        server_of[pixel_id - 1] = cell_id - 1
+    return server_of

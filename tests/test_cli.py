@@ -407,6 +407,17 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert main(["generate", "--spec", str(badspec), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("scales", ["1:inf:3", "-inf:1:2", "nan:1:2", "1:nan:2"])
+def test_sweep_rejects_non_finite_scales_with_one_error_line(tmp_path, capsys, scales):
+    path = _write_instance(tmp_path, frozen_two_cell())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--instance", str(path), f"--scales={scales}"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err, err
+
+
 def _set_gain_db(doc):
     doc["gains_db"][0][0] = 1e300
 

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import areas, build_instance, random_instance
+from helpers import areas, build_instance, float_matrix_reference, random_instance, serving_reference
 from loadcouple import (
     NetworkInstance,
     ScenarioSpec,
@@ -17,11 +17,12 @@ from loadcouple import (
     assign_best_server,
     generate,
     load_instance,
+    netmodel,
     rotate_sector,
     save_instance,
     validate,
 )
-from loadcouple.netmodel import _gains_to_db
+from loadcouple.netmodel import _float_matrix, _gains_to_db, _serving
 
 SEED = 20260814
 
@@ -477,6 +478,102 @@ def test_serving_pairs_may_be_integral_floats_and_partial(tmp_path):
         raw["serving"] = serving
         path.write_text(json.dumps(raw))
         assert load_instance(path).server_of.tolist() == server_of
+
+
+# what a JSON document can hold where a gain belongs: floats of every kind
+# (nan, inf, subnormals, exact 0, -0 and 1, +-1e308), ints up to, between and
+# beyond int64 and the float range, and non-numbers
+_GAIN_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-3, 3),
+    st.integers(2**53, 2**63 - 1) | st.integers(-(2**63), -(2**53)),
+    st.integers(2**63, 2**65),
+    st.integers(2**1024, 2**1030),
+)
+_NON_NUMBERS = st.sampled_from([True, False, None, "1", "x", {}, {"a": 1.5}]) | st.lists(st.floats(2, 3), max_size=2)
+
+
+@st.composite
+def _gain_rows(draw):
+    """A rows-by-columns list of one kind of number, with up to two entries or rows spoiled."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_NON_NUMBERS | _GAIN_NUMBERS)  # not a list of rows at all
+    numbers = draw(st.sampled_from([st.floats(-300, 300), st.floats(2, 3) | st.integers(2, 10**6),
+                                    st.integers(2, 2**70), _GAIN_NUMBERS]))
+    num_rows, num_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(numbers) for _ in range(num_cols)] for _ in range(num_rows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        k = draw(st.integers(0, num_rows - 1))
+        row = rows[k]
+        spoil = draw(st.sampled_from(["bool", "entry", "number", "append", "drop", "row"]))
+        if spoil == "row" or not isinstance(row, list):
+            rows[k] = draw(_NON_NUMBERS | _GAIN_NUMBERS)
+        elif spoil == "drop" and row:
+            row.pop()
+        elif spoil == "append":
+            row.append(draw(_GAIN_NUMBERS))
+        elif row:
+            entries = {"bool": st.sampled_from([True, False]), "entry": _NON_NUMBERS, "number": _GAIN_NUMBERS}[spoil]
+            row[draw(st.integers(0, len(row) - 1))] = draw(entries)
+    return rows
+
+
+def _outcome(convert, *args):
+    """The array ``convert`` returns, or the message of the SchemaError it raises."""
+    try:
+        return convert(*args)
+    except SchemaError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_gain_rows())
+@example(rows=[[2.5, True], [3.5, 4.5]])
+@example(rows=[[2, False]])
+@example(rows=[[2.5, float("nan")]])
+@example(rows=[[-float("inf"), 2]])
+@example(rows=[[2**63, 3, -0.0]])
+def test_float_matrix_matches_the_typed_walk_property(rows):
+    _assert_same_outcome(_outcome(_float_matrix, rows, "gains_db"),
+                         _outcome(float_matrix_reference, rows, "gains_db"))
+
+
+_SERVING_IDS = st.integers(-1, 5) | st.sampled_from([True, False, 1.0, 2.0, 1.5, None, "1", 2**63, -(2**64)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), data=st.data())
+def test_serving_matches_the_typed_walk_property(n, m, data):
+    ids = st.integers(1, 4) if data.draw(st.booleans()) else _SERVING_IDS
+    pair = st.lists(ids, min_size=2, max_size=2)
+    odd = st.lists(ids, max_size=3) | _NON_NUMBERS
+    pairs = data.draw(st.lists(pair | odd if data.draw(st.booleans()) else pair, max_size=5))
+    _assert_same_outcome(_outcome(_serving, pairs, n, m, "f"), _outcome(serving_reference, pairs, n, m, "f"))
+
+
+def test_generated_gains_skip_the_typed_walk(tmp_path, monkeypatch):
+    """The gains of a generated file and of its rotated copy load without the typed walk."""
+    generated = generate(ScenarioSpec(num_sites=3, rng_seed=7))
+    save_instance(generated, tmp_path / "n9.json")
+    save_instance(rotate_sector(generated, 2, 45.0), tmp_path / "n9_rot.json")
+    walk = netmodel._float_rows
+
+    def walk_all_but_gains(rows, what):
+        assert "gains_db" not in what, what
+        return walk(rows, what)  # wrap_periods_m holds an exact 0.0, so its 2x2 block walks
+
+    monkeypatch.setattr(netmodel, "_float_rows", walk_all_but_gains)
+    for name in ("n9.json", "n9_rot.json"):
+        assert load_instance(tmp_path / name).num_cells == 9
 
 
 def test_cell_and_pixel_metadata_roundtrip(tmp_path):
