@@ -170,12 +170,15 @@ def _loads(cc: CouplingCoefficients, u: np.ndarray) -> np.ndarray:
     return LN2 * np.bincount(cc.cell_of, weights=terms, minlength=cc.num_cells)
 
 
-def _cell_sums(cc: CouplingCoefficients, values: np.ndarray) -> np.ndarray:
-    """Row i sums the columns of ``values`` (shape (k, M)) that belong to cell i."""
-    out = np.zeros((cc.num_cells, values.shape[0]))
-    # reduceat yields one element, not zero, for an empty segment: skip those
-    nonempty = cc.starts[:-1] < cc.starts[1:]
-    out[nonempty] = np.add.reduceat(values, cc.starts[:-1][nonempty], axis=1).T
+def _cell_sums(cc: CouplingCoefficients, weights: np.ndarray) -> np.ndarray:
+    """Row i is ``rel @ weights`` over cell i's packed columns, one GEMV per cell.
+
+    A cell that serves no demanded pixel gets a zero row.
+    """
+    out = np.empty((cc.num_cells, cc.num_cells))
+    starts = cc.starts.tolist()
+    for row, s, e in zip(out, starts, starts[1:]):
+        np.dot(cc.rel[:, s:e], weights[s:e], out=row)
     return out
 
 
@@ -201,7 +204,7 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
         # a * lg * lg out of the float range; regrouped, the factors stay near 1.  Only
         # here: the regrouped form changes the Jacobian's last bits, so the printed loads.
         denom = cc.a * (lg * u) * (lg * (u + 1.0))
-    return _cell_sums(cc, cc.rel * (LN2 / denom))
+    return _cell_sums(cc, LN2 / denom)
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
@@ -212,7 +215,7 @@ def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
     This affine map underestimates the coupling map everywhere on the
     nonnegative orthant.
     """
-    slope = _cell_sums(cc, cc.rel * (LN2 / cc.a))
+    slope = _cell_sums(cc, LN2 / cc.a)
     return LinearizedSystem(
         slope=slope, anchor=np.zeros(cc.num_cells), offset=_loads(cc, cc.noise)
     )

@@ -12,6 +12,7 @@ eigenvalue solve, and only when a caller reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -35,9 +36,10 @@ class LinearSolveOutcome:
     ``solution`` is present exactly when ``status == "feasible"``.
     ``spectral_radius`` is the slope's spectral radius, computed the first
     time it is read; values below one characterize solvable systems.
-    ``reducible`` flags slope matrices with zero off-diagonal entries, where
-    some cell pair shares no interference path and the spectral
-    characterization weakens from strictly positive to nonnegative coupling.
+    ``reducible`` flags slopes whose directed graph (an edge k -> i where
+    slope[i, k] > 0) is not strongly connected: some cell's load does not
+    reach another's through any chain of interference, and the spectral
+    characterization weakens from irreducible to merely nonnegative coupling.
     """
 
     status: str
@@ -50,8 +52,13 @@ class LinearSolveOutcome:
 
     @cached_property
     def reducible(self) -> bool:
-        n = self.slope.shape[0]
-        return bool(n > 1 and np.any(self.slope[~np.eye(n, dtype=bool)] == 0.0))
+        # reach[i, k]: a path of at most 2**t edges, after t squarings, links k to i
+        reach = (self.slope > 0) | np.eye(len(self.slope), dtype=bool)
+        if reach.all():  # every off-diagonal entry positive, the common case
+            return False
+        for _ in range(math.ceil(math.log2(len(reach)))):
+            reach = (reach.astype(np.float64) @ reach) > 0
+        return not reach.all()
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

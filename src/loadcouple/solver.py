@@ -115,6 +115,8 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     checked by evaluation, any iterate that is one and, under the interval
     stop, the zero of the minorant through ``low`` with slope J(rho) - I at a
     super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
+    The map value the line search computes at the accepted step is the next
+    iterate's, so no point is evaluated twice.
     """
     stop_width = config.interval_width
     lower = linear.solution
@@ -122,10 +124,9 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     upper = None
     trace: list[TraceEntry] = []
     status = MAX_ITER_EXCEEDED
-    residual = math.inf
     fallbacks = 0
+    f_rho = coupling.load_function(cc, rho)
     for t in range(config.max_iter + 1):
-        f_rho = coupling.load_function(cc, rho)
         residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
         converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
         if np.all(f_rho >= rho) and np.all(rho >= low):
@@ -156,14 +157,17 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
             alpha = 1.0
             for _ in range(30):
                 candidate = np.maximum(rho + alpha * steps[:, 0], lower)
-                cand_res = float(np.max(np.abs(candidate - coupling.load_function(cc, candidate)), initial=0.0))
-                if cand_res < residual:
+                f_candidate = coupling.load_function(cc, candidate)
+                if float(np.max(np.abs(candidate - f_candidate), initial=0.0)) < residual:
                     next_rho = candidate
                     break
                 alpha *= 0.5
         if next_rho is None:
             fallbacks += 1
-        rho = np.maximum(f_rho, lower) if next_rho is None else next_rho
+            rho = np.maximum(f_rho, lower)
+            f_rho = coupling.load_function(cc, rho)
+        else:
+            rho, f_rho = next_rho, f_candidate
     point = rho if stop_width is None else low
     # the maximum of an upper bound and any vector is an upper bound
     upper = None if upper is None else np.maximum(upper, point)

@@ -1,0 +1,143 @@
+"""The frozen CLI outputs: every command run on the seed-7 scenarios.
+
+``tests/test_cli.py`` pins the sha256 of each output listed here.  Before a
+digest is re-pinned, dump the outputs of both package versions and compare
+them number by number:
+
+    PYTHONPATH=OLD/src python tests/frozen.py dump old.json
+    PYTHONPATH=src python tests/frozen.py dump new.json
+    python tests/frozen.py diff old.json new.json
+
+``dump`` runs whichever ``loadcouple`` is importable.  ``diff`` prints, per
+output that changed, how many numbers moved, the largest relative change
+and any change in the text around them (statuses, verdicts, exit codes,
+generated-file digests), then one summary line.  It exits 1 when any text
+changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+FROZEN_COMMANDS = [
+    ("solve", []),
+    ("feasibility", []),
+    ("bounds", []),
+    ("sweep", ["--scales", "1:16:8"]),
+    ("boundary", ["--lo", "0.01", "--hi", "100"]),
+]
+
+# a number not glued to a word or another number: "rho_star_1" and "n36" hold none
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI run."""
+    from loadcouple.cli import main  # here, so that ``diff`` runs without the package
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def frozen_outputs(root: Path) -> tuple[dict[str, bytes], dict[str, tuple[int, str]]]:
+    """Generate the seed-7 files under ``root`` and run every frozen command on them.
+
+    The scenarios have 9 and 36 cells (80 kbit per user), each unrotated and
+    with cell 2 turned to 45 degrees.  Returns each generated file's bytes
+    by name and each output's exit code and stdout by ``"<file> <command>"``.
+    """
+    files, outputs = {}, {}
+    for name, sites in (("n9", 3), ("n36", 12)):
+        spec = root / f"{name}_spec.json"
+        spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
+                                    "demand_bits_per_user": 80_000.0}))
+        paths = [root / f"{name}.json", root / f"{name}_rot.json"]
+        for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
+            run_cli(["generate", "--spec", str(spec), "--out", str(path), *rotate])
+            files[path.stem] = path.read_bytes()
+            for command, extra in FROZEN_COMMANDS:
+                outputs[f"{path.stem} {command}"] = run_cli([command, "--instance", str(path), *extra])
+        outputs[f"{name} compare"] = run_cli(["compare", "--a", str(paths[0]), "--b", str(paths[1])])
+    return files, outputs
+
+
+def dump() -> dict:
+    """Every frozen output as JSON-ready data, generated files by sha256."""
+    with tempfile.TemporaryDirectory() as root:
+        files, outputs = frozen_outputs(Path(root))
+    return {"files": {stem: hashlib.sha256(data).hexdigest() for stem, data in files.items()},
+            "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()}}
+
+
+@dataclass(frozen=True)
+class Change:
+    """How one output differs: numbers moved out of ``numbers``, and whether its text did."""
+
+    moved: int
+    numbers: int
+    max_rel: float
+    text: bool
+
+
+def _split(text: str) -> tuple[list[float], list[str]]:
+    return [float(t) for t in NUMBER.findall(text)], NUMBER.split(text)
+
+
+def compare(a: dict, b: dict) -> dict[str, Change]:
+    """The outputs (and generated files) that differ between two dumps, by key."""
+    changes = {}
+    for stem in sorted(a["files"].keys() | b["files"].keys()):
+        if a["files"].get(stem) != b["files"].get(stem):
+            changes[f"{stem} file"] = Change(0, 0, 0.0, True)
+    for key in sorted(a["outputs"].keys() | b["outputs"].keys()):
+        old, new = a["outputs"].get(key), b["outputs"].get(key)
+        if old == new:
+            continue
+        if old is None or new is None:
+            changes[key] = Change(0, 0, 0.0, True)
+            continue
+        (x, text_x), (y, text_y) = _split(old["stdout"]), _split(new["stdout"])
+        text = old["code"] != new["code"] or text_x != text_y
+        pairs = list(zip(x, y)) if len(x) == len(y) else []
+        moved = [abs(p - q) / max(abs(p), abs(q)) for p, q in pairs if p != q]
+        changes[key] = Change(len(moved), len(pairs), max(moved, default=0.0), text)
+    return changes
+
+
+def _count_numbers(d: dict) -> int:
+    return sum(len(NUMBER.findall(o["stdout"])) for o in d["outputs"].values())
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        Path(argv[1]).write_text(json.dumps(dump(), indent=1, sort_keys=True) + "\n")
+        return 0
+    if len(argv) == 3 and argv[0] == "diff":
+        a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+        changes = compare(a, b)
+        for key, c in changes.items():
+            text = "  TEXT CHANGED" if c.text else ""
+            print(f"{key}: {c.moved} of {c.numbers} numbers moved, max rel {c.max_rel:.3g}{text}")
+        moved = sum(c.moved for c in changes.values())
+        max_rel = max((c.max_rel for c in changes.values()), default=0.0)
+        texts = sum(c.text for c in changes.values())
+        print(f"# {len(changes)} of {len(a['outputs']) + len(a['files'])} outputs differ: "
+              f"{moved} of {_count_numbers(a)} numbers moved, max rel {max_rel:.3g}, "
+              f"{texts} text changes")
+        return 1 if texts else 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -148,6 +148,20 @@ def pixel_loop_reference(instance, rho):
     return load, jac, slope, offset
 
 
+def cell_sums_reference(cc, weights) -> np.ndarray:
+    """Row i sums the columns of ``cc.rel * weights`` that belong to cell i, by ``np.add.reduceat``.
+
+    The segmented sum over an n x M product, the reference for the one GEMV
+    per cell of the Jacobian and the asymptotic slope.
+    """
+    values = cc.rel * weights
+    out = np.zeros((cc.num_cells, values.shape[0]))
+    # reduceat yields one element, not zero, for an empty segment: skip those
+    nonempty = cc.starts[:-1] < cc.starts[1:]
+    out[nonempty] = np.add.reduceat(values, cc.starts[:-1][nonempty], axis=1).T
+    return out
+
+
 def fd_jacobian(cc, rho, eps=1e-6) -> np.ndarray:
     """Central finite differences of the load map."""
     n = cc.num_cells

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frozen
 import loadcouple
 from helpers import build_instance, frozen_two_cell, random_instance
 from loadcouple import (
@@ -287,25 +288,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _stdout_digest(argv) -> str:
-    """sha256 of one CLI run's exit code and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return _sha256(f"{code}\n{out.getvalue()}".encode())
-
-
-FROZEN_COMMANDS = [
-    ("solve", []),
-    ("feasibility", []),
-    ("bounds", []),
-    ("sweep", ["--scales", "1:16:8"]),
-    ("boundary", ["--lo", "0.01", "--hi", "100"]),
-]
-
 # sha256 of every instance file ``generate`` writes for the seed-7 scenarios
 # with 9 and 36 cells (80 kbit per user), unrotated and with cell 2 turned
-# to 45 degrees, and of every command's exit code and stdout on them; the
+# to 45 degrees, and of every command's exit code and stdout on them (see
+# tests/frozen.py, which also compares two versions before a re-pin); the
 # sweep crosses the feasibility boundary of both sizes
 FROZEN_FILES = {
     "n9": "a724209a0c37ef5eba55bafbd98af7ffe17dbdc69c3c2e5bdbffa2b48fe04b33",
@@ -314,57 +300,73 @@ FROZEN_FILES = {
     "n36_rot": "c535e2b36dada001f12a5f22d248b6654a224c3bda1eb6665ba75a0be98ff532",
 }
 FROZEN_STDOUT = {
-    "n9 solve": "ef9356173c37b1598f8424d22a007afe52ad606134fc0f68405946453d5c0ed2",
-    "n9 feasibility": "20e65291ccad69561e4c1ffca5b74346c5cf8f39777040c184f41241a6db536f",
+    "n9 solve": "27ff29c746335bb9ed865efeb17c3e875cb257afbacf8ca4969e2011759c6ad4",
+    "n9 feasibility": "9dd25ed124463f95d4d8138115efda572ce9fab6d035e9fd7ea0e9da8c7b3432",
     "n9 bounds": "c40fbc0970684cc50bffd8680bc14f74827e15bb4744cb88bd176617f75ff7d6",
-    "n9 sweep": "3afd9f326ff47f268a80b79438500f6c920939bfcbc3b01150c5227c4a623f3b",
-    "n9 boundary": "048e8472aadecbc8d91f630ffdd4a3e7732b4595e3179964942c9bb36c1587df",
-    "n9_rot solve": "ad4e83a5202402372e2ae3e9d4aefc8ed712f591e510b85edc1f4309a5b53431",
-    "n9_rot feasibility": "37cf64ef6a49bfed7768b6ea581508b810624e02867dceda7761b5dcb0db0c3c",
-    "n9_rot bounds": "d8fc7f18189b07a2b6fc55f9e5644ba1a22187c4561ec2bf3559c032d0a9c371",
-    "n9_rot sweep": "86469b69e211077758628170c9ceab7cfb3c3b9d14a786e5f7478775ad4b7a99",
-    "n9_rot boundary": "effd99f38fab5a08ac1a401f3d2d1844ea57626f8d127cbcd13ffce8393839f3",
-    "n9 compare": "3467429a628c4af7c6802533129cd5e27ccc394a306506fb51c6229d3601ce7f",
-    "n36 solve": "cc79730438401a01edc1bcc8b18d35514755427e63b82a044380f9e9f300a117",
-    "n36 feasibility": "622cb05e6a92dd26d1b7a326d98fa54f568c2ef900814c18825ce47d877f749b",
-    "n36 bounds": "7fb241a7c60271ee20195ef65f45cfcf42f0ea9f302b2ff92791db0a9921911b",
-    "n36 sweep": "6dd0ed20caf80bf7070000a4eb39c6bab8a4ebc343814e3383745b3507304575",
-    "n36 boundary": "5816ca67f76f729da4a67aebb6f5c8c4a11a33bde7136e7b4fd1f5cb783b0ad9",
-    "n36_rot solve": "e55c006ecbf228aabe17f3c92b7b656d01fcbb35eeb5f57dc56250853e0bc1aa",
-    "n36_rot feasibility": "c08b4196688a8d818db5c74f6d1e170a7daf0d97be8b91e1fd0848ef30970086",
-    "n36_rot bounds": "10abe3c4a3db59f48c22fab7743d44d1f6dadfc64d6765355d6100a5d08495fa",
-    "n36_rot sweep": "1240a604838ac655e4237ff6a02d00d2240340e5967b0ff7a8ecd491ef670b63",
-    "n36_rot boundary": "5d001589ee2412fc24194eca3b701d19cc875d208012067858c55bbd13ef66f4",
-    "n36 compare": "3ea173b4bf895d13f7c7a5213db104f2f3b3f8742eac7cedfd365c4e49778048",
+    "n9 sweep": "1e4d5b851b9e65ce6a1c59a236f188508af2aff87c7c35ccf7ee8376621d7202",
+    "n9 boundary": "237f00c1c6a85333bc72aaca7c3ec2426d0d26b60e6f6f60317b4e64e9d54adb",
+    "n9_rot solve": "3c17951e2bd32eb1b95d6ada06cd7d284a56b56c050b0c8af706824892c545b8",
+    "n9_rot feasibility": "a546eddd7f11ba5e3ce046031d949fb64278969763251ce9b01ca1217ef78b62",
+    "n9_rot bounds": "59e421bde335cc0d1bf6f533ec087f263a67988ae5a95d40a0017c5a84904f9e",
+    "n9_rot sweep": "ef93c92c73d7f4cccf09593003867dfd84fb751344b8c1da25cec65f4021d370",
+    "n9_rot boundary": "8bc532ecf18650abe6d8148484afe3186798dce9595d392ffbab81ab3a25c010",
+    "n9 compare": "5e59bd381df9e96cd17b48157991f0b3309de46ca38425a0be157e60ca888cf5",
+    "n36 solve": "98c1c3d72940ef592ab8bb39df14922e6e45834f329158745408f2cc2fc937f6",
+    "n36 feasibility": "2d4b6537d36ce4a47afc5cd531dff7017608c1f12241a4bf0d6ecb96a34bf424",
+    "n36 bounds": "a9ed3dce53b17ab4df67dfec82edd086285a990cd6acac06571c15be50b1ec48",
+    "n36 sweep": "221a43a698caffce1f723bdc720ac45b01dd1f4c02ba4f8928f702113dc7a55b",
+    "n36 boundary": "e99dc227e946b82da404d8c07ccb45d7b28fece7b807e948f78877b31948158b",
+    "n36_rot solve": "40bc894f88055d9bae7777e9516a6dc3621aeb88e6f154ee666fb8521d90ca14",
+    "n36_rot feasibility": "2ddd8a450af188fc77fbb14777dac37299f12c33fa629cdfbef45557ebde4b5a",
+    "n36_rot bounds": "9589f5507a8f340c185dfbc63919fe2aba72d33319ca3e518941df4162ef4c60",
+    "n36_rot sweep": "9562e44a0779354241472be116ab1bbf110eb63570697f0dc26025ea7bac4534",
+    "n36_rot boundary": "7f778bd5ae35b6a2aa8c22517bdfe8f6a81d6ebf2067dea1c909da754f9d2081",
+    "n36 compare": "98db4858fc791fd0477d2a173668de24475af3cdf72e95c6be8da108d67755ec",
 }
 
 
 @pytest.fixture(scope="module")
-def frozen_outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("frozen")
-    files, stdout = {}, {}
-    for name, sites in (("n9", 3), ("n36", 12)):
-        spec = root / f"{name}_spec.json"
-        spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
-                                    "demand_bits_per_user": 80_000.0}))
-        paths = [root / f"{name}.json", root / f"{name}_rot.json"]
-        for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
-            _stdout_digest(["generate", "--spec", str(spec), "--out", str(path), *rotate])
-            files[path.stem] = _sha256(path.read_bytes())
-            for command, extra in FROZEN_COMMANDS:
-                stdout[f"{path.stem} {command}"] = _stdout_digest(
-                    [command, "--instance", str(path), *extra])
-        stdout[f"{name} compare"] = _stdout_digest(
-            ["compare", "--a", str(paths[0]), "--b", str(paths[1])])
-    return files, stdout
+def frozen_dump():
+    return frozen.dump()
 
 
-def test_generate_writes_frozen_files(frozen_outputs):
-    assert frozen_outputs[0] == FROZEN_FILES
+def test_generate_writes_frozen_files(frozen_dump):
+    assert frozen_dump["files"] == FROZEN_FILES
 
 
-def test_cli_stdout_is_frozen(frozen_outputs):
-    assert frozen_outputs[1] == FROZEN_STDOUT
+def test_cli_stdout_is_frozen(frozen_dump):
+    digests = {key: _sha256(f"{o['code']}\n{o['stdout']}".encode())
+               for key, o in frozen_dump["outputs"].items()}
+    assert digests == FROZEN_STDOUT
+
+
+def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path, capsys):
+    assert frozen.compare(frozen_dump, frozen_dump) == {}
+    key = "n9 solve"
+    out = frozen_dump["outputs"][key]["stdout"]
+    total = len(frozen.NUMBER.findall(out))
+
+    def with_stdout(text):
+        return {**frozen_dump, "outputs": {**frozen_dump["outputs"], key: {"code": 0, "stdout": text}}}
+
+    # the first load one ulp up: its last printed digits change
+    first = next(m for m in frozen.NUMBER.finditer(out) if len(m.group()) > 15)
+    bumped = f"{np.nextafter(float(first.group()), np.inf):.17g}"
+    moved = with_stdout(out[:first.start()] + bumped + out[first.end():])
+    (change,) = frozen.compare(frozen_dump, moved).values()
+    assert (change.moved, change.numbers, change.text) == (1, total, False)
+    assert 0 < change.max_rel < 1e-14
+    texted = with_stdout(out.replace("status=converged", "status=max_iter_exceeded"))
+    assert frozen.compare(frozen_dump, texted) == {key: frozen.Change(0, total, 0.0, True)}
+    paths = []
+    for name, dump in (("a", frozen_dump), ("b", moved), ("c", texted)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dump))
+    capsys.readouterr()
+    assert frozen.main(["diff", str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out.startswith("# 0 of 26 outputs differ")
+    assert frozen.main(["diff", str(paths[0]), str(paths[1])]) == 0
+    assert frozen.main(["diff", str(paths[0]), str(paths[2])]) == 1
 
 
 def test_invalid_inputs_exit_2(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import (
     SYMMETRIC_PAIR_LOAD,
@@ -9,6 +10,7 @@ from helpers import (
     affine,
     build_instance,
     cell_hessian,
+    cell_sums_reference,
     fd_hessian_entry,
     fd_jacobian,
     hessian_entry,
@@ -358,6 +360,34 @@ def test_packed_kernels_match_pixel_loop(where):
         np.testing.assert_allclose(asym.slope, slope, rtol=1e-12)
         np.testing.assert_allclose(asym.offset, offset, rtol=1e-12)
         assert load[empty] == 0.0 and not np.any(jac[empty]) and not np.any(slope[empty])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), all_idle=st.booleans())
+def test_cell_sums_match_segmented_sum_property(seed, n, all_idle):
+    """The Jacobian and the asymptotic slope against an n x M product summed by ``reduceat``.
+
+    Pixels are served by random cells, some by none and some with zero
+    demand, so some cells own no packed column; ``all_idle`` takes
+    ``cc.scaled(0)``, where no cell owns one (M = 0).
+    """
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6 * n + 1))
+    gains = 10.0 ** rng.uniform(-9.0, -6.0, (n, m))
+    demands = rng.uniform(1.0, 4.0, m) * (rng.uniform(size=m) < 0.8)
+    instance = build_instance(gains, demands, 10.0 ** rng.uniform(-0.3, 0.3, n), noise=1e-9,
+                              server_of=rng.integers(-1, n, m))
+    cc = coefficients(instance)
+    cc = cc.scaled(0.0) if all_idle else cc
+    rho = rng.uniform(0.0, 2.0, n)
+    u = rho @ cc.rel + cc.noise
+    lg = np.log1p(1.0 / u)
+    jac_ref = cell_sums_reference(cc, math.log(2.0) / (cc.a * lg * lg * (u * u + u)))
+    slope_ref = cell_sums_reference(cc, math.log(2.0) / cc.a)
+    jac, slope = jacobian(cc, rho), asymptotic_linearization(cc).slope
+    for got, ref in ((jac, jac_ref), (slope, slope_ref)):
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert np.all(got[ref == 0.0] == 0.0)
+    assert np.all(np.diag(jac) == 0.0)
 
 
 def test_per_cell_fields_are_views_of_packed_arrays():

@@ -120,6 +120,11 @@ def test_feasibility_matches_eigenvalue_oracle():
         assert feasible == (outcome.status == "feasible")
 
 
+def _irreducible(m) -> bool:
+    """(I + pattern)^(n-1) is positive exactly when every cell reaches every other."""
+    return bool(np.all(np.linalg.matrix_power(np.eye(len(m)) + (m > 0), len(m) - 1) > 0))
+
+
 def test_spectral_radius_matches_eigvals():
     """Known radii, and a Collatz-Wielandt bracket around the radius of irreducible matrices.
 
@@ -145,15 +150,12 @@ def test_spectral_radius_matches_eigvals():
         m[rng.uniform(size=(n, n)) < 0.3] = 0.0  # sprinkle reducibility
         matrices.append(m)
 
-    def irreducible(m):
-        return bool(np.all(np.linalg.matrix_power(np.eye(len(m)) + (m > 0), len(m) - 1) > 0))
-
-    matrices = [m for m in matrices if irreducible(m)]
+    matrices = [m for m in matrices if _irreducible(m)]
     assert len(matrices) >= 10
     slope_rng = np.random.default_rng(SEED + 3)
     slopes = [asymptotic_linearization(coefficients(random_instance(
         slope_rng, int(slope_rng.integers(2, 9)), 5))).slope for _ in range(10)]
-    assert all(irreducible(m) for m in slopes)
+    assert all(_irreducible(m) for m in slopes)
     for m in matrices + slopes:
         values, vectors = np.linalg.eig(m)
         perron = np.abs(vectors[:, np.argmax(np.abs(values))])
@@ -268,6 +270,21 @@ def test_reducible_flag_for_isolated_cell():
     _, outcome = feasibility_check(instance)
     assert outcome.reducible
     assert outcome.status == "feasible"
+
+
+def test_cyclic_slope_is_not_flagged_reducible():
+    # zero entries off the diagonal, yet 1 -> 3 -> 2 -> 1 links every cell to every other
+    slope = np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.3, 0.0, 0.0]])
+    assert not solve_linear(_affine(slope, np.ones(3))).reducible
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(1, 8),
+       density=st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8, 1.0]))
+def test_reducible_flag_means_not_strongly_connected_property(seed, num_cells, density):
+    rng = np.random.default_rng(seed)
+    slope = rng.uniform(0.1, 1.0, (num_cells, num_cells)) * (rng.uniform(size=(num_cells, num_cells)) < density)
+    outcome = solve_linear(_affine(slope, np.ones(num_cells)))
+    assert outcome.reducible == (not _irreducible(slope))
 
 
 def test_irreducible_corpus_not_flagged():

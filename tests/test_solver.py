@@ -14,15 +14,19 @@ from helpers import (
     upper_bound,
 )
 from loadcouple import (
+    ScenarioSpec,
     SolverConfig,
+    asymptotic_linearization,
     coefficients,
     coupling,
     demand_sweep,
     fixed_point_iteration,
+    generate,
     jacobian,
     linfeas,
     load_function,
     solve,
+    spectral_radius,
 )
 
 SEED = 16180
@@ -357,3 +361,24 @@ def test_newton_iteration_factors_once(monkeypatch):
         assert report.status == "converged" and report.iterations > 1
         assert len(jacobians) <= len(report.trace) == report.iterations + 1
         assert tangents == []
+
+
+@pytest.mark.parametrize("num_sites", [3, 12])
+def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_sites):
+    """The line search's map value at the accepted step is reused as the next iterate's."""
+    instance = generate(ScenarioSpec(num_sites=num_sites, rng_seed=7, demand_bits_per_user=80_000.0))
+    boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
+    points = []
+    evaluate = coupling.load_function
+
+    def recording(cc, rho):
+        points.append(np.asarray(rho, dtype=np.float64).tobytes())
+        return evaluate(cc, rho)
+
+    monkeypatch.setattr(coupling, "load_function", recording)
+    for fraction in (0.5, 0.9, 0.99, 0.999):
+        points.clear()
+        report = solve(instance.with_demand_scale(fraction * boundary))
+        assert report.status == "converged" and report.iterations >= 2, fraction
+        assert len(points) > report.iterations
+        assert len(set(points)) == len(points), fraction
