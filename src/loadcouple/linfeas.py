@@ -52,13 +52,18 @@ class LinearSolveOutcome:
 
     @cached_property
     def reducible(self) -> bool:
-        # reach[i, k]: a path of at most 2**t edges, after t squarings, links k to i
-        reach = (self.slope > 0) | np.eye(len(self.slope), dtype=bool)
-        if reach.all():  # every off-diagonal entry positive, the common case
-            return False
-        for _ in range(math.ceil(math.log2(len(reach)))):
-            reach = (reach.astype(np.float64) @ reach) > 0
-        return not reach.all()
+        return not _reach(self.slope).all()
+
+
+def _reach(slope: np.ndarray) -> np.ndarray:
+    """``reach[i, k]``: some chain of positive slope entries links cell k to cell i, or k == i."""
+    reach = (slope > 0) | np.eye(len(slope), dtype=bool)
+    if reach.all():  # every off-diagonal entry positive, the common case
+        return reach
+    # after t squarings, reach holds the paths of at most 2**t edges
+    for _ in range(math.ceil(math.log2(len(reach)))):
+        reach = (reach.astype(np.float64) @ reach) > 0
+    return reach
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -85,9 +90,25 @@ def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optional[np.ndarray]]:
-    """Status and, when feasible, the nonnegative solution of the affine system."""
+    """Status and, when feasible, the nonnegative solution of the affine system.
+
+    The cells are solved in Frobenius block order: by descending count of
+    the cells that reach them, so each strongly connected block comes before
+    the blocks it depends on and partial pivoting stays inside a block.  A
+    strictly triangular slope is then a back substitution of nonnegative
+    terms in any cell order.  When every cell reaches every other, the
+    given order is kept.
+    """
     slope = system.slope
-    solution = _lu_solve(np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor)
+    lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor
+    reach = _reach(slope)
+    if reach.all():
+        solution = _lu_solve(lhs, rhs)
+    else:
+        order = np.argsort(-reach.sum(axis=1), kind="stable")
+        solution = _lu_solve(lhs[np.ix_(order, order)], rhs[order])
+        if solution is not None:
+            solution = solution[np.argsort(order)]
     if solution is None:
         return SINGULAR, None
     if np.min(solution) < -NEGATIVE_ATOL:

@@ -7,20 +7,24 @@ compact one-line JSON, stores them in dB, each value chosen so that the
 load-time conversion gives the linear gain back bit for bit wherever a
 float dB value can.  Files are read and written with orjson.  The stdlib
 ``json`` module reads only what orjson rejects: NaN, Infinity, numbers
-beyond the float range, and invalid JSON, whose error it locates.  Each
-block of numbers is checked and converted as one numpy array; a block that
-fails goes through a typed walk, which decides it, and the walks over
-cells, pixels and serving pairs name the first bad entry.  A cell or pixel
-is identified by its position: 1-based in files and in reports, 0-based
-for array indexing internally.
+beyond the float range, and invalid JSON, whose error it locates.  The
+cyclic garbage collector is paused from the parse until the instance is
+built.  Each row of a matrix of numbers is checked and converted by one
+typed pass in C, and each other block of numbers as one numpy array; a
+block that fails goes through a typed walk, which decides it, and the
+walks over cells, pixels and serving pairs name the first bad entry.  A
+cell or pixel is identified by its position: 1-based in files and in
+reports, 0-based for array indexing internally.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -286,19 +290,24 @@ def _float(value, what: str) -> float:
 def _float_matrix(rows, what: str) -> np.ndarray:
     """``rows`` as a float64 array if it is a list of equal-length lists of finite JSON numbers.
 
-    numpy's dtype discovery checks and converts the rows in C: a string,
-    null, object or int beyond int64 gives another dtype, a ragged row
-    raises and a nested one adds a dimension.  The one non-number it takes
-    is a bool, as exactly 0 or 1, so an array holding 0, 1 or a non-finite
-    value is left to :func:`_float_rows`, which decides every other input.
+    Each row takes one typed pass in C, ``array.fromlist``, onto the end of
+    one C array of doubles, which numpy then views: a string, null, list or
+    object raises TypeError and an int beyond the float range OverflowError.
+    The one non-number it takes is a bool, as exactly 0 or 1, so an array
+    holding 0, 1 or a non-finite value is left to :func:`_float_rows`, which
+    decides every other input too: no rows, a row that is not a list and
+    ragged rows.
     """
-    try:
-        values = np.array(rows)
-    except (TypeError, ValueError, OverflowError):
-        return _float_rows(rows, what)
-    if (values.ndim == 2 and values.dtype in (np.float64, np.int64)
-            and np.all(np.isfinite(values) & (values != 0) & (values != 1))):
-        return values.astype(np.float64, copy=False)
+    if type(rows) is list and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
+        flat = array("d")
+        try:
+            for row in rows:
+                flat.fromlist(row)
+        except (TypeError, OverflowError):
+            return _float_rows(rows, what)
+        values = np.frombuffer(flat).reshape(len(rows), len(rows[0]))
+        if np.all(np.isfinite(values) & (values != 0) & (values != 1)):
+            return values
     return _float_rows(rows, what)
 
 
@@ -391,9 +400,23 @@ def load_instance(path) -> NetworkInstance:
     The file's ids must be 1..n and 1..m in order; they are positions and
     are not kept.  Files without a ``serving`` block get a best-server
     assignment.  A wrong or missing schema version is rejected outright.
+    The cyclic garbage collector is paused from the parse until the
+    instance is built: the parsed document holds no cycles, so a collection
+    could only walk its rows of numbers again and again.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_instance(data, path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_instance(data: bytes, path) -> NetworkInstance:
+    """:func:`load_instance` on the file's bytes."""
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError:
@@ -425,8 +448,10 @@ def load_instance(path) -> NetworkInstance:
         if ids != list(range(1, len(ids) + 1)):
             raise SchemaError(f"{path}: {name} ids must be 1..{len(ids)} in order")
 
+    gains = _float_matrix(gains_db, f"{path}: gains_db")
+    gains /= 10.0
     with np.errstate(over="ignore"):  # an infinite gain is validate's to reject
-        gains = np.power(10.0, _float_matrix(gains_db, f"{path}: gains_db") / 10.0)
+        np.power(10.0, gains, out=gains)
     if gains.shape != (n, m):
         raise SchemaError(f"{path}: gains_db has shape {gains.shape}, expected ({n}, {m})")
 

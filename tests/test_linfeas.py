@@ -223,7 +223,8 @@ def test_permuting_cells_permutes_the_verdict_property(seed, num_cells, reducibl
 
     The slopes have a zero diagonal, as coupling slopes do, and are either
     dense or reducible: a random group of cells gets no coupling from the
-    others.  Nilpotent slopes (rho(A) = 0) are left to the xfail test below.
+    others.  Nilpotent and block-triangular slopes at huge scales are left to
+    the tests below.
     """
     rng = np.random.default_rng(seed)
     slope = rng.uniform(0.1, 1.0, (num_cells, num_cells))
@@ -243,14 +244,13 @@ def test_permuting_cells_permutes_the_verdict_property(seed, num_cells, reducibl
         np.testing.assert_allclose(permuted.solution, outcome.solution[order], rtol=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: on nilpotent slopes with n >= 3 the LU "
-                                       "verdict at huge scales depends on the cell order")
 def test_nilpotent_verdict_does_not_depend_on_cell_order():
     """rho(A) = 0, so every scale is feasible; the solution spans many orders of magnitude.
 
     With a strictly triangular slope of n cells, the load vector at scale s
-    has components from about s up to s**n, so a backward-stable solve may
-    return a small component with the wrong sign, in some cell orders only.
+    has components from about s up to s**n, so a backward-stable solve in a
+    non-triangular cell order may return a small component with the wrong
+    sign.  The verdict solves in Frobenius block order, which is triangular.
     """
     rng = np.random.default_rng(SEED + 12)
     for num_cells in (3, 4, 5):
@@ -261,6 +261,39 @@ def test_nilpotent_verdict_does_not_depend_on_cell_order():
                         for order in map(list, itertools.permutations(range(num_cells)))}
             # the identity order is triangular, so its solve is a positive back substitution
             assert verdicts == {"feasible"}, (num_cells, scale, verdicts)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(3, 6), nilpotent=st.booleans(),
+       scale=st.sampled_from([1e10, 1e16, 1e20]))
+def test_permuting_block_triangular_cells_permutes_the_solution_property(seed, num_cells, nilpotent, scale):
+    """A block-triangular slope at scale s is feasible in every cell order, with the solution permuted.
+
+    The cells split into strongly connected blocks, each coupled to every
+    later block with positive entries of order one, so the loads span about
+    s to s**blocks.  Each diagonal block has radius below 1/s, which keeps
+    every scale up to s feasible; nilpotent slopes have one cell per block
+    and a zero diagonal block.
+    """
+    rng = np.random.default_rng(seed)
+    if nilpotent:
+        blocks = [[i] for i in range(num_cells)]
+    else:
+        cuts = sorted(rng.choice(range(1, num_cells), rng.integers(0, num_cells - 1), replace=False))
+        blocks = [range(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, num_cells])]
+    slope = np.triu(rng.uniform(0.1, 1.0, (num_cells, num_cells)), k=1)
+    for block in blocks:
+        if len(block) > 1:
+            inner = rng.uniform(0.1, 1.0, (len(block), len(block)))
+            np.fill_diagonal(inner, 0.0)
+            slope[np.ix_(block, block)] = inner * (rng.uniform(0.1, 0.9) / (scale * eig_radius(inner)))
+    offset = rng.uniform(0.1, 1.0, num_cells)
+    order = rng.permutation(num_cells)
+
+    _, outcome = linfeas.feasibility(_affine(slope, offset), scale)
+    _, permuted = linfeas.feasibility(_affine(slope[np.ix_(order, order)], offset[order]), scale)
+    assert (outcome.status, permuted.status) == ("feasible", "feasible")
+    np.testing.assert_allclose(permuted.solution, outcome.solution[order], rtol=1e-9)
 
 
 def test_reducible_flag_for_isolated_cell():

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -542,6 +544,14 @@ def _assert_same_outcome(got, want):
 @example(rows=[[2.5, float("nan")]])
 @example(rows=[[-float("inf"), 2]])
 @example(rows=[[2**63, 3, -0.0]])
+@example(rows=[])
+@example(rows=[[]])
+@example(rows=[[], []])
+@example(rows=[[2.5], 3.5])
+@example(rows=[[2.5, "3"]])
+@example(rows=[[2.5, None]])
+@example(rows=[[10**400]])
+@example(rows=[[2**70, 2.5]])
 def test_float_matrix_matches_the_typed_walk_property(rows):
     _assert_same_outcome(_outcome(_float_matrix, rows, "gains_db"),
                          _outcome(float_matrix_reference, rows, "gains_db"))
@@ -574,6 +584,59 @@ def test_generated_gains_skip_the_typed_walk(tmp_path, monkeypatch):
     monkeypatch.setattr(netmodel, "_float_rows", walk_all_but_gains)
     for name in ("n9.json", "n9_rot.json"):
         assert load_instance(tmp_path / name).num_cells == 9
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_instance(build_instance([[1e-7, 1e-8], [2e-8, 1e-7]], [5.0, 5.0], [1.0, 1.0], 1e-9), good)
+    bad.write_text('{"version": 1, "cells": [], "pixels": []}')
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_instance(good).num_cells == 2
+        assert gc.isenabled() == enabled
+        with pytest.raises(SchemaError, match="gains_db"):
+            load_instance(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_loading_a_generated_file_starts_no_collection_and_walks_no_gains(tmp_path, monkeypatch):
+    """Counts, not times: the n=36 load starts no collection and converts its gains in one pass per row.
+
+    Parsing the same bytes with the collector on starts collections, so the
+    count can see them.  The 2x2 ``wrap_periods_m`` block holds an exact 0.0,
+    which the walk must tell from a bool, so it is the one block walked.
+    """
+    path = tmp_path / "n36.json"
+    save_instance(generate(ScenarioSpec(num_sites=12, rng_seed=7)), path)
+    walked, started = [], []
+    walk = netmodel._float_rows
+
+    def counted_walk(rows, what):
+        walked.append(what.split(": ")[-1])
+        return walk(rows, what)
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    monkeypatch.setattr(netmodel, "_float_rows", counted_walk)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(on_gc)
+    try:
+        orjson.loads(path.read_bytes())
+        assert started
+        started.clear()
+        assert load_instance(path).num_cells == 36
+    finally:
+        gc.callbacks.remove(on_gc)
+        (gc.enable if was_enabled else gc.disable)()
+    assert started == []
+    assert walked == ["wrap_periods_m"]
 
 
 def test_cell_and_pixel_metadata_roundtrip(tmp_path):
