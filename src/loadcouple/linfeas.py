@@ -96,21 +96,15 @@ def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optiona
     the cells that reach them, so each strongly connected block comes before
     the blocks it depends on and partial pivoting stays inside a block.  A
     strictly triangular slope is then a back substitution of nonnegative
-    terms in any cell order.  When every cell reaches every other, the
-    given order is kept.
+    terms in any cell order.
     """
     slope = system.slope
     lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor
-    reach = _reach(slope)
-    if reach.all():
-        solution = _lu_solve(lhs, rhs)
-    else:
-        order = np.argsort(-reach.sum(axis=1), kind="stable")
-        solution = _lu_solve(lhs[np.ix_(order, order)], rhs[order])
-        if solution is not None:
-            solution = solution[np.argsort(order)]
+    order = np.argsort(-_reach(slope).sum(axis=1), kind="stable")
+    solution = _lu_solve(lhs.take(order, axis=0).take(order, axis=1), rhs[order])
     if solution is None:
         return SINGULAR, None
+    solution = solution[np.argsort(order)]
     if np.min(solution) < -NEGATIVE_ATOL:
         return INFEASIBLE_NEGATIVE, None
     return FEASIBLE, np.maximum(solution, 0.0)

@@ -200,8 +200,8 @@ def test_compare_without_perron_root_has_no_boundary():
     for hi in (1e6, 1e14):  # still feasible at hi, however large
         with pytest.raises(PreconditionError):
             feasibility_boundary(instance, lo=1.0, hi=hi)
-    # in the other cell order partial pivoting leaves a pivot of about 1/s, small but
-    # not zero: the verdict stays feasible, and there is no boundary either
+    # the other cell order is solved in block-triangular order, so the verdict
+    # stays feasible and there is no boundary either
     swapped = build_instance([[1e-8, 1e-8], [1e-7, 1e-7]], demands=[10, 20], powers=[1, 1],
                              noise=1e-9)
     assert compare_configs(swapped, swapped).boundary_a == math.inf
