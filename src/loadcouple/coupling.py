@@ -56,6 +56,9 @@ class CouplingCoefficients:
     relative to the serving power, and ``rel`` (num_cells x M) every cell's
     received power relative to the serving power, with the serving cell's
     entry zeroed so that ``rho @ rel`` sums over the other cells only.
+    ``rel`` is column-major, as the column gather from the gains gives it:
+    the per-cell GEMVs of the Jacobian and the slope read its columns, and
+    their last bits depend on that layout.
     """
 
     num_cells: int
@@ -141,10 +144,11 @@ def coefficients(instance) -> CouplingCoefficients:
     pixel = demanded[np.argsort(server_of[demanded], kind="stable")]
     cell_of = server_of[pixel]
     positions = np.arange(pixel.size)
-    received = instance.power_per_ru[:, None] * instance.gains[:, pixel]
-    serving_power = received[cell_of, positions]
+    rel = instance.gains[:, pixel]  # scaled in place, so it stays column-major
+    rel *= instance.power_per_ru[:, None]  # the received powers
+    serving_power = rel[cell_of, positions]
     _require(_finite_positive(serving_power), pixel, "serving power")
-    rel = received / serving_power
+    rel /= serving_power
     rel[cell_of, positions] = 0.0  # own cell never interferes with itself
     a = budget / np.maximum(demands[pixel], budget / RATE_PER_DEMAND_MAX)
     noise = instance.noise_power / serving_power

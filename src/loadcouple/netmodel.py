@@ -10,7 +10,7 @@ float dB value can.  Files are read and written with orjson.  The stdlib
 beyond the float range, and invalid JSON, whose error it locates.  The
 cyclic garbage collector is paused from the parse until the instance is
 built.  Each row of a matrix of numbers is checked and converted by one
-typed pass in C, and each other block of numbers as one numpy array; a
+typed pack in C, and each other block of numbers as one numpy array; a
 block that fails goes through a typed walk, which decides it, and the
 walks over cells, pixels and serving pairs name the first bad entry.  A
 cell or pixel is identified by its position: 1-based in files and in
@@ -23,8 +23,8 @@ import copy
 import gc
 import json
 import math
+import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -66,7 +66,9 @@ class NetworkInstance:
     ``dataclasses.replace``; pass ``server_of=None`` there to reassign by
     best server.  The geometry columns must match the cell and pixel counts
     and be finite, or the constructor raises ValueError; everything else is
-    checked by :func:`validate`.
+    checked by :func:`validate`.  Every column is copied into a read-only
+    array, even a read-only one, which a writable view taken before could
+    still change; only the loader hands its gains over uncopied.
     """
 
     power_per_ru: np.ndarray
@@ -93,7 +95,10 @@ class NetworkInstance:
                 continue
             if value is None:  # the columns above it are set by now
                 value = assign_best_server(self) if name == "server_of" else np.zeros(geometry[name])
-            value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
+            if isinstance(value, _Handover):
+                value = value.array
+            else:
+                value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
             if name in geometry and not (value.shape == geometry[name] and np.all(np.isfinite(value))):
                 raise ValueError(f"{name} must be finite of shape {geometry[name]}, got {value.shape}")
             value.setflags(write=False)
@@ -121,6 +126,13 @@ class NetworkInstance:
         scaled = copy.copy(self)
         object.__setattr__(scaled, "demand_bits", demand)
         return scaled
+
+
+@dataclass(frozen=True)
+class _Handover:
+    """A C-contiguous float64 array handed over by its maker, who keeps no view of it: kept uncopied."""
+
+    array: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -290,22 +302,22 @@ def _float(value, what: str) -> float:
 def _float_matrix(rows, what: str) -> np.ndarray:
     """``rows`` as a float64 array if it is a list of equal-length lists of finite JSON numbers.
 
-    Each row takes one typed pass in C, ``array.fromlist``, onto the end of
-    one C array of doubles, which numpy then views: a string, null, list or
-    object raises TypeError and an int beyond the float range OverflowError.
-    The one non-number it takes is a bool, as exactly 0 or 1, so an array
+    Each row takes one typed pack in C, ``struct.Struct(f"{m}d").pack_into``,
+    straight into its row of the float64 array: a string, null, list or
+    object, and an int beyond the float range, raise ``struct.error``.  The
+    one non-number it takes is a bool, as exactly 0 or 1, so an array
     holding 0, 1 or a non-finite value is left to :func:`_float_rows`, which
     decides every other input too: no rows, a row that is not a list and
     ragged rows.
     """
     if type(rows) is list and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
-        flat = array("d")
+        values = np.empty((len(rows), len(rows[0])))
+        row_format = struct.Struct(f"{values.shape[1]}d")
         try:
-            for row in rows:
-                flat.fromlist(row)
-        except (TypeError, OverflowError):
+            for k, row in enumerate(rows):
+                row_format.pack_into(values, k * row_format.size, *row)
+        except struct.error:
             return _float_rows(rows, what)
-        values = np.frombuffer(flat).reshape(len(rows), len(rows[0]))
         if np.all(np.isfinite(values) & (values != 0) & (values != 1)):
             return values
     return _float_rows(rows, what)
@@ -467,7 +479,7 @@ def _parse_instance(data: bytes, path) -> NetworkInstance:
     return NetworkInstance(
         power_per_ru=power,
         demand_bits=demand,
-        gains=gains,
+        gains=_Handover(gains),
         noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
         num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
                                   f"{path}: num_resource_units"),

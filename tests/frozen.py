@@ -9,10 +9,12 @@ them number by number:
     python tests/frozen.py diff old.json new.json
 
 ``dump`` runs whichever ``loadcouple`` is importable.  ``diff`` prints, per
-output that changed, how many numbers moved, the largest relative change
-and any change in the text around them (statuses, verdicts, exit codes,
-generated-file digests), then one summary line.  It exits 1 when any text
-changed.
+output that changed, how many numbers moved, the largest relative change,
+the labels of the moved numbers and any change in the text around them
+(statuses, verdicts, exit codes, generated-file digests), then one summary
+line.  A number's label is the key of its ``key=value``, else its CSV
+header column, else the words before it on its line.  ``diff`` exits 1
+when any text changed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +40,8 @@ FROZEN_COMMANDS = [
 
 # a number not glued to a word or another number: "rho_star_1" and "n36" hold none
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+KEY = re.compile(r"(\w+)=$")
+PHRASE = re.compile(r"[A-Za-z_][A-Za-z_ ]*")
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -81,16 +86,43 @@ def dump() -> dict:
 
 @dataclass(frozen=True)
 class Change:
-    """How one output differs: numbers moved out of ``numbers``, and whether its text did."""
+    """How one output differs: numbers moved out of ``numbers``, and whether its text did.
+
+    ``labels`` names each moved number, in output order.
+    """
 
     moved: int
     numbers: int
     max_rel: float
     text: bool
+    labels: tuple[str, ...] = ()
 
 
 def _split(text: str) -> tuple[list[float], list[str]]:
     return [float(t) for t in NUMBER.findall(text)], NUMBER.split(text)
+
+
+def labels(text: str) -> list[str]:
+    """The label of every number in ``text``, in order (see the module docstring).
+
+    A CSV header is a line of two or more fields without a number; a row
+    below it with as many fields takes its labels from it.
+    """
+    out, header = [], None
+    for line in text.splitlines():
+        fields, numbers = line.split(","), list(NUMBER.finditer(line))
+        if len(fields) > 1 and not numbers:
+            header = fields
+        for number in numbers:
+            before = line[:number.start()]
+            key = KEY.search(before)
+            if key:
+                out.append(key.group(1))
+            elif header is not None and len(fields) == len(header):
+                out.append(header[before.count(",")])
+            else:
+                out.append((PHRASE.findall(before) or ["?"])[-1].strip())
+    return out
 
 
 def compare(a: dict, b: dict) -> dict[str, Change]:
@@ -110,7 +142,8 @@ def compare(a: dict, b: dict) -> dict[str, Change]:
         text = old["code"] != new["code"] or text_x != text_y
         pairs = list(zip(x, y)) if len(x) == len(y) else []
         moved = [abs(p - q) / max(abs(p), abs(q)) for p, q in pairs if p != q]
-        changes[key] = Change(len(moved), len(pairs), max(moved, default=0.0), text)
+        names = tuple(name for name, (p, q) in zip(labels(old["stdout"]), pairs) if p != q)
+        changes[key] = Change(len(moved), len(pairs), max(moved, default=0.0), text, names)
     return changes
 
 
@@ -127,7 +160,9 @@ def main(argv) -> int:
         changes = compare(a, b)
         for key, c in changes.items():
             text = "  TEXT CHANGED" if c.text else ""
-            print(f"{key}: {c.moved} of {c.numbers} numbers moved, max rel {c.max_rel:.3g}{text}")
+            names = ", ".join(f"{name} x{count}" for name, count in Counter(c.labels).items())
+            print(f"{key}: {c.moved} of {c.numbers} numbers moved, max rel {c.max_rel:.3g}"
+                  f"{f' ({names})' if names else ''}{text}")
         moved = sum(c.moved for c in changes.values())
         max_rel = max((c.max_rel for c in changes.values()), default=0.0)
         texts = sum(c.text for c in changes.values())

@@ -7,7 +7,7 @@ asymptotic slope matrix hits an exact spectral radius target (computed with
 numpy's eigensolver in this file, not through the package).
 ``float_matrix_reference`` and ``serving_reference`` convert instance-file
 blocks by typed walks, the references for the loader's fast paths: one
-typed pass per gains row, with the garbage collector paused, and one numpy
+typed pack per gains row, with the garbage collector paused, and one numpy
 array for the serving pairs.
 """
 

@@ -245,6 +245,24 @@ def test_compare_without_perron_root_reports_infinite_boundaries(tmp_path, capsy
     assert comment == "# verdict=equal boundary_a=inf boundary_b=inf"
 
 
+def test_generated_instances_never_take_the_dense_eigenvalue_solve(tmp_path, monkeypatch, capsys):
+    """Every command reads the Perron root of the seed-7 n=36 files from the Perron iteration."""
+    instance = generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000.0))
+    a = _write_instance(tmp_path, instance, "n36.json")
+    b = _write_instance(tmp_path, loadcouple.rotate_sector(instance, 2, 45.0), "n36_rot.json")
+
+    def no_eigvals(matrix):
+        raise np.linalg.LinAlgError("the dense eigenvalue solve was called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    for argv in (["solve", "--instance", str(a)], ["feasibility", "--instance", str(a)],
+                 ["sweep", "--instance", str(a), "--scales", "1:16:8"],
+                 ["boundary", "--instance", str(a), "--lo", "0.01", "--hi", "100"],
+                 ["compare", "--a", str(a), "--b", str(b)]):
+        assert main(argv) == 0, argv
+    assert "spectral radius 0.15303198818935" in capsys.readouterr().out
+
+
 def test_bounds_command(tmp_path):
     rng = np.random.default_rng(SEED + 8)
     instance = random_instance(rng, 4, 5, radius_target=0.6)
@@ -300,28 +318,28 @@ FROZEN_FILES = {
     "n36_rot": "c535e2b36dada001f12a5f22d248b6654a224c3bda1eb6665ba75a0be98ff532",
 }
 FROZEN_STDOUT = {
-    "n9 solve": "27ff29c746335bb9ed865efeb17c3e875cb257afbacf8ca4969e2011759c6ad4",
-    "n9 feasibility": "9dd25ed124463f95d4d8138115efda572ce9fab6d035e9fd7ea0e9da8c7b3432",
+    "n9 solve": "4596d965883b140a06e23d7e20f94059ef51a5f597de1d57b8c6af665413d53b",
+    "n9 feasibility": "dbe4104ae1dc8f5c453c522ce5b00020564553407f584e1f2062a426dec4dc7f",
     "n9 bounds": "c40fbc0970684cc50bffd8680bc14f74827e15bb4744cb88bd176617f75ff7d6",
-    "n9 sweep": "1e4d5b851b9e65ce6a1c59a236f188508af2aff87c7c35ccf7ee8376621d7202",
-    "n9 boundary": "237f00c1c6a85333bc72aaca7c3ec2426d0d26b60e6f6f60317b4e64e9d54adb",
-    "n9_rot solve": "3c17951e2bd32eb1b95d6ada06cd7d284a56b56c050b0c8af706824892c545b8",
-    "n9_rot feasibility": "a546eddd7f11ba5e3ce046031d949fb64278969763251ce9b01ca1217ef78b62",
+    "n9 sweep": "4dc0c498fca3fb7c9281b88d2ad4256fa1ebc6e2ab6cecbf21c8708693b7176e",
+    "n9 boundary": "cd65c5d47ed3158c4c8c3c11899a092cc09a4ca90942335262306257c28944ff",
+    "n9_rot solve": "b5832ee27d74f1ef31c06cff01b3ac3f650a4dfedb2e94ba18ba3247b145e376",
+    "n9_rot feasibility": "953ec07cce0b8af205e74b16ad3ecc53027fefca4ebd1d87e3d895517d4b2585",
     "n9_rot bounds": "59e421bde335cc0d1bf6f533ec087f263a67988ae5a95d40a0017c5a84904f9e",
-    "n9_rot sweep": "ef93c92c73d7f4cccf09593003867dfd84fb751344b8c1da25cec65f4021d370",
-    "n9_rot boundary": "8bc532ecf18650abe6d8148484afe3186798dce9595d392ffbab81ab3a25c010",
-    "n9 compare": "5e59bd381df9e96cd17b48157991f0b3309de46ca38425a0be157e60ca888cf5",
-    "n36 solve": "98c1c3d72940ef592ab8bb39df14922e6e45834f329158745408f2cc2fc937f6",
-    "n36 feasibility": "2d4b6537d36ce4a47afc5cd531dff7017608c1f12241a4bf0d6ecb96a34bf424",
+    "n9_rot sweep": "914235fbea743ba8d4660bf9c8fabd5000f2043f5e566f3327fbba92ba8ba888",
+    "n9_rot boundary": "9ad2f9934bfb6faa73c63175fdbfb360644dcf6635dcea6eb5937b4c108cff16",
+    "n9 compare": "85ee013e812e7d0ef42983d554cb667aa29cc581b4a816a8f3c9c92abb3bce6e",
+    "n36 solve": "336c2371a7a77888d67d8309373f78557bcbf312c7f8ba403225d28b623c8a23",
+    "n36 feasibility": "f71d56987e20a9f5b76023c5e3c127279eb14baa6bc31f30b8258c7b49343aff",
     "n36 bounds": "a9ed3dce53b17ab4df67dfec82edd086285a990cd6acac06571c15be50b1ec48",
-    "n36 sweep": "221a43a698caffce1f723bdc720ac45b01dd1f4c02ba4f8928f702113dc7a55b",
-    "n36 boundary": "e99dc227e946b82da404d8c07ccb45d7b28fece7b807e948f78877b31948158b",
-    "n36_rot solve": "40bc894f88055d9bae7777e9516a6dc3621aeb88e6f154ee666fb8521d90ca14",
-    "n36_rot feasibility": "2ddd8a450af188fc77fbb14777dac37299f12c33fa629cdfbef45557ebde4b5a",
+    "n36 sweep": "ca3fc014badc3a3742f6d6b0e8d945e5190df5c84fb4b75f6282b48d62a01fc4",
+    "n36 boundary": "12916d3490cada831a769025f68546aaa0d457fafa67435ba4eec0acc3dbe6b7",
+    "n36_rot solve": "4e615c459142d410bb88a9e5e24cbff933a256c65b9c9522a41af358bc805483",
+    "n36_rot feasibility": "4fa0cfb3b955b4495d6b683fe00968617abe3b7734deafce28164a8298d4165c",
     "n36_rot bounds": "9589f5507a8f340c185dfbc63919fe2aba72d33319ca3e518941df4162ef4c60",
-    "n36_rot sweep": "9562e44a0779354241472be116ab1bbf110eb63570697f0dc26025ea7bac4534",
-    "n36_rot boundary": "7f778bd5ae35b6a2aa8c22517bdfe8f6a81d6ebf2067dea1c909da754f9d2081",
-    "n36 compare": "98db4858fc791fd0477d2a173668de24475af3cdf72e95c6be8da108d67755ec",
+    "n36_rot sweep": "666986d24ba79d666cc9a029d6ad7ee43b159dfb56be93e496558e90a7076dc9",
+    "n36_rot boundary": "3992b2ec6bf184a5d03aad684f4c6835bbe4d1540e834fd57ef0af5ae944686e",
+    "n36 compare": "4623b796c25208a20b900a099356f0877745059224ca0741a37e22b823573a48",
 }
 
 
@@ -349,13 +367,22 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     def with_stdout(text):
         return {**frozen_dump, "outputs": {**frozen_dump["outputs"], key: {"code": 0, "stdout": text}}}
 
-    # the first load one ulp up: its last printed digits change
+    def bumped(match):  # one ulp up: its last printed digits change
+        return with_stdout(out[:match.start()] + f"{np.nextafter(float(match.group()), np.inf):.17g}"
+                           + out[match.end():])
+
+    # the first long number is the residual in the "# key=value" comment
     first = next(m for m in frozen.NUMBER.finditer(out) if len(m.group()) > 15)
-    bumped = f"{np.nextafter(float(first.group()), np.inf):.17g}"
-    moved = with_stdout(out[:first.start()] + bumped + out[first.end():])
+    moved = bumped(first)
     (change,) = frozen.compare(frozen_dump, moved).values()
     assert (change.moved, change.numbers, change.text) == (1, total, False)
     assert 0 < change.max_rel < 1e-14
+    assert change.labels == ("residual",)
+    # cell 2's lower load, labelled by its CSV header column
+    row = out.index("\n2,")
+    lower = list(frozen.NUMBER.finditer(out, row, out.index("\n", row + 1)))[2]
+    (change,) = frozen.compare(frozen_dump, bumped(lower)).values()
+    assert (change.moved, change.labels) == (1, ("rho_lower",))
     texted = with_stdout(out.replace("status=converged", "status=max_iter_exceeded"))
     assert frozen.compare(frozen_dump, texted) == {key: frozen.Change(0, total, 0.0, True)}
     paths = []
@@ -366,6 +393,8 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     assert frozen.main(["diff", str(paths[0]), str(paths[0])]) == 0
     assert capsys.readouterr().out.startswith("# 0 of 26 outputs differ")
     assert frozen.main(["diff", str(paths[0]), str(paths[1])]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith(f"{key}: 1 of {total} numbers moved") and line.endswith("(residual x1)")
     assert frozen.main(["diff", str(paths[0]), str(paths[2])]) == 1
 
 

@@ -20,8 +20,10 @@ from helpers import (
 )
 from loadcouple import (
     LinearizedSystem,
+    ScenarioSpec,
     asymptotic_linearization,
     coefficients,
+    generate,
     jacobian,
     load_function,
     tangent_linearization,
@@ -402,6 +404,12 @@ def test_per_cell_fields_are_views_of_packed_arrays():
     for i in range(4):
         assert list(cc.pixel[cc.starts[i]:cc.starts[i + 1]]) == [
             j for j in areas(instance.server_of, 4)[i] if instance.demand_bits[j] > 0]
+
+
+def test_rel_is_column_major():
+    """The layout the per-cell GEMVs read; a C-order rel moves the last bits of the frozen outputs."""
+    cc = coefficients(generate(ScenarioSpec(num_sites=3, rng_seed=7)))
+    assert cc.rel.flags.f_contiguous and not cc.rel.flags.c_contiguous
 
 
 def test_scaled_matches_rebuilt_coefficients():

@@ -168,6 +168,61 @@ def test_spectral_radius_matches_eigvals():
         assert hi - lo <= 1e-12 * radius
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       pattern=st.sampled_from(["dense", "sparse", "cyclic"]), decades=st.integers(0, 4),
+       magnitude=st.integers(-8, 8))
+def test_spectral_radius_lies_in_a_collatz_wielandt_bracket_property(seed, n, pattern, decades, magnitude):
+    """For irreducible A >= 0 the radius sits in the bracket of the Perron vector within a few n eps.
+
+    A weighted cycle through every cell makes A irreducible; alone it is
+    periodic, the sparse pattern adds about 30% of the other entries and the
+    dense one all.  Nonzero entries spread over ``decades`` decades around
+    10**magnitude.  The bracket min(Av/v) <= rho <= max(Av/v) holds for any
+    v > 0; v is numpy's eigenvector of the eigenvalue of largest real part,
+    which is rho, and the ratios are taken in extended precision.  The
+    radius may sit below the bracket by its own ratios' rounding, about
+    (n + 1) eps, and above it by as much again plus the iteration's stopping
+    width, 8 eps.
+    """
+    rng = np.random.default_rng(seed)
+    pattern_mask = {"dense": np.ones((n, n), dtype=bool), "sparse": rng.uniform(size=(n, n)) < 0.3,
+                    "cyclic": np.zeros((n, n), dtype=bool)}[pattern]
+    cells = rng.permutation(n)
+    pattern_mask[cells, np.roll(cells, 1)] = True
+    m = pattern_mask * 10.0 ** (magnitude + rng.uniform(0, decades, (n, n)))
+    values, vectors = np.linalg.eig(m)
+    v = np.abs(vectors[:, np.argmax(values.real)])
+    assume(np.all(v > 0))
+    ratios = (m.astype(np.longdouble) @ v.astype(np.longdouble)) / v
+    radius = spectral_radius(m)
+    slack = (2 * n + 10) * np.finfo(float).eps * radius
+    assert float(ratios.min()) - slack <= radius <= float(ratios.max()) + slack
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((1, 1)),
+    np.array([[0.7]]),
+    np.zeros((3, 3)),
+    np.diag([0.2, 0.9, 0.4]),  # reducible: no cell reaches another
+    np.triu(np.full((4, 4), 0.5), k=1),  # nilpotent
+    np.array([[0.5, 0.3, 0.0], [0.2, 0.1, 0.0], [0.4, 0.4, 0.6]]),  # block triangular
+    np.array([[-0.2, 0.5], [0.5, 0.0]]),  # a negative entry: the radius is |-0.2/2 - sqrt(0.26)|
+    # irreducible, but the step solves land just below the root and give z < 0
+    np.array([[2.0, 0.008], [0.0004, 9.0]]),
+], ids=["zero_1x1", "1x1", "zero", "diagonal", "nilpotent", "block_triangular", "negative_entry",
+        "z_not_positive"])
+def test_spectral_radius_outside_the_perron_path_is_the_eigenvalue_solve(m):
+    assert linfeas._perron_root(m) is None
+    assert spectral_radius(m) == float(np.max(np.abs(np.linalg.eigvals(m)), initial=0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_radius_of_a_non_finite_matrix_raises(bad):
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_radius(np.array([[0.0, bad], [0.5, 0.0]]))
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6),
        radius_target=st.floats(0.3, 0.95), margin=st.sampled_from([0.02, 0.1]))

@@ -220,6 +220,30 @@ def test_instance_does_not_follow_a_writable_source_array():
     writable[0] = 5.0
     assert instance.demand_bits[0] == 10.0
     assert not np.shares_memory(instance.demand_bits, owner)
+    # and so is a read-only view of a writable array
+    gains = np.array([[1e-7, 2e-8], [3e-8, 9e-8]])
+    view = gains.view()
+    view.setflags(write=False)
+    instance = _small_instance(gains=view)
+    gains[0, 0] = 5.0
+    assert instance.gains[0, 0] == 1e-7
+    assert not np.shares_memory(instance.gains, gains)
+
+
+def test_loaded_instance_keeps_the_loaders_gains(tmp_path, monkeypatch):
+    path = tmp_path / "n9.json"
+    save_instance(generate(ScenarioSpec(num_sites=3, rng_seed=7)), path)
+    converted = []
+    convert = netmodel._float_matrix
+
+    def recorded(rows, what):
+        converted.append(convert(rows, what))
+        return converted[-1]
+
+    monkeypatch.setattr(netmodel, "_float_matrix", recorded)
+    instance = load_instance(path)
+    assert instance.gains is converted[0]  # converted to linear scale in place, then kept
+    assert not instance.gains.flags.writeable and instance.gains.flags.c_contiguous
 
 
 def test_save_load_roundtrip_values(tmp_path):
