@@ -24,7 +24,6 @@ from .linfeas import (
     feasibility_check,
     solve_linear,
     spectral_radius,
-    tangent_bound,
 )
 from .solver import (
     SolveReport,
@@ -67,7 +66,6 @@ __all__ = [
     "solve_linear",
     "spectral_radius",
     "feasibility_check",
-    "tangent_bound",
     "SolverConfig",
     "SolveReport",
     "solve",

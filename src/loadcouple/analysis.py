@@ -19,6 +19,10 @@ import numpy as np
 
 from . import coupling, linfeas, solver
 
+# compare_configs certifies each boundary scale by a bracket this wide relative to its lower end
+COMPARE_TOL = 1e-4
+
+
 class PreconditionError(ValueError):
     """An analysis was asked about a regime where its question has no answer."""
 
@@ -157,7 +161,7 @@ def _bound_quality(cc, report: solver.SolveReport) -> list[CellBounds]:
         raise PreconditionError("no bound quality on an infeasible instance")
     rho = report.fixed_point
     lower = report.lower
-    upper = linfeas.tangent_bound(cc, lower)
+    upper = linfeas.solve_linear(coupling.tangent_linearization(cc, lower)).solution
     if upper is None:  # the tangent system at the lower bound is not solvable
         upper = np.full(len(rho), math.nan)
     out = []
@@ -173,14 +177,15 @@ def _bound_quality(cc, report: solver.SolveReport) -> list[CellBounds]:
     return out
 
 
-def compare_configs(instance_a, instance_b, boundary_tol: float = 1e-4) -> ComparisonReport:
+def compare_configs(instance_a, instance_b) -> ComparisonReport:
     """Rank two configurations by feasibility headroom and base-demand loads.
 
     A configuration dominates when its feasibility boundary scale is
     strictly higher and its worst-cell load is strictly lower at the base
     demand (or, if only one side is feasible at base demand, the feasible
     one dominates).  Identical load vectors and boundaries are ``"equal"``;
-    everything else is ``"incomparable"``.
+    everything else is ``"incomparable"``.  Boundaries are certified as
+    :func:`feasibility_boundary` does, at ``tol`` = COMPARE_TOL.
     """
     if instance_a.num_cells != instance_b.num_cells:
         raise ValueError("configurations must have the same number of cells")
@@ -190,7 +195,7 @@ def compare_configs(instance_a, instance_b, boundary_tol: float = 1e-4) -> Compa
         cc = coupling.coefficients(instance)
         system = coupling.asymptotic_linearization(cc)
         feasible, linear = linfeas.feasibility(system)
-        boundary = _boundary(system, linear.spectral_radius, boundary_tol).scale
+        boundary = _boundary(system, linear.spectral_radius, COMPARE_TOL).scale
         if not feasible:
             return boundary, None, None
         bounds = _bound_quality(cc, solver.solve_coefficients(cc, linear=linear))

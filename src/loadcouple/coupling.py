@@ -24,16 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .netmodel import _check_scale
+
 LN2 = math.log(2.0)
 # cap on the rate per demand ``a``: a pixel at the cap adds a load of
 # 1e-300 ln(2) / ln(1 + SINR), the zero-demand limit, and no kernel
 # product of ``a`` overflows
 RATE_PER_DEMAND_MAX = 1e300
-
-
-def _check_scale(s: float) -> None:
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"demand scale must be finite and >= 0, got {s}")
 
 
 def _per_cell_views(packed_name: str) -> cached_property:
@@ -201,14 +198,10 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64)
     u = rho @ cc.rel + cc.noise
     lg = np.log1p(1.0 / u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = cc.a * lg * lg * (u * u + u)
-    if not np.all(_finite_positive(denom)):
-        # a huge u (noise or interference far above the serving power) takes u * u or
-        # a * lg * lg out of the float range; regrouped, the factors stay near 1.  Only
-        # here: the regrouped form changes the Jacobian's last bits, so the printed loads.
-        denom = cc.a * (lg * u) * (lg * (u + 1.0))
-    return _cell_sums(cc, LN2 / denom)
+    # the derivative's denominator a lg^2 (u^2 + u), grouped so that a huge u (noise or
+    # interference far above the serving power) stays in the float range: lg u and
+    # lg (u + 1) both tend to 1 as u grows
+    return _cell_sums(cc, LN2 / (cc.a * (lg * u) * (lg * (u + 1.0))))
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:

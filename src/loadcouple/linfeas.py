@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import coupling
+from .netmodel import _check_scale
 
 FEASIBLE = "feasible"
 INFEASIBLE_NEGATIVE = "infeasible_negative"
@@ -131,38 +132,30 @@ def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     return x if np.all(np.isfinite(x)) else None
 
 
-def _affine_fixed_point(system: coupling.LinearizedSystem) -> tuple[str, Optional[np.ndarray]]:
-    """Status and, when feasible, the nonnegative solution of the affine system.
+def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
+    """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
 
-    The cells are solved in Frobenius block order: by descending count of
-    the cells that reach them, so each strongly connected block comes before
-    the blocks it depends on and partial pivoting stays inside a block.  A
-    strictly triangular slope is then a back substitution of nonnegative
-    terms in any cell order.
+    The system is solved densely as (I - slope) rho = offset - slope @ anchor,
+    with one LAPACK ``gesv``, in Frobenius block order: cells by descending
+    count of the cells that reach them, so each strongly connected block
+    comes before the blocks it depends on and partial pivoting stays inside
+    a block; a strictly triangular slope is then a back substitution of
+    nonnegative terms in any cell order.  ``singular`` means an exact zero
+    LU pivot (numpy's ``LinAlgError``) or a non-finite solution, as from a
+    NaN slope or offset or a pivot so small that the solve overflows.  Any
+    solution component below -NEGATIVE_ATOL reports ``infeasible_negative``;
+    components within rounding of zero are clamped.
     """
     slope = system.slope
     lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor
     order = np.argsort(-_reach(slope).sum(axis=1), kind="stable")
     solution = _lu_solve(lhs.take(order, axis=0).take(order, axis=1), rhs[order])
     if solution is None:
-        return SINGULAR, None
+        return LinearSolveOutcome(SINGULAR, None, slope)
     solution = solution[np.argsort(order)]
     if np.min(solution) < -NEGATIVE_ATOL:
-        return INFEASIBLE_NEGATIVE, None
-    return FEASIBLE, np.maximum(solution, 0.0)
-
-
-def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
-    """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
-
-    The system is solved densely as (I - slope) rho = offset - slope @ anchor,
-    with one LAPACK ``gesv``.  ``singular`` means an exact zero LU pivot
-    (numpy's ``LinAlgError``) or a non-finite solution, as from a NaN slope
-    or offset or a pivot so small that the solve overflows.  Any solution
-    component below -NEGATIVE_ATOL reports ``infeasible_negative``;
-    components within rounding of zero are clamped.
-    """
-    return LinearSolveOutcome(*_affine_fixed_point(system), system.slope)
+        return LinearSolveOutcome(INFEASIBLE_NEGATIVE, None, slope)
+    return LinearSolveOutcome(FEASIBLE, np.maximum(solution, 0.0), slope)
 
 
 def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[bool, LinearSolveOutcome]:
@@ -175,7 +168,7 @@ def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[
     and no spectral radius.  Singular systems sit on the boundary and count
     as infeasible.
     """
-    coupling._check_scale(scale)
+    _check_scale(scale)
     outcome = solve_linear(replace(system, slope=scale * system.slope, offset=scale * system.offset))
     return outcome.status == FEASIBLE, outcome
 
@@ -184,12 +177,3 @@ def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
     """:func:`feasibility` for an instance."""
     return feasibility(coupling.asymptotic_linearization(coupling.coefficients(instance)))
 
-
-def tangent_bound(cc: coupling.CouplingCoefficients, anchor) -> Optional[np.ndarray]:
-    """Fixed point of the tangent plane at ``anchor``, above the nonlinear fixed point.
-
-    Returns None when the tangent system is not solvable, which happens for
-    anchors whose tangent slope already has spectral radius at or above one.
-    No spectral radius is computed: the bound is all the caller receives.
-    """
-    return _affine_fixed_point(coupling.tangent_linearization(cc, anchor))[1]

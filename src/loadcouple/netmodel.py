@@ -10,10 +10,10 @@ float dB value can.  Files are read and written with orjson.  The stdlib
 beyond the float range, and invalid JSON, whose error it locates.  The
 cyclic garbage collector is paused from the parse until the instance is
 built.  Each row of a matrix of numbers is checked and converted by one
-typed pack in C, and each other block of numbers as one numpy array; a
-block that fails goes through a typed walk, which decides it, and the
-walks over cells, pixels and serving pairs name the first bad entry.  A
-cell or pixel is identified by its position: 1-based in files and in
+typed pack in C, which decides the matrix.  Each other block of numbers
+is converted as one numpy array; a block that fails goes through a typed
+walk over its cells, pixels or serving pairs, which names the first bad
+entry.  A cell or pixel is identified by its position: 1-based in files and in
 reports, 0-based for array indexing internally.
 """
 
@@ -99,8 +99,10 @@ class NetworkInstance:
                 value = value.array
             else:
                 value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
-            if name in geometry and not (value.shape == geometry[name] and np.all(np.isfinite(value))):
-                raise ValueError(f"{name} must be finite of shape {geometry[name]}, got {value.shape}")
+            if name in geometry and value.shape != geometry[name]:
+                raise ValueError(f"{name} must be of shape {geometry[name]}, got {value.shape}")
+            if name in geometry and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got non-finite values")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -118,14 +120,18 @@ class NetworkInstance:
         The copy shares the other columns, which are read-only, instead of
         copying them as ``dataclasses.replace`` would.
         """
-        if not (math.isfinite(scale) and scale >= 0):
-            raise ValueError(f"demand scale must be finite and >= 0, got {scale}")
+        _check_scale(scale)
         with np.errstate(over="ignore"):  # an infinite demand is validate's to reject
             demand = self.demand_bits * scale
         demand.setflags(write=False)
         scaled = copy.copy(self)
         object.__setattr__(scaled, "demand_bits", demand)
         return scaled
+
+
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"demand scale must be finite and >= 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -305,33 +311,24 @@ def _float_matrix(rows, what: str) -> np.ndarray:
     Each row takes one typed pack in C, ``struct.Struct(f"{m}d").pack_into``,
     straight into its row of the float64 array: a string, null, list or
     object, and an int beyond the float range, raise ``struct.error``.  The
-    one non-number it takes is a bool, as exactly 0 or 1, so an array
-    holding 0, 1 or a non-finite value is left to :func:`_float_rows`, which
-    decides every other input too: no rows, a row that is not a list and
-    ragged rows.
+    one non-number it takes is a bool, as exactly 0 or 1, so only the
+    entries that came out 0 or 1 have their type looked at.  No rows give an
+    array of shape (0,), as ``np.asarray([])`` does.  Anything else raises
+    SchemaError.
     """
-    if type(rows) is list and set(map(type, rows)) == {list} and len(set(map(len, rows))) == 1:
-        values = np.empty((len(rows), len(rows[0])))
-        row_format = struct.Struct(f"{values.shape[1]}d")
+    if type(rows) is list and set(map(type, rows)) <= {list} and len(set(map(len, rows))) <= 1:
+        values = np.empty((len(rows), *map(len, rows[:1])))
+        m = values.shape[-1]
+        row_format = struct.Struct(f"{m}d")
         try:
             for k, row in enumerate(rows):
                 row_format.pack_into(values, k * row_format.size, *row)
         except struct.error:
-            return _float_rows(rows, what)
-        if np.all(np.isfinite(values) & (values != 0) & (values != 1)):
-            return values
-    return _float_rows(rows, what)
-
-
-def _float_rows(rows, what: str) -> np.ndarray:
-    """:func:`_float_matrix` by a typed walk of each row, which tells a bool from a number."""
-    try:
-        if all(set(map(type, row)) <= {int, float} for row in rows):
-            values = np.asarray(rows, dtype=np.float64)
-            if np.all(np.abs(values) <= sys.float_info.max):  # false for nan and inf
+            pass
+        else:
+            exact = np.flatnonzero((values == 0) | (values == 1)).tolist()
+            if np.all(np.isfinite(values)) and not any(type(rows[p // m][p % m]) is bool for p in exact):
                 return values
-    except (TypeError, ValueError, OverflowError):
-        pass
     raise SchemaError(f"{what} must be of type float, in rows of equal length")
 
 

@@ -6,7 +6,7 @@ orders of magnitude of the serving gain, and demands are rescaled so the
 asymptotic slope matrix hits an exact spectral radius target (computed with
 numpy's eigensolver in this file, not through the package).
 ``float_matrix_reference`` and ``serving_reference`` convert instance-file
-blocks by typed walks, the references for the loader's fast paths: one
+blocks by typed walks, the references for the loader's conversions: one
 typed pack per gains row, with the garbage collector paused, and one numpy
 array for the serving pairs.
 """
@@ -26,7 +26,8 @@ from loadcouple import (
     coefficients,
     feasibility_check,
     load_function,
-    tangent_bound,
+    solve_linear,
+    tangent_linearization,
 )
 from loadcouple.netmodel import _typed
 
@@ -199,7 +200,7 @@ def lower_bound(instance) -> np.ndarray:
 
 def upper_bound(instance, anchor):
     """Fixed point of the tangent plane at ``anchor``, or None when it has none."""
-    return tangent_bound(coefficients(instance), anchor)
+    return solve_linear(tangent_linearization(coefficients(instance), anchor)).solution
 
 
 def affine(system, rho) -> np.ndarray:

@@ -299,7 +299,7 @@ def test_boundary_raises_when_radius_is_off(monkeypatch):
         feasibility_boundary(instance, lo=0.5, hi=4.0, tol=1e-6)
     assert counts["feasibility"] == 4  # lo, hi and the two certificate verdicts, nothing more
     with pytest.raises(ValueError, match="not certified"):
-        compare_configs(instance, instance, boundary_tol=1e-6)
+        compare_configs(instance, instance)
 
 
 @pytest.mark.parametrize("question,instances,radii,verdicts", [

@@ -302,6 +302,15 @@ def test_generate_and_rotate(tmp_path):
                  "--rotate", "1-180"]) == 2
 
 
+@pytest.mark.parametrize("azimuth", ["nan", "inf"])
+def test_generate_rejects_a_non_finite_rotation(tmp_path, capsys, azimuth):
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    spec.write_text(json.dumps({"num_sites": 3, "rng_seed": 7}))
+    assert main(["generate", "--spec", str(spec), "--out", str(out), "--rotate", f"1:{azimuth}"]) == 2
+    assert "azimuth_deg must be finite, got non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -321,25 +330,25 @@ FROZEN_STDOUT = {
     "n9 solve": "4596d965883b140a06e23d7e20f94059ef51a5f597de1d57b8c6af665413d53b",
     "n9 feasibility": "dbe4104ae1dc8f5c453c522ce5b00020564553407f584e1f2062a426dec4dc7f",
     "n9 bounds": "c40fbc0970684cc50bffd8680bc14f74827e15bb4744cb88bd176617f75ff7d6",
-    "n9 sweep": "4dc0c498fca3fb7c9281b88d2ad4256fa1ebc6e2ab6cecbf21c8708693b7176e",
+    "n9 sweep": "011448c910b8da8c6580e9422e4340748a336cf3723bc9a42806f23a7b3fb250",
     "n9 boundary": "cd65c5d47ed3158c4c8c3c11899a092cc09a4ca90942335262306257c28944ff",
     "n9_rot solve": "b5832ee27d74f1ef31c06cff01b3ac3f650a4dfedb2e94ba18ba3247b145e376",
     "n9_rot feasibility": "953ec07cce0b8af205e74b16ad3ecc53027fefca4ebd1d87e3d895517d4b2585",
-    "n9_rot bounds": "59e421bde335cc0d1bf6f533ec087f263a67988ae5a95d40a0017c5a84904f9e",
-    "n9_rot sweep": "914235fbea743ba8d4660bf9c8fabd5000f2043f5e566f3327fbba92ba8ba888",
+    "n9_rot bounds": "f101beb4f4803ca5cb70b11fb59d55045f1b7217229a73019a61dec2f3efab88",
+    "n9_rot sweep": "79b8412444ef596cfda110f2a223f654d08caa230f3e5927c6b4198ebac4999a",
     "n9_rot boundary": "9ad2f9934bfb6faa73c63175fdbfb360644dcf6635dcea6eb5937b4c108cff16",
-    "n9 compare": "85ee013e812e7d0ef42983d554cb667aa29cc581b4a816a8f3c9c92abb3bce6e",
-    "n36 solve": "336c2371a7a77888d67d8309373f78557bcbf312c7f8ba403225d28b623c8a23",
+    "n9 compare": "036ec2cc6158662ea278197c45ecb032cc73c4790766ad11b94a8e071cfc3731",
+    "n36 solve": "d1a2d4feb7843e0c3cd87b4c06b37713d4276afb9bbbb77d8f60513cca42a5df",
     "n36 feasibility": "f71d56987e20a9f5b76023c5e3c127279eb14baa6bc31f30b8258c7b49343aff",
-    "n36 bounds": "a9ed3dce53b17ab4df67dfec82edd086285a990cd6acac06571c15be50b1ec48",
-    "n36 sweep": "ca3fc014badc3a3742f6d6b0e8d945e5190df5c84fb4b75f6282b48d62a01fc4",
+    "n36 bounds": "055bfb78b57ad652bb0f391ac83bfc8da1830c2db345b3563f4e92c8520d82f0",
+    "n36 sweep": "29769706146f6adf597bb4ccdb6104c8c4270a904222078e192ec304e302d66b",
     "n36 boundary": "12916d3490cada831a769025f68546aaa0d457fafa67435ba4eec0acc3dbe6b7",
     "n36_rot solve": "4e615c459142d410bb88a9e5e24cbff933a256c65b9c9522a41af358bc805483",
     "n36_rot feasibility": "4fa0cfb3b955b4495d6b683fe00968617abe3b7734deafce28164a8298d4165c",
-    "n36_rot bounds": "9589f5507a8f340c185dfbc63919fe2aba72d33319ca3e518941df4162ef4c60",
-    "n36_rot sweep": "666986d24ba79d666cc9a029d6ad7ee43b159dfb56be93e496558e90a7076dc9",
+    "n36_rot bounds": "6bfa0ff65d984ebdd1dd04287c82576ce0682916602a09178b3f100c8184f982",
+    "n36_rot sweep": "8a935509dfc83968dc6cbaef26585f9ddeba4990e3ccaad8ba8df388c8dc16ae",
     "n36_rot boundary": "3992b2ec6bf184a5d03aad684f4c6835bbe4d1540e834fd57ef0af5ae944686e",
-    "n36 compare": "4623b796c25208a20b900a099356f0877745059224ca0741a37e22b823573a48",
+    "n36 compare": "ad8c831f4ab06e7897830b1a138dcb747a5fa2c30690b0aa26f6df8298113c8c",
 }
 
 

@@ -183,6 +183,12 @@ def test_resource_units_range_is_int64():
     assert "1..2**63-1" in violation.message
 
 
+def test_geometry_of_the_wrong_shape_names_both_shapes():
+    with pytest.raises(ValueError, match=r"cell_xy must be of shape \(2, 2\), got \(3, 2\)"):
+        NetworkInstance(power_per_ru=[1.0, 2.0], demand_bits=[10.0, 20.0], gains=np.ones((2, 2)),
+                        noise_power=1e-9, num_resource_units=100, rate_scale=1.0, cell_xy=np.zeros((3, 2)))
+
+
 def test_with_demand_scale():
     instance = _small_instance()
     scaled = instance.with_demand_scale(2.5)
@@ -565,6 +571,7 @@ def _assert_same_outcome(got, want):
 @given(rows=_gain_rows())
 @example(rows=[[2.5, True], [3.5, 4.5]])
 @example(rows=[[2, False]])
+@example(rows=[[0.0, 1], [1.0, -0.0]])
 @example(rows=[[2.5, float("nan")]])
 @example(rows=[[-float("inf"), 2]])
 @example(rows=[[2**63, 3, -0.0]])
@@ -594,22 +601,6 @@ def test_serving_matches_the_typed_walk_property(n, m, data):
     _assert_same_outcome(_outcome(_serving, pairs, n, m, "f"), _outcome(serving_reference, pairs, n, m, "f"))
 
 
-def test_generated_gains_skip_the_typed_walk(tmp_path, monkeypatch):
-    """The gains of a generated file and of its rotated copy load without the typed walk."""
-    generated = generate(ScenarioSpec(num_sites=3, rng_seed=7))
-    save_instance(generated, tmp_path / "n9.json")
-    save_instance(rotate_sector(generated, 2, 45.0), tmp_path / "n9_rot.json")
-    walk = netmodel._float_rows
-
-    def walk_all_but_gains(rows, what):
-        assert "gains_db" not in what, what
-        return walk(rows, what)  # wrap_periods_m holds an exact 0.0, so its 2x2 block walks
-
-    monkeypatch.setattr(netmodel, "_float_rows", walk_all_but_gains)
-    for name in ("n9.json", "n9_rot.json"):
-        assert load_instance(tmp_path / name).num_cells == 9
-
-
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -627,27 +618,20 @@ def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_loading_a_generated_file_starts_no_collection_and_walks_no_gains(tmp_path, monkeypatch):
-    """Counts, not times: the n=36 load starts no collection and converts its gains in one pass per row.
+def test_loading_a_generated_file_starts_no_collection_and_walks_no_gains(tmp_path):
+    """Counts, not times: the n=36 load starts no collection.
 
     Parsing the same bytes with the collector on starts collections, so the
-    count can see them.  The 2x2 ``wrap_periods_m`` block holds an exact 0.0,
-    which the walk must tell from a bool, so it is the one block walked.
+    count can see them.
     """
     path = tmp_path / "n36.json"
     save_instance(generate(ScenarioSpec(num_sites=12, rng_seed=7)), path)
-    walked, started = [], []
-    walk = netmodel._float_rows
-
-    def counted_walk(rows, what):
-        walked.append(what.split(": ")[-1])
-        return walk(rows, what)
+    started = []
 
     def on_gc(phase, info):
         if phase == "start":
             started.append(info["generation"])
 
-    monkeypatch.setattr(netmodel, "_float_rows", counted_walk)
     was_enabled = gc.isenabled()
     gc.enable()
     gc.callbacks.append(on_gc)
@@ -660,7 +644,6 @@ def test_loading_a_generated_file_starts_no_collection_and_walks_no_gains(tmp_pa
         gc.callbacks.remove(on_gc)
         (gc.enable if was_enabled else gc.disable)()
     assert started == []
-    assert walked == ["wrap_periods_m"]
 
 
 def test_cell_and_pixel_metadata_roundtrip(tmp_path):

@@ -349,11 +349,12 @@ def test_newton_fallbacks_are_counted(monkeypatch):
 
 
 def test_newton_iteration_factors_once(monkeypatch):
-    """A default solve evaluates the Jacobian once per iteration and no separate tangent bound."""
+    """A default solve evaluates the Jacobian once per iteration and builds no separate tangent plane."""
     jacobians, tangents = [], []
-    original_jacobian, original_tangent = coupling.jacobian, linfeas.tangent_bound
+    original_jacobian, original_tangent = coupling.jacobian, coupling.tangent_linearization
     monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
-    monkeypatch.setattr(linfeas, "tangent_bound", lambda cc, anchor: tangents.append(1) or original_tangent(cc, anchor))
+    monkeypatch.setattr(coupling, "tangent_linearization",
+                        lambda cc, anchor: tangents.append(1) or original_tangent(cc, anchor))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
     for config in (None, SolverConfig(interval_width=1e-6)):
         jacobians.clear()
