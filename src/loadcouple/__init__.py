@@ -17,7 +17,6 @@ from .coupling import (
     coefficients,
     jacobian,
     load_function,
-    tangent_linearization,
 )
 from .linfeas import (
     LinearSolveOutcome,
@@ -28,7 +27,6 @@ from .linfeas import (
 from .solver import (
     SolveReport,
     SolverConfig,
-    fixed_point_iteration,
     solve,
 )
 from .scenario import ScenarioSpec, generate, load_scenario_spec, rotate_sector
@@ -61,7 +59,6 @@ __all__ = [
     "load_function",
     "jacobian",
     "asymptotic_linearization",
-    "tangent_linearization",
     "LinearSolveOutcome",
     "solve_linear",
     "spectral_radius",
@@ -69,7 +66,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "solve",
-    "fixed_point_iteration",
     "ScenarioSpec",
     "generate",
     "load_scenario_spec",

@@ -147,21 +147,19 @@ def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> Boundar
 def bound_quality(instance) -> list[CellBounds]:
     """Per-cell gap of both linear bounds against the computed fixed point.
 
-    The tangent bound is anchored at the asymptotic solution.  Gaps are
-    |bound - fixed point| / fixed point in percent; cells with a zero fixed
-    point (no demand) report zero gaps.  Raises ValueError on infeasible
-    instances.
+    The upper bound is the fixed point of the tangent plane at the
+    asymptotic solution, as the solve's first Newton step computes it.
+    Gaps are |bound - fixed point| / fixed point in percent; cells with a
+    zero fixed point (no demand) report zero gaps.  Raises ValueError on
+    infeasible instances.
     """
-    cc = coupling.coefficients(instance)
-    return _bound_quality(cc, solver.solve_coefficients(cc))
+    return _bound_quality(solver.solve(instance))
 
 
-def _bound_quality(cc, report: solver.SolveReport) -> list[CellBounds]:
+def _bound_quality(report: solver.SolveReport) -> list[CellBounds]:
     if report.status == solver.INFEASIBLE:
         raise PreconditionError("no bound quality on an infeasible instance")
-    rho = report.fixed_point
-    lower = report.lower
-    upper = linfeas.solve_linear(coupling.tangent_linearization(cc, lower)).solution
+    rho, lower, upper = report.fixed_point, report.lower, report.start_upper
     if upper is None:  # the tangent system at the lower bound is not solvable
         upper = np.full(len(rho), math.nan)
     out = []
@@ -198,7 +196,7 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
         boundary = _boundary(system, linear.spectral_radius, COMPARE_TOL).scale
         if not feasible:
             return boundary, None, None
-        bounds = _bound_quality(cc, solver.solve_coefficients(cc, linear=linear))
+        bounds = _bound_quality(solver.solve_coefficients(cc, linear=linear))
         return boundary, np.array([b.rho_star for b in bounds]), bounds
 
     boundary_a, rho_a, bounds_a = side(instance_a)

@@ -11,9 +11,9 @@ For a demanded pixel j the interference state is reduced to
 
 with everything expressed relative to the serving received power, so the
 SINR is 1/u_j and the pixel adds 1 / (a[j] * log2(1 + 1/u_j)) to the load
-of its serving cell.  The module also builds the two linear companions of
-the map: its slope limit at infinite load, which sits below the map
-everywhere, and its tangent plane at an anchor, which sits above it.
+of its serving cell.  The module also builds the map's Jacobian, whose
+tangent plane sits above the map (the solver's Newton step solves it), and
+the map's slope limit at infinite load, which sits below it everywhere.
 """
 
 from __future__ import annotations
@@ -89,19 +89,13 @@ class CouplingCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class LinearizedSystem:
-    """Affine stand-in for the coupling map: slope @ (rho - anchor) + offset.
-
-    ``offset`` equals the coupling map evaluated at ``anchor``: the map at
-    zero for :func:`asymptotic_linearization`, the map at the anchor for
-    :func:`tangent_linearization`.
-    """
+    """Affine stand-in for the coupling map: rho -> slope @ rho + offset."""
 
     slope: np.ndarray
-    anchor: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        for name in ("slope", "anchor", "offset"):
+        for name in ("slope", "offset"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -205,25 +199,11 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
-    """Slope limit of the coupling map at infinite load, anchored at zero.
+    """Slope limit of the coupling map at infinite load.
 
     Entry (i, k) is ln(2) * sum over cell i's pixels of rel[k] / a; the
     offset is the map at zero load.
     This affine map underestimates the coupling map everywhere on the
     nonnegative orthant.
     """
-    slope = _cell_sums(cc, LN2 / cc.a)
-    return LinearizedSystem(
-        slope=slope, anchor=np.zeros(cc.num_cells), offset=_loads(cc, cc.noise)
-    )
-
-
-def tangent_linearization(cc: CouplingCoefficients, anchor) -> LinearizedSystem:
-    """First-order expansion of the coupling map at ``anchor``.
-
-    Concavity puts this plane above the map everywhere, so its fixed point,
-    when one exists, bounds the coupling fixed point from above.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    return LinearizedSystem(slope=jacobian(cc, anchor), anchor=anchor,
-                            offset=load_function(cc, anchor))
+    return LinearizedSystem(slope=_cell_sums(cc, LN2 / cc.a), offset=_loads(cc, cc.noise))

@@ -1,16 +1,14 @@
-"""Feasibility and load bounds through the linear companions of the coupling map.
+"""Feasibility and the lower load bound through the asymptotic linearization.
 
 The asymptotic linearization is an exact feasibility instrument: the
 nonlinear load coupling system has a fixed point if and only if the
 asymptotic affine system ``rho = slope @ rho + offset`` has a nonnegative
 solution, and that solution sits below the nonlinear fixed point.  The
-tangent linearization at any anchor yields, when solvable, a vector above
-the nonlinear fixed point.  Both reduce to one dense linear solve.  The
-feasibility outcome also reports the slope's spectral radius, only when a
-caller reads it: for a nonnegative irreducible slope (every generated one)
-from a few LU steps of Noda's inverse iteration, whose Collatz-Wielandt
-bracket certifies it, and for any other matrix from one dense eigenvalue
-solve.
+verdict is one dense linear solve.  The feasibility outcome also reports
+the slope's spectral radius, only when a caller reads it: for a
+nonnegative irreducible slope (every generated one) from a few LU steps of
+Noda's inverse iteration, whose Collatz-Wielandt bracket certifies it, and
+for any other matrix from one dense eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ PERRON_MAX_STEPS = 30
 
 @dataclass(frozen=True, eq=False)
 class LinearSolveOutcome:
-    """Result of solving an affine load system ``rho = slope @ (rho - anchor) + offset``.
+    """Result of solving an affine load system ``rho = slope @ rho + offset``.
 
     ``solution`` is present exactly when ``status == "feasible"``.
     ``spectral_radius`` is the slope's spectral radius, computed the first
@@ -133,9 +131,9 @@ def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
 
 
 def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
-    """Solve ``rho = slope @ (rho - anchor) + offset`` for a nonnegative load vector.
+    """Solve ``rho = slope @ rho + offset`` for a nonnegative load vector.
 
-    The system is solved densely as (I - slope) rho = offset - slope @ anchor,
+    The system is solved densely as (I - slope) rho = offset,
     with one LAPACK ``gesv``, in Frobenius block order: cells by descending
     count of the cells that reach them, so each strongly connected block
     comes before the blocks it depends on and partial pivoting stays inside
@@ -147,7 +145,7 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     components within rounding of zero are clamped.
     """
     slope = system.slope
-    lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset - slope @ system.anchor
+    lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset
     order = np.argsort(-_reach(slope).sum(axis=1), kind="stable")
     solution = _lu_solve(lhs.take(order, axis=0).take(order, axis=1), rhs[order])
     if solution is None:

@@ -6,8 +6,9 @@ asymptotic solution provides the starting iterate and a permanent lower
 bound.  A safeguarded Newton method keeps its few-step convergence at the
 feasibility boundary.  One LU of I - J(rho) per iteration gives the step, a
 tangent upper bound and a certified sub-solution, a bracket that shrinks as
-it proceeds.  Plain iteration of the map, the paper's scheme, stays
-available as :func:`fixed_point_iteration`.
+it proceeds.  The first iteration's tangent bound, anchored at the start,
+is the one the bound-quality report reads: it is the only place a tangent
+plane is solved.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from . import coupling, linfeas
 CONVERGED = "converged"
 INFEASIBLE = "infeasible"
 MAX_ITER_EXCEEDED = "max_iter_exceeded"
-
-# iterates beyond this magnitude mean the map is being iterated on an
-# infeasible system (possible only when the pre-check is bypassed)
-DIVERGENCE_LIMIT = 1e15
 
 
 @dataclass
@@ -74,6 +71,10 @@ class SolveReport:
     ordered lower <= fixed_point <= upper.  ``residual`` is the final
     iterate's.  ``linear`` carries the feasibility check's diagnostics.
     ``fallbacks`` counts Newton iterations that took a plain step instead.
+    ``start_upper`` is the first iteration's tangent bound, the fixed point
+    of the tangent plane at the start iterate (the asymptotic solution by
+    default), clamped at zero; None when that system is singular or has a
+    component below -NEGATIVE_ATOL.
     """
 
     status: str
@@ -85,27 +86,7 @@ class SolveReport:
     trace: list[TraceEntry] = field(default_factory=list)
     linear: Optional[linfeas.LinearSolveOutcome] = None
     fallbacks: int = 0
-
-
-def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
-    """Plain iteration of the coupling map, no pre-checks, no bound tracking.
-
-    Returns (rho, residual, iterations, converged).  Runs from any
-    nonnegative start, including on infeasible systems, where the iterates
-    grow without bound and the call returns unconverged once they pass
-    DIVERGENCE_LIMIT.
-    """
-    rho = np.asarray(start, dtype=np.float64).copy()
-    residual = math.inf
-    for t in range(max_iter + 1):
-        f_rho = coupling.load_function(cc, rho)
-        residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
-        if residual <= tol_residual * (1.0 + float(np.max(rho, initial=0.0))):
-            return rho, residual, t, True
-        if not np.all(np.isfinite(f_rho)) or np.max(f_rho, initial=0.0) > DIVERGENCE_LIMIT:
-            return f_rho, residual, t, False
-        rho = f_rho
-    return rho, residual, max_iter, False
+    start_upper: Optional[np.ndarray] = None
 
 
 def _iterate(cc, rho, linear, config) -> SolveReport:
@@ -121,7 +102,7 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     stop_width = config.interval_width
     lower = linear.solution
     low, f_low = lower, None
-    upper = None
+    upper = start_upper = None
     trace: list[TraceEntry] = []
     status = MAX_ITER_EXCEEDED
     fallbacks = 0
@@ -139,6 +120,8 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
             tangent = rho + steps[:, 0]  # the tangent plane's fixed point
             if np.min(tangent) >= -linfeas.NEGATIVE_ATOL:
                 upper = np.maximum(tangent, 0.0)
+                if t == 0:  # anchored at the start: the bound the bound-quality report reads
+                    start_upper = upper
             if lift:
                 candidate = np.maximum(low + steps[:, 1], low)
                 f_candidate = coupling.load_function(cc, candidate)
@@ -171,7 +154,8 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     point = rho if stop_width is None else low
     # the maximum of an upper bound and any vector is an upper bound
     upper = None if upper is None else np.maximum(upper, point)
-    return SolveReport(status, point, lower, upper, residual, len(trace) - 1, trace, linear, fallbacks)
+    return SolveReport(status, point, lower, upper, residual, len(trace) - 1, trace, linear, fallbacks,
+                       start_upper)
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:

@@ -8,7 +8,10 @@ numpy's eigensolver in this file, not through the package).
 ``float_matrix_reference`` and ``serving_reference`` convert instance-file
 blocks by typed walks, the references for the loader's conversions: one
 typed pack per gains row, with the garbage collector paused, and one numpy
-array for the serving pairs.
+array for the serving pairs.  ``fixed_point_iteration`` (plain iteration of
+the map, the paper's scheme) and ``tangent_linearization`` (the tangent
+plane as an affine system) are the references for the solver's Newton
+iteration and its tangent bound.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ from itertools import chain
 import numpy as np
 
 from loadcouple import (
+    LinearizedSystem,
     NetworkInstance,
     SchemaError,
     asymptotic_linearization,
     coefficients,
+    coupling,
     feasibility_check,
+    jacobian,
     load_function,
     solve_linear,
-    tangent_linearization,
 )
 from loadcouple.netmodel import _typed
 
@@ -198,14 +203,52 @@ def lower_bound(instance) -> np.ndarray:
     return outcome.solution
 
 
+# iterates beyond this magnitude mean the map is being iterated on an
+# infeasible system (possible only when the pre-check is bypassed)
+DIVERGENCE_LIMIT = 1e15
+
+
+def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
+    """Plain iteration of the coupling map, no pre-checks, no bound tracking.
+
+    Returns (rho, residual, iterations, converged).  Runs from any
+    nonnegative start, including on infeasible systems, where the iterates
+    grow without bound and the call returns unconverged once they pass
+    DIVERGENCE_LIMIT.
+    """
+    rho = np.asarray(start, dtype=np.float64).copy()
+    residual = math.inf
+    for t in range(max_iter + 1):
+        f_rho = coupling.load_function(cc, rho)
+        residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
+        if residual <= tol_residual * (1.0 + float(np.max(rho, initial=0.0))):
+            return rho, residual, t, True
+        if not np.all(np.isfinite(f_rho)) or np.max(f_rho, initial=0.0) > DIVERGENCE_LIMIT:
+            return f_rho, residual, t, False
+        rho = f_rho
+    return rho, residual, max_iter, False
+
+
+def tangent_linearization(cc, anchor) -> LinearizedSystem:
+    """First-order expansion of the coupling map at ``anchor``, as rho -> slope @ rho + offset.
+
+    Concavity puts this plane above the map everywhere, so its fixed point,
+    when one exists, bounds the coupling fixed point from above.  The offset
+    is f(anchor) - J(anchor) @ anchor.
+    """
+    anchor = np.asarray(anchor, dtype=np.float64)
+    slope = jacobian(cc, anchor)
+    return LinearizedSystem(slope=slope, offset=load_function(cc, anchor) - slope @ anchor)
+
+
 def upper_bound(instance, anchor):
     """Fixed point of the tangent plane at ``anchor``, or None when it has none."""
     return solve_linear(tangent_linearization(coefficients(instance), anchor)).solution
 
 
 def affine(system, rho) -> np.ndarray:
-    """A linearized system evaluated at ``rho``: slope @ (rho - anchor) + offset."""
-    return system.slope @ (np.asarray(rho, dtype=np.float64) - system.anchor) + system.offset
+    """A linearized system evaluated at ``rho``: slope @ rho + offset."""
+    return system.slope @ np.asarray(rho, dtype=np.float64) + system.offset
 
 
 def _cell_curvature(cc, cell, rho):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import build_instance, eig_radius, random_instance, two_cell_instance
+from helpers import (
+    build_instance,
+    eig_radius,
+    lower_bound,
+    random_instance,
+    two_cell_instance,
+    upper_bound,
+)
 from loadcouple import (
     NetworkInstance,
     PreconditionError,
@@ -163,6 +170,25 @@ def test_bound_quality_fields_consistent():
         )
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), pixels_per_cell=st.integers(1, 5),
+       noise_exponent=st.floats(-8.0, 0.0), fraction=st.floats(0.5, 0.999))
+# low noise makes the map steep at the lower bound: the tangent system there has no solution
+@example(seed=1103772361, num_cells=4, pixels_per_cell=4, noise_exponent=-7.779527094055453,
+         fraction=0.8760030412287285)
+def test_bound_quality_upper_is_the_tangent_fixed_point_at_the_lower_bound_property(
+        seed, num_cells, pixels_per_cell, noise_exponent, fraction):
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell)
+    instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
+    instance = instance.with_demand_scale(fraction / _slope_radius(instance))
+    upper = np.array([b.rho_upper for b in bound_quality(instance)])
+    reference = upper_bound(instance, lower_bound(instance))
+    if reference is None:
+        assert np.all(np.isnan(upper))
+    else:
+        np.testing.assert_allclose(upper, reference, rtol=1e-12, atol=0)
+
+
 def test_bound_quality_zero_demand_cell():
     rng = np.random.default_rng(SEED + 9)
     instance = random_instance(rng, 3, 4, radius_target=0.5)
@@ -276,10 +302,10 @@ def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Count coefficient and slope builds, Perron roots, LU verdicts and instance rebuilds from now on."""
+    """Count coefficient and slope builds, Perron roots, LU verdicts, linear solves and instance rebuilds."""
     counts = Counter()
     targets = [(coupling, "coefficients"), (coupling, "asymptotic_linearization"),
-               (linfeas, "spectral_radius"), (linfeas, "feasibility"),
+               (linfeas, "spectral_radius"), (linfeas, "feasibility"), (linfeas, "solve_linear"),
                (NetworkInstance, "with_demand_scale")]
     for owner, name in targets:
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -318,4 +344,4 @@ def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, insta
     assert counts["coefficients"] == counts["asymptotic_linearization"] == instances
     assert counts["spectral_radius"] == radii
     assert counts["with_demand_scale"] == 0
-    assert counts["feasibility"] == verdicts
+    assert counts["feasibility"] == counts["solve_linear"] == verdicts

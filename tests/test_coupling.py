@@ -17,6 +17,7 @@ from helpers import (
     pixel_loop_reference,
     random_instance,
     symmetric_pair_instance,
+    tangent_linearization,
 )
 from loadcouple import (
     LinearizedSystem,
@@ -26,7 +27,6 @@ from loadcouple import (
     generate,
     jacobian,
     load_function,
-    tangent_linearization,
 )
 
 SEED = 31415
@@ -273,7 +273,6 @@ def test_asymptotic_linearization_values():
                               noise=1e-8, num_resource_units=10, rate_scale=5.0)
     cc = coefficients(instance)
     system = asymptotic_linearization(cc)
-    assert np.all(system.anchor == 0.0)
     b_01 = (1.0 * 4e-8) / (2.0 * 2e-7)
     b_10 = (2.0 * 5e-8) / (1.0 * 3e-7)
     np.testing.assert_allclose(system.slope[0, 1], math.log(2) * b_01 / 1.0, rtol=1e-14)
@@ -308,10 +307,10 @@ def test_tangent_is_exact_at_anchor():
 
 
 def test_evaluate_hand_case():
+    # the plane through (1, 2) with value (3, 4) there: offset (3, 4) - slope @ (1, 2)
     system = LinearizedSystem(
         slope=np.array([[0.0, 0.5], [0.25, 0.0]]),
-        anchor=np.array([1.0, 2.0]),
-        offset=np.array([3.0, 4.0]),
+        offset=np.array([2.0, 3.75]),
     )
     np.testing.assert_allclose(affine(system, np.array([5.0, 6.0])), [5.0, 5.0], rtol=0)
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
+    DIVERGENCE_LIMIT,
     build_instance,
     eig_radius,
+    fixed_point_iteration,
     lower_bound,
     random_instance,
+    tangent_linearization,
     two_cell_instance,
     upper_bound,
 )
@@ -17,26 +20,24 @@ from loadcouple import (
     asymptotic_linearization,
     coefficients,
     feasibility_check,
-    fixed_point_iteration,
     linfeas,
     load_function,
     solve,
     solve_linear,
     solver,
     spectral_radius,
-    tangent_linearization,
 )
 
 SEED = 2718
 
 
 def _affine(slope, offset, anchor=None):
+    """The system rho = slope @ (rho - anchor) + offset, the anchor folded into the offset."""
     slope = np.asarray(slope, dtype=np.float64)
     offset = np.asarray(offset, dtype=np.float64)
-    if anchor is None:
-        anchor = np.zeros_like(offset)
-    return LinearizedSystem(slope=slope, anchor=np.asarray(anchor, dtype=np.float64),
-                            offset=offset)
+    if anchor is not None:
+        offset = offset - slope @ np.asarray(anchor, dtype=np.float64)
+    return LinearizedSystem(slope=slope, offset=offset)
 
 
 def test_two_cell_closed_form():
@@ -247,7 +248,7 @@ def test_verdict_matches_solvability_property(seed, num_cells, radius_target, ma
     assert not linfeas.feasibility(system, (1.0 + margin) * boundary)[0]
     above = cc.scaled((1.0 + margin) * boundary)
     rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
-    assert not converged and steps < 10_000 and np.max(rho) > solver.DIVERGENCE_LIMIT
+    assert not converged and steps < 10_000 and np.max(rho) > DIVERGENCE_LIMIT
 
 
 def test_lu_solve_two_columns_match_two_one_column_solves():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     FROZEN_TWO_CELL_FIXED_POINT,
     build_instance,
+    fixed_point_iteration,
     frozen_two_cell,
     lower_bound,
     random_instance,
@@ -20,7 +21,6 @@ from loadcouple import (
     coefficients,
     coupling,
     demand_sweep,
-    fixed_point_iteration,
     generate,
     jacobian,
     linfeas,
@@ -349,19 +349,20 @@ def test_newton_fallbacks_are_counted(monkeypatch):
 
 
 def test_newton_iteration_factors_once(monkeypatch):
-    """A default solve evaluates the Jacobian once per iteration and builds no separate tangent plane."""
-    jacobians, tangents = [], []
-    original_jacobian, original_tangent = coupling.jacobian, coupling.tangent_linearization
+    """A solve evaluates the Jacobian once per iteration and solves no linear system beyond its verdict."""
+    jacobians, linear_solves = [], []
+    original_jacobian, original_solve_linear = coupling.jacobian, linfeas.solve_linear
     monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
-    monkeypatch.setattr(coupling, "tangent_linearization",
-                        lambda cc, anchor: tangents.append(1) or original_tangent(cc, anchor))
+    monkeypatch.setattr(linfeas, "solve_linear",
+                        lambda system: linear_solves.append(1) or original_solve_linear(system))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
     for config in (None, SolverConfig(interval_width=1e-6)):
         jacobians.clear()
+        linear_solves.clear()
         report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
         assert len(jacobians) <= len(report.trace) == report.iterations + 1
-        assert tangents == []
+        assert len(linear_solves) == 1  # the feasibility verdict
 
 
 @pytest.mark.parametrize("num_sites", [3, 12])
