@@ -50,7 +50,7 @@ class BoundaryCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CellBounds:
-    """Fixed point and both linear bounds for one cell, with relative gaps in percent."""
+    """One cell's fixed point, both linear bounds, their gaps in percent and the solve's status."""
 
     cell_id: int
     rho_star: float
@@ -58,6 +58,7 @@ class CellBounds:
     rho_upper: float
     lower_gap_pct: float
     upper_gap_pct: float
+    solve_status: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +172,7 @@ def _bound_quality(report: solver.SolveReport) -> list[CellBounds]:
             lower_gap = upper_gap = 0.0
         out.append(CellBounds(cell_id=i + 1, rho_star=float(rho[i]), rho_lower=float(lower[i]),
                               rho_upper=float(upper[i]), lower_gap_pct=lower_gap,
-                              upper_gap_pct=upper_gap))
+                              upper_gap_pct=upper_gap, solve_status=report.status))
     return out
 
 

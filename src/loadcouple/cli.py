@@ -13,6 +13,7 @@ significant digits so they parse back to the same values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -75,6 +76,13 @@ def _load_validated(path) -> netmodel.NetworkInstance:
         details = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise netmodel.SchemaError(f"{path}: invalid instance: {details}")
     return instance
+
+
+def _exit_for(rows) -> int:
+    """Exit 4 when the solve behind any reported row stopped at its iteration limit."""
+    if any(row.solve_status == solver.MAX_ITER_EXCEEDED for row in rows):
+        return EXIT_MAX_ITER
+    return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
@@ -143,9 +151,7 @@ def _cmd_sweep(args) -> int:
         record += list(map(float, row.rho_lower)) if row.rho_lower is not None else [None] * len(ids)
         table.append(record)
     _write_csv(args.out, f"scales={args.scales}", header, table)
-    if any(row.solve_status == solver.MAX_ITER_EXCEEDED for row in rows):
-        return EXIT_MAX_ITER
-    return EXIT_OK
+    return _exit_for(rows)
 
 
 def _cmd_boundary(args) -> int:
@@ -176,7 +182,7 @@ def _cmd_compare(args) -> int:
                f"boundary_b={_fmt(report.boundary_b)}")
     _write_csv(args.out, comment, header, rows)
     print(f"{report.verdict} (boundary a {_fmt(report.boundary_a)}, b {_fmt(report.boundary_b)})")
-    return EXIT_OK
+    return _exit_for([*(report.bounds_a or ()), *(report.bounds_b or ())])
 
 
 def _cmd_bounds(args) -> int:
@@ -186,9 +192,10 @@ def _cmd_bounds(args) -> int:
     rows = [[b.cell_id, b.rho_star, b.rho_lower, b.rho_upper, b.lower_gap_pct, b.upper_gap_pct]
             for b in table]
     _write_csv(args.out, "", header, rows)
-    return EXIT_OK
+    return _exit_for(table)
 
 
+@functools.cache  # built on the first main() call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loadcouple",
                                      description="Load coupling: solve, bound and survey cell load fixed points")

@@ -301,6 +301,25 @@ def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per
         assert np.all(prev.rho_star <= cur.rho_star)
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), pixels_per_cell=st.integers(1, 5),
+       fraction=st.floats(0.5, 0.999))
+def test_permuting_cells_permutes_loads_and_bounds_property(seed, num_cells, pixels_per_cell, fraction):
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng, num_cells, pixels_per_cell, radius_target=fraction)
+    order = rng.permutation(num_cells)
+    permuted = dataclasses.replace(instance, power_per_ru=instance.power_per_ru[order],
+                                   gains=instance.gains[order],
+                                   server_of=np.argsort(order)[instance.server_of])
+    report, moved = solve(instance), solve(permuted)
+    assert (report.start_upper is None) == (moved.start_upper is None)
+    for name in ("fixed_point", "lower", "start_upper"):
+        if getattr(report, name) is not None:
+            np.testing.assert_allclose(getattr(moved, name), getattr(report, name)[order], rtol=1e-9)
+    comparison = compare_configs(instance, permuted)
+    assert comparison.boundary_b == pytest.approx(comparison.boundary_a, rel=1e-12, abs=0)
+
+
 def _count_calls(monkeypatch) -> Counter:
     """Count coefficient and slope builds, Perron roots, LU verdicts, linear solves and instance rebuilds."""
     counts = Counter()

@@ -206,6 +206,29 @@ def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
     assert len(rows) == 2 and rows[0][3] == "max_iter_exceeded"
 
 
+def test_bounds_and_compare_exit_code_flags_unconverged_solves(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(SEED + 9)
+    instance = random_instance(rng, 3, 4, radius_target=1.0)
+    a = _write_instance(tmp_path, instance.with_demand_scale(0.9999), "a.json")
+    b = _write_instance(tmp_path, instance.with_demand_scale(0.99995), "b.json")
+    bounds, compare = tmp_path / "bounds.csv", tmp_path / "compare.csv"
+    argvs = [["bounds", "--instance", str(a), "--out", str(bounds)],
+             ["compare", "--a", str(a), "--b", str(b), "--out", str(compare)]]
+    assert [main(argv) for argv in argvs] == [0, 0]
+    stdout = capsys.readouterr().out
+    # a budget of one iteration leaves the solves unconverged: exit 4, CSV and stdout still written
+    monkeypatch.setattr(solver, "SolverConfig", functools.partial(solver.SolverConfig, max_iter=1))
+    assert solve(load_instance(a)).status == "max_iter_exceeded"
+    for path in (bounds, compare):
+        path.unlink()
+    assert [main(argv) for argv in argvs] == [4, 4]
+    # the boundaries need no solve, so compare prints the same ones
+    assert capsys.readouterr().out.split(" (")[1] == stdout.split(" (")[1]
+    for path in (bounds, compare):
+        _, _, rows = _read_csv(path)
+        assert len(rows) == 3 and all(row[1] != "n/a" for row in rows)
+
+
 def test_boundary_command(tmp_path, capsys):
     rng = np.random.default_rng(SEED + 6)
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=0.5))
@@ -704,17 +727,59 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("feasible")
 
 
-def test_cli_import_loads_no_scipy():
-    """Every command pays the CLI's imports before it reads a byte; scipy is not among them."""
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this checkout's package."""
     src = str(Path(loadcouple.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, loadcouple.cli; "
-                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    """Every command pays the CLI's imports before it reads a byte; scipy is not among them."""
+    assert _fresh_python("import sys, loadcouple.cli; "
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]\n"
+
+
+def test_cli_import_builds_no_parser():
+    assert _fresh_python("import argparse\n"
+                         "built = []\n"
+                         "init = argparse.ArgumentParser.__init__\n"
+                         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(init(self, *a, **k))\n"
+                         "import loadcouple.cli\n"
+                         "print(len(built))") == "0\n"
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    """The first main() call builds the parser and its 7 subparsers; later calls reuse them."""
+    inst = _write_instance(tmp_path, frozen_two_cell())
+    _build_parser.cache_clear()
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+    for command in ("feasibility", "solve", "bounds"):
+        assert main([command, "--instance", str(inst)]) == 0
+    assert len(built) == 8
+
+
+def test_reused_parser_keeps_no_state_from_earlier_calls(tmp_path, capsys):
+    inst = _write_instance(tmp_path, frozen_two_cell())
+
+    def outputs():
+        assert main(["feasibility", "--instance", str(inst)]) == 0
+        assert main(["solve", "--instance", str(inst)]) == 0
+        return capsys.readouterr().out.encode()
+
+    _build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])  # argparse rejects it: --instance is required
+    assert exc.value.code == 2
+    assert main(["sweep", "--instance", str(inst), "--scales", "1:0:3"]) == 2
+    capsys.readouterr()
+    after_errors = outputs()
+    _build_parser.cache_clear()
+    assert outputs() == after_errors
 
 
 def test_every_exported_name_resolves():
