@@ -68,7 +68,8 @@ class NetworkInstance:
     and be finite, or the constructor raises ValueError; everything else is
     checked by :func:`validate`.  Every column is copied into a read-only
     array, even a read-only one, which a writable view taken before could
-    still change; only the loader hands its gains over uncopied.
+    still change; only the loader, the generator and the sector rotation
+    hand their new gains over uncopied.
     """
 
     power_per_ru: np.ndarray
@@ -218,9 +219,10 @@ def assign_best_server(instance: NetworkInstance) -> np.ndarray:
     """``server_of``: every pixel goes to the cell with the strongest received power.
 
     The winner maximizes power_per_ru * gain; ties go to the lowest cell
-    index, which argmax delivers by scanning order.
+    index, which argmax delivers by scanning order, as it gives a NaN
+    product's pixel to its first NaN; one contiguous row of products per pixel.
     """
-    return np.argmax(instance.power_per_ru[:, None] * instance.gains, axis=0)
+    return np.multiply(instance.gains.T, instance.power_per_ru, order="C").argmax(axis=1)
 
 
 @np.errstate(over="ignore")  # a candidate that overflows converts back to inf and loses
@@ -251,6 +253,7 @@ def _gains_to_db(linear: np.ndarray) -> np.ndarray:
 
 def save_instance(instance: NetworkInstance, path) -> None:
     """Write the instance to ``path`` in the versioned JSON interchange format."""
+    served = np.flatnonzero(instance.server_of >= 0)
     doc = {
         "version": SCHEMA_VERSION,
         "noise_power_w": instance.noise_power,
@@ -269,7 +272,8 @@ def save_instance(instance: NetworkInstance, path) -> None:
                 *instance.pixel_xy.T.tolist())
         ],
         "gains_db": _gains_to_db(instance.gains),
-        "serving": [[j + 1, i + 1] for j, i in enumerate(instance.server_of.tolist()) if i >= 0],
+        # the 1-based [pixel_id, cell_id] pairs, as an int64 (k, 2) array
+        "serving": np.stack([served + 1, instance.server_of[served] + 1], axis=1),
     }
     if instance.wrap_periods is not None:
         doc["wrap_periods_m"] = instance.wrap_periods

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .netmodel import NetworkInstance, SchemaError, _typed
+from .netmodel import NetworkInstance, SchemaError, _Handover, _typed
 
 BS_HEIGHT_M = 30.0
 UE_HEIGHT_M = 1.5
@@ -117,22 +117,34 @@ def _site_layout(num_sites: int, isd: float):
     return sites, periods
 
 
-def _link_geometry(cell_xy, pixel_xy, wrap_periods):
-    """Distance and bearing from one cell to every pixel.
+# the images m1 * period_1 + m2 * period_2 searched for the nearest; the first wins a tie
+_IMAGE_STEPS = np.array([[m1, m2] for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)], dtype=np.float64)
 
-    With wrap periods the pixel is replaced by its nearest periodic image,
-    so border cells measure geometry as if the grid continued forever.
+
+def _periodic_images(pixel_xy, wrap_periods):
+    """The (x, y) tables of each pixel's images, one row per pixel, in ``_IMAGE_STEPS`` order.
+
+    Without wrap periods the one image is the pixel itself, with no 0.0
+    offset added, which would turn a -0.0 coordinate into +0.0.
     """
     pixel_xy = np.asarray(pixel_xy, dtype=np.float64)
     if wrap_periods is None:
-        dx, dy = pixel_xy[:, 0] - cell_xy[0], pixel_xy[:, 1] - cell_xy[1]
-    else:
-        steps = np.array([[m1, m2] for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)], dtype=np.float64)
-        offsets = steps @ wrap_periods
-        dx = pixel_xy[:, 0] + offsets[:, :1] - cell_xy[0]
-        dy = pixel_xy[:, 1] + offsets[:, 1:] - cell_xy[1]
-        best = np.argmin(dx * dx + dy * dy, axis=0)[None, :]
-        dx, dy = np.take_along_axis(dx, best, 0)[0], np.take_along_axis(dy, best, 0)[0]
+        return pixel_xy[:, :1], pixel_xy[:, 1:]
+    offsets = _IMAGE_STEPS @ wrap_periods
+    return pixel_xy[:, :1] + offsets[:, 0], pixel_xy[:, 1:] + offsets[:, 1]
+
+
+def _link_geometry(cell_xy, images):
+    """Distance and bearing from one cell to every pixel's nearest image.
+
+    ``images`` are the tables of :func:`_periodic_images`, so with wrap
+    periods border cells measure geometry as if the grid continued forever.
+    """
+    image_x, image_y = images
+    dx, dy = image_x - cell_xy[0], image_y - cell_xy[1]
+    # the flat index of each row's first nearest image
+    pick = (dx * dx + dy * dy).argmin(axis=1) + np.arange(0, dx.size, dx.shape[1])
+    dx, dy = dx.ravel().take(pick), dy.ravel().take(pick)
     return np.hypot(dx, dy), np.degrees(np.arctan2(dy, dx))
 
 
@@ -160,8 +172,14 @@ def sector_pattern_db(offset_deg) -> np.ndarray:
 
 
 def _wrap_angle(deg):
-    """Fold angles into [-180, 180)."""
-    return (np.asarray(deg, dtype=np.float64) + 180.0) % 360.0 - 180.0
+    """Fold angles into [-180, 180) as ``(deg + 180) % 360 - 180`` does, bit for bit.
+
+    ``%`` is fmod plus 360 where negative, after a floor division not needed here.
+    """
+    folded = np.fmod(np.asarray(deg, dtype=np.float64) + 180.0, 360.0)
+    folded += np.where(folded < 0.0, 360.0, 0.0)
+    folded -= 180.0
+    return folded
 
 
 def _dbm_to_w(dbm: float) -> float:
@@ -215,9 +233,10 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
     freq_mhz = spec.carrier_ghz * 1000.0
     per_site = len(azimuths)
     boresights = azimuths[:, None]
+    images = _periodic_images(pixel_xy, wrap)
     for s, site in enumerate(sites):
         # the sectors of a site share its position, hence its link geometry
-        dist, bearing = _link_geometry(site, pixel_xy, wrap)
+        dist, bearing = _link_geometry(site, images)
         rows = slice(s * per_site, (s + 1) * per_site)
         gains_db[rows] = (
             -okumura_hata_db(dist, freq_mhz)
@@ -227,6 +246,9 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
             + shadow[rows]
         )
 
+    # linear in place: the instance takes the array over uncopied
+    gains_db /= 10.0
+    gains = np.power(10.0, gains_db, out=gains_db)
     noise_dbm = (
         THERMAL_NOISE_DBM_PER_HZ
         + 10.0 * math.log10(RESOURCE_UNIT_BANDWIDTH_HZ)
@@ -235,7 +257,7 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
     return NetworkInstance(
         power_per_ru=np.full(num_cells, _dbm_to_w(spec.tx_power_dbm) / num_rb),
         demand_bits=np.full(len(pixel_xy), spec.demand_bits_per_user, dtype=np.float64),
-        gains=np.power(10.0, gains_db / 10.0),
+        gains=_Handover(gains),
         noise_power=_dbm_to_w(noise_dbm),
         num_resource_units=num_rb * round(spec.duration_s * 1000.0),
         rate_scale=RESOURCE_UNIT_BANDWIDTH_HZ * RESOURCE_UNIT_TIME_S,
@@ -262,7 +284,8 @@ def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: floa
     new_az = float(new_azimuth_deg) % 360.0
     if new_az == old_az % 360.0:
         return instance
-    _, bearing = _link_geometry(instance.cell_xy[idx], instance.pixel_xy, instance.wrap_periods)
+    images = _periodic_images(instance.pixel_xy, instance.wrap_periods)
+    _, bearing = _link_geometry(instance.cell_xy[idx], images)
     delta_db = sector_pattern_db(_wrap_angle(bearing - new_az)) - sector_pattern_db(
         _wrap_angle(bearing - old_az)
     )
@@ -270,4 +293,4 @@ def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: floa
     gains[idx] *= np.power(10.0, delta_db / 10.0)
     azimuth = instance.azimuth_deg.copy()
     azimuth[idx] = new_az
-    return replace(instance, azimuth_deg=azimuth, gains=gains, server_of=None)
+    return replace(instance, azimuth_deg=azimuth, gains=_Handover(gains), server_of=None)

@@ -11,7 +11,11 @@ typed pack per gains row, with the garbage collector paused, and one numpy
 array for the serving pairs.  ``fixed_point_iteration`` (plain iteration of
 the map, the paper's scheme) and ``tangent_linearization`` (the tangent
 plane as an affine system) are the references for the solver's Newton
-iteration and its tangent bound.
+iteration and its tangent bound.  ``link_geometry_reference`` (a search
+over nine image rows per site), ``wrap_angle_reference`` (the fold by
+``%``) and ``best_server_reference`` (argmax down the cells x pixels
+products) are the generator's and the best-server kernels as they were
+before their arrays were laid out one pixel per row.
 """
 
 from __future__ import annotations
@@ -320,3 +324,29 @@ def serving_reference(pairs: list, n: int, m: int, where: str) -> np.ndarray:
             raise SchemaError(f"{where}: pixel {pixel_id} assigned more than once")
         server_of[pixel_id - 1] = cell_id - 1
     return server_of
+
+
+def link_geometry_reference(cell_xy, pixel_xy, wrap_periods):
+    """``scenario._link_geometry`` as a per-site search over nine image rows by ``take_along_axis``."""
+    pixel_xy = np.asarray(pixel_xy, dtype=np.float64)
+    if wrap_periods is None:
+        dx, dy = pixel_xy[:, 0] - cell_xy[0], pixel_xy[:, 1] - cell_xy[1]
+    else:
+        steps = np.array([[m1, m2] for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)], dtype=np.float64)
+        offsets = steps @ wrap_periods
+        dx = pixel_xy[:, 0] + offsets[:, :1] - cell_xy[0]
+        dy = pixel_xy[:, 1] + offsets[:, 1:] - cell_xy[1]
+        best = np.argmin(dx * dx + dy * dy, axis=0)[None, :]
+        dx, dy = np.take_along_axis(dx, best, 0)[0], np.take_along_axis(dy, best, 0)[0]
+    return np.hypot(dx, dy), np.degrees(np.arctan2(dy, dx))
+
+
+def wrap_angle_reference(deg):
+    """``scenario._wrap_angle`` by the floor-division remainder ``%``."""
+    return (np.asarray(deg, dtype=np.float64) + 180.0) % 360.0 - 180.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def best_server_reference(power_per_ru, gains) -> np.ndarray:
+    """``netmodel.assign_best_server`` as argmax down the columns of the cells x pixels products."""
+    return np.argmax(power_per_ru[:, None] * gains, axis=0)

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import areas, build_instance, float_matrix_reference, random_instance, serving_reference
+from helpers import (
+    areas,
+    best_server_reference,
+    build_instance,
+    float_matrix_reference,
+    random_instance,
+    serving_reference,
+)
 from loadcouple import (
     NetworkInstance,
     ScenarioSpec,
@@ -113,6 +120,44 @@ def test_best_server_tie_breaks_lowest_cell():
     gains = np.array([[1e-7, 4e-8], [1e-7, 4e-8], [5e-8, 4e-8]])
     instance = build_instance(gains, demands=[1.0, 1.0], powers=[1.0, 1.0, 1.0], noise=1e-9)
     assert list(instance.server_of) == [0, 0]
+
+
+# equal, infinite and NaN products: 0 * inf and nan are NaN, 1e300 * 1e10 overflows to inf
+_GAINS = st.sampled_from([0.0, 1e-8, 2e-8, 1e300, np.inf, np.nan]) | st.floats(0.0, 1.0)
+_POWERS = st.sampled_from([0.0, 1.0, 2.0, 0.5, 1e10, np.inf, np.nan])
+
+
+@st.composite
+def _powers_and_gains(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    return draw(arrays(np.float64, n, elements=_POWERS)), draw(arrays(np.float64, (n, m), elements=_GAINS))
+
+
+@settings(max_examples=300)
+@given(case=_powers_and_gains())
+@example(case=(np.ones(1), np.empty((1, 0))))
+@example(case=(np.array([np.nan]), np.array([[1.0, np.inf]])))
+@example(case=(np.array([1.0, np.inf, 2.0]), np.array([[1e-8, 0.0, np.nan], [1e-8, 1.0, 1.0], [5e-9, 1e300, 1.0]])))
+def test_best_server_matches_the_column_argmax_property(case):
+    powers, gains = case
+    instance = build_instance(gains, np.zeros(gains.shape[1]), powers, noise=1.0)
+    want = best_server_reference(powers, gains)
+    assert instance.server_of.shape == want.shape == (gains.shape[1],)
+    assert instance.server_of.tobytes() == assign_best_server(instance).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(server_of=arrays(np.int64, st.integers(0, 12), elements=st.integers(-1, 4)))
+def test_save_writes_the_serving_pairs_as_the_pair_list_property(server_of):
+    m = len(server_of)
+    instance = build_instance(np.ones((5, m)), np.zeros(m), np.ones(5), noise=1.0, server_of=server_of)
+    pairs = [[j + 1, i + 1] for j, i in enumerate(server_of.tolist()) if i >= 0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        save_instance(instance, path)
+        data = path.read_bytes()
+    # the serving block is written last but for the wrap periods, which this instance lacks
+    assert data.endswith(b'"serving":' + orjson.dumps(pairs) + b"}\n")
 
 
 def test_areas_sorted_and_consistent():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import areas
+from helpers import areas, link_geometry_reference, wrap_angle_reference
 from loadcouple import (
     ScenarioSpec,
     SchemaError,
@@ -18,6 +20,9 @@ from loadcouple import (
 )
 from loadcouple.scenario import (
     MIN_DISTANCE_M,
+    _link_geometry,
+    _periodic_images,
+    _wrap_angle,
     okumura_hata_db,
     sector_pattern_db,
 )
@@ -68,6 +73,96 @@ def test_generator_output_is_frozen(wraparound):
     digest = hashlib.sha256(instance.gains.tobytes())
     digest.update(instance.pixel_xy.tobytes())
     assert digest.hexdigest() == GENERATOR_DIGESTS[wraparound]
+
+
+def _digest(instance) -> str:
+    digest = hashlib.sha256(instance.gains.tobytes())
+    digest.update(instance.pixel_xy.tobytes())
+    digest.update(instance.server_of.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of gains.tobytes(), pixel_xy.tobytes() and server_of.tobytes() for
+# the benchmark's largest scenario, n=81, and for cell 5 of it turned to 100
+# degrees: the generator's, the rotation's and best server's bits at this size
+N81_DIGESTS = {
+    "generate": "3f32932e2a82d69eced645dd2a3a8335db26dd71c2c241f95b0ee300f43fa38c",
+    "rotate_sector": "f6255b5a43b16c48792d99defd8b962d5189157e05560e92b868733e7e6ccbca",
+}
+
+
+def test_generator_output_is_frozen_at_n81():
+    instance = generate(ScenarioSpec(num_sites=27, rng_seed=7, demand_bits_per_user=80_000))
+    turned = rotate_sector(instance, 5, 100.0)
+    assert {"generate": _digest(instance), "rotate_sector": _digest(turned)} == N81_DIGESTS
+
+
+def _same_bits(got, want) -> bool:
+    """Equal arrays of equal dtype and shape, bit for bit: signed zeros and NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# small integers and halves, so that exact ties between two images are common
+_COORDS = st.one_of(st.integers(-6, 6).map(lambda k: k / 2.0), st.sampled_from([-0.0, 0.0]),
+                    st.floats(-3000.0, 3000.0, allow_nan=False))
+_POINTS = st.tuples(_COORDS, _COORDS)
+
+
+@settings(max_examples=300)
+@given(cell=_POINTS, pixels=st.lists(_POINTS, max_size=12),
+       periods=st.none() | st.tuples(_POINTS, _POINTS))
+# pixel (1, 0.5) is as far from the cell through step (-1, 0) as itself, step (0, 0): the first wins
+@example(cell=(0.0, 0.0), pixels=[(1.0, 0.5)], periods=((2.0, 0.0), (0.0, 2.0)))
+# without periods the pixel keeps its -0.0: an added 0.0 offset would turn the bearing 180 into 0
+@example(cell=(0.0, 0.0), pixels=[(-0.0, 0.0)], periods=None)
+def test_link_geometry_matches_the_nine_row_search_property(cell, pixels, periods):
+    cell, pixel_xy = np.array(cell), np.array(pixels).reshape(-1, 2)
+    periods = None if periods is None else np.array(periods)
+    got = _link_geometry(cell, _periodic_images(pixel_xy, periods))
+    want = link_geometry_reference(cell, pixel_xy, periods)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_link_geometry_ties_and_signed_zeros():
+    periods = np.array([[2.0, 0.0], [0.0, 2.0]])
+    _, bearing = _link_geometry(np.zeros(2), _periodic_images(np.array([[1.0, 0.5]]), periods))
+    assert bearing[0] > 90.0  # through step (-1, 0), the first of the two nearest images
+    _, bearing = _link_geometry(np.zeros(2), _periodic_images(np.array([[-0.0, 0.0]]), None))
+    assert bearing[0] == 180.0
+
+
+_ANGLE_EDGES = [x for k in range(-3, 4) for base in (360.0 * k, 360.0 * k + 180.0)
+                for x in (np.nextafter(base, -np.inf), base, np.nextafter(base, np.inf))]
+
+
+@settings(max_examples=300)
+@given(deg=arrays(np.float64, st.integers(0, 16),
+                  elements=st.sampled_from([-0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324,
+                                            -5e-324, *_ANGLE_EDGES]) | st.floats()))
+def test_wrap_angle_matches_the_remainder_property(deg):
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(_wrap_angle(deg), wrap_angle_reference(deg))
+
+
+def test_wrap_angle_edges():
+    with np.errstate(invalid="ignore"):
+        for deg in (*_ANGLE_EDGES, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300):
+            assert _same_bits(_wrap_angle(deg), wrap_angle_reference(deg)), deg
+
+
+@pytest.mark.xfail(strict=True, reason="the 3x3 image window misses nearer images when the site "
+                   "layout's periods are not a reduced lattice basis (7 sites: 668 of 4410 links)")
+def test_nearest_image_is_nearest_in_a_seven_by_seven_window():
+    instance = generate(ScenarioSpec(num_sites=7, rng_seed=7))
+    images = _periodic_images(instance.pixel_xy, instance.wrap_periods)
+    steps = np.array([[m1, m2] for m1 in range(-3, 4) for m2 in range(-3, 4)], dtype=np.float64)
+    offsets = steps @ instance.wrap_periods
+    for site in instance.cell_xy[::3]:
+        dist, _ = _link_geometry(site, images)
+        dx = instance.pixel_xy[:, :1] + offsets[:, 0] - site[0]
+        dy = instance.pixel_xy[:, 1:] + offsets[:, 1] - site[1]
+        assert np.array_equal(dist, np.hypot(dx, dy).min(axis=1))
 
 
 def test_seed_changes_instance():
