@@ -84,9 +84,9 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
 
     Each row reports s rho(A) and takes its verdict from one LU of
     I - s A, with A built once.  Each solve warm-starts from the previous
-    feasible fixed point (the loads grow with s, so the previous point is a
-    good Newton start).  Row order matches the input grid.  A negative or
-    non-finite scale raises ValueError.
+    feasible fixed point, near the row's own, so the first Newton step lands
+    just above that and Newton descends.  Row order matches the input grid.
+    A negative or non-finite scale raises ValueError.
     """
     cc = coupling.coefficients(instance)
     system = coupling.asymptotic_linearization(cc)

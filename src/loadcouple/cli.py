@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the load fixed point with certified bounds")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("newton",), default="newton",
-                   help="safeguarded Newton, the only method")
+                   help="Newton from above, the only method")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10_000)
     p.add_argument("--interval-width", type=float, default=None,

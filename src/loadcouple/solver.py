@@ -3,12 +3,14 @@
 Feasibility is settled up front through the exact linear criterion, so the
 iterative part only ever runs on instances that do have a fixed point.  The
 asymptotic solution provides the starting iterate and a permanent lower
-bound.  A safeguarded Newton method keeps its few-step convergence at the
-feasibility boundary.  One LU of I - J(rho) per iteration gives the step, a
-tangent upper bound and a certified sub-solution, a bracket that shrinks as
-it proceeds.  The first iteration's tangent bound, anchored at the start,
-is the one the bound-quality report reads: it is the only place a tangent
-plane is solved.
+bound.  Newton runs from above: f is concave, so the fixed point of its
+tangent plane at any iterate is a super-solution, f(x) <= x, and Newton
+steps from a super-solution decrease to the fixed point in a few steps, also
+at the feasibility boundary, with no line search.  One LU of I - J(rho) per
+iteration gives the step, whose end is the tangent upper bound, and a
+certified sub-solution: a bracket that shrinks as it proceeds.  The first
+iteration's tangent bound, anchored at the start, is the one the
+bound-quality report reads: it is the only place a tangent plane is solved.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class SolveReport:
     bound, raised to ``fixed_point``; for feasible instances the three are
     ordered lower <= fixed_point <= upper.  ``residual`` is the final
     iterate's.  ``linear`` carries the feasibility check's diagnostics.
-    ``fallbacks`` counts Newton iterations that took a plain step instead.
+    ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
+    because the tangent system was unusable.
     ``start_upper`` is the first iteration's tangent bound, the fixed point
     of the tangent plane at the start iterate (the asymptotic solution by
     default), clamped at zero; None when that system is singular or has a
@@ -90,14 +93,15 @@ class SolveReport:
 
 
 def _iterate(cc, rho, linear, config) -> SolveReport:
-    """Safeguarded Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration.
+    """Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration.
 
+    The next iterate is the tangent plane's fixed point, ``upper``, or f(rho)
+    where that system is singular or has a component below -NEGATIVE_ATOL;
+    either stays above the asymptotic solution L, as f(rho) >= f(L) >= L.
     ``low`` is a sub-solution, f(low) >= low: the asymptotic solution, then,
     checked by evaluation, any iterate that is one and, under the interval
     stop, the zero of the minorant through ``low`` with slope J(rho) - I at a
     super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
-    The map value the line search computes at the accepted step is the next
-    iterate's, so no point is evaluated twice.
     """
     stop_width = config.interval_width
     lower = linear.solution
@@ -116,41 +120,25 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
         f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
         rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
         steps = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), rhs)
-        if steps is not None:
-            tangent = rho + steps[:, 0]  # the tangent plane's fixed point
-            if np.min(tangent) >= -linfeas.NEGATIVE_ATOL:
-                upper = np.maximum(tangent, 0.0)
-                if t == 0:  # anchored at the start: the bound the bound-quality report reads
-                    start_upper = upper
-            if lift:
-                candidate = np.maximum(low + steps[:, 1], low)
-                f_candidate = coupling.load_function(cc, candidate)
-                if np.all(f_candidate >= candidate):
-                    low, f_low = candidate, f_candidate
+        tangent = None if steps is None else rho + steps[:, 0]  # the tangent plane's fixed point
+        usable = tangent is not None and bool(np.min(tangent) >= -linfeas.NEGATIVE_ATOL)
+        if usable:
+            upper = np.maximum(tangent, 0.0)
+            if t == 0:  # anchored at the start: the bound the bound-quality report reads
+                start_upper = upper
+        if steps is not None and lift:
+            candidate = np.maximum(low + steps[:, 1], low)
+            f_candidate = coupling.load_function(cc, candidate)
+            if np.all(f_candidate >= candidate):
+                low, f_low = candidate, f_candidate
         width = float(np.max(upper - low)) if upper is not None else math.inf
         trace.append(TraceEntry(iteration=t, residual=residual, interval_width=width))
         if converged or (stop_width is not None and width <= stop_width):
             status = CONVERGED
             break
-
-        # damped projected Newton step; plain ascent when the system is
-        # unusable (None) or no damping lowers the residual
-        next_rho = None
-        if steps is not None:
-            alpha = 1.0
-            for _ in range(30):
-                candidate = np.maximum(rho + alpha * steps[:, 0], lower)
-                f_candidate = coupling.load_function(cc, candidate)
-                if float(np.max(np.abs(candidate - f_candidate), initial=0.0)) < residual:
-                    next_rho = candidate
-                    break
-                alpha *= 0.5
-        if next_rho is None:
-            fallbacks += 1
-            rho = np.maximum(f_rho, lower)
-            f_rho = coupling.load_function(cc, rho)
-        else:
-            rho, f_rho = next_rho, f_candidate
+        fallbacks += not usable
+        rho = upper if usable else f_rho  # Newton from above, else a plain step
+        f_rho = coupling.load_function(cc, rho)
     point = rho if stop_width is None else low
     # the maximum of an upper bound and any vector is an upper bound
     upper = None if upper is None else np.maximum(upper, point)
@@ -162,10 +150,12 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     """Compute the load coupling fixed point together with certified bounds.
 
     The exact linear feasibility check runs first; infeasible instances are
-    reported without a single nonlinear iteration.  Otherwise safeguarded
-    Newton iterates from the asymptotic solution (or ``config.start``) until
-    the residual drops below ``tol_residual`` relative to 1 + the largest
-    load.
+    reported without a single nonlinear iteration.  Otherwise Newton
+    iterates from the asymptotic solution (or ``config.start``) until the
+    residual drops below ``tol_residual`` relative to 1 + the largest load.
+    After the first step every iterate is the fixed point of a tangent plane,
+    a super-solution, unless that system was unusable and a plain step
+    rho <- f(rho) was taken.
 
     With ``config.interval_width`` set, iteration also ends once ``upper`` is
     within that width of ``fixed_point``, which is then a sub-solution
@@ -180,9 +170,14 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
     """:func:`solve` on coefficients.
 
     ``linear`` is the outcome of :func:`linfeas.feasibility` on ``cc`` when the
-    caller has already taken that verdict; it is taken here otherwise.
+    caller has already taken that verdict; it is taken here otherwise.  A
+    ``config.start`` that is not a finite array of shape ``(num_cells,)``
+    raises ValueError.
     """
     config = config or SolverConfig()
+    if config.start is not None and not (np.shape(config.start) == (cc.num_cells,)
+                                         and np.all(np.isfinite(config.start))):
+        raise ValueError(f"start must be a finite array of shape ({cc.num_cells},)")
     if linear is None:
         _, linear = linfeas.feasibility(coupling.asymptotic_linearization(cc))
     if linear.status != linfeas.FEASIBLE:

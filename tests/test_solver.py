@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -361,13 +363,13 @@ def test_newton_iteration_factors_once(monkeypatch):
         linear_solves.clear()
         report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
-        assert len(jacobians) <= len(report.trace) == report.iterations + 1
+        assert len(jacobians) == len(report.trace) == report.iterations + 1
         assert len(linear_solves) == 1  # the feasibility verdict
 
 
 @pytest.mark.parametrize("num_sites", [3, 12])
 def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_sites):
-    """The line search's map value at the accepted step is reused as the next iterate's."""
+    """The map is evaluated once per iterate, and never twice at one point."""
     instance = generate(ScenarioSpec(num_sites=num_sites, rng_seed=7, demand_bits_per_user=80_000.0))
     boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
     points = []
@@ -382,5 +384,86 @@ def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_site
         points.clear()
         report = solve(instance.with_demand_scale(fraction * boundary))
         assert report.status == "converged" and report.iterations >= 2, fraction
-        assert len(points) > report.iterations
+        assert len(points) == report.iterations + 1, fraction
         assert len(set(points)) == len(points), fraction
+
+
+def test_malformed_start_is_rejected():
+    """A start that is not a finite vector of one load per cell raises instead of iterating."""
+    instance = frozen_two_cell()
+    for start in ([[0.1, 0.1], [0.1, 0.1]], [0.1], [0.1, 0.1, 0.1], [math.nan, 0.1], [math.inf, 0.1]):
+        with pytest.raises(ValueError, match="start must be a finite array"):
+            solve(instance, SolverConfig(start=np.array(start)))
+
+
+# sha256 of fixed_point, upper and start_upper (their tobytes, in that
+# order) and the iteration count, for the seed-7 n=36 scenario at
+# near_boundary's fractions of its boundary, under the residual stop (None)
+# and interval_width=1e-6: the solver's bits where Newton does its work
+NEAR_BOUNDARY_DIGESTS = {
+    (0.9, None): (4, "3662b612205283c9249c023c48017d14cd7bacb704a0cf1158ab8246a06e8c58"),
+    (0.9, 1e-6): (3, "2e88a44748560ba3bf7fd5d3d6a087648cd4c1b0f95c61293585eed340d371de"),
+    (0.99, None): (3, "c0e8cc52f0d720c43770f13df45d19ae80a622629ef4df115592e5ea3c1d38d8"),
+    (0.99, 1e-6): (3, "bb1980dd72125c739f9e62378fbcb56850a97de06dc531ec95dc314edf023818"),
+    (0.999, None): (3, "46f63c834f6c7529d40a238cdd4e135af491b774a9f008be791e4fe4d8c4429e"),
+    (0.999, 1e-6): (3, "2453eb89fff07b9e953ab79a554bbd7be6d7d00c09dff19aacb85e96fd5011c0"),
+}
+
+
+def test_solver_output_is_frozen_near_the_boundary():
+    instance = generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000))
+    boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
+    got = {}
+    for fraction, width in NEAR_BOUNDARY_DIGESTS:
+        report = solve(instance.with_demand_scale(fraction * boundary), SolverConfig(interval_width=width))
+        assert report.status == "converged"
+        digest = hashlib.sha256(report.fixed_point.tobytes())
+        digest.update(report.upper.tobytes())
+        digest.update(report.start_upper.tobytes())
+        got[fraction, width] = (report.iterations, digest.hexdigest())
+    assert got == NEAR_BOUNDARY_DIGESTS
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 8), pixels_per_cell=st.integers(1, 4),
+       noise_exponent=st.floats(-8.0, 0.0), radius_target=st.floats(0.3, 0.9999))
+def test_newton_descends_from_above_property(seed, num_cells, pixels_per_cell, noise_exponent,
+                                             radius_target):
+    """Newton from above: super-solutions, decreasing, one evaluation and one Jacobian each.
+
+    On low-noise instances, where the tangent system at the asymptotic
+    solution can be unusable, every plain step comes before the first
+    tangent step.  Every iterate after it is a super-solution, f(x) <= x,
+    and each is below the one before, both within rounding.  Under the
+    residual stop the map and the Jacobian are evaluated once per iterate.
+    Starts: the default, 0 (raised to the default) and 2 rho* from above.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell, radius_target)
+    instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
+    default = solve(instance)
+    points, values, jacobians = [], [], []
+    evaluate, differentiate = coupling.load_function, coupling.jacobian
+
+    def recording(cc, rho):
+        points.append(rho)
+        values.append(evaluate(cc, rho))
+        return values[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupling, "load_function", recording)
+        patch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or differentiate(cc, rho))
+        for start in (None, np.zeros(num_cells), 2.0 * default.fixed_point):
+            for log in (points, values, jacobians):
+                log.clear()
+            report = solve(instance, SolverConfig(start=start))
+            assert report.status == "converged"
+            assert len(points) == len(jacobians) == report.iterations + 1
+            plain = report.fallbacks
+            for before, after in zip(values[:plain], points[1:plain + 1]):
+                assert np.array_equal(after, before)  # a plain step, rho <- f(rho)
+            for k in range(plain + 1, len(points)):
+                x = points[k]
+                slack = 1e-12 * (1.0 + np.max(x))
+                assert np.all(values[k] <= x + slack)
+                if k > plain + 1:
+                    assert np.all(x <= points[k - 1] + slack)
