@@ -19,8 +19,9 @@ import numpy as np
 
 from . import coupling, linfeas, solver
 
-# compare_configs certifies each boundary scale by a bracket this wide relative to its lower end
-COMPARE_TOL = 1e-4
+# each certified boundary bracket is at most this wide relative to its lower end
+BOUNDARY_TOL = 1e-6  # feasibility_boundary's default
+COMPARE_TOL = 1e-4  # compare_configs'
 
 
 class PreconditionError(ValueError):
@@ -50,14 +51,16 @@ class BoundaryCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CellBounds:
-    """One cell's fixed point, both linear bounds, their gaps in percent and the solve's status."""
+    """One solve's fixed point, both linear bounds and their gaps in percent, and its status.
 
-    cell_id: int
-    rho_star: float
-    rho_lower: float
-    rho_upper: float
-    lower_gap_pct: float
-    upper_gap_pct: float
+    Each column is a float64 array with one entry per cell, cell i at index i.
+    """
+
+    rho_star: np.ndarray
+    rho_lower: np.ndarray
+    rho_upper: np.ndarray
+    lower_gap_pct: np.ndarray
+    upper_gap_pct: np.ndarray
     solve_status: str
 
 
@@ -66,17 +69,16 @@ class ComparisonReport:
     """Side-by-side verdict for two configurations of the same cell set.
 
     ``verdict`` is one of ``"equal"``, ``"a_dominates"``, ``"b_dominates"``,
-    ``"incomparable"``.  Load columns are None for a configuration that is
-    infeasible at the base demand.
+    ``"incomparable"``.  ``bounds_a`` and ``bounds_b`` are each side's bound
+    quality table at the base demand, its ``rho_star`` the loads the verdict
+    reads; None for a configuration that is infeasible there.
     """
 
     verdict: str
     boundary_a: float
     boundary_b: float
-    rho_star_a: Optional[np.ndarray]
-    rho_star_b: Optional[np.ndarray]
-    bounds_a: Optional[list[CellBounds]]
-    bounds_b: Optional[list[CellBounds]]
+    bounds_a: Optional[CellBounds]
+    bounds_b: Optional[CellBounds]
 
 
 def demand_sweep(instance, scales) -> list[SweepRow]:
@@ -104,7 +106,7 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
     return rows
 
 
-def feasibility_boundary(instance, lo: float, hi: float, tol: float = 1e-6) -> BoundaryCertificate:
+def feasibility_boundary(instance, lo: float, hi: float, tol: float = BOUNDARY_TOL) -> BoundaryCertificate:
     """The demand scale at which the network stops being feasible.
 
     Preconditions: the instance must be feasible at ``lo`` and infeasible at
@@ -145,35 +147,28 @@ def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> Boundar
     return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
 
 
-def bound_quality(instance) -> list[CellBounds]:
-    """Per-cell gap of both linear bounds against the computed fixed point.
+def bound_quality(instance) -> CellBounds:
+    """One table of per-cell gaps of both linear bounds against the computed fixed point.
 
     The upper bound is the fixed point of the tangent plane at the
-    asymptotic solution, as the solve's first Newton step computes it.
-    Gaps are |bound - fixed point| / fixed point in percent; cells with a
-    zero fixed point (no demand) report zero gaps.  Raises ValueError on
-    infeasible instances.
+    asymptotic solution, as the solve's first Newton step computes it (NaN
+    where that system has no usable solution).  Gaps are |bound - fixed
+    point| / fixed point in percent; cells with a zero fixed point (no
+    demand) report zero gaps.  Raises PreconditionError on infeasible
+    instances.
     """
     return _bound_quality(solver.solve(instance))
 
 
-def _bound_quality(report: solver.SolveReport) -> list[CellBounds]:
+def _bound_quality(report: solver.SolveReport) -> CellBounds:
     if report.status == solver.INFEASIBLE:
         raise PreconditionError("no bound quality on an infeasible instance")
     rho, lower, upper = report.fixed_point, report.lower, report.start_upper
     if upper is None:  # the tangent system at the lower bound is not solvable
         upper = np.full(len(rho), math.nan)
-    out = []
-    for i in range(len(rho)):
-        if rho[i] > 0.0:
-            lower_gap = abs(lower[i] - rho[i]) / rho[i] * 100.0
-            upper_gap = abs(upper[i] - rho[i]) / rho[i] * 100.0
-        else:
-            lower_gap = upper_gap = 0.0
-        out.append(CellBounds(cell_id=i + 1, rho_star=float(rho[i]), rho_lower=float(lower[i]),
-                              rho_upper=float(upper[i]), lower_gap_pct=lower_gap,
-                              upper_gap_pct=upper_gap, solve_status=report.status))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero-load cells' quotients are dropped
+        gaps = [np.where(rho > 0.0, np.abs(bound - rho) / rho * 100.0, 0.0) for bound in (lower, upper)]
+    return CellBounds(rho, lower, upper, *gaps, report.status)
 
 
 def compare_configs(instance_a, instance_b) -> ComparisonReport:
@@ -190,20 +185,20 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
         raise ValueError("configurations must have the same number of cells")
 
     def side(instance):
-        """Boundary scale, loads and bounds at base demand from one build and one rho(A)."""
+        """Boundary scale and bound quality at base demand from one build and one rho(A)."""
         cc = coupling.coefficients(instance)
         system = coupling.asymptotic_linearization(cc)
         feasible, linear = linfeas.feasibility(system)
         boundary = _boundary(system, linear.spectral_radius, COMPARE_TOL).scale
         if not feasible:
-            return boundary, None, None
-        bounds = _bound_quality(solver.solve_coefficients(cc, linear=linear))
-        return boundary, np.array([b.rho_star for b in bounds]), bounds
+            return boundary, None
+        return boundary, _bound_quality(solver.solve_coefficients(cc, linear=linear))
 
-    boundary_a, rho_a, bounds_a = side(instance_a)
-    boundary_b, rho_b, bounds_b = side(instance_b)
+    boundary_a, bounds_a = side(instance_a)
+    boundary_b, bounds_b = side(instance_b)
 
-    if rho_a is not None and rho_b is not None:
+    if bounds_a is not None and bounds_b is not None:
+        rho_a, rho_b = bounds_a.rho_star, bounds_b.rho_star
         if boundary_a == boundary_b and np.array_equal(rho_a, rho_b):
             verdict = "equal"
         elif boundary_a > boundary_b and np.max(rho_a) < np.max(rho_b):
@@ -212,9 +207,9 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
             verdict = "b_dominates"
         else:
             verdict = "incomparable"
-    elif rho_a is not None:
+    elif bounds_a is not None:
         verdict = "a_dominates"
-    elif rho_b is not None:
+    elif bounds_b is not None:
         verdict = "b_dominates"
     else:
         # neither feasible at base demand: only the boundary scales can rank them
@@ -228,8 +223,6 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
         verdict=verdict,
         boundary_a=boundary_a,
         boundary_b=boundary_b,
-        rho_star_a=rho_a,
-        rho_star_b=rho_b,
         bounds_a=bounds_a,
         bounds_b=bounds_b,
     )

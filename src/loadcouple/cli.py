@@ -78,9 +78,9 @@ def _load_validated(path) -> netmodel.NetworkInstance:
     return instance
 
 
-def _exit_for(rows) -> int:
-    """Exit 4 when the solve behind any reported row stopped at its iteration limit."""
-    if any(row.solve_status == solver.MAX_ITER_EXCEEDED for row in rows):
+def _exit_for(results) -> int:
+    """Exit 4 when the solve behind any sweep row or bound quality table stopped at its iteration limit."""
+    if any(result.solve_status == solver.MAX_ITER_EXCEEDED for result in results):
         return EXIT_MAX_ITER
     return EXIT_OK
 
@@ -168,31 +168,26 @@ def _cmd_compare(args) -> int:
     report = analysis.compare_configs(instance_a, instance_b)
     header = ["cell_id", "rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
               "rho_upper_a", "rho_upper_b"]
-    rows = []
-    for i in range(instance_a.num_cells):
-        def pick(bounds, attr):
-            return getattr(bounds[i], attr) if bounds is not None else None
-        rows.append([
-            i + 1,
-            pick(report.bounds_a, "rho_star"), pick(report.bounds_b, "rho_star"),
-            pick(report.bounds_a, "rho_lower"), pick(report.bounds_b, "rho_lower"),
-            pick(report.bounds_a, "rho_upper"), pick(report.bounds_b, "rho_upper"),
-        ])
+    tables = (report.bounds_a, report.bounds_b)
+    missing = [None] * instance_a.num_cells  # a side infeasible at base demand
+    columns = [missing if t is None else getattr(t, attr).tolist()
+               for attr in ("rho_star", "rho_lower", "rho_upper") for t in tables]
+    rows = [[i, *values] for i, values in enumerate(zip(*columns), start=1)]
     comment = (f"verdict={report.verdict} boundary_a={_fmt(report.boundary_a)} "
                f"boundary_b={_fmt(report.boundary_b)}")
     _write_csv(args.out, comment, header, rows)
     print(f"{report.verdict} (boundary a {_fmt(report.boundary_a)}, b {_fmt(report.boundary_b)})")
-    return _exit_for([*(report.bounds_a or ()), *(report.bounds_b or ())])
+    return _exit_for([t for t in tables if t is not None])
 
 
 def _cmd_bounds(args) -> int:
     instance = _load_validated(args.instance)
     table = analysis.bound_quality(instance)
     header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"]
-    rows = [[b.cell_id, b.rho_star, b.rho_lower, b.rho_upper, b.lower_gap_pct, b.upper_gap_pct]
-            for b in table]
+    columns = (table.rho_star, table.rho_lower, table.rho_upper, table.lower_gap_pct, table.upper_gap_pct)
+    rows = [[i, *values] for i, values in enumerate(np.column_stack(columns).tolist(), start=1)]
     _write_csv(args.out, "", header, rows)
-    return _exit_for(table)
+    return _exit_for([table])
 
 
 @functools.cache  # built on the first main() call, then reused: parse_args keeps no state
@@ -211,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("newton",), default="newton",
                    help="Newton from above, the only method")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10_000)
+    p.add_argument("--tol", type=float, default=solver.SolverConfig.tol_residual)
+    p.add_argument("--max-iter", type=int, default=solver.SolverConfig.max_iter)
     p.add_argument("--interval-width", type=float, default=None,
                    help="stop once the certified interval is this narrow (positive)")
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
@@ -232,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=analysis.BOUNDARY_TOL,
                    help="relative width of the certified bracket (positive); "
                         "too narrow to certify in double precision exits 2")
     p.set_defaults(func=_cmd_boundary)

@@ -108,7 +108,6 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     low, f_low = lower, None
     upper = start_upper = None
     trace: list[TraceEntry] = []
-    status = MAX_ITER_EXCEEDED
     fallbacks = 0
     f_rho = coupling.load_function(cc, rho)
     for t in range(config.max_iter + 1):
@@ -133,8 +132,9 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
                 low, f_low = candidate, f_candidate
         width = float(np.max(upper - low)) if upper is not None else math.inf
         trace.append(TraceEntry(iteration=t, residual=residual, interval_width=width))
-        if converged or (stop_width is not None and width <= stop_width):
-            status = CONVERGED
+        done = converged or (stop_width is not None and width <= stop_width)
+        if done or t == config.max_iter:  # no step past the last reported iterate
+            status = CONVERGED if done else MAX_ITER_EXCEEDED
             break
         fallbacks += not usable
         rho = upper if usable else f_rho  # Newton from above, else a plain step

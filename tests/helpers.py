@@ -5,17 +5,20 @@ control: serving follows best server, interferer gains stay within three
 orders of magnitude of the serving gain, and demands are rescaled so the
 asymptotic slope matrix hits an exact spectral radius target (computed with
 numpy's eigensolver in this file, not through the package).
-``float_matrix_reference`` and ``serving_reference`` convert instance-file
-blocks by typed walks, the references for the loader's conversions: one
-typed pack per gains row, with the garbage collector paused, and one numpy
-array for the serving pairs.  ``fixed_point_iteration`` (plain iteration of
+``float_matrix_reference``, ``serving_reference`` and ``columns_reference``
+convert instance-file blocks by typed walks, the references for the
+loader's conversions: one typed pack per gains row, with the garbage
+collector paused, one numpy array for the serving pairs and one for the
+cell and pixel fields.  ``fixed_point_iteration`` (plain iteration of
 the map, the paper's scheme) and ``tangent_linearization`` (the tangent
 plane as an affine system) are the references for the solver's Newton
-iteration and its tangent bound.  ``link_geometry_reference`` (a search
-over nine image rows per site), ``wrap_angle_reference`` (the fold by
-``%``) and ``best_server_reference`` (argmax down the cells x pixels
-products) are the generator's and the best-server kernels as they were
-before their arrays were laid out one pixel per row.
+iteration and its tangent bound.  ``bound_quality_reference`` builds the
+bound quality table cell by cell, with scalar arithmetic.
+``link_geometry_reference`` (a search over nine image rows per site),
+``wrap_angle_reference`` (the fold by ``%``) and ``best_server_reference``
+(argmax down the cells x pixels products) are the generator's and the
+best-server kernels as they were before their arrays were laid out one
+pixel per row.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from itertools import chain
 import numpy as np
 
 from loadcouple import (
+    CellBounds,
     LinearizedSystem,
     NetworkInstance,
     SchemaError,
@@ -38,7 +42,7 @@ from loadcouple import (
     load_function,
     solve_linear,
 )
-from loadcouple.netmodel import _typed
+from loadcouple.netmodel import _float, _typed
 
 
 def build_instance(gains, demands, powers, noise, num_resource_units=100, rate_scale=1.0,
@@ -199,6 +203,23 @@ def fd_hessian_entry(cc, cell, k, h, rho, eps=1e-4) -> float:
     return (fpp - fpm - fmp + fmm) / (4 * eps * eps)
 
 
+def bound_quality_reference(report) -> CellBounds:
+    """``analysis._bound_quality`` on a feasible report as a loop over cells, one scalar gap at a time."""
+    rho, lower, upper = report.fixed_point, report.lower, report.start_upper
+    if upper is None:
+        upper = np.full(len(rho), math.nan)
+    cells = []
+    for i in range(len(rho)):
+        if rho[i] > 0.0:
+            lower_gap = abs(lower[i] - rho[i]) / rho[i] * 100.0
+            upper_gap = abs(upper[i] - rho[i]) / rho[i] * 100.0
+        else:
+            lower_gap = upper_gap = 0.0
+        cells.append((float(rho[i]), float(lower[i]), float(upper[i]), float(lower_gap), float(upper_gap)))
+    columns = np.array(cells, dtype=np.float64).reshape(len(rho), 5).T
+    return CellBounds(*columns, solve_status=report.status)
+
+
 def lower_bound(instance) -> np.ndarray:
     """Solution of the asymptotic system: a componentwise lower bound on the fixed point."""
     feasible, outcome = feasibility_check(instance)
@@ -297,6 +318,19 @@ def float_matrix_reference(rows, what: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         pass
     raise SchemaError(f"{what} must be of type float, in rows of equal length")
+
+
+def columns_reference(items: list, fields: tuple, where: str) -> tuple[list, np.ndarray]:
+    """``netmodel._columns`` as its object-by-object walk alone, with no whole-list fast path."""
+    ids, rows = [], []
+    for k, item in enumerate(items):
+        try:
+            ids.append(_typed(item["id"], "int", "id"))
+            rows.append([_float(item[key] if default is None else item.get(key, default), key)
+                         for key, default in fields])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}[{k}]: {exc!r}") from exc
+    return ids, np.array(rows, dtype=np.float64).reshape(len(items), len(fields)).T
 
 
 def serving_reference(pairs: list, n: int, m: int, where: str) -> np.ndarray:

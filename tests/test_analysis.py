@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    bound_quality_reference,
     build_instance,
     eig_radius,
     lower_bound,
@@ -18,6 +19,7 @@ from helpers import (
 from loadcouple import (
     NetworkInstance,
     PreconditionError,
+    SolveReport,
     asymptotic_linearization,
     bound_quality,
     coefficients,
@@ -30,6 +32,7 @@ from loadcouple import (
     load_function,
     solve,
 )
+from loadcouple.analysis import _bound_quality
 
 SEED = 57721
 
@@ -155,19 +158,17 @@ def test_boundary_precondition_errors():
 def test_bound_quality_fields_consistent():
     rng = np.random.default_rng(SEED + 8)
     instance = random_instance(rng, 4, 6, radius_target=0.6)
-    bounds = bound_quality(instance)
+    b = bound_quality(instance)
     report = solve(instance)
-    assert [b.cell_id for b in bounds] == list(range(1, instance.num_cells + 1))
-    for i, b in enumerate(bounds):
-        assert b.rho_star == pytest.approx(report.fixed_point[i], rel=1e-9)
-        assert b.rho_lower <= b.rho_star + 1e-12
-        assert b.rho_upper >= b.rho_star - 1e-9
-        assert b.lower_gap_pct == pytest.approx(
-            (b.rho_star - b.rho_lower) / b.rho_star * 100.0, rel=1e-9
-        )
-        assert b.upper_gap_pct == pytest.approx(
-            (b.rho_upper - b.rho_star) / b.rho_star * 100.0, rel=1e-6, abs=1e-9
-        )
+    assert b.solve_status == report.status == "converged"
+    for column in (b.rho_star, b.rho_lower, b.rho_upper, b.lower_gap_pct, b.upper_gap_pct):
+        assert column.dtype == np.float64 and column.shape == (instance.num_cells,)
+    np.testing.assert_allclose(b.rho_star, report.fixed_point, rtol=1e-9)
+    assert np.all(b.rho_lower <= b.rho_star + 1e-12)
+    assert np.all(b.rho_upper >= b.rho_star - 1e-9)
+    np.testing.assert_allclose(b.lower_gap_pct, (b.rho_star - b.rho_lower) / b.rho_star * 100.0, rtol=1e-9)
+    np.testing.assert_allclose(b.upper_gap_pct, (b.rho_upper - b.rho_star) / b.rho_star * 100.0,
+                               rtol=1e-6, atol=1e-9)
 
 
 @settings(max_examples=60)
@@ -181,7 +182,7 @@ def test_bound_quality_upper_is_the_tangent_fixed_point_at_the_lower_bound_prope
     instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell)
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
     instance = instance.with_demand_scale(fraction / _slope_radius(instance))
-    upper = np.array([b.rho_upper for b in bound_quality(instance)])
+    upper = bound_quality(instance).rho_upper
     reference = upper_bound(instance, lower_bound(instance))
     if reference is None:
         assert np.all(np.isnan(upper))
@@ -195,8 +196,8 @@ def test_bound_quality_zero_demand_cell():
     silent = dataclasses.replace(
         instance, demand_bits=np.where(instance.server_of == 2, 0.0, instance.demand_bits))
     bounds = bound_quality(silent)
-    assert bounds[2].rho_star == 0.0
-    assert bounds[2].lower_gap_pct == 0.0 and bounds[2].upper_gap_pct == 0.0
+    assert bounds.rho_star[2] == 0.0
+    assert bounds.lower_gap_pct[2] == 0.0 and bounds.upper_gap_pct[2] == 0.0
 
 
 def test_bound_quality_infeasible_raises():
@@ -206,13 +207,44 @@ def test_bound_quality_infeasible_raises():
         bound_quality(instance)
 
 
+def _assert_table_of(report, table):
+    """``table`` is the cell loop's, bit for bit, and holds the report's fixed point and lower bound."""
+    reference = bound_quality_reference(report)
+    assert table.solve_status == reference.solve_status == report.status
+    for name in ("rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert table.rho_star.tobytes() == report.fixed_point.tobytes()
+    assert table.rho_lower.tobytes() == report.lower.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), status=st.sampled_from(["converged", "max_iter_exceeded"]))
+def test_bound_quality_table_matches_the_cell_loop_property(data, n, status):
+    column = st.lists(st.just(0.0) | st.floats(1e-6, 10.0), min_size=n, max_size=n).map(
+        lambda values: np.array(values, dtype=np.float64))
+    fixed_point, lower, start_upper = data.draw(column), data.draw(column), data.draw(st.none() | column)
+    report = SolveReport(status, fixed_point, lower, None, 0.0, 1, start_upper=start_upper)
+    _assert_table_of(report, _bound_quality(report))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), pixels_per_cell=st.integers(1, 4),
+       fraction=st.floats(0.3, 0.999))
+def test_bound_quality_matches_the_cell_loop_on_solved_instances_property(
+        seed, num_cells, pixels_per_cell, fraction):
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell)
+    instance = instance.with_demand_scale(fraction / _slope_radius(instance))
+    _assert_table_of(solve(instance), bound_quality(instance))
+
+
 def test_compare_instance_with_itself_is_equal():
     rng = np.random.default_rng(SEED + 11)
     instance = random_instance(rng, 3, 5, radius_target=0.6)
     report = compare_configs(instance, instance)
     assert report.verdict == "equal"
     assert report.boundary_a == report.boundary_b
-    np.testing.assert_allclose(report.rho_star_a, report.rho_star_b, rtol=0)
+    np.testing.assert_allclose(report.bounds_a.rho_star, report.bounds_b.rho_star, rtol=0)
 
 
 def test_compare_without_perron_root_has_no_boundary():
@@ -242,7 +274,7 @@ def test_compare_detects_dominance():
     report = compare_configs(instance, heavier)
     assert report.verdict == "a_dominates"
     assert report.boundary_a > report.boundary_b
-    assert np.max(report.rho_star_a) < np.max(report.rho_star_b)
+    assert np.max(report.bounds_a.rho_star) < np.max(report.bounds_b.rho_star)
     flipped = compare_configs(heavier, instance)
     assert flipped.verdict == "b_dominates"
 
@@ -253,7 +285,7 @@ def test_compare_feasible_beats_infeasible():
     overloaded = instance.with_demand_scale(3.0)  # radius 1.5 at base demand
     report = compare_configs(instance, overloaded)
     assert report.verdict == "a_dominates"
-    assert report.rho_star_b is None and report.bounds_b is None
+    assert report.bounds_a is not None and report.bounds_b is None
 
 
 def test_compare_rejects_mismatched_sizes():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from loadcouple import (
     SolverConfig,
     asymptotic_linearization,
     coefficients,
+    feasibility_boundary,
     generate,
     load_function,
     load_instance,
@@ -704,6 +706,15 @@ def test_readme_usage_matches_parser():
         for flag, action in options.items():
             if action.choices is not None:
                 assert set(usage[name][flag].split("|")) == set(action.choices), (name, flag)
+
+
+def test_parser_defaults_are_the_librarys():
+    """``solve`` stops where SolverConfig does, and ``boundary`` certifies as feasibility_boundary does."""
+    parser = _build_parser()
+    args = parser.parse_args(["solve", "--instance", "net.json"])
+    assert (args.tol, args.max_iter) == (SolverConfig().tol_residual, SolverConfig().max_iter)
+    args = parser.parse_args(["boundary", "--instance", "net.json", "--lo", "1", "--hi", "2"])
+    assert args.tol == inspect.signature(feasibility_boundary).parameters["tol"].default
 
 
 @pytest.mark.skipif(shutil.which("loadcouple") is None, reason="entry point not installed")

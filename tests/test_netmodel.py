@@ -14,6 +14,7 @@ from helpers import (
     areas,
     best_server_reference,
     build_instance,
+    columns_reference,
     float_matrix_reference,
     random_instance,
     serving_reference,
@@ -31,7 +32,7 @@ from loadcouple import (
     save_instance,
     validate,
 )
-from loadcouple.netmodel import _float_matrix, _gains_to_db, _serving
+from loadcouple.netmodel import _columns, _float_matrix, _gains_to_db, _serving
 
 SEED = 20260814
 
@@ -644,6 +645,57 @@ def test_serving_matches_the_typed_walk_property(n, m, data):
     odd = st.lists(ids, max_size=3) | _NON_NUMBERS
     pairs = data.draw(st.lists(pair | odd if data.draw(st.booleans()) else pair, max_size=5))
     _assert_same_outcome(_outcome(_serving, pairs, n, m, "f"), _outcome(serving_reference, pairs, n, m, "f"))
+
+
+_CELL_FIELDS = (("power_per_ru_w", None), ("x_m", 0.0), ("y_m", 0.0), ("azimuth_deg", 0.0))
+_PIXEL_FIELDS = (("demand_bits", None), ("x_m", 0.0), ("y_m", 0.0))
+# ids that are not 1..n in order: other ints, integral and fractional floats, bools, strings, None
+_ODD_IDS = st.integers(-1, 8) | st.sampled_from([1.0, 2.0, 2.5, True, False, None, "1", 2**63, 2**70])
+
+
+@st.composite
+def _objects(draw, fields):
+    """Cell or pixel objects with ids 1..n, optional fields sometimes left out, up to two spoiled."""
+    numbers = draw(st.sampled_from([st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6), _GAIN_NUMBERS]))
+    items = [{"id": k, **{key: draw(numbers) for key, default in fields
+                          if default is None or draw(st.booleans())}}
+             for k in range(1, draw(st.integers(0, 5)) + 1)]
+    for _ in range(draw(st.integers(0, 2)) if items else 0):
+        k = draw(st.integers(0, len(items) - 1))
+        spoil = draw(st.sampled_from(["value", "id", "missing", "object"]))
+        if spoil == "object" or not isinstance(items[k], dict):
+            items[k] = draw(_NON_NUMBERS)
+        elif spoil == "value":
+            items[k][draw(st.sampled_from([key for key, _ in fields]))] = draw(
+                _NON_NUMBERS | st.sampled_from(["2.5", "1e3", "nan"]))
+        elif spoil == "id":
+            items[k]["id"] = draw(_ODD_IDS)
+        else:  # a required or optional key, or the id
+            items[k].pop(draw(st.sampled_from(["id", *(key for key, _ in fields)])), None)
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([_CELL_FIELDS, _PIXEL_FIELDS]).flatmap(lambda f: st.tuples(st.just(f), _objects(f))))
+@example(case=(_CELL_FIELDS, [{"id": 1, "power_per_ru_w": 2**1024}]))
+@example(case=(_CELL_FIELDS, [{"id": 1, "power_per_ru_w": 2**70, "x_m": -0.0}]))
+@example(case=(_CELL_FIELDS, [{"id": 1.0, "power_per_ru_w": 1.5}, {"id": 2, "power_per_ru_w": 2}]))
+@example(case=(_CELL_FIELDS, [{"id": 2, "power_per_ru_w": 1.5}, {"id": 1, "power_per_ru_w": 2.5}]))
+@example(case=(_PIXEL_FIELDS, [{"id": 1, "demand_bits": True}]))
+@example(case=(_PIXEL_FIELDS, [{"id": 1, "demand_bits": "5"}]))
+@example(case=(_PIXEL_FIELDS, [{"id": 1, "demand_bits": None}]))
+@example(case=(_PIXEL_FIELDS, [{"id": 1, "x_m": 1.0}]))
+@example(case=(_PIXEL_FIELDS, [{"demand_bits": 1.0}]))
+@example(case=(_PIXEL_FIELDS, [{"id": 1, "demand_bits": 1.0, "y_m": 1.7976931348623157e308}]))
+@example(case=(_PIXEL_FIELDS, []))
+def test_columns_match_the_object_walk_property(case):
+    fields, items = case
+    got, want = (_outcome(convert, items, fields, "f: cells") for convert in (_columns, columns_reference))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [(type(i), i) for i in got[0]] == [(type(i), i) for i in want[0]]
+        _assert_same_outcome(got[1], want[1])
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -154,6 +154,19 @@ def test_max_iter_exceeded_reports_partial_state():
     assert report.residual > 0.0
 
 
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_max_iter_exceeded_reports_the_residual_of_the_point_it_returns(monkeypatch, max_iter):
+    """No step past the last trace entry: one map evaluation per entry, the last at the returned point."""
+    instance = random_instance(np.random.default_rng(SEED + 5), 4, 5, radius_target=0.9)
+    evaluate, evaluations = coupling.load_function, []
+    monkeypatch.setattr(coupling, "load_function", lambda cc, rho: evaluations.append(1) or evaluate(cc, rho))
+    report = solve(instance, SolverConfig(max_iter=max_iter))
+    assert report.status == "max_iter_exceeded"
+    assert len(evaluations) == len(report.trace) == max_iter + 1
+    rho = report.fixed_point
+    assert report.residual == np.max(np.abs(evaluate(coefficients(instance), rho) - rho))
+
+
 def test_bounds_enclose_every_refresh():
     rng = np.random.default_rng(SEED + 6)
     instance = random_instance(rng, 4, 5, radius_target=0.6)
