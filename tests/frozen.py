@@ -8,13 +8,19 @@ them number by number:
     PYTHONPATH=src python tests/frozen.py dump new.json
     python tests/frozen.py diff old.json new.json
 
-``dump`` runs whichever ``loadcouple`` is importable.  ``diff`` prints, per
-output that changed, how many numbers moved, the largest relative change,
-the labels of the moved numbers and any change in the text around them
-(statuses, verdicts, exit codes, generated-file digests), then one summary
-line.  A number's label is the key of its ``key=value``, else its CSV
-header column, else the words before it on its line.  ``diff`` exits 1
-when any text changed.
+``dump`` runs whichever ``loadcouple`` is importable.  It runs each
+command twice in a row: first cold, with the companions (``.lcache``) of
+the instance files it reads deleted, so they are parsed, then warm, read
+from the companions the first run wrote.  It writes the cold outputs, and
+the warm ones too when given a second file (``dump cold.json warm.json``);
+``diff cold.json warm.json`` must show no change.
+
+``diff`` prints, per output that changed, how many numbers moved, the
+largest relative change, the labels of the moved numbers and any change in
+the text around them (statuses, verdicts, exit codes, generated-file
+digests), then one summary line.  A number's label is the key of its
+``key=value``, else its CSV header column, else the words before it on its
+line.  ``diff`` exits 1 when any text changed.
 """
 
 from __future__ import annotations
@@ -54,14 +60,26 @@ def run_cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def frozen_outputs(root: Path) -> tuple[dict[str, bytes], dict[str, tuple[int, str]]]:
+def run_cold_and_warm(argv) -> tuple[tuple[int, str], tuple[int, str]]:
+    """:func:`run_cli` with the companions of the instance files it reads deleted first, then again."""
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--instance", "--a", "--b"):
+            Path(f"{value}.lcache").unlink(missing_ok=True)
+    return run_cli(argv), run_cli(argv)
+
+
+Outputs = dict[str, tuple[int, str]]
+
+
+def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs]:
     """Generate the seed-7 files under ``root`` and run every frozen command on them.
 
     The scenarios have 9 and 36 cells (80 kbit per user), each unrotated and
     with cell 2 turned to 45 degrees.  Returns each generated file's bytes
-    by name and each output's exit code and stdout by ``"<file> <command>"``.
+    by name, and each output's exit code and stdout by ``"<file> <command>"``
+    twice: read cold, then warm (see :func:`run_cold_and_warm`).
     """
-    files, outputs = {}, {}
+    files, cold, warm = {}, {}, {}
     for name, sites in (("n9", 3), ("n36", 12)):
         spec = root / f"{name}_spec.json"
         spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
@@ -71,17 +89,21 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], dict[str, tuple[int, s
             run_cli(["generate", "--spec", str(spec), "--out", str(path), *rotate])
             files[path.stem] = path.read_bytes()
             for command, extra in FROZEN_COMMANDS:
-                outputs[f"{path.stem} {command}"] = run_cli([command, "--instance", str(path), *extra])
-        outputs[f"{name} compare"] = run_cli(["compare", "--a", str(paths[0]), "--b", str(paths[1])])
-    return files, outputs
+                key = f"{path.stem} {command}"
+                cold[key], warm[key] = run_cold_and_warm([command, "--instance", str(path), *extra])
+        key = f"{name} compare"
+        cold[key], warm[key] = run_cold_and_warm(["compare", "--a", str(paths[0]), "--b", str(paths[1])])
+    return files, cold, warm
 
 
-def dump() -> dict:
-    """Every frozen output as JSON-ready data, generated files by sha256."""
+def dump() -> tuple[dict, dict]:
+    """Every frozen output as JSON-ready data, generated files by sha256: read cold, and read warm."""
     with tempfile.TemporaryDirectory() as root:
-        files, outputs = frozen_outputs(Path(root))
-    return {"files": {stem: hashlib.sha256(data).hexdigest() for stem, data in files.items()},
-            "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()}}
+        files, cold, warm = frozen_outputs(Path(root))
+    digests = {stem: hashlib.sha256(data).hexdigest() for stem, data in files.items()}
+    return tuple({"files": digests,
+                  "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()}}
+                 for outputs in (cold, warm))
 
 
 @dataclass(frozen=True)
@@ -152,8 +174,9 @@ def _count_numbers(d: dict) -> int:
 
 
 def main(argv) -> int:
-    if len(argv) == 2 and argv[0] == "dump":
-        Path(argv[1]).write_text(json.dumps(dump(), indent=1, sort_keys=True) + "\n")
+    if len(argv) in (2, 3) and argv[0] == "dump":
+        for dumped, path in zip(dump(), argv[1:]):
+            Path(path).write_text(json.dumps(dumped, indent=1, sort_keys=True) + "\n")
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])

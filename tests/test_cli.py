@@ -342,7 +342,8 @@ def _sha256(data: bytes) -> str:
 
 # sha256 of every instance file ``generate`` writes for the seed-7 scenarios
 # with 9 and 36 cells (80 kbit per user), unrotated and with cell 2 turned
-# to 45 degrees, and of every command's exit code and stdout on them (see
+# to 45 degrees, and of every command's exit code and stdout on them, with
+# the files read cold and then warm from their companions (see
 # tests/frozen.py, which also compares two versions before a re-pin); the
 # sweep crosses the feasibility boundary of both sizes
 FROZEN_FILES = {
@@ -378,18 +379,37 @@ FROZEN_STDOUT = {
 
 
 @pytest.fixture(scope="module")
-def frozen_dump():
+def frozen_dumps():
     return frozen.dump()
 
 
-def test_generate_writes_frozen_files(frozen_dump):
-    assert frozen_dump["files"] == FROZEN_FILES
+@pytest.fixture(scope="module")
+def frozen_dump(frozen_dumps):
+    return frozen_dumps[0]
 
 
-def test_cli_stdout_is_frozen(frozen_dump):
-    digests = {key: _sha256(f"{o['code']}\n{o['stdout']}".encode())
-               for key, o in frozen_dump["outputs"].items()}
-    assert digests == FROZEN_STDOUT
+def test_generate_writes_frozen_files(frozen_dumps):
+    for dumped in frozen_dumps:
+        assert dumped["files"] == FROZEN_FILES
+
+
+def test_cli_stdout_is_frozen(frozen_dumps):
+    cold, warm = frozen_dumps
+    for dumped in (cold, warm):
+        digests = {key: _sha256(f"{o['code']}\n{o['stdout']}".encode())
+                   for key, o in dumped["outputs"].items()}
+        assert digests == FROZEN_STDOUT
+    assert warm["outputs"] == cold["outputs"]
+
+
+def test_frozen_diff_of_a_cold_and_a_warm_dump_shows_no_change(frozen_dumps, tmp_path, capsys):
+    paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
+    for dumped, path in zip(frozen_dumps, paths):
+        path.write_text(json.dumps(dumped))
+    capsys.readouterr()
+    assert frozen.main(["diff", *map(str, paths)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("# 0 of 26 outputs differ: 0 of ") and line.endswith(", 0 text changes")
 
 
 def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path, capsys):

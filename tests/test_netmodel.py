@@ -1,8 +1,11 @@
 import dataclasses
 import gc
 import json
+import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -296,6 +299,15 @@ def test_loaded_instance_keeps_the_loaders_gains(tmp_path, monkeypatch):
     instance = load_instance(path)
     assert instance.gains is converted[0]  # converted to linear scale in place, then kept
     assert not instance.gains.flags.writeable and instance.gains.flags.c_contiguous
+    # the second load is a hit on the companion: nothing is parsed, and the
+    # gains are a new array that owns its memory, which no other array views
+    parsed = len(converted)
+    hit = load_instance(path)
+    assert len(converted) == parsed
+    assert hit.gains.dtype == np.float64 and hit.gains.flags.c_contiguous
+    assert not hit.gains.flags.writeable and hit.gains.base is None
+    assert not np.shares_memory(hit.gains, instance.gains)
+    assert np.array_equal(hit.gains, instance.gains)
 
 
 def test_save_load_roundtrip_values(tmp_path):
@@ -820,3 +832,165 @@ def test_valid_instance_saves_and_loads_back_equal(instance):
         twice = load_instance(paths[1])
         _assert_same_columns(twice, instance)
         assert np.array_equal(twice.gains, once.gains)
+
+
+_FLAGS = ("c_contiguous", "f_contiguous", "owndata", "writeable", "aligned", "writebackifcopy")
+
+
+def _assert_same_bits(a, b):
+    """Every array of equal dtype, shape, flags and bits; equal scalars of the loader's types."""
+    for field in dataclasses.fields(NetworkInstance):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "wrap_periods" and x is None:
+            assert y is None
+        elif isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray), field.name
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            assert [getattr(x.flags, f) for f in _FLAGS] == [getattr(y.flags, f) for f in _FLAGS], field.name
+            assert np.array_equal(x, y) and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert type(x) is type(y) is (int if field.name == "num_resource_units" else float), field.name
+            assert x == y, field.name
+
+
+def _companion(path) -> Path:
+    return Path(f"{path}.lcache")
+
+
+def _no_parse(data, path):
+    raise AssertionError(f"{path} was parsed, not read from its companion")
+
+
+def _cold_load(path):
+    """A load with the companion deleted first, so the file is parsed."""
+    _companion(path).unlink(missing_ok=True)
+    return load_instance(path)
+
+
+@settings(max_examples=40)
+@given(instance=_valid_instances())
+@example(instance=NetworkInstance(
+    power_per_ru=[1.0, 2.0], demand_bits=[0.0, 5.0, 0.0], gains=[[1e-7, 2e-8, 3e-9], [4e-8, 5e-9, 6e-7]],
+    noise_power=1e-9, num_resource_units=2**63 - 1, rate_scale=180.0,
+    cell_xy=[[-0.0, 0.0], [1.5, -0.0]], azimuth_deg=[-0.0, 90.0], pixel_xy=[[-0.0, -0.0], [2.0, 3.0], [0.0, -0.0]],
+    server_of=[-1, 0, -1]))
+def test_a_miss_and_a_hit_load_like_a_parse_property(instance):
+    """Both loads of a file, the miss that writes its companion and the hit that reads it, equal a parse."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        save_instance(instance, path)
+        miss = load_instance(path)
+        assert _companion(path).is_file()
+        with mock.patch.object(netmodel, "_parse_instance", _no_parse):
+            hit = load_instance(path)
+        parsed = _cold_load(path)
+        _assert_same_bits(miss, parsed)
+        _assert_same_bits(hit, parsed)
+
+
+def _flip(path: Path, position: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[position] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def _bump_a_gain(data: bytes) -> bytes:
+    """The file with the last digit of its first dB value changed."""
+    end = data.index(b",", data.index(b'"gains_db":'))
+    return data[:end - 1] + str((int(data[end - 1:end]) + 1) % 10).encode() + data[end:]
+
+
+# each leaves a companion that does not hold the file's parse, or a file that does not parse
+_MISMATCHES = {
+    "a_gains_digit_changed": lambda path, companion: path.write_bytes(_bump_a_gain(path.read_bytes())),
+    "whitespace_added": lambda path, companion: path.write_bytes(
+        path.read_bytes().replace(b'"gains_db":', b'"gains_db": ', 1)),
+    "json_cut_short": lambda path, companion: path.write_bytes(path.read_bytes()[:-200]),
+    "companion_truncated": lambda path, companion: companion.write_bytes(companion.read_bytes()[:-1]),
+    "payload_byte_flipped": lambda path, companion: _flip(companion, companion.stat().st_size // 2),
+    "cell_count_flipped": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size),
+    # n = 9 + 2**52, and the wrap flag 1 + 2**52, on a little-endian host: rejected before
+    # anything of that size is allocated
+    "cell_count_made_huge": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size + 6),
+    "wrap_flag_made_huge": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size + 22),
+    "layout_tag_flipped": lambda path, companion: _flip(companion, 0),
+    "companion_is_a_directory": lambda path, companion: (companion.unlink(), companion.mkdir()),
+}
+
+
+@pytest.mark.parametrize("mismatch", list(_MISMATCHES))
+def test_a_companion_that_does_not_match_is_a_miss(tmp_path, monkeypatch, mismatch):
+    """The load returns what a parse returns, or raises what a parse raises, and then leaves a hit."""
+    path = tmp_path / "n9_rot.json"
+    save_instance(rotate_sector(generate(ScenarioSpec(num_sites=3, rng_seed=7)), 2, 45.0), path)
+    companion = _companion(path)
+    load_instance(path)
+    assert companion.is_file()
+    _MISMATCHES[mismatch](path, companion)
+    parsed, parse = [], netmodel._parse_instance
+    with monkeypatch.context() as patched:
+        patched.setattr(netmodel, "_parse_instance", lambda data, path: parsed.append(path) or parse(data, path))
+        got = _outcome(load_instance, path)
+    assert parsed == [path]
+    if isinstance(got, NetworkInstance) and companion.is_file():
+        with monkeypatch.context() as patched:
+            patched.setattr(netmodel, "_parse_instance", _no_parse)
+            _assert_same_bits(load_instance(path), got)
+    if companion.is_dir():  # the write failed, and its temporary file is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, companion.name]
+        companion.rmdir()
+    want = _outcome(_cold_load, path)
+    if isinstance(want, NetworkInstance):
+        _assert_same_bits(got, want)
+    else:
+        assert got == want and "not valid JSON" in want
+        assert not companion.exists()
+
+
+@pytest.mark.parametrize("units", [2**63, 2**64 - 1, 2**64 + 1])
+def test_no_companion_for_resource_units_beyond_int64(tmp_path, units):
+    """Such a file still loads, each time by a parse; 2**64 + 1 reads as the float 2**64."""
+    path = tmp_path / "units.json"
+    save_instance(_small_instance(), path)
+    path.write_bytes(path.read_bytes().replace(b'"num_resource_units":100', f'"num_resource_units":{units}'.encode()))
+    first = load_instance(path)
+    assert first.num_resource_units >= 2**63 and not _companion(path).exists()
+    _assert_same_bits(load_instance(path), first)
+    assert not _companion(path).exists()
+
+
+def test_a_relative_path_gets_its_companion_beside_the_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_instance(_small_instance(), "small.json")
+    first = load_instance("small.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "small.json.lcache"]
+    monkeypatch.setattr(netmodel, "_parse_instance", _no_parse)
+    _assert_same_bits(load_instance("small.json"), first)
+
+
+def test_threads_loading_one_cold_file_agree_and_leave_a_hit(tmp_path, monkeypatch):
+    path = tmp_path / "n36.json"
+    save_instance(generate(ScenarioSpec(num_sites=12, rng_seed=7)), path)
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def load(k):
+        start.wait(timeout=30)
+        results[k] = load_instance(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=load, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results[1:]:
+        _assert_same_bits(result, results[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _companion(path).name]
+    monkeypatch.setattr(netmodel, "_parse_instance", _no_parse)
+    _assert_same_bits(load_instance(path), results[0])

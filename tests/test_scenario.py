@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from loadcouple import (
     SchemaError,
     assign_best_server,
     generate,
+    load_instance,
     load_scenario_spec,
     rotate_sector,
     save_instance,
@@ -91,10 +93,18 @@ N81_DIGESTS = {
 }
 
 
-def test_generator_output_is_frozen_at_n81():
+def test_generator_output_is_frozen_at_n81(tmp_path):
     instance = generate(ScenarioSpec(num_sites=27, rng_seed=7, demand_bits_per_user=80_000))
     turned = rotate_sector(instance, 5, 100.0)
     assert {"generate": _digest(instance), "rotate_sector": _digest(turned)} == N81_DIGESTS
+    # the saved file gives the same bits back, read cold (a parse) and then warm (from its companion)
+    path = tmp_path / "n81.json"
+    save_instance(instance, path)
+    for companion_before in (False, True):
+        assert Path(f"{path}.lcache").is_file() == companion_before
+        loaded = load_instance(path)
+        turned = rotate_sector(loaded, 5, 100.0)
+        assert {"generate": _digest(loaded), "rotate_sector": _digest(turned)} == N81_DIGESTS
 
 
 def _same_bits(got, want) -> bool:

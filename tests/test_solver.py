@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from loadcouple import (
     jacobian,
     linfeas,
     load_function,
+    load_instance,
+    save_instance,
     solve,
     spectral_radius,
 )
@@ -412,7 +415,9 @@ def test_malformed_start_is_rejected():
 # sha256 of fixed_point, upper and start_upper (their tobytes, in that
 # order) and the iteration count, for the seed-7 n=36 scenario at
 # near_boundary's fractions of its boundary, under the residual stop (None)
-# and interval_width=1e-6: the solver's bits where Newton does its work
+# and interval_width=1e-6: the solver's bits where Newton does its work.
+# The same bits come from the generated instance and from its saved file,
+# read cold (a parse) and then warm (from its companion).
 NEAR_BOUNDARY_DIGESTS = {
     (0.9, None): (4, "3662b612205283c9249c023c48017d14cd7bacb704a0cf1158ab8246a06e8c58"),
     (0.9, 1e-6): (3, "2e88a44748560ba3bf7fd5d3d6a087648cd4c1b0f95c61293585eed340d371de"),
@@ -423,18 +428,22 @@ NEAR_BOUNDARY_DIGESTS = {
 }
 
 
-def test_solver_output_is_frozen_near_the_boundary():
-    instance = generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000))
-    boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
-    got = {}
-    for fraction, width in NEAR_BOUNDARY_DIGESTS:
-        report = solve(instance.with_demand_scale(fraction * boundary), SolverConfig(interval_width=width))
-        assert report.status == "converged"
-        digest = hashlib.sha256(report.fixed_point.tobytes())
-        digest.update(report.upper.tobytes())
-        digest.update(report.start_upper.tobytes())
-        got[fraction, width] = (report.iterations, digest.hexdigest())
-    assert got == NEAR_BOUNDARY_DIGESTS
+def test_solver_output_is_frozen_near_the_boundary(tmp_path):
+    generated = generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000))
+    path = tmp_path / "n36.json"
+    save_instance(generated, path)
+    for instance in (generated, load_instance(path), load_instance(path)):
+        boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
+        got = {}
+        for fraction, width in NEAR_BOUNDARY_DIGESTS:
+            report = solve(instance.with_demand_scale(fraction * boundary), SolverConfig(interval_width=width))
+            assert report.status == "converged"
+            digest = hashlib.sha256(report.fixed_point.tobytes())
+            digest.update(report.upper.tobytes())
+            digest.update(report.start_upper.tobytes())
+            got[fraction, width] = (report.iterations, digest.hexdigest())
+        assert got == NEAR_BOUNDARY_DIGESTS
+        assert Path(f"{path}.lcache").is_file()
 
 
 @settings(max_examples=60)
