@@ -5,35 +5,31 @@ immutable :class:`NetworkInstance` defined here, a set of read-only arrays
 and scalars.  Gains are kept linear-scale in memory.  The interchange file,
 compact one-line JSON, stores them in dB, each value chosen so that the
 load-time conversion gives the linear gain back bit for bit wherever a
-float dB value can.  Files are parsed and written with orjson.  The stdlib
+float dB value can.  Files are read and written with orjson.  The stdlib
 ``json`` module reads only what orjson rejects: NaN, Infinity, numbers
-beyond the float range, and invalid JSON, whose error it locates.  A file
-loaded before with the same bytes is not parsed again: its companion
-``<file>.lcache``, a binary cache of the parse keyed by the SHA-256 of the
-file's bytes, gives the instance back bit for bit.  The JSON stays the only
-input, and deleting a companion never changes an answer.  The
-cyclic garbage collector is paused from the parse until the instance is
-built.  Each row of a matrix of numbers is checked and converted by one
-typed pack in C, which decides the matrix.  Each other block of numbers
-is converted as one numpy array; a block that fails goes through a typed
-walk over its cells, pixels or serving pairs, which names the first bad
-entry.  A cell or pixel is identified by its position: 1-based in files and in
-reports, 0-based for array indexing internally.
+beyond the float range, and invalid JSON, whose error it locates.  A load
+of bytes this process parsed lately returns the instance they gave, found
+by the SHA-256 of the bytes, without a parse.  The cyclic garbage
+collector is paused from the parse until the instance is built.  Each row
+of a matrix of numbers is checked and converted by one typed pack in C,
+which decides the matrix.  Each other block of numbers is converted as one
+numpy array; a block that fails goes through a typed walk over its cells,
+pixels or serving pairs, which names the first bad entry.  A cell or pixel
+is identified by its position: 1-based in files and in reports, 0-based
+for array indexing internally.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import gc
 import hashlib
 import json
 import math
-import os
 import struct
 import sys
-import tempfile
-import zlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -78,8 +74,7 @@ class NetworkInstance:
     checked by :func:`validate`.  Every column is copied into a read-only
     array, even a read-only one, which a writable view taken before could
     still change; only the loader, the generator and the sector rotation
-    hand their new gains over uncopied, and the loader all its columns
-    when it reads them from a companion.
+    hand their new gains over uncopied.
     """
 
     power_per_ru: np.ndarray
@@ -98,8 +93,7 @@ class NetworkInstance:
     server_of: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n, m = (len(value.array if isinstance(value, _Handover) else value)
-                for value in (self.power_per_ru, self.demand_bits))
+        n, m = len(self.power_per_ru), len(self.demand_bits)
         geometry = {"cell_xy": (n, 2), "azimuth_deg": (n,), "pixel_xy": (m, 2), "wrap_periods": (2, 2)}
         for name in ("power_per_ru", "demand_bits", "gains", *geometry, "server_of"):
             value = getattr(self, name)
@@ -148,7 +142,7 @@ def _check_scale(scale: float) -> None:
 
 @dataclass(frozen=True)
 class _Handover:
-    """A C-contiguous array of its field's dtype whose maker keeps no view of it: kept uncopied."""
+    """A C-contiguous float64 array handed over by its maker, who keeps no view of it: kept uncopied."""
 
     array: np.ndarray
 
@@ -418,6 +412,14 @@ def _serving(pairs: list, n: int, m: int, where: str) -> np.ndarray:
     return server_of
 
 
+# Instances parsed by load_instance, by the SHA-256 of their file's bytes, least
+# recently loaded first.  Eight holds every file of a planning session that
+# alternates between a few networks and their variants.
+_LOADED_MAX = 8
+_LOADED: OrderedDict[bytes, NetworkInstance] = OrderedDict()
+_LOADED_LOCK = threading.Lock()
+
+
 def load_instance(path) -> NetworkInstance:
     """Read an instance file, converting gains from dB and rebuilding the serving map.
 
@@ -425,25 +427,23 @@ def load_instance(path) -> NetworkInstance:
     are not kept.  Files without a ``serving`` block get a best-server
     assignment.  A wrong or missing schema version is rejected outright.
 
-    The file's bytes are hashed with SHA-256.  When the companion
-    ``<path>.lcache`` holds the instance parsed from bytes with that
-    digest, the instance is built from its arrays, read straight into new
-    arrays and kept uncopied.  Otherwise the bytes are parsed, and only
-    after a successful parse the companion is written (see
-    :func:`_write_companion`).  The JSON file stays the only input: the
-    companion is a deletable cache of its parse, so every answer, error
-    message and exit code is the parse's.  The cyclic garbage collector is
-    paused from the parse until the instance is built: the parsed document
-    holds no cycles, so a collection could only walk its rows of numbers
-    again and again.
+    The file's bytes are hashed with SHA-256, and the instances parsed from
+    the last :data:`_LOADED_MAX` distinct contents are kept in this process
+    under their digest: a file with the same bytes as one of them, under
+    any path, gets that same instance back, immutable with read-only
+    columns, without a parse.  Only a successful parse is kept, so every
+    error is the parse's.  The cyclic garbage collector is paused from the
+    parse until the instance is built: the parsed document holds no cycles,
+    so a collection could only walk its rows of numbers again and again.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).digest()
-    companion = os.fsdecode(path) + _COMPANION_SUFFIX
-    instance = _read_companion(companion, digest)
-    if instance is not None:
-        return instance
+    with _LOADED_LOCK:
+        instance = _LOADED.get(digest)
+        if instance is not None:
+            _LOADED.move_to_end(digest)
+            return instance
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -451,7 +451,10 @@ def load_instance(path) -> NetworkInstance:
     finally:
         if collecting:
             gc.enable()
-    _write_companion(instance, digest, companion)
+    with _LOADED_LOCK:
+        _LOADED[digest] = instance
+        if len(_LOADED) > _LOADED_MAX:
+            _LOADED.popitem(last=False)
     return instance
 
 
@@ -518,90 +521,3 @@ def _parse_instance(data: bytes, path) -> NetworkInstance:
         wrap_periods=wrap,
         server_of=server_of,
     )
-
-
-# The companion of an instance file, ``<file>.lcache``, caches its parse the way a
-# checked-hash pyc caches a module (PEP 552): a layout tag, the SHA-256 of the file's
-# bytes, a CRC-32 of everything after it, the scalars, then the arrays' raw bytes in
-# native byte order, so a companion written on a host of the other byte order is a miss.
-_COMPANION_SUFFIX = ".lcache"
-_COMPANION_TAG = f"loadcouple companion 1 {sys.byteorder}".encode().ljust(32, b"\0")
-_COMPANION_KEY = struct.Struct("=32s32sQ")  # tag, digest of the file, CRC-32 of the rest
-# cells n, pixels m, wrap_periods present (0 or 1), num_resource_units, noise_power, rate_scale
-_COMPANION_SCALARS = struct.Struct("=qqqqdd")
-
-
-def _companion_columns(n: int, m: int, wrapped: bool) -> list[tuple[str, tuple, type]]:
-    """Field name, shape and dtype of each array of a companion, in file order."""
-    shapes = [("power_per_ru", (n,)), ("cell_xy", (n, 2)), ("azimuth_deg", (n,)), ("demand_bits", (m,)),
-              ("pixel_xy", (m, 2)), ("gains", (n, m))] + [("wrap_periods", (2, 2))] * wrapped
-    return [(name, shape, np.float64) for name, shape in shapes] + [("server_of", (m,), np.int64)]
-
-
-def _read_companion(companion: str, digest: bytes) -> Optional[NetworkInstance]:
-    """The instance ``companion`` holds for a file of SHA-256 ``digest``, or None.
-
-    A companion that is missing, unreadable, wrongly tagged, stale (made
-    from other bytes), of the wrong size or failing its CRC-32 holds none.
-    The sizes are checked before any array is made, so a corrupt header
-    allocates nothing.
-    """
-    try:
-        with open(companion, "rb") as fh:
-            tag, source, crc = _COMPANION_KEY.unpack(fh.read(_COMPANION_KEY.size))
-            scalars = fh.read(_COMPANION_SCALARS.size)
-            n, m, wrapped, units, noise_power, rate_scale = _COMPANION_SCALARS.unpack(scalars)
-            if tag != _COMPANION_TAG or source != digest or wrapped not in (0, 1) or min(n, m) < 0:
-                return None
-            columns = _companion_columns(n, m, wrapped)
-            header = _COMPANION_KEY.size + _COMPANION_SCALARS.size
-            if os.fstat(fh.fileno()).st_size != header + sum(8 * math.prod(shape) for _, shape, _ in columns):
-                return None
-            crc_read, arrays = zlib.crc32(scalars), {}
-            for name, shape, dtype in columns:
-                arrays[name] = array = np.empty(shape, dtype)
-                if fh.readinto(array) != array.nbytes:  # the file shrank since fstat
-                    return None
-                crc_read = zlib.crc32(array, crc_read)
-    except (OSError, struct.error):
-        return None
-    if crc_read != crc:
-        return None
-    return NetworkInstance(**{name: _Handover(array) for name, array in arrays.items()},
-                           noise_power=noise_power, num_resource_units=units, rate_scale=rate_scale)
-
-
-def _write_companion(instance: NetworkInstance, digest: bytes, companion: str) -> None:
-    """Write ``companion`` for the file of SHA-256 ``digest`` that parsed to ``instance``.
-
-    The file is written under a temporary name in the same directory and
-    renamed over ``companion``, so a reader sees the old companion or the
-    new one, never part of one.  An instance the layout cannot hold exactly
-    (``num_resource_units`` beyond int64) gets no companion, and a failed
-    write (say, an unwritable directory) is skipped, as ``__pycache__`` is.
-    """
-    units = instance.num_resource_units
-    if not -2**63 <= units < 2**63:
-        return
-    n, m, wrapped = instance.num_cells, instance.num_pixels, instance.wrap_periods is not None
-    scalars = _COMPANION_SCALARS.pack(n, m, wrapped, units, instance.noise_power, instance.rate_scale)
-    arrays = [getattr(instance, name) for name, _, _ in _companion_columns(n, m, wrapped)]
-    crc = zlib.crc32(scalars)
-    for array in arrays:
-        crc = zlib.crc32(array, crc)
-    directory, name = os.path.split(companion)
-    try:
-        fd, temporary = tempfile.mkstemp(suffix=_COMPANION_SUFFIX, prefix=f"{name}.",
-                                         dir=directory or os.curdir)
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_COMPANION_KEY.pack(_COMPANION_TAG, digest, crc))
-            fh.write(scalars)
-            for array in arrays:
-                fh.write(array)
-        os.replace(temporary, companion)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)

@@ -9,11 +9,11 @@ them number by number:
     python tests/frozen.py diff old.json new.json
 
 ``dump`` runs whichever ``loadcouple`` is importable.  It runs each
-command twice in a row: first cold, with the companions (``.lcache``) of
-the instance files it reads deleted, so they are parsed, then warm, read
-from the companions the first run wrote.  It writes the cold outputs, and
-the warm ones too when given a second file (``dump cold.json warm.json``);
-``diff cold.json warm.json`` must show no change.
+command twice in a row: first cold, with no instance loaded before in the
+process, so its files are parsed, then warm, on the instances the first
+run loaded.  It writes the cold outputs, and the warm ones too when given
+a second file (``dump cold.json warm.json``); ``diff cold.json warm.json``
+must show no change.
 
 ``diff`` prints, per output that changed, how many numbers moved, the
 largest relative change, the labels of the moved numbers and any change in
@@ -61,10 +61,10 @@ def run_cli(argv) -> tuple[int, str]:
 
 
 def run_cold_and_warm(argv) -> tuple[tuple[int, str], tuple[int, str]]:
-    """:func:`run_cli` with the companions of the instance files it reads deleted first, then again."""
-    for flag, value in zip(argv, argv[1:]):
-        if flag in ("--instance", "--a", "--b"):
-            Path(f"{value}.lcache").unlink(missing_ok=True)
+    """:func:`run_cli` with the instances loaded so far forgotten, then again on the ones it loaded."""
+    from loadcouple import netmodel
+
+    getattr(netmodel, "_LOADED", {}).clear()  # versions before the load memo parse every load
     return run_cli(argv), run_cli(argv)
 
 

@@ -343,7 +343,7 @@ def _sha256(data: bytes) -> str:
 # sha256 of every instance file ``generate`` writes for the seed-7 scenarios
 # with 9 and 36 cells (80 kbit per user), unrotated and with cell 2 turned
 # to 45 degrees, and of every command's exit code and stdout on them, with
-# the files read cold and then warm from their companions (see
+# the files parsed (cold) and then found among the loaded instances (warm; see
 # tests/frozen.py, which also compares two versions before a re-pin); the
 # sweep crosses the feasibility boundary of both sizes
 FROZEN_FILES = {

@@ -4,6 +4,8 @@ import json
 import sys
 import tempfile
 import threading
+import time
+from collections import OrderedDict
 from pathlib import Path
 from unittest import mock
 
@@ -296,18 +298,17 @@ def test_loaded_instance_keeps_the_loaders_gains(tmp_path, monkeypatch):
         return converted[-1]
 
     monkeypatch.setattr(netmodel, "_float_matrix", recorded)
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
     instance = load_instance(path)
     assert instance.gains is converted[0]  # converted to linear scale in place, then kept
     assert not instance.gains.flags.writeable and instance.gains.flags.c_contiguous
-    # the second load is a hit on the companion: nothing is parsed, and the
-    # gains are a new array that owns its memory, which no other array views
+    # the second load of the same bytes is a hit: nothing is parsed, and the
+    # same instance comes back, whose gains own their memory and are read-only
     parsed = len(converted)
     hit = load_instance(path)
-    assert len(converted) == parsed
+    assert len(converted) == parsed and hit is instance
     assert hit.gains.dtype == np.float64 and hit.gains.flags.c_contiguous
     assert not hit.gains.flags.writeable and hit.gains.base is None
-    assert not np.shares_memory(hit.gains, instance.gains)
-    assert np.array_equal(hit.gains, instance.gains)
 
 
 def test_save_load_roundtrip_values(tmp_path):
@@ -849,22 +850,18 @@ def _assert_same_bits(a, b):
             assert [getattr(x.flags, f) for f in _FLAGS] == [getattr(y.flags, f) for f in _FLAGS], field.name
             assert np.array_equal(x, y) and x.tobytes() == y.tobytes(), field.name
         else:
-            assert type(x) is type(y) is (int if field.name == "num_resource_units" else float), field.name
+            assert type(x) is type(y), field.name
             assert x == y, field.name
 
 
-def _companion(path) -> Path:
-    return Path(f"{path}.lcache")
-
-
 def _no_parse(data, path):
-    raise AssertionError(f"{path} was parsed, not read from its companion")
+    raise AssertionError(f"{path} was parsed, not found among the loaded instances")
 
 
-def _cold_load(path):
-    """A load with the companion deleted first, so the file is parsed."""
-    _companion(path).unlink(missing_ok=True)
-    return load_instance(path)
+def _parsed(path):
+    """A load by a parse, as in a process that has loaded nothing."""
+    with mock.patch.object(netmodel, "_LOADED", OrderedDict()):
+        return load_instance(path)
 
 
 @settings(max_examples=40)
@@ -875,23 +872,18 @@ def _cold_load(path):
     cell_xy=[[-0.0, 0.0], [1.5, -0.0]], azimuth_deg=[-0.0, 90.0], pixel_xy=[[-0.0, -0.0], [2.0, 3.0], [0.0, -0.0]],
     server_of=[-1, 0, -1]))
 def test_a_miss_and_a_hit_load_like_a_parse_property(instance):
-    """Both loads of a file, the miss that writes its companion and the hit that reads it, equal a parse."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """The first load of a file parses it; the second returns that instance, which equals any parse."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(netmodel, "_LOADED", OrderedDict()):
         path = Path(tmp) / "inst.json"
         save_instance(instance, path)
         miss = load_instance(path)
-        assert _companion(path).is_file()
         with mock.patch.object(netmodel, "_parse_instance", _no_parse):
             hit = load_instance(path)
-        parsed = _cold_load(path)
+        assert hit is miss
+        parsed = _parsed(path)
+        assert parsed is not miss
         _assert_same_bits(miss, parsed)
-        _assert_same_bits(hit, parsed)
-
-
-def _flip(path: Path, position: int) -> None:
-    data = bytearray(path.read_bytes())
-    data[position] ^= 0x10
-    path.write_bytes(bytes(data))
+        assert type(miss.num_resource_units) is int and type(miss.noise_power) is type(miss.rate_scale) is float
 
 
 def _bump_a_gain(data: bytes) -> bytes:
@@ -900,75 +892,70 @@ def _bump_a_gain(data: bytes) -> bytes:
     return data[:end - 1] + str((int(data[end - 1:end]) + 1) % 10).encode() + data[end:]
 
 
-# each leaves a companion that does not hold the file's parse, or a file that does not parse
-_MISMATCHES = {
-    "a_gains_digit_changed": lambda path, companion: path.write_bytes(_bump_a_gain(path.read_bytes())),
-    "whitespace_added": lambda path, companion: path.write_bytes(
-        path.read_bytes().replace(b'"gains_db":', b'"gains_db": ', 1)),
-    "json_cut_short": lambda path, companion: path.write_bytes(path.read_bytes()[:-200]),
-    "companion_truncated": lambda path, companion: companion.write_bytes(companion.read_bytes()[:-1]),
-    "payload_byte_flipped": lambda path, companion: _flip(companion, companion.stat().st_size // 2),
-    "cell_count_flipped": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size),
-    # n = 9 + 2**52, and the wrap flag 1 + 2**52, on a little-endian host: rejected before
-    # anything of that size is allocated
-    "cell_count_made_huge": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size + 6),
-    "wrap_flag_made_huge": lambda path, companion: _flip(companion, netmodel._COMPANION_KEY.size + 22),
-    "layout_tag_flipped": lambda path, companion: _flip(companion, 0),
-    "companion_is_a_directory": lambda path, companion: (companion.unlink(), companion.mkdir()),
+# each rewrites a loaded file with other bytes, which are parsed again
+_EDITS = {
+    "a_gains_digit_changed": _bump_a_gain,
+    "whitespace_added": lambda data: data.replace(b'"gains_db":', b'"gains_db": ', 1),
+    "json_cut_short": lambda data: data[:-200],
 }
 
 
-@pytest.mark.parametrize("mismatch", list(_MISMATCHES))
-def test_a_companion_that_does_not_match_is_a_miss(tmp_path, monkeypatch, mismatch):
-    """The load returns what a parse returns, or raises what a parse raises, and then leaves a hit."""
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_a_file_edited_after_its_load_is_parsed_again(tmp_path, monkeypatch, edit):
+    """The load returns what a parse returns, or raises what a parse raises; a parsed file then hits."""
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
     path = tmp_path / "n9_rot.json"
     save_instance(rotate_sector(generate(ScenarioSpec(num_sites=3, rng_seed=7)), 2, 45.0), path)
-    companion = _companion(path)
-    load_instance(path)
-    assert companion.is_file()
-    _MISMATCHES[mismatch](path, companion)
+    before = load_instance(path)
+    path.write_bytes(_EDITS[edit](path.read_bytes()))
     parsed, parse = [], netmodel._parse_instance
     with monkeypatch.context() as patched:
         patched.setattr(netmodel, "_parse_instance", lambda data, path: parsed.append(path) or parse(data, path))
         got = _outcome(load_instance, path)
     assert parsed == [path]
-    if isinstance(got, NetworkInstance) and companion.is_file():
-        with monkeypatch.context() as patched:
-            patched.setattr(netmodel, "_parse_instance", _no_parse)
-            _assert_same_bits(load_instance(path), got)
-    if companion.is_dir():  # the write failed, and its temporary file is gone
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, companion.name]
-        companion.rmdir()
-    want = _outcome(_cold_load, path)
+    want = _outcome(_parsed, path)
     if isinstance(want, NetworkInstance):
+        assert got is not before
         _assert_same_bits(got, want)
+        monkeypatch.setattr(netmodel, "_parse_instance", _no_parse)
+        assert load_instance(path) is got
     else:
         assert got == want and "not valid JSON" in want
-        assert not companion.exists()
+        assert list(netmodel._LOADED.values()) == [before]
 
 
-@pytest.mark.parametrize("units", [2**63, 2**64 - 1, 2**64 + 1])
-def test_no_companion_for_resource_units_beyond_int64(tmp_path, units):
-    """Such a file still loads, each time by a parse; 2**64 + 1 reads as the float 2**64."""
-    path = tmp_path / "units.json"
-    save_instance(_small_instance(), path)
-    path.write_bytes(path.read_bytes().replace(b'"num_resource_units":100', f'"num_resource_units":{units}'.encode()))
-    first = load_instance(path)
-    assert first.num_resource_units >= 2**63 and not _companion(path).exists()
-    _assert_same_bits(load_instance(path), first)
-    assert not _companion(path).exists()
-
-
-def test_a_relative_path_gets_its_companion_beside_the_file(tmp_path, monkeypatch):
+def test_files_with_the_same_bytes_share_one_instance(tmp_path, monkeypatch):
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
     monkeypatch.chdir(tmp_path)
     save_instance(_small_instance(), "small.json")
+    Path("copy.json").write_bytes(Path("small.json").read_bytes())
     first = load_instance("small.json")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json", "small.json.lcache"]
-    monkeypatch.setattr(netmodel, "_parse_instance", _no_parse)
-    _assert_same_bits(load_instance("small.json"), first)
+    with monkeypatch.context() as patched:
+        patched.setattr(netmodel, "_parse_instance", _no_parse)
+        assert load_instance(tmp_path / "copy.json") is first
+    # an error still names the path it was given
+    Path("copy.json").write_bytes(b"{")
+    with pytest.raises(SchemaError, match="^copy.json: "):
+        load_instance("copy.json")
+
+
+def test_the_least_recently_loaded_instance_is_dropped_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
+    paths = [tmp_path / f"units{k}.json" for k in range(netmodel._LOADED_MAX + 1)]
+    for units, path in enumerate(paths, start=1):
+        save_instance(dataclasses.replace(_small_instance(), num_resource_units=units), path)
+    first = [load_instance(path) for path in paths[:-1]]
+    assert load_instance(paths[0]) is first[0]  # now the most recently loaded
+    load_instance(paths[-1])
+    assert len(netmodel._LOADED) == netmodel._LOADED_MAX
+    assert load_instance(paths[0]) is first[0]
+    again = load_instance(paths[1])  # dropped for the last file, so parsed again
+    assert again is not first[1]
+    _assert_same_bits(again, first[1])
 
 
 def test_threads_loading_one_cold_file_agree_and_leave_a_hit(tmp_path, monkeypatch):
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
     path = tmp_path / "n36.json"
     save_instance(generate(ScenarioSpec(num_sites=12, rng_seed=7)), path)
     results = [None] * 4
@@ -991,6 +978,48 @@ def test_threads_loading_one_cold_file_agree_and_leave_a_hit(tmp_path, monkeypat
         sys.setswitchinterval(interval)
     for result in results[1:]:
         _assert_same_bits(result, results[0])
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, _companion(path).name]
+    assert len(netmodel._LOADED) == 1
     monkeypatch.setattr(netmodel, "_parse_instance", _no_parse)
-    _assert_same_bits(load_instance(path), results[0])
+    assert load_instance(path) in results
+
+
+class _YieldingDict(OrderedDict):
+    """Yields to the other threads inside each lookup, so that a load that does not hold
+    its lock from the lookup to the reordering finds its entry dropped under it."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(1e-4)
+        return value
+
+
+def test_threads_loading_more_files_than_are_kept_agree(tmp_path, monkeypatch):
+    """Loads, hits and drops from several threads at once: each load gives its own file's instance."""
+    monkeypatch.setattr(netmodel, "_LOADED", _YieldingDict())
+    paths = [tmp_path / f"units{k}.json" for k in range(netmodel._LOADED_MAX + 3)]
+    for units, path in enumerate(paths, start=1):
+        save_instance(dataclasses.replace(_small_instance(), num_resource_units=units), path)
+    failures, start = [], threading.Barrier(4)
+
+    def load(k):
+        start.wait(timeout=30)
+        order = np.random.default_rng(k).permutation(len(paths) * 5) % len(paths)
+        try:
+            for i in order:
+                assert load_instance(paths[i]).num_resource_units == i + 1
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=load, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert len(netmodel._LOADED) == netmodel._LOADED_MAX

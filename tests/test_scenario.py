@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from pathlib import Path
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from loadcouple import (
     generate,
     load_instance,
     load_scenario_spec,
+    netmodel,
     rotate_sector,
     save_instance,
     validate,
@@ -93,18 +94,20 @@ N81_DIGESTS = {
 }
 
 
-def test_generator_output_is_frozen_at_n81(tmp_path):
+def test_generator_output_is_frozen_at_n81(tmp_path, monkeypatch):
     instance = generate(ScenarioSpec(num_sites=27, rng_seed=7, demand_bits_per_user=80_000))
     turned = rotate_sector(instance, 5, 100.0)
     assert {"generate": _digest(instance), "rotate_sector": _digest(turned)} == N81_DIGESTS
-    # the saved file gives the same bits back, read cold (a parse) and then warm (from its companion)
+    # the saved file gives the same bits back, parsed (cold) and then found among
+    # the loaded instances (warm)
     path = tmp_path / "n81.json"
     save_instance(instance, path)
-    for companion_before in (False, True):
-        assert Path(f"{path}.lcache").is_file() == companion_before
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
+    for _ in ("cold", "warm"):
         loaded = load_instance(path)
         turned = rotate_sector(loaded, 5, 100.0)
         assert {"generate": _digest(loaded), "rotate_sector": _digest(turned)} == N81_DIGESTS
+    assert list(netmodel._LOADED.values()) == [loaded]
 
 
 def _same_bits(got, want) -> bool:

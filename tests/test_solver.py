@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
-from pathlib import Path
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from loadcouple import (
     linfeas,
     load_function,
     load_instance,
+    netmodel,
     save_instance,
     solve,
     spectral_radius,
@@ -417,7 +418,7 @@ def test_malformed_start_is_rejected():
 # near_boundary's fractions of its boundary, under the residual stop (None)
 # and interval_width=1e-6: the solver's bits where Newton does its work.
 # The same bits come from the generated instance and from its saved file,
-# read cold (a parse) and then warm (from its companion).
+# parsed (cold) and then found among the loaded instances (warm).
 NEAR_BOUNDARY_DIGESTS = {
     (0.9, None): (4, "3662b612205283c9249c023c48017d14cd7bacb704a0cf1158ab8246a06e8c58"),
     (0.9, 1e-6): (3, "2e88a44748560ba3bf7fd5d3d6a087648cd4c1b0f95c61293585eed340d371de"),
@@ -428,10 +429,11 @@ NEAR_BOUNDARY_DIGESTS = {
 }
 
 
-def test_solver_output_is_frozen_near_the_boundary(tmp_path):
+def test_solver_output_is_frozen_near_the_boundary(tmp_path, monkeypatch):
     generated = generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000))
     path = tmp_path / "n36.json"
     save_instance(generated, path)
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
     for instance in (generated, load_instance(path), load_instance(path)):
         boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
         got = {}
@@ -443,7 +445,7 @@ def test_solver_output_is_frozen_near_the_boundary(tmp_path):
             digest.update(report.start_upper.tobytes())
             got[fraction, width] = (report.iterations, digest.hexdigest())
         assert got == NEAR_BOUNDARY_DIGESTS
-        assert Path(f"{path}.lcache").is_file()
+    assert len(netmodel._LOADED) == 1
 
 
 @settings(max_examples=60)
