@@ -69,15 +69,6 @@ def _parse_scales(text: str) -> list[float]:
     return list(np.linspace(first, last, count))
 
 
-def _load_validated(path) -> netmodel.NetworkInstance:
-    instance = netmodel.load_instance(path)
-    violations = netmodel.validate(instance)
-    if violations:
-        details = "; ".join(f"{v.code}: {v.message}" for v in violations)
-        raise netmodel.SchemaError(f"{path}: invalid instance: {details}")
-    return instance
-
-
 def _exit_for(results) -> int:
     """Exit 4 when the solve behind any sweep row or bound quality table stopped at its iteration limit."""
     if any(result.solve_status == solver.MAX_ITER_EXCEEDED for result in results):
@@ -89,18 +80,14 @@ def _cmd_generate(args) -> int:
     spec = scenario.load_scenario_spec(args.spec)
     instance = scenario.generate(spec)
     if args.rotate:
-        cell_id, azimuth = _parse_rotate(args.rotate)
-        try:
-            instance = scenario.rotate_sector(instance, cell_id, azimuth)
-        except ValueError as exc:
-            raise netmodel.SchemaError(str(exc)) from exc
+        instance = scenario.rotate_sector(instance, *_parse_rotate(args.rotate))
     netmodel.save_instance(instance, args.out)
     print(f"wrote {args.out}: {instance.num_cells} cells, {instance.num_pixels} pixels")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    instance = _load_validated(args.instance)
+    instance = netmodel.load_instance(args.instance)
     report = solver.solve(instance, solver.SolverConfig(
         tol_residual=args.tol, max_iter=args.max_iter, interval_width=args.interval_width))
 
@@ -127,7 +114,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
-    instance = _load_validated(args.instance)
+    instance = netmodel.load_instance(args.instance)
     feasible, outcome = linfeas.feasibility_check(instance)
     flags = " reducible" if outcome.reducible else ""
     print(
@@ -138,7 +125,7 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    instance = _load_validated(args.instance)
+    instance = netmodel.load_instance(args.instance)
     scales = _parse_scales(args.scales)
     rows = analysis.demand_sweep(instance, scales)
     ids = range(1, instance.num_cells + 1)
@@ -155,7 +142,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    instance = _load_validated(args.instance)
+    instance = netmodel.load_instance(args.instance)
     cert = analysis.feasibility_boundary(instance, args.lo, args.hi, args.tol)
     print(f"boundary scale {_fmt(cert.scale)} "
           f"(last feasible {_fmt(cert.last_feasible)}, first infeasible {_fmt(cert.first_infeasible)})")
@@ -163,8 +150,8 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance_a = _load_validated(args.a)
-    instance_b = _load_validated(args.b)
+    instance_a = netmodel.load_instance(args.a)
+    instance_b = netmodel.load_instance(args.b)
     report = analysis.compare_configs(instance_a, instance_b)
     header = ["cell_id", "rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
               "rho_upper_a", "rho_upper_b"]
@@ -181,7 +168,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    instance = _load_validated(args.instance)
+    instance = netmodel.load_instance(args.instance)
     table = analysis.bound_quality(instance)
     header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"]
     columns = (table.rho_star, table.rho_lower, table.rho_upper, table.lower_gap_pct, table.upper_gap_pct)

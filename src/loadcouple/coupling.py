@@ -122,15 +122,12 @@ def coefficients(instance) -> CouplingCoefficients:
     and positive (``rel`` only finite).
     """
     n = instance.num_cells
-    try:
-        budget = instance.num_resource_units * instance.rate_scale
-    except OverflowError:  # an int budget beyond the float range
-        budget = math.inf
+    budget = instance.num_resource_units * instance.rate_scale
     if not (math.isfinite(budget) and budget > 0):
         raise ValueError(f"resource budget num_resource_units * rate_scale = {budget} "
                          "is not finite and positive")
     demands, server_of = instance.demand_bits, instance.server_of
-    demanded = np.flatnonzero((demands > 0) & (server_of >= 0))
+    demanded = np.flatnonzero(demands > 0)  # every one has a serving cell
     # the stable sort keeps ascending pixel order inside each cell
     pixel = demanded[np.argsort(server_of[demanded], kind="stable")]
     cell_of = server_of[pixel]

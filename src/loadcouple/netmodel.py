@@ -2,12 +2,14 @@
 
 Everything downstream (coupling coefficients, solvers, sweeps) works on the
 immutable :class:`NetworkInstance` defined here, a set of read-only arrays
-and scalars.  Gains are kept linear-scale in memory.  The interchange file,
-compact one-line JSON, stores them in dB, each value chosen so that the
-load-time conversion gives the linear gain back bit for bit wherever a
-float dB value can.  Files are read and written with orjson.  The stdlib
-``json`` module reads only what orjson rejects: NaN, Infinity, numbers
-beyond the float range, and invalid JSON, whose error it locates.  A load
+and scalars, valid by construction: its constructor runs :func:`validate`
+and raises :class:`SchemaError` on a violation.  Gains are kept
+linear-scale in memory.  The interchange file, compact one-line JSON,
+stores them in dB, each value chosen so that the load-time conversion gives
+the linear gain back bit for bit wherever a float dB value can.  Files are
+read and written with orjson.  The stdlib ``json`` module reads only what
+orjson rejects: NaN, Infinity, numbers beyond the float range, and invalid
+JSON, whose error it locates.  A load
 of bytes this process parsed lately returns the instance they gave, found
 by the SHA-256 of the bytes, without a parse.  The cyclic garbage
 collector is paused from the parse until the instance is built.  Each row
@@ -21,7 +23,6 @@ for array indexing internally.
 
 from __future__ import annotations
 
-import copy
 import gc
 import hashlib
 import json
@@ -30,7 +31,8 @@ import struct
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
@@ -43,7 +45,7 @@ _MAX_RESOURCE_UNITS = 2**63 - 1
 
 
 class SchemaError(ValueError):
-    """Instance or scenario file does not match the documented schema."""
+    """Instance or scenario file does not match the documented schema, or an instance breaks :func:`validate`."""
 
 
 class SchemaVersionError(SchemaError):
@@ -69,12 +71,12 @@ class NetworkInstance:
     ``server_of`` gets the best-server assignment of its own powers and
     gains.  Copies with some fields changed are made with
     ``dataclasses.replace``; pass ``server_of=None`` there to reassign by
-    best server.  The geometry columns must match the cell and pixel counts
-    and be finite, or the constructor raises ValueError; everything else is
-    checked by :func:`validate`.  Every column is copied into a read-only
-    array, even a read-only one, which a writable view taken before could
-    still change; only the loader, the generator and the sector rotation
-    hand their new gains over uncopied.
+    best server.  The constructor ends by running :func:`validate` and
+    raises SchemaError listing the code and message of every violation, so
+    every instance and every copy is valid.  Every column is copied into a
+    read-only array, even a read-only one, which a writable view taken
+    before could still change; only the loader, the generator and the
+    sector rotation hand their new gains over uncopied.
     """
 
     power_per_ru: np.ndarray
@@ -94,23 +96,25 @@ class NetworkInstance:
 
     def __post_init__(self):
         n, m = len(self.power_per_ru), len(self.demand_bits)
-        geometry = {"cell_xy": (n, 2), "azimuth_deg": (n,), "pixel_xy": (m, 2), "wrap_periods": (2, 2)}
+        geometry = _geometry_shapes(n, m)
         for name in ("power_per_ru", "demand_bits", "gains", *geometry, "server_of"):
             value = getattr(self, name)
             if value is None and name == "wrap_periods":
                 continue
-            if value is None:  # the columns above it are set by now
-                value = assign_best_server(self) if name == "server_of" else np.zeros(geometry[name])
+            if value is None and name == "server_of":  # the columns above it are set by now
+                # gains of the wrong shape have no best server; validate stops at their shape
+                value = assign_best_server(self) if self.gains.shape == (n, m) else np.full(m, -1)
+            elif value is None:
+                value = np.zeros(geometry[name])
             if isinstance(value, _Handover):
                 value = value.array
             else:
                 value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
-            if name in geometry and value.shape != geometry[name]:
-                raise ValueError(f"{name} must be of shape {geometry[name]}, got {value.shape}")
-            if name in geometry and not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got non-finite values")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        violations = validate(self)  # the module global, which a tracer may wrap
+        if violations:
+            raise SchemaError("invalid instance: " + "; ".join(f"{v.code}: {v.message}" for v in violations))
 
     @property
     def num_cells(self) -> int:
@@ -121,23 +125,20 @@ class NetworkInstance:
         return len(self.demand_bits)
 
     def with_demand_scale(self, scale: float) -> "NetworkInstance":
-        """Copy of the instance with every pixel demand multiplied by ``scale``.
-
-        The copy shares the other columns, which are read-only, instead of
-        copying them as ``dataclasses.replace`` would.
-        """
+        """Copy of the instance with every pixel demand multiplied by ``scale``."""
         _check_scale(scale)
         with np.errstate(over="ignore"):  # an infinite demand is validate's to reject
-            demand = self.demand_bits * scale
-        demand.setflags(write=False)
-        scaled = copy.copy(self)
-        object.__setattr__(scaled, "demand_bits", demand)
-        return scaled
+            return replace(self, demand_bits=self.demand_bits * scale)
 
 
 def _check_scale(scale: float) -> None:
     if not (math.isfinite(scale) and scale >= 0):
         raise ValueError(f"demand scale must be finite and >= 0, got {scale}")
+
+
+def _geometry_shapes(n: int, m: int) -> dict:
+    """The shape of each geometry column of an instance with n cells and m pixels."""
+    return {"cell_xy": (n, 2), "azimuth_deg": (n,), "pixel_xy": (m, 2), "wrap_periods": (2, 2)}
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,16 @@ class Violation:
 
 
 def validate(instance: NetworkInstance) -> list[Violation]:
-    """Check every structural invariant; return all violations, empty list if clean."""
+    """Check every structural invariant; return all violations, empty list if clean.
+
+    Every :class:`NetworkInstance` runs it when built and raises on a
+    violation, so what the paper's load map and feasibility condition need
+    holds for every instance: positive finite gains, powers, noise and rate
+    scale, an integer number of resource units in 1..2**63-1, finite
+    non-negative demand with a serving cell for every demanded pixel, and
+    finite geometry of the right shapes, with wrap periods that span the
+    plane.
+    """
     out: list[Violation] = []
     n, m = instance.num_cells, instance.num_pixels
 
@@ -189,6 +199,20 @@ def validate(instance: NetworkInstance) -> list[Violation]:
             Violation("pixel_demand_negative",
                       f"pixel {j + 1}: demand_bits must be finite and >= 0, got {demand[j]}")
         )
+
+    for name, shape in _geometry_shapes(n, m).items():
+        value = getattr(instance, name)
+        if value is None:  # no wrap periods
+            continue
+        if value.shape != shape:
+            out.append(Violation("geometry_shape_mismatch", f"{name} must be of shape {shape}, got {value.shape}"))
+        elif not np.all(np.isfinite(value)):
+            out.append(Violation("geometry_not_finite", f"{name} must be finite, got non-finite values"))
+        elif name == "wrap_periods":
+            a, b, c, d = map(Fraction, value.ravel().tolist())
+            if a * d == b * c:  # in exact arithmetic: rounded products could cancel or underflow
+                out.append(Violation("wrap_periods_singular",
+                                     f"wrap_periods must span the plane, got {value.tolist()}"))
 
     if instance.gains.shape != (n, m):
         out.append(
@@ -282,10 +306,7 @@ def save_instance(instance: NetworkInstance, path) -> None:
     }
     if instance.wrap_periods is not None:
         doc["wrap_periods_m"] = instance.wrap_periods
-    try:
-        data = orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-    except orjson.JSONEncodeError as exc:  # num_resource_units beyond 64 bits
-        raise SchemaError(f"{path}: cannot write the instance: {exc}") from exc
+    data = orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -425,7 +446,9 @@ def load_instance(path) -> NetworkInstance:
 
     The file's ids must be 1..n and 1..m in order; they are positions and
     are not kept.  Files without a ``serving`` block get a best-server
-    assignment.  A wrong or missing schema version is rejected outright.
+    assignment.  A wrong or missing schema version is rejected outright,
+    and an instance that breaks :func:`validate` raises SchemaError
+    ``"{path}: invalid instance: ..."``.
 
     The file's bytes are hashed with SHA-256, and the instances parsed from
     the last :data:`_LOADED_MAX` distinct contents are kept in this process
@@ -507,17 +530,22 @@ def _parse_instance(data: bytes, path) -> NetworkInstance:
     server_of = None
     if "serving" in doc:
         server_of = _serving(_require(doc, "serving", str(path), list), n, m, str(path))
-    return NetworkInstance(
-        power_per_ru=power,
-        demand_bits=demand,
-        gains=_Handover(gains),
-        noise_power=_float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w"),
-        num_resource_units=_typed(_require(doc, "num_resource_units", str(path)), "int",
-                                  f"{path}: num_resource_units"),
-        rate_scale=_float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale"),
-        cell_xy=np.stack([cell_x, cell_y], axis=1),
-        azimuth_deg=azimuth,
-        pixel_xy=np.stack([pixel_x, pixel_y], axis=1),
-        wrap_periods=wrap,
-        server_of=server_of,
-    )
+    noise = _float(_require(doc, "noise_power_w", str(path)), f"{path}: noise_power_w")
+    units = _typed(_require(doc, "num_resource_units", str(path)), "int", f"{path}: num_resource_units")
+    rate_scale = _float(_require(doc, "rate_scale", str(path)), f"{path}: rate_scale")
+    try:
+        return NetworkInstance(
+            power_per_ru=power,
+            demand_bits=demand,
+            gains=_Handover(gains),
+            noise_power=noise,
+            num_resource_units=units,
+            rate_scale=rate_scale,
+            cell_xy=np.stack([cell_x, cell_y], axis=1),
+            azimuth_deg=azimuth,
+            pixel_xy=np.stack([pixel_x, pixel_y], axis=1),
+            wrap_periods=wrap,
+            server_of=server_of,
+        )
+    except SchemaError as exc:  # the constructor's validation
+        raise SchemaError(f"{path}: {exc}") from exc

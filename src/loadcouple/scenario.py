@@ -69,10 +69,20 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     return spec
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's name-value pairs; a name given twice (RFC 7493 §2.3) raises SchemaError."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"scenario field '{key}' given more than once")
+        doc[key] = value
+    return doc
+
+
 def load_scenario_spec(path) -> ScenarioSpec:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -93,6 +103,11 @@ def _check_spec(spec: ScenarioSpec) -> None:
             raise SchemaError(f"scenario field '{name}' must be >= 0")
     if not 0.0 <= spec.hotspot_fraction <= 1.0:
         raise SchemaError("scenario field 'hotspot_fraction' must be in [0, 1]")
+    # generate rounds these to whole numbers of resource blocks and of milliseconds
+    for name, unit, count in (("bandwidth_mhz", "resource blocks", RESOURCE_BLOCKS_PER_MHZ * spec.bandwidth_mhz),
+                              ("duration_s", "milliseconds", spec.duration_s * 1000.0)):
+        if not 0.5 < count < math.inf:
+            raise SchemaError(f"scenario field '{name}' gives {count} {unit}, not a finite count of at least 1")
 
 
 def _site_layout(num_sites: int, isd: float):
@@ -183,16 +198,22 @@ def _wrap_angle(deg):
 
 
 def _dbm_to_w(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:  # the instance's validation rejects the infinite power
+        return math.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows or turns NaN, the instance's validation rejects
 def generate(spec: ScenarioSpec) -> NetworkInstance:
     """Materialize a spec into a network instance, deterministically in the seed.
 
     Users are drawn per cell: a hotspot disk placed uniformly inside the
     cell's nominal wedge holds ``hotspot_fraction`` of them, the rest spread
     uniformly over the wedge.  Every user becomes one pixel demanding
-    ``demand_bits_per_user`` bits over the interval.
+    ``demand_bits_per_user`` bits over the interval.  A spec whose numbers
+    give an invalid instance, such as gains or powers beyond the float
+    range, raises SchemaError, as building any instance does.
     """
     _check_spec(spec)
     rng = np.random.default_rng(spec.rng_seed)

@@ -12,12 +12,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import frozen
 import loadcouple
@@ -452,7 +453,7 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     assert frozen.main(["diff", str(paths[0]), str(paths[2])]) == 1
 
 
-def test_invalid_inputs_exit_2(tmp_path):
+def test_invalid_inputs_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["solve", "--instance", str(missing)]) == 2
     assert main(["feasibility", "--instance", str(missing)]) == 2
@@ -467,7 +468,10 @@ def test_invalid_inputs_exit_2(tmp_path):
     doc = json.loads(broken.read_text())
     doc["pixels"][0]["demand_bits"] = -5.0
     broken.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["solve", "--instance", str(broken)]) == 2
+    assert capsys.readouterr().err == (f"error: {broken}: invalid instance: pixel_demand_negative: "
+                                       "pixel 1: demand_bits must be finite and >= 0, got -5.0\n")
 
     stale = tmp_path / "stale.json"
     save_instance(instance, stale)
@@ -522,6 +526,9 @@ MALFORMED = {
     "power_per_ru_w=1e308": lambda doc: doc["cells"][0].update(power_per_ru_w=1e308),
     # True == 1 in Python
     "version=true": lambda doc: doc.update(version=True),
+    # periods that span no plane: collinear, and zero
+    "wrap_periods_m=collinear": lambda doc: doc.update(wrap_periods_m=[[1000, 0], [2000, 0]]),
+    "wrap_periods_m=zero": lambda doc: doc.update(wrap_periods_m=[[0, 0], [0, 0]]),
 }
 
 
@@ -624,8 +631,68 @@ def test_generate_rejects_a_spec_whose_instance_cannot_be_written(tmp_path, caps
     spec.write_text(json.dumps({"num_sites": 1, "users_per_cell_area": 2, "duration_s": 1e20}))
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "64-bit" in err
+    assert err.startswith("error: invalid instance: resource_units_nonpositive: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+
+
+# each exited 1 with a traceback, wrote a file that every other command rejects, or took the last of
+# two values of one field; the text each error must name
+UNGENERATABLE_SPECS = {
+    '{"tx_power_dbm": 4000}': "cell_power_nonpositive",  # 10 ** 397 W overflowed
+    '{"bandwidth_mhz": 1e308}': "'bandwidth_mhz' gives inf resource blocks",  # round(inf)
+    '{"duration_s": 1e308}': "'duration_s' gives inf milliseconds",
+    '{"bandwidth_mhz": 0.01}': "'bandwidth_mhz' gives 0.05 resource blocks",  # divided by 0 blocks
+    '{"antenna_gain_dbi": 5000}': "gain_nonpositive",
+    '{"inter_site_distance_m": 1e308}': "gain_nonpositive",
+    '{"carrier_ghz": 1e-300}': "gain_nonpositive",
+    '{"duration_s": 1e-6}': "'duration_s' gives 0.001 milliseconds",
+    '{"num_sites": 3, "rng_seed": 7, "num_sites": 12}': "'num_sites' given more than once",
+}
+
+
+@pytest.mark.parametrize("text", list(UNGENERATABLE_SPECS))
+def test_generate_rejects_a_spec_with_one_error_line_and_writes_nothing(tmp_path, capsys, text):
+    spec, out = tmp_path / "spec.json", tmp_path / "x.json"
+    spec.write_text(text)
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and UNGENERATABLE_SPECS[text] in err, err
+    assert not out.exists()
+
+
+_FLOAT_SPEC_FIELDS = [f.name for f in dataclasses.fields(ScenarioSpec) if f.type == "float"]
+# the ends of the float range, the smallest subnormal and a power or gain of 4000 dB
+_EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 4000.0, -4000.0, 0.0, 1e-300])
+
+
+@st.composite
+def _extreme_specs(draw):
+    """A small spec with up to four of its float fields at an extreme."""
+    doc = {"num_sites": draw(st.integers(1, 4)), "sectors_per_site": draw(st.integers(1, 3)),
+           "users_per_cell_area": draw(st.integers(1, 3)), "rng_seed": draw(st.integers(0, 2**32))}
+    for name in draw(st.sets(st.sampled_from(_FLOAT_SPEC_FIELDS), max_size=4)):
+        doc[name] = draw(_EXTREMES)
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_extreme_specs())
+@example(doc={"tx_power_dbm": 4000.0})
+def test_generate_writes_a_file_that_loads_or_exits_2_property(doc):
+    """Exit 0 with a file that loads, or exit 2 with one ``error:`` line and no file; no warning, no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / "out.json"
+        spec.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["generate", "--spec", str(spec), "--out", str(out)])
+        err = err.getvalue()
+        if code == 0:
+            assert err == ""
+            load_instance(out)
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+            assert not out.exists()
 
 
 def _set_num_resource_units(doc):

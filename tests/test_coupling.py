@@ -367,16 +367,17 @@ def test_packed_kernels_match_pixel_loop(where):
 def test_cell_sums_match_segmented_sum_property(seed, n, all_idle):
     """The Jacobian and the asymptotic slope against an n x M product summed by ``reduceat``.
 
-    Pixels are served by random cells, some by none and some with zero
-    demand, so some cells own no packed column; ``all_idle`` takes
+    Pixels are served by random cells, some with zero demand and some of
+    those by none, so some cells own no packed column; ``all_idle`` takes
     ``cc.scaled(0)``, where no cell owns one (M = 0).
     """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6 * n + 1))
     gains = 10.0 ** rng.uniform(-9.0, -6.0, (n, m))
     demands = rng.uniform(1.0, 4.0, m) * (rng.uniform(size=m) < 0.8)
+    server_of = np.where(demands > 0, rng.integers(0, n, m), rng.integers(-1, n, m))
     instance = build_instance(gains, demands, 10.0 ** rng.uniform(-0.3, 0.3, n), noise=1e-9,
-                              server_of=rng.integers(-1, n, m))
+                              server_of=server_of)
     cc = coefficients(instance)
     cc = cc.scaled(0.0) if all_idle else cc
     rho = rng.uniform(0.0, 2.0, n)

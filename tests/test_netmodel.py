@@ -1,12 +1,17 @@
+import copy
 import dataclasses
 import gc
+import itertools
 import json
+import re
 import sys
 import tempfile
 import threading
 import time
 from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -73,14 +78,14 @@ def _small_instance(**overrides):
     ],
 )
 def test_validate_flags_bad_values(overrides, code):
-    instance = _small_instance(**overrides)
-    assert code in [v.code for v in validate(instance)]
+    with pytest.raises(SchemaError, match=f"^invalid instance: (.*; )?{code}: "):
+        _small_instance(**overrides)
 
 
 def test_validate_unserved_demand_pixel():
     instance = _small_instance()
-    bad = dataclasses.replace(instance, server_of=[0, -1])
-    assert "unserved_demand_pixel" in [v.code for v in validate(bad)]
+    with pytest.raises(SchemaError, match="^invalid instance: unserved_demand_pixel: pixel 2 "):
+        dataclasses.replace(instance, server_of=[0, -1])
 
 
 def test_validate_unserved_zero_demand_pixel_is_fine():
@@ -90,16 +95,18 @@ def test_validate_unserved_zero_demand_pixel_is_fine():
 
 def test_validate_gain_shape_mismatch():
     instance = _small_instance()
-    wrong = NetworkInstance(
-        power_per_ru=instance.power_per_ru,
-        demand_bits=instance.demand_bits,
-        gains=np.ones((2, 3)) * 1e-8,
-        server_of=[0, 1],
-        noise_power=instance.noise_power,
-        num_resource_units=instance.num_resource_units,
-        rate_scale=instance.rate_scale,
-    )
-    assert "gain_shape_mismatch" in [v.code for v in validate(wrong)]
+    # without a serving map too: gains of the wrong shape have no best server
+    for shape, server_of in itertools.product([(2, 3), (3, 2)], [[0, 1], None]):
+        with pytest.raises(SchemaError, match=f"^invalid instance: gain_shape_mismatch: gains shape {re.escape(str(shape))} "):
+            NetworkInstance(
+                power_per_ru=instance.power_per_ru,
+                demand_bits=instance.demand_bits,
+                gains=np.ones(shape) * 1e-8,
+                server_of=server_of,
+                noise_power=instance.noise_power,
+                num_resource_units=instance.num_resource_units,
+                rate_scale=instance.rate_scale,
+            )
 
 
 def test_instance_arrays_are_immutable():
@@ -146,10 +153,15 @@ def _powers_and_gains(draw):
 @example(case=(np.array([1.0, np.inf, 2.0]), np.array([[1e-8, 0.0, np.nan], [1e-8, 1.0, 1.0], [5e-9, 1e300, 1.0]])))
 def test_best_server_matches_the_column_argmax_property(case):
     powers, gains = case
-    instance = build_instance(gains, np.zeros(gains.shape[1]), powers, noise=1.0)
+    # zero, NaN and infinite gains and powers make no instance, so a stand-in
+    # holds the only two fields assign_best_server reads
+    got = assign_best_server(SimpleNamespace(power_per_ru=powers, gains=gains))
     want = best_server_reference(powers, gains)
-    assert instance.server_of.shape == want.shape == (gains.shape[1],)
-    assert instance.server_of.tobytes() == assign_best_server(instance).tobytes() == want.tobytes()
+    assert got.shape == want.shape == (gains.shape[1],)
+    assert got.tobytes() == want.tobytes()
+    if np.all(np.isfinite(powers) & (powers > 0)) and np.all(np.isfinite(gains) & (gains > 0)):
+        instance = build_instance(gains, np.zeros(gains.shape[1]), powers, noise=1.0)
+        assert instance.server_of.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100)
@@ -229,9 +241,10 @@ def test_copies_change_only_the_named_field():
 def test_resource_units_range_is_int64():
     """A file cannot carry 2**64 or more exactly, so validate stops at int64's largest."""
     assert validate(_small_instance(num_resource_units=2**63 - 1)) == []
-    [violation] = validate(_small_instance(num_resource_units=2**63))
-    assert violation.code == "resource_units_nonpositive"
-    assert "1..2**63-1" in violation.message
+    message = "invalid instance: resource_units_nonpositive: num_resource_units must be an integer in 1..2**63-1"
+    with pytest.raises(SchemaError) as err:
+        _small_instance(num_resource_units=2**63)
+    assert str(err.value) == f"{message}, got {2**63}"
 
 
 def test_geometry_of_the_wrong_shape_names_both_shapes():
@@ -254,7 +267,6 @@ def test_demand_scaled_copy_shares_the_other_columns():
     scaled = instance.with_demand_scale(2.0)
     for name in ("gains", "power_per_ru", "server_of", "pixel_xy"):
         column = getattr(scaled, name)
-        assert np.shares_memory(column, getattr(instance, name)), name
         assert not column.flags.writeable, name
         with pytest.raises(ValueError):
             column[0] = 0
@@ -565,10 +577,15 @@ def test_serving_pairs_may_be_integral_floats_and_partial(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(_small_instance(demands=[10.0, 0.0]), path)
     raw = json.loads(path.read_text())
-    for serving, server_of in (([[1, 2.0]], [1, -1]), ([[2, 1], [1, 2]], [1, 0]), ([], [-1, -1])):
+    for serving, server_of in (([[1, 2.0]], [1, -1]), ([[2, 1], [1, 2]], [1, 0]), ([[1, 1]], [0, -1])):
         raw["serving"] = serving
         path.write_text(json.dumps(raw))
         assert load_instance(path).server_of.tolist() == server_of
+    # pixel 1 demands 10 bits, so a file must name its server
+    raw["serving"] = []
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SchemaError, match=": invalid instance: unserved_demand_pixel: pixel 1 "):
+        load_instance(path)
 
 
 # what a JSON document can hold where a gain belongs: floats of every kind
@@ -782,6 +799,11 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _spans_the_plane(periods) -> bool:
+    (a, b), (c, d) = (map(Fraction, row) for row in periods.tolist())
+    return a * d != b * c
+
+
 @st.composite
 def _valid_instances(draw):
     """Any instance that validates, with some unserved zero-demand pixels."""
@@ -800,7 +822,7 @@ def _valid_instances(draw):
         cell_xy=draw(arrays(np.float64, (n, 2), elements=_FINITE)),
         azimuth_deg=draw(arrays(np.float64, n, elements=_FINITE)),
         pixel_xy=draw(arrays(np.float64, (m, 2), elements=_FINITE)),
-        wrap_periods=draw(st.none() | arrays(np.float64, (2, 2), elements=_FINITE)),
+        wrap_periods=draw(st.none() | arrays(np.float64, (2, 2), elements=_FINITE).filter(_spans_the_plane)),
         server_of=server_of,
     )
     assert validate(instance) == []
@@ -814,6 +836,85 @@ def _assert_same_columns(a, b):
     assert a.wrap_periods is None or np.array_equal(a.wrap_periods, b.wrap_periods)
     for name in ("noise_power", "num_resource_units", "rate_scale"):
         assert getattr(a, name) == getattr(b, name), name
+
+
+@st.composite
+def _corruptions(draw, instance):
+    """Field changes that make ``instance`` invalid, and the violation code they must raise."""
+    n, m = instance.num_cells, instance.num_pixels
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(["demand", "gain", "power", "units", "unserved", "periods", "geometry"]))
+    if kind == "demand":
+        demand = instance.demand_bits.copy()
+        demand[j] = draw(st.sampled_from([-1.0, -1e308, -5e-324, np.nan, np.inf, -np.inf]))
+        return {"demand_bits": demand}, "pixel_demand_negative"
+    if kind == "gain":
+        gains = instance.gains.copy()
+        gains[i, j] = draw(st.sampled_from([0.0, -0.0, -1e-300, np.nan, np.inf]))
+        return {"gains": gains}, "gain_nonpositive"
+    if kind == "power":
+        power = instance.power_per_ru.copy()
+        power[i] = draw(st.sampled_from([0.0, -1.0, np.nan, np.inf]))
+        return {"power_per_ru": power}, "cell_power_nonpositive"
+    if kind == "units":
+        return {"num_resource_units": draw(st.sampled_from([0, -1, 2**63, 2**64]))}, "resource_units_nonpositive"
+    if kind == "unserved":
+        demand, server_of = instance.demand_bits.copy(), instance.server_of.copy()
+        demand[j], server_of[j] = draw(st.sampled_from([5e-324, 1.0, 1e300])), -1
+        return {"demand_bits": demand, "server_of": server_of}, "unserved_demand_pixel"
+    if kind == "periods":
+        period = draw(arrays(np.float64, 2, elements=st.floats(-1e300, 1e300)))
+        # zero or collinear: the first period zero, or the second an exact multiple of the first
+        factor = draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]))
+        rows = [period, period * factor] if draw(st.booleans()) else [np.zeros(2), period]
+        return {"wrap_periods": np.array(rows)}, "wrap_periods_singular"
+    name, shape = draw(st.sampled_from([("cell_xy", (n + 1, 2)), ("cell_xy", (n, 3)), ("azimuth_deg", (n - 1,)),
+                                        ("pixel_xy", (m, 1)), ("pixel_xy", (m + 2, 2)), ("wrap_periods", (2, 3)),
+                                        ("wrap_periods", (4,))]))
+    return {name: np.ones(shape)}, "geometry_shape_mismatch"
+
+
+def _behind_the_constructor(instance, changes) -> NetworkInstance:
+    """A copy of ``instance`` with ``changes`` set without the constructor: no package code makes one."""
+    corrupt = copy.copy(instance)
+    for name, value in changes.items():
+        object.__setattr__(corrupt, name, value)
+    return corrupt
+
+
+@settings(max_examples=100)
+@given(instance=_valid_instances(), data=st.data())
+@example(instance=_small_instance(), data=None)
+def test_every_way_to_an_instance_runs_the_gate_property(instance, data):
+    """One field of a valid instance corrupted: every way to build an instance raises the field's code."""
+    if data is None:  # the example: zero periods on an instance without wrap-around
+        changes, code = {"wrap_periods": np.zeros((2, 2))}, "wrap_periods_singular"
+    else:
+        changes, code = data.draw(_corruptions(instance))
+    match = f"invalid instance: (.*; )?{code}: "
+    fields = {f.name: getattr(instance, f.name) for f in dataclasses.fields(NetworkInstance)}
+    with pytest.raises(SchemaError, match=match):
+        NetworkInstance(**{**fields, **changes})
+    with pytest.raises(SchemaError, match=match):
+        dataclasses.replace(instance, **changes)
+    corrupt = _behind_the_constructor(instance, changes)
+    for scale in (1.0, 1e308):
+        with pytest.raises(SchemaError, match=match):
+            corrupt.with_demand_scale(scale)
+    # a rotation reads the geometry before it builds, and reassigns every pixel's server
+    if code not in ("geometry_shape_mismatch", "unserved_demand_pixel"):
+        # the bearings of coordinates near the float range overflow; the gate is what is tested
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SchemaError, match=match):
+            rotate_sector(corrupt, 1, float(instance.azimuth_deg[0]) % 360.0 + 90.0)
+    # a file carries only finite numbers, of the right shapes and below 2**64; a zero gain is a dB value of -inf
+    writable = all(np.all(np.isfinite(np.asarray(value, dtype=np.float64))) for value in changes.values())
+    if writable and changes.get("num_resource_units", 0) < 2**64 and code not in (
+            "geometry_shape_mismatch", "gain_nonpositive"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corrupt.json"
+            save_instance(corrupt, path)
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {match}"):
+                _parsed(path)
 
 
 @settings(max_examples=60)
