@@ -4,7 +4,6 @@ from .netmodel import (
     NetworkInstance,
     SchemaError,
     SchemaVersionError,
-    Violation,
     assign_best_server,
     load_instance,
     save_instance,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NetworkInstance",
-    "Violation",
     "SchemaError",
     "SchemaVersionError",
     "validate",

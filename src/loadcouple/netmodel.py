@@ -2,8 +2,8 @@
 
 Everything downstream (coupling coefficients, solvers, sweeps) works on the
 immutable :class:`NetworkInstance` defined here, a set of read-only arrays
-and scalars, valid by construction: its constructor runs :func:`validate`
-and raises :class:`SchemaError` on a violation.  Gains are kept
+and scalars, valid by construction: its constructor runs :func:`validate`,
+which raises :class:`SchemaError` naming each broken rule.  Gains are kept
 linear-scale in memory.  The interchange file, compact one-line JSON,
 stores them in dB, each value chosen so that the load-time conversion gives
 the linear gain back bit for bit wherever a float dB value can.  Files are
@@ -16,7 +16,9 @@ collector is paused from the parse until the instance is built.  Each row
 of a matrix of numbers is checked and converted by one typed pack in C,
 which decides the matrix.  Each other block of numbers is converted as one
 numpy array; a block that fails goes through a typed walk over its cells,
-pixels or serving pairs, which names the first bad entry.  A cell or pixel
+pixels or serving pairs, which names the first bad entry.  Shapes are
+left to :func:`validate`, and a key the format does not define is
+rejected at any level.  A cell or pixel
 is identified by its position: 1-based in files and in reports, 0-based
 for array indexing internally.
 """
@@ -45,7 +47,7 @@ _MAX_RESOURCE_UNITS = 2**63 - 1
 
 
 class SchemaError(ValueError):
-    """Instance or scenario file does not match the documented schema, or an instance breaks :func:`validate`."""
+    """A file does not match its documented schema, or :func:`validate` finds an instance invalid."""
 
 
 class SchemaVersionError(SchemaError):
@@ -71,9 +73,9 @@ class NetworkInstance:
     ``server_of`` gets the best-server assignment of its own powers and
     gains.  Copies with some fields changed are made with
     ``dataclasses.replace``; pass ``server_of=None`` there to reassign by
-    best server.  The constructor ends by running :func:`validate` and
-    raises SchemaError listing the code and message of every violation, so
-    every instance and every copy is valid.  Every column is copied into a
+    best server.  The constructor ends by running :func:`validate`, which
+    raises SchemaError naming the code of each broken rule, so every
+    instance and every copy is valid.  Every column is copied into a
     read-only array, even a read-only one, which a writable view taken
     before could still change; only the loader, the generator and the
     sector rotation hand their new gains over uncopied.
@@ -112,9 +114,7 @@ class NetworkInstance:
                 value = np.array(value, dtype=np.int64 if name == "server_of" else np.float64, order="C")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        violations = validate(self)  # the module global, which a tracer may wrap
-        if violations:
-            raise SchemaError("invalid instance: " + "; ".join(f"{v.code}: {v.message}" for v in violations))
+        validate(self)  # the module global, which a tracer may wrap
 
     @property
     def num_cells(self) -> int:
@@ -148,99 +148,74 @@ class _Handover:
     array: np.ndarray
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding: a stable machine-readable code plus a message."""
+def validate(instance: NetworkInstance) -> None:
+    """Check every structural invariant; raise SchemaError naming each broken one.
 
-    code: str
-    message: str
-
-
-def validate(instance: NetworkInstance) -> list[Violation]:
-    """Check every structural invariant; return all violations, empty list if clean.
-
-    Every :class:`NetworkInstance` runs it when built and raises on a
-    violation, so what the paper's load map and feasibility condition need
-    holds for every instance: positive finite gains, powers, noise and rate
-    scale, an integer number of resource units in 1..2**63-1, finite
-    non-negative demand with a serving cell for every demanded pixel, and
-    finite geometry of the right shapes, with wrap periods that span the
-    plane.
+    Every :class:`NetworkInstance` runs it when built, so what the paper's
+    load map and feasibility condition need holds for every instance:
+    positive finite gains, powers, noise and rate scale, an integer number
+    of resource units in 1..2**63-1, finite non-negative demand with a
+    serving cell for every demanded pixel, and finite geometry of the right
+    shapes, with wrap periods that span the plane.  The error reads
+    ``"invalid instance: code: message; ..."`` with one entry per broken
+    rule; a rule broken at several cells or pixels names the first and
+    counts the rest, ``" (and K more)"``.
     """
-    out: list[Violation] = []
+    found: list[str] = []
     n, m = instance.num_cells, instance.num_pixels
 
     if n == 0:
-        out.append(Violation("no_cells", "instance has no cells"))
+        found.append("no_cells: instance has no cells")
     if instance.noise_power <= 0 or not math.isfinite(instance.noise_power):
-        out.append(
-            Violation("noise_power_nonpositive",
-                      f"noise_power must be positive and finite, got {instance.noise_power}")
-        )
+        found.append(f"noise_power_nonpositive: noise_power must be positive and finite, got {instance.noise_power}")
     units = instance.num_resource_units
     if not 1 <= units <= _MAX_RESOURCE_UNITS or units != int(units):
-        out.append(
-            Violation("resource_units_nonpositive",
-                      f"num_resource_units must be an integer in 1..2**63-1, got {units}")
-        )
+        found.append(f"resource_units_nonpositive: num_resource_units must be an integer in 1..2**63-1, got {units}")
     if instance.rate_scale <= 0 or not math.isfinite(instance.rate_scale):
-        out.append(
-            Violation("rate_scale_nonpositive",
-                      f"rate_scale must be positive and finite, got {instance.rate_scale}")
-        )
+        found.append(f"rate_scale_nonpositive: rate_scale must be positive and finite, got {instance.rate_scale}")
     power, demand = instance.power_per_ru, instance.demand_bits
-    for i in np.flatnonzero(~(np.isfinite(power) & (power > 0))).tolist():
-        out.append(
-            Violation("cell_power_nonpositive",
-                      f"cell {i + 1}: power_per_ru must be positive and finite, got {power[i]}")
-        )
-    for j in np.flatnonzero(~(np.isfinite(demand) & (demand >= 0))).tolist():
-        out.append(
-            Violation("pixel_demand_negative",
-                      f"pixel {j + 1}: demand_bits must be finite and >= 0, got {demand[j]}")
-        )
+    found += _first_of("cell_power_nonpositive", ~(np.isfinite(power) & (power > 0)),
+                       lambda i: f"cell {i + 1}: power_per_ru must be positive and finite, got {power[i]}")
+    found += _first_of("pixel_demand_negative", ~(np.isfinite(demand) & (demand >= 0)),
+                       lambda j: f"pixel {j + 1}: demand_bits must be finite and >= 0, got {demand[j]}")
 
     for name, shape in _geometry_shapes(n, m).items():
         value = getattr(instance, name)
         if value is None:  # no wrap periods
             continue
         if value.shape != shape:
-            out.append(Violation("geometry_shape_mismatch", f"{name} must be of shape {shape}, got {value.shape}"))
+            found.append(f"geometry_shape_mismatch: {name} must be of shape {shape}, got {value.shape}")
         elif not np.all(np.isfinite(value)):
-            out.append(Violation("geometry_not_finite", f"{name} must be finite, got non-finite values"))
+            found.append(f"geometry_not_finite: {name} must be finite, got non-finite values")
         elif name == "wrap_periods":
             a, b, c, d = map(Fraction, value.ravel().tolist())
             if a * d == b * c:  # in exact arithmetic: rounded products could cancel or underflow
-                out.append(Violation("wrap_periods_singular",
-                                     f"wrap_periods must span the plane, got {value.tolist()}"))
+                found.append(f"wrap_periods_singular: wrap_periods must span the plane, got {value.tolist()}")
 
-    if instance.gains.shape != (n, m):
-        out.append(
-            Violation("gain_shape_mismatch",
-                      f"gains shape {instance.gains.shape} does not match ({n}, {m})")
-        )
-        return out  # index checks below assume matching shapes
+    if instance.gains.shape != (n, m):  # the checks below index by the shapes
+        found.append(f"gain_shape_mismatch: gains shape {instance.gains.shape} does not match ({n}, {m})")
+    else:
+        server_of = instance.server_of
+        if m and not (np.all(np.isfinite(instance.gains)) and np.all(instance.gains > 0)):
+            found.append("gain_nonpositive: every gain must be strictly positive and finite")
+        if server_of.shape != (m,):
+            found.append(f"serving_shape_mismatch: server_of length {server_of.shape} does not match pixel count {m}")
+        elif np.any((server_of < -1) | (server_of >= n)):
+            found.append("serving_out_of_range: server_of references a cell index outside -1..num_cells-1")
+        else:
+            found += _first_of("unserved_demand_pixel", (demand > 0) & (server_of < 0),
+                               lambda j: f"pixel {j + 1} has positive demand but no serving cell")
+    if found:
+        raise SchemaError("invalid instance: " + "; ".join(found))
 
-    if m and not (np.all(np.isfinite(instance.gains)) and np.all(instance.gains > 0)):
-        out.append(Violation("gain_nonpositive", "every gain must be strictly positive and finite"))
 
-    server_of = instance.server_of
-    if server_of.shape != (m,):
-        out.append(
-            Violation("serving_shape_mismatch",
-                      f"server_of length {server_of.shape} does not match pixel count {m}")
-        )
-        return out
-    if np.any((server_of < -1) | (server_of >= n)):
-        out.append(Violation("serving_out_of_range",
-                             "server_of references a cell index outside -1..num_cells-1"))
-        return out
-    for j in np.flatnonzero((demand > 0) & (server_of < 0)).tolist():
-        out.append(
-            Violation("unserved_demand_pixel",
-                      f"pixel {j + 1} has positive demand but no serving cell")
-        )
-    return out
+def _first_of(code: str, bad: np.ndarray, message) -> list[str]:
+    """The entry of a rule broken where ``bad`` holds: the first position's message and a count of the rest."""
+    where = np.flatnonzero(bad)
+    if where.size == 0:
+        return []
+    more = f" (and {where.size - 1} more)" if where.size > 1 else ""
+    return [f"{code}: {message(int(where[0]))}{more}"]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # validate rejects what overflows here
@@ -399,6 +374,16 @@ def _columns(items: list, fields: tuple, where: str) -> tuple[list, np.ndarray]:
     return ids, np.array(rows, dtype=np.float64).reshape(len(items), len(fields)).T
 
 
+def _reject_unknown_fields(objects: list, allowed: set, where: str) -> None:
+    """SchemaError naming the first key outside ``allowed`` in a list of JSON objects, in file order.
+
+    A list whose keys are all allowed takes one set test.
+    """
+    if not set(chain.from_iterable(objects)) <= allowed:
+        k, key = next((k, key) for k, obj in enumerate(objects) for key in obj if key not in allowed)
+        raise SchemaError(f"{where}[{k}]: unknown field {key!r}")
+
+
 def _serving(pairs: list, n: int, m: int, where: str) -> np.ndarray:
     """``server_of`` from the file's 1-based [pixel_id, cell_id] pairs, -1 for unlisted pixels.
 
@@ -433,6 +418,13 @@ def _serving(pairs: list, n: int, m: int, where: str) -> np.ndarray:
     return server_of
 
 
+# The keys of a version-1 file: at the top level, and in a cell or pixel
+# besides its id, with the field's default, None for a required one
+_INSTANCE_FIELDS = frozenset({"version", "noise_power_w", "num_resource_units", "rate_scale", "cells", "pixels",
+                              "gains_db", "serving", "wrap_periods_m"})
+_CELL_FIELDS = (("power_per_ru_w", None), ("x_m", 0.0), ("y_m", 0.0), ("azimuth_deg", 0.0))
+_PIXEL_FIELDS = (("demand_bits", None), ("x_m", 0.0), ("y_m", 0.0))
+
 # Instances parsed by load_instance, by the SHA-256 of their file's bytes, least
 # recently loaded first.  Eight holds every file of a planning session that
 # alternates between a few networks and their variants.
@@ -447,8 +439,10 @@ def load_instance(path) -> NetworkInstance:
     The file's ids must be 1..n and 1..m in order; they are positions and
     are not kept.  Files without a ``serving`` block get a best-server
     assignment.  A wrong or missing schema version is rejected outright,
-    and an instance that breaks :func:`validate` raises SchemaError
-    ``"{path}: invalid instance: ..."``.
+    and so is a key the format does not define, at the top level, in a
+    cell or in a pixel.  An instance that breaks :func:`validate`, a
+    misshaped ``gains_db`` or ``wrap_periods_m`` included, raises
+    SchemaError ``"{path}: invalid instance: ..."``.
 
     The file's bytes are hashed with SHA-256, and the instances parsed from
     the last :data:`_LOADED_MAX` distinct contents are kept in this process
@@ -499,33 +493,31 @@ def _parse_instance(data: bytes, path) -> NetworkInstance:
     version = _require(doc, "version", str(path))
     if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1 in Python
         raise SchemaVersionError(f"{path}: schema version {version!r} not supported (expected {SCHEMA_VERSION})")
+    unknown = [key for key in doc if key not in _INSTANCE_FIELDS]
+    if unknown:
+        raise SchemaError(f"{path}: unknown field {unknown[0]!r}")
 
     cells_doc = _require(doc, "cells", str(path), list)
     pixels_doc = _require(doc, "pixels", str(path), list)
     gains_db = _require(doc, "gains_db", str(path), list)
 
-    cell_ids, (power, cell_x, cell_y, azimuth) = _columns(
-        cells_doc, (("power_per_ru_w", None), ("x_m", 0.0), ("y_m", 0.0), ("azimuth_deg", 0.0)),
-        f"{path}: cells")
-    pixel_ids, (demand, pixel_x, pixel_y) = _columns(
-        pixels_doc, (("demand_bits", None), ("x_m", 0.0), ("y_m", 0.0)), f"{path}: pixels")
+    cell_ids, (power, cell_x, cell_y, azimuth) = _columns(cells_doc, _CELL_FIELDS, f"{path}: cells")
+    pixel_ids, (demand, pixel_x, pixel_y) = _columns(pixels_doc, _PIXEL_FIELDS, f"{path}: pixels")
     n, m = len(cell_ids), len(pixel_ids)
-    for name, ids in (("cells", cell_ids), ("pixels", pixel_ids)):
+    for name, ids, items, fields in (("cells", cell_ids, cells_doc, _CELL_FIELDS),
+                                     ("pixels", pixel_ids, pixels_doc, _PIXEL_FIELDS)):
         if ids != list(range(1, len(ids) + 1)):
             raise SchemaError(f"{path}: {name} ids must be 1..{len(ids)} in order")
+        _reject_unknown_fields(items, {"id", *dict(fields)}, f"{path}: {name}")
 
     gains = _float_matrix(gains_db, f"{path}: gains_db")
     gains /= 10.0
     with np.errstate(over="ignore"):  # an infinite gain is validate's to reject
         np.power(10.0, gains, out=gains)
-    if gains.shape != (n, m):
-        raise SchemaError(f"{path}: gains_db has shape {gains.shape}, expected ({n}, {m})")
 
     wrap = doc.get("wrap_periods_m")
     if wrap is not None:
         wrap = _float_matrix(wrap, f"{path}: wrap_periods_m")
-        if wrap.shape != (2, 2):
-            raise SchemaError(f"{path}: wrap_periods_m must be two finite 2-vectors")
 
     server_of = None
     if "serving" in doc:

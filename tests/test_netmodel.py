@@ -50,7 +50,7 @@ SEED = 20260814
 def test_validate_clean_instance():
     rng = np.random.default_rng(SEED)
     instance = random_instance(rng, 4, 6)
-    assert validate(instance) == []
+    assert validate(instance) is None
 
 
 def _small_instance(**overrides):
@@ -82,6 +82,14 @@ def test_validate_flags_bad_values(overrides, code):
         _small_instance(**overrides)
 
 
+def test_validate_names_the_first_offender_of_each_rule_and_counts_the_rest():
+    with pytest.raises(SchemaError) as info:
+        build_instance(np.full((3, 2), 1e-8), demands=[10.0, -2.0], powers=[0.0, -1.0, np.nan], noise=1e-9)
+    assert str(info.value) == (
+        "invalid instance: cell_power_nonpositive: cell 1: power_per_ru must be positive and finite, got 0.0 "
+        "(and 2 more); pixel_demand_negative: pixel 2: demand_bits must be finite and >= 0, got -2.0")
+
+
 def test_validate_unserved_demand_pixel():
     instance = _small_instance()
     with pytest.raises(SchemaError, match="^invalid instance: unserved_demand_pixel: pixel 2 "):
@@ -90,7 +98,7 @@ def test_validate_unserved_demand_pixel():
 
 def test_validate_unserved_zero_demand_pixel_is_fine():
     instance = _small_instance(demands=[10.0, 0.0])
-    assert validate(dataclasses.replace(instance, server_of=[0, -1])) == []
+    assert validate(dataclasses.replace(instance, server_of=[0, -1])) is None
 
 
 def test_validate_gain_shape_mismatch():
@@ -240,7 +248,7 @@ def test_copies_change_only_the_named_field():
 
 def test_resource_units_range_is_int64():
     """A file cannot carry 2**64 or more exactly, so validate stops at int64's largest."""
-    assert validate(_small_instance(num_resource_units=2**63 - 1)) == []
+    assert validate(_small_instance(num_resource_units=2**63 - 1)) is None
     message = "invalid instance: resource_units_nonpositive: num_resource_units must be an integer in 1..2**63-1"
     with pytest.raises(SchemaError) as err:
         _small_instance(num_resource_units=2**63)
@@ -825,7 +833,7 @@ def _valid_instances(draw):
         wrap_periods=draw(st.none() | arrays(np.float64, (2, 2), elements=_FINITE).filter(_spans_the_plane)),
         server_of=server_of,
     )
-    assert validate(instance) == []
+    assert validate(instance) is None
     return instance
 
 
@@ -903,8 +911,7 @@ def test_every_way_to_an_instance_runs_the_gate_property(instance, data):
             corrupt.with_demand_scale(scale)
     # a rotation reads the geometry before it builds, and reassigns every pixel's server
     if code not in ("geometry_shape_mismatch", "unserved_demand_pixel"):
-        # the bearings of coordinates near the float range overflow; the gate is what is tested
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SchemaError, match=match):
+        with pytest.raises(SchemaError, match=match):
             rotate_sector(corrupt, 1, float(instance.azimuth_deg[0]) % 360.0 + 90.0)
     # a file carries only finite numbers, of the right shapes and below 2**64; a zero gain is a dB value of -inf
     writable = all(np.all(np.isfinite(np.asarray(value, dtype=np.float64))) for value in changes.values())
@@ -925,7 +932,7 @@ def test_valid_instance_saves_and_loads_back_equal(instance):
         save_instance(instance, paths[0])
         once = load_instance(paths[0])
         _assert_same_columns(once, instance)
-        assert validate(once) == []
+        assert validate(once) is None
         # the first trip may move a gain by up to one step of its dB value, at
         # most ln(10) / 10 * 2**-41 ~ 1.05e-13 relative for |dB| < 4096; later
         # trips by none

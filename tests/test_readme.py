@@ -1,4 +1,4 @@
-"""Every `module.name` and `Class.attr` that README.md names resolves in the package."""
+"""What README.md names exists in the package: every `module.name` and `Class.attr`, and every violation code."""
 
 import dataclasses
 import importlib
@@ -6,7 +6,11 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import loadcouple
+from helpers import build_instance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # `module.name`, or a call `module.name(args)`, for a module of the package
@@ -44,3 +48,37 @@ def test_readme_class_attributes_resolve():
     assert ("SolveReport", "fallbacks") in references
     assert ("CouplingCoefficients", "scaled") in references
     assert [f"{cls}.{attr}" for cls, attr in references if not _has_attribute(exported[cls], attr)] == []
+
+
+# one minimal corruption of the valid instance per rule of the gate
+CORRUPTIONS = [
+    dict(power_per_ru=[], gains=np.ones((0, 2)), cell_xy=None, azimuth_deg=None, demand_bits=[0.0, 0.0],
+         server_of=[-1, -1]),
+    dict(noise_power=0.0),
+    dict(num_resource_units=0),
+    dict(rate_scale=0.0),
+    dict(power_per_ru=[1.0, 0.0]),
+    dict(demand_bits=[10.0, -1.0]),
+    dict(azimuth_deg=[0.0]),
+    dict(pixel_xy=[[0.0, 0.0], [np.inf, 0.0]]),
+    dict(wrap_periods=np.zeros((2, 2))),
+    dict(gains=np.ones((2, 3))),
+    dict(gains=[[1e-7, 0.0], [3e-8, 9e-8]]),
+    dict(server_of=[0]),
+    dict(server_of=[0, 2]),
+    dict(server_of=[0, -1]),
+]
+
+
+def test_readme_lists_every_code_the_gate_raises():
+    instance = build_instance(np.array([[1e-7, 2e-8], [3e-8, 9e-8]]), [10.0, 20.0], [1.0, 2.0], noise=1e-9)
+    fields = {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
+    codes = []
+    for changes in CORRUPTIONS:
+        with pytest.raises(loadcouple.SchemaError) as info:
+            loadcouple.NetworkInstance(**{**fields, **changes})
+        (code,) = re.findall(r"(?:^invalid instance: |; )(\w+): ", str(info.value))
+        codes.append(code)
+    listed = re.search(r"The codes are (.*?)\.\s", README.read_text(), re.S).group(1)
+    assert sorted(codes) == sorted(re.findall(r"`(\w+)`", listed))
+    assert len(set(codes)) == len(codes) == 14

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import areas, link_geometry_reference, wrap_angle_reference
 from loadcouple import (
+    NetworkInstance,
     ScenarioSpec,
     SchemaError,
     assign_best_server,
@@ -50,7 +51,7 @@ def test_default_spec_shape_and_units():
     np.testing.assert_allclose(
         sites, [(0.0, 0.0), (250.0, 500.0 * math.sqrt(3) / 2), (500.0, 0.0)], atol=1e-9
     )
-    assert validate(instance) == []
+    assert validate(instance) is None
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -306,6 +307,17 @@ def test_user_placement_counts_and_spread():
         assert np.max(spread) <= 2.0 * spec.hotspot_radius_m
 
 
+def test_rotation_near_the_float_range_does_not_warn():
+    """Bearings of coordinates of +-1e308 overflow; the rotated gains are the gate's to judge."""
+    instance = NetworkInstance(power_per_ru=[1.0, 2.0], demand_bits=[10.0, 20.0],
+                               gains=np.array([[1e-7, 2e-8], [3e-8, 9e-8]]), noise_power=1e-9,
+                               num_resource_units=100, rate_scale=1.0, cell_xy=[[1e308, -1e308], [-1e308, 1e308]],
+                               pixel_xy=[[-1e308, 1e308], [1e308, -1e308]])
+    turned = rotate_sector(instance, 1, 90.0)
+    assert turned.azimuth_deg.tolist() == [90.0, 0.0]
+    assert np.array_equal(turned.gains[1], instance.gains[1])
+
+
 def test_rotation_to_same_azimuth_is_identity():
     instance = generate(ScenarioSpec(rng_seed=4))
     assert rotate_sector(instance, 1, 0.0) is instance
@@ -385,7 +397,7 @@ def test_generated_instance_survives_file_round_trip(tmp_path):
     from loadcouple import load_instance
 
     loaded = load_instance(path)
-    assert validate(loaded) == []
+    assert validate(loaded) is None
     np.testing.assert_allclose(loaded.gains, instance.gains, rtol=1e-13)
     assert np.array_equal(loaded.server_of, instance.server_of)
     assert np.array_equal(np.asarray(loaded.wrap_periods), np.asarray(instance.wrap_periods))
