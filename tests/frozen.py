@@ -11,9 +11,13 @@ them number by number:
 ``dump`` runs whichever ``loadcouple`` is importable.  It runs each
 command twice in a row: first cold, with no instance loaded before in the
 process, so its files are parsed, then warm, on the instances the first
-run loaded.  It writes the cold outputs, and the warm ones too when given
-a second file (``dump cold.json warm.json``); ``diff cold.json warm.json``
-must show no change.
+run loaded.  The files are older than the load memo's ctime slack when
+the commands run, so the cold run records their stat signatures and the
+warm run finds its instances by them.  It writes the cold outputs, and
+the warm ones too when given a second file (``dump cold.json warm.json``);
+``diff cold.json warm.json`` must show no change.  It prints how many
+loads of each run took each path: a parse, a content hit (the bytes read
+and hashed) or a signature hit (neither).
 
 ``diff`` prints, per output that changed, how many numbers moved, the
 largest relative change, the labels of the moved numbers and any change in
@@ -32,9 +36,12 @@ import json
 import re
 import sys
 import tempfile
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 FROZEN_COMMANDS = [
     ("solve", []),
@@ -60,26 +67,73 @@ def run_cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def run_cold_and_warm(argv) -> tuple[tuple[int, str], tuple[int, str]]:
-    """:func:`run_cli` with the instances loaded so far forgotten, then again on the ones it loaded."""
+LOAD_PATHS = ("parse", "content", "signature")
+
+
+@contextlib.contextmanager
+def counting_loads(counts: Counter):
+    """Add to ``counts`` the path each ``netmodel.load_instance`` call takes, named as in LOAD_PATHS.
+
+    A parse calls ``_parse_instance``; a content hit hashes the bytes and
+    parses nothing; a signature hit does neither.  Versions before the load
+    memo parse every load.
+    """
+    from loadcouple import netmodel
+
+    steps, load = Counter(), netmodel.load_instance
+    memo = hasattr(netmodel, "_LOADED")
+
+    def counted(step, function):
+        return lambda *args: steps.update([step]) or function(*args)
+
+    def counted_load(path):
+        before = steps.copy()
+        try:
+            return load(path)
+        finally:
+            took = steps - before
+            counts.update(["parse" if took["parse"] or not memo else "content" if took["hash"] else "signature"])
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(netmodel, "load_instance", counted_load))
+        if memo:
+            patches.enter_context(mock.patch.object(netmodel, "_parse_instance",
+                                                    counted("parse", netmodel._parse_instance)))
+            patches.enter_context(mock.patch.object(netmodel, "hashlib",
+                                                    SimpleNamespace(sha256=counted("hash", netmodel.hashlib.sha256))))
+        yield
+
+
+def run_cold_and_warm(argv, loads: tuple[Counter, Counter]) -> tuple[tuple[int, str], tuple[int, str]]:
+    """:func:`run_cli` with the instances loaded so far forgotten, then again on the ones it loaded.
+
+    The load paths each run takes are added to the Counter of ``loads`` at its position.
+    """
     from loadcouple import netmodel
 
     getattr(netmodel, "_LOADED", {}).clear()  # versions before the load memo parse every load
-    return run_cli(argv), run_cli(argv)
+    outputs = []
+    for counts in loads:
+        with counting_loads(counts):
+            outputs.append(run_cli(argv))
+    return tuple(outputs)
 
 
 Outputs = dict[str, tuple[int, str]]
 
 
-def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs]:
+def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tuple[Counter, Counter]]:
     """Generate the seed-7 files under ``root`` and run every frozen command on them.
 
     The scenarios have 9 and 36 cells (80 kbit per user), each unrotated and
     with cell 2 turned to 45 degrees.  Returns each generated file's bytes
     by name, and each output's exit code and stdout by ``"<file> <command>"``
-    twice: read cold, then warm (see :func:`run_cold_and_warm`).
+    twice: read cold, then warm (see :func:`run_cold_and_warm`); then the
+    count of loads by path in the cold runs and in the warm ones.
     """
-    files, cold, warm = {}, {}, {}
+    from loadcouple import netmodel
+
+    files, cold, warm, loads = {}, {}, {}, (Counter(), Counter())
     for name, sites in (("n9", 3), ("n36", 12)):
         spec = root / f"{name}_spec.json"
         spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
@@ -88,22 +142,29 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs]:
         for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
             run_cli(["generate", "--spec", str(spec), "--out", str(path), *rotate])
             files[path.stem] = path.read_bytes()
+        # past the slack: a load from now on may trust the files' stat signatures
+        time.sleep(getattr(netmodel, "_CTIME_SLACK_NS", 0) / 1e9 + 0.005)
+        for path in paths:
             for command, extra in FROZEN_COMMANDS:
                 key = f"{path.stem} {command}"
-                cold[key], warm[key] = run_cold_and_warm([command, "--instance", str(path), *extra])
+                cold[key], warm[key] = run_cold_and_warm([command, "--instance", str(path), *extra], loads)
         key = f"{name} compare"
-        cold[key], warm[key] = run_cold_and_warm(["compare", "--a", str(paths[0]), "--b", str(paths[1])])
-    return files, cold, warm
+        cold[key], warm[key] = run_cold_and_warm(["compare", "--a", str(paths[0]), "--b", str(paths[1])], loads)
+    return files, cold, warm, loads
 
 
 def dump() -> tuple[dict, dict]:
-    """Every frozen output as JSON-ready data, generated files by sha256: read cold, and read warm."""
+    """Every frozen output as JSON-ready data, generated files by sha256, with the count of loads by path.
+
+    The first is read cold, the second warm.
+    """
     with tempfile.TemporaryDirectory() as root:
-        files, cold, warm = frozen_outputs(Path(root))
+        files, cold, warm, loads = frozen_outputs(Path(root))
     digests = {stem: hashlib.sha256(data).hexdigest() for stem, data in files.items()}
     return tuple({"files": digests,
-                  "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()}}
-                 for outputs in (cold, warm))
+                  "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()},
+                  "loads": {path: counts[path] for path in LOAD_PATHS}}
+                 for outputs, counts in zip((cold, warm), loads))
 
 
 @dataclass(frozen=True)
@@ -175,8 +236,11 @@ def _count_numbers(d: dict) -> int:
 
 def main(argv) -> int:
     if len(argv) in (2, 3) and argv[0] == "dump":
-        for dumped, path in zip(dump(), argv[1:]):
+        dumps = dump()
+        for dumped, path in zip(dumps, argv[1:]):
             Path(path).write_text(json.dumps(dumped, indent=1, sort_keys=True) + "\n")
+        for run, dumped in zip(("cold", "warm"), dumps):
+            print(f"# {run} loads: " + ", ".join(f"{count} {path}" for path, count in dumped["loads"].items()))
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])

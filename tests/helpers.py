@@ -328,8 +328,12 @@ def columns_reference(items: list, fields: tuple, where: str) -> tuple[list, np.
             ids.append(_typed(item["id"], "int", "id"))
             rows.append([_float(item[key] if default is None else item.get(key, default), key)
                          for key, default in fields])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{where}[{k}]: {exc!r}") from exc
+        except KeyError as exc:
+            raise SchemaError(f"{where}[{k}]: missing required field '{exc.args[0]}'") from exc
+        except TypeError as exc:
+            raise SchemaError(f"{where}[{k}]: must be an object, got {type(item).__name__}") from exc
+        except SchemaError as exc:
+            raise SchemaError(f"{where}[{k}]: {exc}") from exc
     return ids, np.array(rows, dtype=np.float64).reshape(len(items), len(fields)).T
 
 

@@ -404,6 +404,12 @@ def test_cli_stdout_is_frozen(frozen_dumps):
 
 
 def test_frozen_diff_of_a_cold_and_a_warm_dump_shows_no_change(frozen_dumps, tmp_path, capsys):
+    """The cold run parses every load and the warm run none, finding instances by the files' stat signatures."""
+    cold, warm = (dumped["loads"] for dumped in frozen_dumps)
+    assert cold == {"parse": 24, "content": 0, "signature": 0}
+    assert warm["parse"] == 0 and warm["content"] + warm["signature"] == 24
+    if os.name == "posix":  # the only platform whose signatures are trusted
+        assert warm["signature"] > 0
     paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
     for dumped, path in zip(frozen_dumps, paths):
         path.write_text(json.dumps(dumped))
@@ -555,7 +561,31 @@ def _rename_azimuth(doc):
     doc["cells"][1]["azimuth"] = doc["cells"][1].pop("azimuth_deg")
 
 
-# blocks of a shape only the gate rejects, and fields the format does not define; the error each gives
+def _rename_power(doc):
+    doc["cells"][0]["power_per_ru"] = doc["cells"][0].pop("power_per_ru_w")
+
+
+class _Repeating(dict):
+    """A JSON object that ``json.dumps`` writes with its ``key`` once more, last."""
+
+    def __init__(self, obj, key):
+        super().__init__(obj)
+        self.key = key
+
+    def items(self):
+        return [*super().items(), (self.key, self[self.key])]
+
+
+def _repeat_in(block, k, key):
+    """The mutation that writes ``key`` twice in ``doc[block][k]``."""
+    def mutate(doc):
+        doc[block][k] = _Repeating(doc[block][k], key)
+    return mutate
+
+
+# blocks of a shape only the gate rejects, fields the format does not define or
+# that a cell or pixel lacks or mistypes, and keys written twice; the error each
+# gives.  A mutation may return the document to write in place of the one it got.
 REJECTED_BLOCKS = {
     "gains_db 3 x 5": (_drop_last_pixel_gain,
                        "invalid instance: gain_shape_mismatch: gains shape (3, 5) does not match (3, 6)"),
@@ -566,6 +596,13 @@ REJECTED_BLOCKS = {
                                "unknown field 'wrap_periods'"),
     "cell azimuth": (_rename_azimuth, "cells[1]: unknown field 'azimuth'"),
     "pixel demand": (lambda doc: doc["pixels"][2].update(demand=1.0), "pixels[2]: unknown field 'demand'"),
+    "cell power renamed": (_rename_power, "cells[0]: missing required field 'power_per_ru_w'"),
+    "pixel x_m string": (lambda doc: doc["pixels"][3].update(x_m="1"),
+                         "pixels[3]: x_m must be of type float, got '1'"),
+    "top-level noise_power_w twice": (lambda doc: _Repeating(doc, "noise_power_w"),
+                                      "duplicate field 'noise_power_w'"),
+    "cell x_m twice": (_repeat_in("cells", 2, "x_m"), "cells[2]: duplicate field 'x_m'"),
+    "pixel demand_bits twice": (_repeat_in("pixels", 4, "demand_bits"), "pixels[4]: duplicate field 'demand_bits'"),
 }
 
 
@@ -575,8 +612,7 @@ def test_misshaped_block_or_unknown_field_exits_2_naming_it(tmp_path, capsys, ca
     path = _write_instance(tmp_path, random_instance(rng, 3, 2, radius_target=0.5))
     doc = json.loads(path.read_text())
     mutate, message = REJECTED_BLOCKS[case]
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(mutate(doc) or doc))
     for command in ("solve", "feasibility"):
         assert main([command, "--instance", str(path)]) == 2, command
         assert capsys.readouterr().err == f"error: {path}: {message}\n", command

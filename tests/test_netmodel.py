@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import os
 import re
 import sys
 import tempfile
@@ -490,6 +491,22 @@ def test_truncated_file_names_line_and_column(tmp_path):
         load_instance(path)
 
 
+# a block written twice, the first time nested 1000 deep: orjson reads up to
+# 1024 levels and keeps the last, and the stdlib, which then reads the file
+# to name the key (or, with a NaN, to read it at all), recurses per level
+_TOO_DEEP = b'"serving":' + b"[" * 1000 + b"]" * 1000 + b","
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_a_file_nested_deeper_than_the_stdlib_reads_is_rejected(tmp_path, nan):
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(), path)
+    data = b"{" + _TOO_DEEP + path.read_bytes()[1:]
+    path.write_bytes(data.replace(b'"noise_power_w":', b'"noise_power_w":NaN,"x":', 1) if nan else data)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: JSON nested too deeply to read$"):
+        load_instance(path)
+
+
 def test_saved_file_reads_the_same_with_the_stdlib(tmp_path):
     """Another reader of the file, such as the stdlib ``json``, gets the saved values bit for bit."""
     instance = NetworkInstance(
@@ -966,10 +983,19 @@ def _no_parse(data, path):
     raise AssertionError(f"{path} was parsed, not found among the loaded instances")
 
 
+# in place of netmodel's hashlib: a load that hashes the bytes fails
+_NO_HASH = SimpleNamespace(sha256=lambda data: pytest.fail("the bytes were read and hashed"))
+
+
 def _parsed(path):
     """A load by a parse, as in a process that has loaded nothing."""
     with mock.patch.object(netmodel, "_LOADED", OrderedDict()):
         return load_instance(path)
+
+
+def _past_the_slack():
+    """Wait until the files written so far are old enough for a load to trust their stat signatures."""
+    time.sleep(netmodel._CTIME_SLACK_NS / 1e9 + 0.005)
 
 
 @settings(max_examples=40)
@@ -980,13 +1006,28 @@ def _parsed(path):
     cell_xy=[[-0.0, 0.0], [1.5, -0.0]], azimuth_deg=[-0.0, 90.0], pixel_xy=[[-0.0, -0.0], [2.0, 3.0], [0.0, -0.0]],
     server_of=[-1, 0, -1]))
 def test_a_miss_and_a_hit_load_like_a_parse_property(instance):
-    """The first load of a file parses it; the second returns that instance, which equals any parse."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(netmodel, "_LOADED", OrderedDict()):
+    """The first load of a file parses it; later loads return that instance, which equals any parse.
+
+    Loads within the slack of the file's write record no stat signature, so
+    they hash the bytes.  Past the slack, a load records it, and the next
+    load neither parses nor hashes.
+    """
+    with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(netmodel, "_LOADED", OrderedDict()),
+          mock.patch.object(netmodel, "_SIGNED", OrderedDict())):
         path = Path(tmp) / "inst.json"
+        written = time.time_ns()
         save_instance(instance, path)
         miss = load_instance(path)
         with mock.patch.object(netmodel, "_parse_instance", _no_parse):
             hit = load_instance(path)
+            # a ctime trails the clock by a kernel tick at most, half the slack
+            if time.time_ns() - written < netmodel._CTIME_SLACK_NS // 2:
+                assert not netmodel._SIGNED
+            _past_the_slack()
+            assert load_instance(path) is hit
+            if os.name == "posix":  # the only platform whose signatures are trusted
+                with mock.patch.object(netmodel, "hashlib", _NO_HASH):
+                    assert load_instance(path) is hit
         assert hit is miss
         parsed = _parsed(path)
         assert parsed is not miss
@@ -1000,11 +1041,34 @@ def _bump_a_gain(data: bytes) -> bytes:
     return data[:end - 1] + str((int(data[end - 1:end]) + 1) % 10).encode() + data[end:]
 
 
-# each rewrites a loaded file with other bytes, which are parsed again
+def _rewrite(change):
+    """The edit that rewrites a file with ``change`` of its bytes."""
+    return lambda path: path.write_bytes(change(path.read_bytes()))
+
+
+def _bump_keeping_mtime(path):
+    """A same-size rewrite that puts the old mtime back, as ``touch -r`` does."""
+    old = path.stat()
+    _rewrite(_bump_a_gain)(path)
+    os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+
+
+def _replace_by_same_size(path):
+    """``os.replace`` by another file of as many bytes, with the old mtime."""
+    old, other = path.stat(), path.with_name("other.json")
+    other.write_bytes(_bump_a_gain(path.read_bytes()))
+    os.utime(other, ns=(old.st_atime_ns, old.st_mtime_ns))
+    os.replace(other, path)
+
+
+# each changes a file after a load that trusted its stat signature; all but two keep its
+# size, and the last two its mtime too
 _EDITS = {
-    "a_gains_digit_changed": _bump_a_gain,
-    "whitespace_added": lambda data: data.replace(b'"gains_db":', b'"gains_db": ', 1),
-    "json_cut_short": lambda data: data[:-200],
+    "a_gains_digit_changed": _rewrite(_bump_a_gain),
+    "whitespace_added": _rewrite(lambda data: data.replace(b'"gains_db":', b'"gains_db": ', 1)),
+    "json_cut_short": _rewrite(lambda data: data[:-200]),
+    "mtime_put_back": _bump_keeping_mtime,
+    "replaced_by_same_size": _replace_by_same_size,
 }
 
 
@@ -1012,10 +1076,13 @@ _EDITS = {
 def test_a_file_edited_after_its_load_is_parsed_again(tmp_path, monkeypatch, edit):
     """The load returns what a parse returns, or raises what a parse raises; a parsed file then hits."""
     monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
+    monkeypatch.setattr(netmodel, "_SIGNED", OrderedDict())
     path = tmp_path / "n9_rot.json"
     save_instance(rotate_sector(generate(ScenarioSpec(num_sites=3, rng_seed=7)), 2, 45.0), path)
+    _past_the_slack()
     before = load_instance(path)
-    path.write_bytes(_EDITS[edit](path.read_bytes()))
+    assert len(netmodel._SIGNED) == 1 or os.name != "posix"
+    _EDITS[edit](path)
     parsed, parse = [], netmodel._parse_instance
     with monkeypatch.context() as patched:
         patched.setattr(netmodel, "_parse_instance", lambda data, path: parsed.append(path) or parse(data, path))
@@ -1030,6 +1097,28 @@ def test_a_file_edited_after_its_load_is_parsed_again(tmp_path, monkeypatch, edi
     else:
         assert got == want and "not valid JSON" in want
         assert list(netmodel._LOADED.values()) == [before]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_loaded_twice_gives_each_content_its_instance(tmp_path, monkeypatch):
+    """A FIFO's stat signature is never trusted: its size reads 0 whatever it holds."""
+    monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
+    monkeypatch.setattr(netmodel, "_SIGNED", OrderedDict())
+    contents = []
+    for units in (1, 2):
+        save_instance(dataclasses.replace(_small_instance(), num_resource_units=units), tmp_path / "file.json")
+        contents.append((tmp_path / "file.json").read_bytes())
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    _past_the_slack()
+    loaded = []
+    for data in contents:
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        loaded.append(load_instance(fifo))
+        writer.join(timeout=30)
+    assert [instance.num_resource_units for instance in loaded] == [1, 2]
+    assert not netmodel._SIGNED
 
 
 def test_files_with_the_same_bytes_share_one_instance(tmp_path, monkeypatch):
