@@ -12,14 +12,8 @@ orjson rejects: NaN, Infinity, numbers beyond the float range, and invalid
 JSON, whose error it locates; it also reads a file again to name a key
 written twice in one object, which the count of its ``"`` bytes gives
 away.  A load of bytes this process parsed lately returns the instance
-they gave without a parse, found under one of two keys: the SHA-256 of
-the bytes (about 4 ms at n=81, mostly the hash), or, before any read,
-the open file's stat signature (about 10 us), trusted only for a regular
-POSIX file whose ctime, a fine-grained stamp, was older than a 20 ms
-slack at its last read (see :func:`load_instance`).
-The one known limit: on a network mount whose server clock runs behind
-this machine's by more than the slack, a same-size rewrite within one
-server clock tick of a load can go unseen.  The cyclic garbage collector
+they gave without a parse, found by their SHA-256 or by the open file's
+stat signature (see :func:`load_instance`).  The cyclic garbage collector
 is paused from the parse until the instance is built.  Each row of a
 matrix of numbers is checked and converted by one typed pack in C, which
 decides the matrix.  Each other block of numbers is converted as one
@@ -491,9 +485,14 @@ _LOADED: OrderedDict[bytes, NetworkInstance] = OrderedDict()
 _SIGNED_MAX = 4 * _LOADED_MAX
 _SIGNED: OrderedDict[tuple, bytes] = OrderedDict()
 _LOADED_LOCK = threading.Lock()
-# How much older than the clock read before the fstat a file's ctime must be
-# for its signature to be trusted: two ticks of a 100 Hz kernel clock, the
-# most by which the coarse clock that stamps ctimes trails time.time_ns
+# Signatures are trusted only on Linux, where the clock that stamps the ctime
+# of a local file can be read: CLOCK_REALTIME_COARSE, which the time module
+# does not name.  Every change to a local file made after a reading of it
+# stamps a ctime no earlier than that reading, so an older ctime cannot recur.
+_TRUSTS_SIGNATURES = sys.platform == "linux"
+_CTIME_CLOCK = 5
+# How much older than that reading a trusted ctime must be: a margin for a
+# step back of the clock
 _CTIME_SLACK_NS = 20_000_000
 
 
@@ -518,16 +517,16 @@ def load_instance(path) -> NetworkInstance:
     ``(st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)``, taken before
     the read: a file whose signature is unchanged since a trusted read
     gets its instance back without a read or a hash (about 10 us).  A
-    read is trusted only on POSIX, from a regular file with a nonzero
+    read is trusted only on Linux, from a regular file with a nonzero
     inode whose bytes read equal its size, and whose ctime has a nonzero
     sub-millisecond part (a fine-grained stamp) and is more than
-    :data:`_CTIME_SLACK_NS` older than a clock reading taken before the
-    fstat.  Then any later write, truncate, ``utime``, rename-over or
-    recreate gives the path a new ctime or inode, so its signature misses
-    and its bytes are read and hashed again.  The one known limit: on a
-    network mount whose server clock runs behind this machine's by more
-    than the slack, a same-size rewrite within one server clock tick of a
-    load can go unseen.
+    :data:`_CTIME_SLACK_NS` older than a reading, taken before the fstat,
+    of the clock that stamps ctimes.  This is git's "racy-git" rule: any
+    later write, truncate, ``utime``, rename-over or recreate gives the
+    path a new ctime or inode, so its signature misses and its bytes are
+    read and hashed again.  The one known limit: on a network mount whose
+    server clock runs behind this machine's by more than the slack, a
+    same-size rewrite within one server clock tick of a load can go unseen.
 
     Only a successful parse is kept, so every error is the parse's.  The
     cyclic garbage collector is paused from the parse until the instance
@@ -535,7 +534,7 @@ def load_instance(path) -> NetworkInstance:
     only walk its rows of numbers again and again.
     """
     with open(path, "rb") as fh:
-        now = time.time_ns()
+        now = time.clock_gettime_ns(_CTIME_CLOCK) if _TRUSTS_SIGNATURES else 0
         stat = os.fstat(fh.fileno())
         signature = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
         with _LOADED_LOCK:
@@ -547,7 +546,7 @@ def load_instance(path) -> NetworkInstance:
                 return instance
         data = fh.read()
     digest = hashlib.sha256(data).digest()
-    trusted = (os.name == "posix" and S_ISREG(stat.st_mode) and stat.st_ino != 0 and len(data) == stat.st_size
+    trusted = (_TRUSTS_SIGNATURES and S_ISREG(stat.st_mode) and stat.st_ino != 0 and len(data) == stat.st_size
                and stat.st_ctime_ns % 1_000_000 != 0 and stat.st_ctime_ns < now - _CTIME_SLACK_NS)
     with _LOADED_LOCK:
         if trusted:
@@ -604,7 +603,8 @@ def _parse_instance(data: bytes, path) -> NetworkInstance:
         _reject_unknown_fields(items, {"id", *dict(fields)}, f"{path}: {name}")
     # every string of a valid file is a key, so a file with as many '"' bytes
     # as twice its keys has no key written twice in one object; counted by
-    # blocks, whose masks stay in cache (0.6 ms at n=81, 1.3 ms in one mask)
+    # blocks, whose masks stay in cache: 0.6 ms at n=81, against 1.3 ms in
+    # one mask and 2 ms for bytes.count
     raw = np.frombuffer(data, np.uint8)
     quotes = sum(np.count_nonzero(raw[k:k + 2**18] == ord('"')) for k in range(0, raw.size, 2**18))
     if quotes != 2 * (len(doc) + sum(map(len, cells_doc)) + sum(map(len, pixels_doc))):

@@ -142,8 +142,9 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tupl
         for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
             run_cli(["generate", "--spec", str(spec), "--out", str(path), *rotate])
             files[path.stem] = path.read_bytes()
-        # past the slack: a load from now on may trust the files' stat signatures
-        time.sleep(getattr(netmodel, "_CTIME_SLACK_NS", 0) / 1e9 + 0.005)
+        # past the slack, and two ticks of a 100 Hz clock that stamps ctimes:
+        # a load from now on may trust the files' stat signatures
+        time.sleep(getattr(netmodel, "_CTIME_SLACK_NS", 0) / 1e9 + 0.025)
         for path in paths:
             for command, extra in FROZEN_COMMANDS:
                 key = f"{path.stem} {command}"

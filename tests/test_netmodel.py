@@ -993,9 +993,16 @@ def _parsed(path):
         return load_instance(path)
 
 
+def _ctime_clock_ns():
+    """The loader's reading of the clock that stamps ctimes, 0 where it trusts no signature."""
+    return time.clock_gettime_ns(netmodel._CTIME_CLOCK) if netmodel._TRUSTS_SIGNATURES else 0
+
+
 def _past_the_slack():
     """Wait until the files written so far are old enough for a load to trust their stat signatures."""
-    time.sleep(netmodel._CTIME_SLACK_NS / 1e9 + 0.005)
+    since = time.time_ns()  # no ctime is later than the real-time clock
+    while netmodel._TRUSTS_SIGNATURES and _ctime_clock_ns() <= since + netmodel._CTIME_SLACK_NS:
+        time.sleep(0.002)
 
 
 @settings(max_examples=40)
@@ -1015,17 +1022,16 @@ def test_a_miss_and_a_hit_load_like_a_parse_property(instance):
     with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(netmodel, "_LOADED", OrderedDict()),
           mock.patch.object(netmodel, "_SIGNED", OrderedDict())):
         path = Path(tmp) / "inst.json"
-        written = time.time_ns()
         save_instance(instance, path)
         miss = load_instance(path)
         with mock.patch.object(netmodel, "_parse_instance", _no_parse):
             hit = load_instance(path)
-            # a ctime trails the clock by a kernel tick at most, half the slack
-            if time.time_ns() - written < netmodel._CTIME_SLACK_NS // 2:
+            # the loads read the clock no later than this
+            if _ctime_clock_ns() - path.stat().st_ctime_ns <= netmodel._CTIME_SLACK_NS:
                 assert not netmodel._SIGNED
             _past_the_slack()
             assert load_instance(path) is hit
-            if os.name == "posix":  # the only platform whose signatures are trusted
+            if netmodel._TRUSTS_SIGNATURES:
                 with mock.patch.object(netmodel, "hashlib", _NO_HASH):
                     assert load_instance(path) is hit
         assert hit is miss
@@ -1081,7 +1087,7 @@ def test_a_file_edited_after_its_load_is_parsed_again(tmp_path, monkeypatch, edi
     save_instance(rotate_sector(generate(ScenarioSpec(num_sites=3, rng_seed=7)), 2, 45.0), path)
     _past_the_slack()
     before = load_instance(path)
-    assert len(netmodel._SIGNED) == 1 or os.name != "posix"
+    assert len(netmodel._SIGNED) == int(netmodel._TRUSTS_SIGNATURES)
     _EDITS[edit](path)
     parsed, parse = [], netmodel._parse_instance
     with monkeypatch.context() as patched:
