@@ -410,11 +410,13 @@ def _pairs_to_object(pairs: list) -> dict:
 
 
 def _stdlib_loads(data: bytes, path, **hooks):
-    """``json.loads`` raising SchemaError: on invalid JSON, located, and on nesting deeper than it reads."""
+    """``json.loads`` raising SchemaError: on invalid JSON or text, located, and on nesting deeper than it reads."""
     try:
         return json.loads(data, **hooks)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:  # in the encoding json.loads detected: UTF-8, -16 or -32
+        raise SchemaError(f"{path}: not valid {exc.encoding.upper()} at byte {exc.start}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nested too deeply to read") from exc
 

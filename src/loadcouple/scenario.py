@@ -14,13 +14,12 @@ per field.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .netmodel import NetworkInstance, SchemaError, _Handover, _typed
+from .netmodel import NetworkInstance, SchemaError, _Handover, _pairs_to_object, _Repeated, _stdlib_loads, _typed
 
 BS_HEIGHT_M = 30.0
 UE_HEIGHT_M = 1.5
@@ -36,7 +35,12 @@ PATTERN_FLOOR_DB = 20.0
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one synthetic deployment."""
+    """Declarative description of one synthetic deployment, valid by construction.
+
+    The constructor checks each field's type against its annotation, as
+    ``netmodel._typed`` checks a file's, storing an integral float given for
+    an int as the int, then each range; SchemaError names a field that fails.
+    """
 
     num_sites: int = 3
     sectors_per_site: int = 3
@@ -55,39 +59,33 @@ class ScenarioSpec:
     wraparound: bool = True
     rng_seed: int = 1
 
-
-def scenario_from_dict(doc: dict) -> ScenarioSpec:
-    """Build a spec from a parsed JSON object, rejecting unknown or bad fields."""
-    known = {f.name: f.type for f in fields(ScenarioSpec)}
-    values = {}
-    for key, value in doc.items():
-        if key not in known:
-            raise SchemaError(f"unknown scenario field '{key}'")
-        values[key] = _typed(value, known[key], f"scenario field '{key}'")
-    spec = ScenarioSpec(**values)
-    _check_spec(spec)
-    return spec
-
-
-def _unique_keys(pairs: list) -> dict:
-    """The dict of a JSON object's name-value pairs; a name given twice (RFC 7493 §2.3) raises SchemaError."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise SchemaError(f"scenario field '{key}' given more than once")
-        doc[key] = value
-    return doc
+    def __post_init__(self):
+        for field in fields(self):
+            value = _typed(getattr(self, field.name), field.type, f"scenario field '{field.name}'")
+            object.__setattr__(self, field.name, value)
+        _check_spec(self)
 
 
 def load_scenario_spec(path) -> ScenarioSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON at line {exc.lineno}: {exc.msg}") from exc
+    """Read a spec file: a JSON object holding any subset of the :class:`ScenarioSpec` fields.
+
+    Invalid JSON, a top level that is not an object, a field given twice or
+    unknown, and a value the spec rejects raise SchemaError naming the file.
+    """
+    with open(path, "rb") as fh:
+        doc = _stdlib_loads(fh.read(), path, object_pairs_hook=_pairs_to_object)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
-    return scenario_from_dict(doc)
+    if isinstance(doc, _Repeated):
+        raise SchemaError(f"{path}: scenario field '{doc.key}' given more than once")
+    known = {f.name for f in fields(ScenarioSpec)}
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise SchemaError(f"{path}: unknown scenario field '{unknown[0]}'")
+    try:
+        return ScenarioSpec(**doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _check_spec(spec: ScenarioSpec) -> None:
@@ -98,7 +96,7 @@ def _check_spec(spec: ScenarioSpec) -> None:
     for name in positive:
         if getattr(spec, name) <= 0:
             raise SchemaError(f"scenario field '{name}' must be positive")
-    for name in ("shadow_sigma_db", "hotspot_radius_m"):
+    for name in ("shadow_sigma_db", "hotspot_radius_m", "rng_seed"):
         if getattr(spec, name) < 0:
             raise SchemaError(f"scenario field '{name}' must be >= 0")
     if not 0.0 <= spec.hotspot_fraction <= 1.0:
@@ -215,7 +213,6 @@ def generate(spec: ScenarioSpec) -> NetworkInstance:
     give an invalid instance, such as gains or powers beyond the float
     range, raises SchemaError, as building any instance does.
     """
-    _check_spec(spec)
     rng = np.random.default_rng(spec.rng_seed)
     sites, periods = _site_layout(spec.num_sites, spec.inter_site_distance_m)
     wrap = periods if spec.wraparound else None

@@ -32,6 +32,7 @@ from loadcouple import (
     generate,
     load_function,
     load_instance,
+    load_scenario_spec,
     save_instance,
     solve,
     solver,
@@ -707,8 +708,9 @@ def test_generate_rejects_a_spec_whose_instance_cannot_be_written(tmp_path, caps
     assert not (tmp_path / "x.json").exists()
 
 
-# each exited 1 with a traceback, wrote a file that every other command rejects, or took the last of
-# two values of one field; the text each error must name
+# each exited 1 with a traceback, wrote a file that every other command rejects, took the last of
+# two values of one field, or named neither the field nor the file; the text each error must name.
+# A surrogate escape is written as the byte it escapes, here 0xff.
 UNGENERATABLE_SPECS = {
     '{"tx_power_dbm": 4000}': "cell_power_nonpositive",  # 10 ** 397 W overflowed
     '{"bandwidth_mhz": 1e308}': "'bandwidth_mhz' gives inf resource blocks",  # round(inf)
@@ -719,13 +721,16 @@ UNGENERATABLE_SPECS = {
     '{"carrier_ghz": 1e-300}': "gain_nonpositive",
     '{"duration_s": 1e-6}': "'duration_s' gives 0.001 milliseconds",
     '{"num_sites": 3, "rng_seed": 7, "num_sites": 12}': "'num_sites' given more than once",
+    '{"rng_seed": -1}': "spec.json: scenario field 'rng_seed' must be >= 0",
+    '{"num_sites": ' + "[" * 1000 + "]" * 1000 + "}": "spec.json: JSON nested too deeply to read",
+    '{"num_sites": "\udcff"}': "spec.json: not valid UTF-8 at byte 15",
 }
 
 
 @pytest.mark.parametrize("text", list(UNGENERATABLE_SPECS))
 def test_generate_rejects_a_spec_with_one_error_line_and_writes_nothing(tmp_path, capsys, text):
     spec, out = tmp_path / "spec.json", tmp_path / "x.json"
-    spec.write_text(text)
+    spec.write_bytes(text.encode(errors="surrogateescape"))
     assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and UNGENERATABLE_SPECS[text] in err, err
@@ -747,6 +752,31 @@ def test_generate_reports_a_rule_broken_at_every_cell_once(tmp_path, capsys):
 _FLOAT_SPEC_FIELDS = [f.name for f in dataclasses.fields(ScenarioSpec) if f.type == "float"]
 # the ends of the float range, the smallest subnormal and a power or gain of 4000 dB
 _EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 4000.0, -4000.0, 0.0, 1e-300])
+
+
+# what a spec field's value may be drawn from: every JSON scalar, and the extremes
+_SPEC_VALUES = st.one_of(st.integers(), st.integers(-2**53, 2**53).map(float), st.floats(), st.booleans(),
+                         st.text(max_size=3), st.none(), _EXTREMES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(ScenarioSpec)]), _SPEC_VALUES))
+@example(doc={"num_sites": "3"})
+@example(doc={"wraparound": 1})
+@example(doc={"num_sites": 4.0, "rng_seed": -1})
+def test_a_spec_built_in_python_and_one_read_from_a_file_agree_property(doc):
+    """``ScenarioSpec(**doc)`` and the spec file of ``doc`` give equal specs, or the same SchemaError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc))
+        try:
+            built = ScenarioSpec(**doc)
+        except loadcouple.SchemaError as exc:
+            with pytest.raises(loadcouple.SchemaError) as info:
+                load_scenario_spec(path)
+            assert str(info.value) == f"{path}: {exc}"
+        else:
+            assert load_scenario_spec(path) == built
 
 
 @st.composite

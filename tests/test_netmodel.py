@@ -491,6 +491,16 @@ def test_truncated_file_names_line_and_column(tmp_path):
         load_instance(path)
 
 
+def test_a_byte_not_valid_in_utf8_is_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(), path)
+    data = path.read_bytes()
+    at = data.index(b'"noise_power_w"') + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not valid UTF-8 at byte {at}$"):
+        load_instance(path)
+
+
 # a block written twice, the first time nested 1000 deep: orjson reads up to
 # 1024 levels and keeps the last, and the stdlib, which then reads the file
 # to name the key (or, with a NaN, to read it at all), recurses per level

@@ -82,3 +82,9 @@ def test_readme_lists_every_code_the_gate_raises():
     listed = re.search(r"The codes are (.*?)\.\s", README.read_text(), re.S).group(1)
     assert sorted(codes) == sorted(re.findall(r"`(\w+)`", listed))
     assert len(set(codes)) == len(codes) == 14
+
+
+def test_readme_lists_every_spec_field():
+    listed = re.search(r"Scenario spec files carry any subset of the `ScenarioSpec` fields\s*\((.*?)\)",
+                       README.read_text(), re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(loadcouple.ScenarioSpec)]
