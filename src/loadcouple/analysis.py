@@ -3,10 +3,11 @@
 All questions here scale every pixel demand by a factor s.  The asymptotic
 slope A and offset b are linear in the demand, so at scale s the linear
 system is rho = s (A rho + b), feasible iff s rho(A) < 1: the boundary is
-1/rho(A).  Each question builds the coupling coefficients, A and b once
-and rho(A) at most once, takes each scale's verdict from s A and s b, and
-computes fixed points, from ``CouplingCoefficients.scaled``, only where
-they exist.
+1/rho(A).  Every question reads the instance's :func:`linfeas.model`, so
+the coupling coefficients, A and b, the unit-scale verdict and rho(A) are
+each built at most once per instance, whatever is asked of it.  Each
+question takes each scale's verdict from s A and s b, and computes fixed
+points, from ``CouplingCoefficients.scaled``, only where they exist.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import coupling, linfeas, solver
+from . import linfeas, solver
 
 # each certified boundary bracket is at most this wide relative to its lower end
 BOUNDARY_TOL = 1e-6  # feasibility_boundary's default
@@ -90,17 +91,17 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
     just above that and Newton descends.  Row order matches the input grid.
     A negative or non-finite scale raises ValueError.
     """
-    cc = coupling.coefficients(instance)
-    system = coupling.asymptotic_linearization(cc)
-    radius = linfeas.spectral_radius(system.slope)
+    model = linfeas.model(instance)
+    radius = model.spectral_radius
     rows: list[SweepRow] = []
     previous = None
     for s in map(float, scales):
-        feasible, outcome = linfeas.feasibility(system, s)
+        feasible, outcome = linfeas.feasibility(model.system, s)
         if not feasible:
             rows.append(SweepRow(s, False, s * radius, None, None, None))
             continue
-        report = solver.solve_coefficients(cc.scaled(s), solver.SolverConfig(start=previous), linear=outcome)
+        report = solver.solve_coefficients(model.coefficients.scaled(s), solver.SolverConfig(start=previous),
+                                           linear=outcome)
         previous = report.fixed_point
         rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
     return rows
@@ -117,12 +118,12 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = BOUNDARY_T
     """
     if not (0 < lo < hi and tol > 0):
         raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
-    system = coupling.asymptotic_linearization(coupling.coefficients(instance))
-    if not linfeas.feasibility(system, lo)[0]:
+    model = linfeas.model(instance)
+    if not linfeas.feasibility(model.system, lo)[0]:
         raise PreconditionError(f"instance is infeasible at lo={lo}")
-    if linfeas.feasibility(system, hi)[0]:
+    if linfeas.feasibility(model.system, hi)[0]:
         raise PreconditionError(f"instance is feasible at hi={hi}")
-    return _boundary(system, linfeas.spectral_radius(system.slope), tol, lo, hi)
+    return _boundary(model.system, model.spectral_radius, tol, lo, hi)
 
 
 def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
@@ -185,14 +186,10 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
         raise ValueError("configurations must have the same number of cells")
 
     def side(instance):
-        """Boundary scale and bound quality at base demand from one build and one rho(A)."""
-        cc = coupling.coefficients(instance)
-        system = coupling.asymptotic_linearization(cc)
-        feasible, linear = linfeas.feasibility(system)
-        boundary = _boundary(system, linear.spectral_radius, COMPARE_TOL).scale
-        if not feasible:
-            return boundary, None
-        return boundary, _bound_quality(solver.solve_coefficients(cc, linear=linear))
+        """Boundary scale and bound quality at base demand, both read from the instance's model."""
+        model = linfeas.model(instance)
+        boundary = _boundary(model.system, model.spectral_radius, COMPARE_TOL).scale
+        return boundary, bound_quality(instance) if model.verdict.status == linfeas.FEASIBLE else None
 
     boundary_a, bounds_a = side(instance_a)
     boundary_b, bounds_b = side(instance_b)

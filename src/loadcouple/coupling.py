@@ -55,7 +55,7 @@ class CouplingCoefficients:
     entry zeroed so that ``rho @ rel`` sums over the other cells only.
     ``rel`` is column-major, as the column gather from the gains gives it:
     the per-cell GEMVs of the Jacobian and the slope read its columns, and
-    their last bits depend on that layout.
+    their last bits depend on that layout.  Every array is made read-only.
     """
 
     num_cells: int
@@ -71,6 +71,10 @@ class CouplingCoefficients:
     rate_per_demand = _per_cell_views("a")
     rel_interference = _per_cell_views("rel")
     rel_noise = _per_cell_views("noise")
+
+    def __post_init__(self):
+        for name in ("pixel", "cell_of", "starts", "a", "rel", "noise"):
+            getattr(self, name).setflags(write=False)
 
     def scaled(self, s: float) -> "CouplingCoefficients":
         """The coefficients with every pixel demand multiplied by ``s``.

@@ -9,11 +9,17 @@ the slope's spectral radius, only when a caller reads it: for a
 nonnegative irreducible slope (every generated one) from a few LU steps of
 Noda's inverse iteration, whose Collatz-Wielandt bracket certifies it, and
 for any other matrix from one dense eigenvalue solve.
+
+An instance's questions read one :class:`Model`, from :func:`model`: its
+coefficients, asymptotic system, unit-scale verdict and spectral radius,
+each built once for as long as the instance lives.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -153,7 +159,9 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     solution = solution[np.argsort(order)]
     if np.min(solution) < -NEGATIVE_ATOL:
         return LinearSolveOutcome(INFEASIBLE_NEGATIVE, None, slope)
-    return LinearSolveOutcome(FEASIBLE, np.maximum(solution, 0.0), slope)
+    solution = np.maximum(solution, 0.0)
+    solution.setflags(write=False)
+    return LinearSolveOutcome(FEASIBLE, solution, slope)
 
 
 def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[bool, LinearSolveOutcome]:
@@ -172,6 +180,55 @@ def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[
 
 
 def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
-    """:func:`feasibility` for an instance."""
-    return feasibility(coupling.asymptotic_linearization(coupling.coefficients(instance)))
+    """:func:`feasibility` for an instance: its model's verdict."""
+    verdict = model(instance).verdict
+    return verdict.status == FEASIBLE, verdict
+
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """One instance's coupling coefficients and asymptotic system, with what they give once.
+
+    ``verdict`` is :func:`feasibility` at scale 1 and ``spectral_radius``
+    rho(A) of the slope; each is computed the first time it is read, and
+    the verdict's ``spectral_radius`` is this one value.  Every array is
+    read-only, so no caller can change a later answer.
+    """
+
+    coefficients: coupling.CouplingCoefficients
+    system: coupling.LinearizedSystem
+
+    @cached_property
+    def verdict(self) -> LinearSolveOutcome:
+        verdict = feasibility(self.system)[1]
+        if "spectral_radius" in self.__dict__:  # 1.0 * A is A bit for bit: the radii agree
+            verdict.__dict__["spectral_radius"] = self.spectral_radius
+        return verdict
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        verdict = self.__dict__.get("verdict")
+        return spectral_radius(self.system.slope) if verdict is None else verdict.spectral_radius
+
+
+# each instance's model, dropped with the instance; instances compare by identity
+_MODELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_MODELS_LOCK = threading.Lock()
+
+
+def model(instance) -> Model:
+    """The instance's :class:`Model`, built by the first call and returned by every later one.
+
+    It lives as long as the instance.  Built outside the lock, so two
+    threads may both build one; the first stored is the one every caller
+    gets.  Raises what :func:`coupling.coefficients` raises.
+    """
+    with _MODELS_LOCK:
+        found = _MODELS.get(instance)
+    if found is None:
+        cc = coupling.coefficients(instance)
+        built = Model(cc, coupling.asymptotic_linearization(cc))
+        with _MODELS_LOCK:
+            found = _MODELS.setdefault(instance, built)
+    return found
 

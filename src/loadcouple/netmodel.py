@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import struct
 import sys
 import threading
@@ -295,7 +296,9 @@ def _typed(value, kind: str, what: str):
     """``value`` if it is a JSON ``kind`` ("int", "float" or "bool"), else SchemaError.
 
     Booleans are not numbers, floats must be finite, and an int may be
-    written as an integral float, which is returned as int.
+    written as an integral float, which is returned as int.  The error
+    shows the value as ``reprlib.repr`` abbreviates it, so a long string or
+    a deep list gives a short line.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int":
@@ -306,7 +309,7 @@ def _typed(value, kind: str, what: str):
     else:
         valid = isinstance(value, bool)
     if not valid:
-        raise SchemaError(f"{what} must be of type {kind}, got {value!r}")
+        raise SchemaError(f"{what} must be of type {kind}, got {reprlib.repr(value)}")
     return int(value) if kind == "int" else value
 
 
@@ -410,7 +413,11 @@ def _pairs_to_object(pairs: list) -> dict:
 
 
 def _stdlib_loads(data: bytes, path, **hooks):
-    """``json.loads`` raising SchemaError: on invalid JSON or text, located, and on nesting deeper than it reads."""
+    """``json.loads`` raising SchemaError: on invalid JSON or text, located, and on what it cannot read.
+
+    That is nesting deeper than it recurses and an integer longer than
+    Python converts from a string (``sys.get_int_max_str_digits``).
+    """
     try:
         return json.loads(data, **hooks)
     except json.JSONDecodeError as exc:
@@ -419,6 +426,8 @@ def _stdlib_loads(data: bytes, path, **hooks):
         raise SchemaError(f"{path}: not valid {exc.encoding.upper()} at byte {exc.start}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nested too deeply to read") from exc
+    except ValueError as exc:  # the one other: an integer longer than Python converts from a string
+        raise SchemaError(f"{path}: JSON integer has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def _reject_repeated_keys(data: bytes, path) -> None:

@@ -71,7 +71,8 @@ class SolveReport:
     stop), ``lower`` the asymptotic solution and ``upper`` the latest tangent
     bound, raised to ``fixed_point``; for feasible instances the three are
     ordered lower <= fixed_point <= upper.  ``residual`` is the final
-    iterate's.  ``linear`` carries the feasibility check's diagnostics.
+    iterate's.  ``linear`` carries the feasibility check's diagnostics; its
+    read-only ``solution`` is ``lower``.
     ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
     because the tangent system was unusable.
     ``start_upper`` is the first iteration's tangent bound, the fixed point
@@ -162,7 +163,8 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     (f(rho) >= rho, checked by evaluation) rather than the last iterate; the
     fixed point lies between them.
     """
-    return solve_coefficients(coupling.coefficients(instance), config)
+    model = linfeas.model(instance)
+    return solve_coefficients(model.coefficients, config, linear=model.verdict)
 
 
 def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[SolverConfig] = None,

@@ -1,6 +1,10 @@
 import dataclasses
+import functools
 import math
+import sys
+import threading
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,6 +24,7 @@ from loadcouple import (
     NetworkInstance,
     PreconditionError,
     SolveReport,
+    SolverConfig,
     asymptotic_linearization,
     bound_quality,
     coefficients,
@@ -379,14 +384,17 @@ def test_boundary_raises_when_radius_is_off(monkeypatch):
         compare_configs(instance, instance)
 
 
-@pytest.mark.parametrize("question,instances,radii,verdicts", [
-    (lambda a, b: demand_sweep(a, np.linspace(0.2, 1.5, 8)), 1, 1, 8),
-    (lambda a, b: feasibility_boundary(a, lo=0.5, hi=2.0), 1, 1, 4),
-    (lambda a, b: compare_configs(a, b), 2, 2, 6),
-    (lambda a, b: bound_quality(a), 1, 0, 1),
-    (lambda a, b: solve(a), 1, 0, 1),
+# the second time a question is asked of the same instances, it takes only the
+# verdicts at scales other than 1: the unit-scale verdict is each model's
+@pytest.mark.parametrize("question,instances,radii,verdicts,repeat_verdicts", [
+    (lambda a, b: demand_sweep(a, np.linspace(0.2, 1.5, 8)), 1, 1, 8, 8),
+    (lambda a, b: feasibility_boundary(a, lo=0.5, hi=2.0), 1, 1, 4, 4),
+    (lambda a, b: compare_configs(a, b), 2, 2, 6, 4),
+    (lambda a, b: bound_quality(a), 1, 0, 1, 0),
+    (lambda a, b: solve(a), 1, 0, 1, 0),
 ], ids=["demand_sweep", "feasibility_boundary", "compare_configs", "bound_quality", "solve"])
-def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, instances, radii, verdicts):
+def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, instances, radii, verdicts,
+                                                    repeat_verdicts):
     rng = np.random.default_rng(SEED + 17)
     a = random_instance(rng, 4, 5, radius_target=0.8)
     b = a.with_demand_scale(1.1)
@@ -396,3 +404,164 @@ def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, insta
     assert counts["spectral_radius"] == radii
     assert counts["with_demand_scale"] == 0
     assert counts["feasibility"] == counts["solve_linear"] == verdicts
+    counts.clear()
+    question(a, b)  # the same question again: nothing is built a second time
+    assert counts["coefficients"] == counts["asymptotic_linearization"] == counts["spectral_radius"] == 0
+    assert counts["feasibility"] == counts["solve_linear"] == repeat_verdicts
+
+
+def _radii_read_by_every_question(instance) -> dict:
+    """The spectral radius of A as each command prints it or divides by it, by question."""
+    return {
+        "solve": lambda: solve(instance).linear.spectral_radius,
+        "feasibility": lambda: feasibility_check(instance)[1].spectral_radius,
+        "sweep": lambda: demand_sweep(instance, [1.0])[0].spectral_radius,
+        "boundary": lambda: 1.0 / feasibility_boundary(instance, lo=0.5, hi=2.0).scale,
+        "compare": lambda: 1.0 / compare_configs(instance, instance).boundary_a,
+    }
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["verdict_first", "radius_first"])
+def test_every_question_on_one_instance_shares_one_perron_root(monkeypatch, reverse):
+    """solve, feasibility, sweep, boundary and compare on one instance compute rho(A) once in total.
+
+    In the forward order the unit-scale verdict is taken before the radius
+    is read, in the reverse order after: either way its radius is the
+    model's.
+    """
+    instance = random_instance(np.random.default_rng(SEED + 18), 4, 5, radius_target=0.8)
+    counts = _count_calls(monkeypatch)
+    questions = _radii_read_by_every_question(instance)
+    radii = {name: questions[name]() for name in (reversed(questions) if reverse else questions)}
+    assert counts["spectral_radius"] == 1
+    assert counts["coefficients"] == counts["asymptotic_linearization"] == 1
+    radius = linfeas.model(instance).spectral_radius
+    assert radii["solve"] == radii["feasibility"] == radii["sweep"] == radius
+    # 1/(1/x) is x or a neighbour of x
+    assert radii["boundary"] == radii["compare"] == pytest.approx(radius, rel=4e-16)
+
+
+def test_model_arrays_are_read_only():
+    """No caller can change a later answer by writing into what a question handed out."""
+    instance = random_instance(np.random.default_rng(SEED + 19), 4, 5, radius_target=0.8)
+    report = solve(instance)
+    model = linfeas.model(instance)
+    lower = report.lower.copy()
+    assert report.lower is model.verdict.solution
+    with pytest.raises(ValueError, match="read-only"):
+        report.lower[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.coefficients.rel[0, 0] = 1.0
+    cc = model.coefficients
+    for array in (cc.pixel, cc.cell_of, cc.starts, cc.a, cc.rel, cc.noise, cc.scaled(2.0).a,
+                  model.system.slope, model.system.offset, model.verdict.slope):
+        assert not array.flags.writeable
+    assert np.array_equal(solve(instance).lower, lower)
+
+
+def test_a_model_is_freed_with_its_instance():
+    """The table keys models weakly, and a model holds no cycle: it goes when its instance does."""
+    instance = random_instance(np.random.default_rng(SEED + 21), 4, 5, radius_target=0.8)
+    report = solve(instance)
+    model = weakref.ref(linfeas.model(instance))
+    assert model().spectral_radius == report.linear.spectral_radius
+    del instance
+    assert model() is None
+    assert report.linear.status == "feasible"  # a report keeps its verdict, not the model
+
+
+def _bits(value):
+    """``value`` as comparable bits: every float by its hex, every array by its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return repr(value)
+
+
+def _questions(instance) -> dict:
+    """Every question of the package on one instance, each answer as bits, a raised error as its text."""
+    def answer(question):
+        try:
+            return _bits(question())
+        except (PreconditionError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+    def solved():
+        report = solve(instance)
+        return report, report.linear.spectral_radius
+
+    def checked():
+        feasible, outcome = feasibility_check(instance)
+        return feasible, outcome, outcome.spectral_radius
+
+    questions = {
+        "solve": solved,
+        "interval": lambda: solve(instance, SolverConfig(interval_width=1e-6)),
+        "feasibility": checked,
+        "sweep": lambda: demand_sweep(instance, [0.25, 0.5, 1.0, 1.5]),
+        "boundary": lambda: feasibility_boundary(instance, lo=0.1, hi=10.0),
+        "bounds": lambda: bound_quality(instance),
+        "compare": lambda: compare_configs(instance, instance),
+    }
+    return {name: functools.partial(answer, question) for name, question in questions.items()}
+
+
+def _fresh_answers(instance) -> dict:
+    """Each question's answer on a copy of ``instance`` of its own, with a model of its own."""
+    return {name: _questions(dataclasses.replace(instance))[name]() for name in _questions(instance)}
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 5), radius_target=st.floats(0.3, 1.5),
+       orders=st.lists(st.permutations(list(_questions(None))), min_size=2, max_size=2))
+def test_answers_do_not_depend_on_what_was_asked_before_property(seed, num_cells, radius_target, orders):
+    """Questions asked in two orders on one instance each answer as on a freshly built copy, bit for bit."""
+    instance = random_instance(np.random.default_rng(seed), num_cells, 3, radius_target)
+    fresh = _fresh_answers(instance)
+    for order in orders:
+        questions = _questions(dataclasses.replace(instance))
+        assert {name: questions[name]() for name in order} == fresh, order
+
+
+def test_threads_asking_one_instance_share_one_model_and_agree():
+    """Six threads, more than the cores, ask every question of one instance in rotated orders.
+
+    Each must answer as a fresh copy does, bit for bit, and all must read
+    the one model that the instance keeps.
+    """
+    instance = random_instance(np.random.default_rng(SEED + 20), 5, 4, radius_target=0.9)
+    fresh = _fresh_answers(instance)
+    questions = _questions(instance)
+    names = list(questions)
+    workers = 6
+    start = threading.Barrier(workers)
+    answers, models, errors = [None] * workers, [None] * workers, []
+
+    def work(k):
+        try:
+            start.wait(timeout=30)
+            models[k] = linfeas.model(instance)
+            order = names[k % len(names):] + names[:k % len(names)]
+            answers[k] = [{name: questions[name]() for name in order} for _ in range(3)]
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(model is linfeas.model(instance) for model in models)
+    assert all(rounds == [fresh] * 3 for rounds in answers)

@@ -30,6 +30,7 @@ from loadcouple import (
     coefficients,
     feasibility_boundary,
     generate,
+    linfeas,
     load_function,
     load_instance,
     load_scenario_spec,
@@ -288,6 +289,23 @@ def test_generated_instances_never_take_the_dense_eigenvalue_solve(tmp_path, mon
                  ["compare", "--a", str(a), "--b", str(b)]):
         assert main(argv) == 0, argv
     assert "spectral radius 0.15303198818935" in capsys.readouterr().out
+
+
+def test_every_command_on_one_file_computes_one_perron_root(tmp_path, monkeypatch):
+    """The five commands that print or divide by rho(A), run on one file in one process, compute it once.
+
+    Each load returns the instance the first one parsed, whose model keeps the radius.
+    """
+    path = _write_instance(tmp_path, random_instance(np.random.default_rng(SEED + 70), 4, 5, radius_target=0.7))
+    radii = []
+    original = linfeas.spectral_radius
+    monkeypatch.setattr(linfeas, "spectral_radius", lambda matrix: radii.append(1) or original(matrix))
+    for argv in (["solve", "--instance", str(path)], ["feasibility", "--instance", str(path)],
+                 ["sweep", "--instance", str(path), "--scales", "1:2:3"],
+                 ["boundary", "--instance", str(path), "--lo", "0.5", "--hi", "4"],
+                 ["compare", "--a", str(path), "--b", str(path)]):
+        assert main(argv) == 0, argv
+    assert len(radii) == 1
 
 
 def test_bounds_command(tmp_path):
@@ -724,6 +742,7 @@ UNGENERATABLE_SPECS = {
     '{"rng_seed": -1}': "spec.json: scenario field 'rng_seed' must be >= 0",
     '{"num_sites": ' + "[" * 1000 + "]" * 1000 + "}": "spec.json: JSON nested too deeply to read",
     '{"num_sites": "\udcff"}': "spec.json: not valid UTF-8 at byte 15",
+    '{"rng_seed": ' + "1" * 5000 + "}": f"spec.json: JSON integer has more than {sys.get_int_max_str_digits()} digits",
 }
 
 
@@ -735,6 +754,31 @@ def test_generate_rejects_a_spec_with_one_error_line_and_writes_nothing(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and UNGENERATABLE_SPECS[text] in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("generate", "num_sites", "a" * 100_000),
+    ("generate", "num_sites", json.loads("[" * 900 + "]" * 900)),
+    ("generate", "duration_s", list(range(10_000))),
+    ("solve", "noise_power_w", "1" * 100_000),
+], ids=["long_string", "deep_list", "long_list", "instance_long_string"])
+def test_a_mistyped_field_gives_a_short_error_line_naming_the_field(tmp_path, capsys, command, field, value):
+    """The error shows the value abbreviated: at most a few dozen characters of it."""
+    if command == "generate":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({field: value}))
+        argv = ["generate", "--spec", str(path), "--out", str(tmp_path / "x.json")]
+    else:
+        path = _write_instance(tmp_path, frozen_two_cell())
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        argv = ["solve", "--instance", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err[:300]
+    assert f"{field}' must be of type" in err or f"{field} must be of type" in err, err[:300]
+    assert len(err.encode()) < len(str(path)) + 150, err
 
 
 def test_generate_reports_a_rule_broken_at_every_cell_once(tmp_path, capsys):

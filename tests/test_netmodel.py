@@ -501,6 +501,17 @@ def test_a_byte_not_valid_in_utf8_is_rejected_naming_the_file(tmp_path):
         load_instance(path)
 
 
+def test_an_integer_longer_than_python_converts_is_rejected_naming_the_file(tmp_path):
+    """orjson reads 5000 digits as inf and rejects it, and the stdlib meets CPython's digit limit."""
+    path = tmp_path / "inst.json"
+    save_instance(_small_instance(), path)
+    data = re.sub(rb'"demand_bits":[^,}]+', b'"demand_bits":' + b"7" * 5000, path.read_bytes(), count=1)
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: JSON integer has more than "
+                                          f"{sys.get_int_max_str_digits()} digits$"):
+        load_instance(path)
+
+
 # a block written twice, the first time nested 1000 deep: orjson reads up to
 # 1024 levels and keeps the last, and the stdlib, which then reads the file
 # to name the key (or, with a NaN, to read it at all), recurses per level

@@ -368,20 +368,24 @@ def test_newton_fallbacks_are_counted(monkeypatch):
 
 
 def test_newton_iteration_factors_once(monkeypatch):
-    """A solve evaluates the Jacobian once per iteration and solves no linear system beyond its verdict."""
+    """A solve evaluates the Jacobian once per iteration and solves no linear system beyond its verdict.
+
+    The verdict is the instance's model's: the first solve takes it, a
+    second solve of the same instance reads it.
+    """
     jacobians, linear_solves = [], []
     original_jacobian, original_solve_linear = coupling.jacobian, linfeas.solve_linear
     monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
     monkeypatch.setattr(linfeas, "solve_linear",
                         lambda system: linear_solves.append(1) or original_solve_linear(system))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
-    for config in (None, SolverConfig(interval_width=1e-6)):
+    for config, verdicts in ((None, 1), (SolverConfig(interval_width=1e-6), 0)):
         jacobians.clear()
         linear_solves.clear()
         report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
         assert len(jacobians) == len(report.trace) == report.iterations + 1
-        assert len(linear_solves) == 1  # the feasibility verdict
+        assert len(linear_solves) == verdicts  # the feasibility verdict, taken by the first solve only
 
 
 @pytest.mark.parametrize("num_sites", [3, 12])
