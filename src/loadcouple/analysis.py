@@ -13,7 +13,7 @@ points, from ``CouplingCoefficients.scaled``, only where they exist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,8 @@ from . import linfeas, solver
 # each certified boundary bracket is at most this wide relative to its lower end
 BOUNDARY_TOL = 1e-6  # feasibility_boundary's default
 COMPARE_TOL = 1e-4  # compare_configs'
+# feasible scales a sweep solves in lockstep: bounds its stack of n x n Jacobians
+SWEEP_ROWS = 32
 
 
 class PreconditionError(ValueError):
@@ -86,24 +88,37 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
     """Fixed point and bounds across a grid of demand scales.
 
     Each row reports s rho(A) and takes its verdict from one LU of
-    I - s A, with A built once.  Each solve warm-starts from the previous
-    feasible fixed point, near the row's own, so the first Newton step lands
-    just above that and Newton descends.  Row order matches the input grid.
-    A negative or non-finite scale raises ValueError.
+    I - s A, with A built once.  The feasible scales are solved together,
+    up to SWEEP_ROWS at a time, each from its own asymptotic solution: a
+    row does not depend on the rows before it, and all of a chunk's rows
+    share each map evaluation, Jacobian and stacked LU.  Scale 0 drops
+    every pixel, so its row is solved alone.  Row order matches the input
+    grid.  A negative or non-finite scale raises ValueError.
     """
     model = linfeas.model(instance)
     radius = model.spectral_radius
+    config = solver.SolverConfig()
     rows: list[SweepRow] = []
-    previous = None
+    chunk: list[tuple[int, linfeas.LinearSolveOutcome]] = []
+
+    def solve_group(group):
+        scaled = [(model.coefficients.scaled(rows[i].scale), outcome) for i, outcome in group]
+        for (i, _), report in zip(group, solver.solve_rows(scaled, config)):
+            rows[i] = replace(rows[i], rho_star=report.fixed_point, rho_lower=report.lower,
+                              solve_status=report.status)
+
     for s in map(float, scales):
         feasible, outcome = linfeas.feasibility(model.system, s)
-        if not feasible:
-            rows.append(SweepRow(s, False, s * radius, None, None, None))
-            continue
-        report = solver.solve_coefficients(model.coefficients.scaled(s), solver.SolverConfig(start=previous),
-                                           linear=outcome)
-        previous = report.fixed_point
-        rows.append(SweepRow(s, True, s * radius, report.fixed_point, report.lower, report.status))
+        rows.append(SweepRow(s, feasible, s * radius, None, None, None))
+        if feasible and s == 0:  # no pixel left: a layout of its own
+            solve_group([(len(rows) - 1, outcome)])
+        elif feasible:
+            chunk.append((len(rows) - 1, outcome))
+            if len(chunk) == SWEEP_ROWS:
+                solve_group(chunk)
+                chunk = []
+    if chunk:
+        solve_group(chunk)
     return rows
 
 

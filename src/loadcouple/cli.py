@@ -104,11 +104,10 @@ def _cmd_solve(args) -> int:
         f"status={report.status} iterations={report.iterations} "
         f"residual={_fmt(report.residual)} spectral_radius={_fmt(report.linear.spectral_radius)}"
     )
-    rows = []
+    rows, upper = [], report.upper  # read once: the first read solves the last tangent system
     for i in range(instance.num_cells):
-        upper = float(report.upper[i]) if report.upper is not None else None
         rows.append([i + 1, float(report.fixed_point[i]), float(report.lower[i]),
-                     upper, report.residual])
+                     None if upper is None else float(upper[i]), report.residual])
     _write_csv(args.out, comment, header, rows)
     return EXIT_OK if report.status == solver.CONVERGED else EXIT_MAX_ITER
 

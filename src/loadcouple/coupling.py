@@ -14,6 +14,11 @@ SINR is 1/u_j and the pixel adds 1 / (a[j] * log2(1 + 1/u_j)) to the load
 of its serving cell.  The module also builds the map's Jacobian, whose
 tangent plane sits above the map (the solver's Newton step solves it), and
 the map's slope limit at infinite load, which sits below it everywhere.
+
+The map and Jacobian kernels take a stack of rows that share one layout
+and differ in ``a``, the demand scale: a sweep evaluates all its scales in
+one pass.  :func:`load_function` and :func:`jacobian` are their one-row
+case, with the same bits.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ class CouplingCoefficients:
     rel: np.ndarray
     noise: np.ndarray
 
-    # per-cell views of a, rel and noise: only bench/tracer.py reads them, to size a
-    # map evaluation, and they go once the benchmark sizes the packed arrays instead
+    # per-cell views of a, rel and noise, built on first read: the Jacobian's per-cell
+    # products take rel's, so no call slices rel again; bench/tracer.py sizes a map
+    # evaluation from all three
     rate_per_demand = _per_cell_views("a")
     rel_interference = _per_cell_views("rel")
     rel_noise = _per_cell_views("noise")
@@ -159,29 +165,58 @@ def coefficients(instance) -> CouplingCoefficients:
     )
 
 
-def _loads(cc: CouplingCoefficients, u: np.ndarray) -> np.ndarray:
-    """Per-cell load when every pixel sees interference-plus-noise ``u``."""
+def _loads(cc: CouplingCoefficients, a: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Row r is the per-cell load where pixel j has log1p(1/u) ``lg[r, j]`` and rate per demand ``a[r, j]``.
+
+    One flattened ``bincount`` sums every row; each row's sum runs in the
+    same order as a one-row call, so its bits do not depend on the others.
+    """
     # spectral efficiency log2(1 + 1/u), via log1p for large u accuracy
-    terms = 1.0 / (cc.a * np.log1p(1.0 / u))
-    return LN2 * np.bincount(cc.cell_of, weights=terms, minlength=cc.num_cells)
+    terms = 1.0 / (a * lg)
+    rows, n = len(terms), cc.num_cells
+    index = cc.cell_of if rows == 1 else (cc.cell_of + n * np.arange(rows)[:, None]).ravel()
+    return LN2 * np.bincount(index, weights=terms.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def _cell_sums(cc: CouplingCoefficients, weights: np.ndarray) -> np.ndarray:
-    """Row i is ``rel @ weights`` over cell i's packed columns, one GEMV per cell.
+    """Matrix [r, i] is ``rel @ weights[r]`` over cell i's packed columns, one product per cell for all rows.
 
-    A cell that serves no demanded pixel gets a zero row.
+    One row takes a GEMV per cell on vectors, the cheapest call; a stack
+    takes one ``matmul`` per cell.  A cell that serves no demanded pixel
+    gets a zero row.
     """
-    out = np.empty((cc.num_cells, cc.num_cells))
+    rows = len(weights)
+    out = np.empty((cc.num_cells, cc.num_cells, rows))
+    blocks, columns, product = (out[..., 0], weights[0], np.dot) if rows == 1 else (out, weights.T, np.matmul)
     starts = cc.starts.tolist()
-    for row, s, e in zip(out, starts, starts[1:]):
-        np.dot(cc.rel[:, s:e], weights[s:e], out=row)
-    return out
+    for block, rel, s, e in zip(blocks, cc.rel_interference, starts, starts[1:]):
+        product(rel, columns[s:e], out=block)
+    return out.transpose(2, 0, 1)
+
+
+def _evaluate(cc: CouplingCoefficients, a: np.ndarray, rho: np.ndarray):
+    """The map at each row of ``rho`` (rows x num_cells), row r with rate per demand ``a[r]``.
+
+    Returns the loads with the interference-plus-noise u and log1p(1/u) they
+    used, which :func:`_slopes` takes to give the Jacobian at the same rows.
+    """
+    u = rho @ cc.rel + cc.noise
+    lg = np.log1p(1.0 / u)
+    return _loads(cc, a, lg), u, lg
+
+
+def _slopes(cc: CouplingCoefficients, a: np.ndarray, u: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """The Jacobian at each row whose u and log1p(1/u) :func:`_evaluate` gave (rows x n x n)."""
+    # the derivative's denominator a lg^2 (u^2 + u), grouped so that a huge u (noise or
+    # interference far above the serving power) stays in the float range: lg u and
+    # lg (u + 1) both tend to 1 as u grows
+    return _cell_sums(cc, LN2 / (a * (lg * u) * (lg * (u + 1.0))))
 
 
 def load_function(cc: CouplingCoefficients, rho) -> np.ndarray:
     """Evaluate the coupling map: the load each cell needs given loads ``rho``."""
     rho = np.asarray(rho, dtype=np.float64)
-    return _loads(cc, rho @ cc.rel + cc.noise)
+    return _evaluate(cc, cc.a[None], rho[None])[0][0]
 
 
 def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
@@ -191,12 +226,8 @@ def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
     pixels' interference.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    u = rho @ cc.rel + cc.noise
-    lg = np.log1p(1.0 / u)
-    # the derivative's denominator a lg^2 (u^2 + u), grouped so that a huge u (noise or
-    # interference far above the serving power) stays in the float range: lg u and
-    # lg (u + 1) both tend to 1 as u grows
-    return _cell_sums(cc, LN2 / (cc.a * (lg * u) * (lg * (u + 1.0))))
+    _, u, lg = _evaluate(cc, cc.a[None], rho[None])
+    return _slopes(cc, cc.a[None], u, lg)[0]
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
@@ -207,4 +238,6 @@ def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:
     This affine map underestimates the coupling map everywhere on the
     nonnegative orthant.
     """
-    return LinearizedSystem(slope=_cell_sums(cc, LN2 / cc.a), offset=_loads(cc, cc.noise))
+    a = cc.a[None]
+    return LinearizedSystem(slope=_cell_sums(cc, LN2 / a)[0],
+                            offset=_loads(cc, a, np.log1p(1.0 / cc.noise)[None])[0])

@@ -17,11 +17,14 @@ each built once for as long as the instance lives.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import threading
 import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -134,6 +137,71 @@ def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     except np.linalg.LinAlgError:
         return None
     return x if np.all(np.isfinite(x)) else None
+
+
+def _lu_solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> list[Optional[np.ndarray]]:
+    """:func:`_lu_solve` on each system of a stack, by one stacked ``gesv``.
+
+    numpy raises for the whole stack when any system meets an exact zero
+    pivot; the systems are then solved one at a time.  Each system's LU
+    is its own, so its bits do not depend on the others.
+    """
+    try:
+        x = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        return [_lu_solve(one_lhs, one_rhs) for one_lhs, one_rhs in zip(lhs, rhs)]
+    return [one if np.all(np.isfinite(one)) else None for one in x]
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None where there is none."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: OpenBLAS runs on one thread while any block is inside, then gets its count back.
+
+    A product stacked over many rows is split among OpenBLAS threads in a
+    way that moves its last bits, so kernels that stack rows run pinned and
+    their answers do not depend on the thread count.  The count is
+    process-wide, so nested and concurrent blocks share one pin, and the
+    last to leave restores the count the first found.  Where numpy's
+    OpenBLAS has no setter, blocks run unpinned.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if self._depth == 0 and calls is not None:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._saved is not None:
+                _openblas_thread_calls()[1](self._saved)
+                self._saved = None
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:

@@ -298,7 +298,8 @@ def _typed(value, kind: str, what: str):
     Booleans are not numbers, floats must be finite, and an int may be
     written as an integral float, which is returned as int.  The error
     shows the value as ``reprlib.repr`` abbreviates it, so a long string or
-    a deep list gives a short line.
+    a deep list gives a short line; an int too long for CPython to convert
+    to a string is shown by its bit length.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "int":
@@ -309,8 +310,18 @@ def _typed(value, kind: str, what: str):
     else:
         valid = isinstance(value, bool)
     if not valid:
-        raise SchemaError(f"{what} must be of type {kind}, got {reprlib.repr(value)}")
+        raise SchemaError(f"{what} must be of type {kind}, got {_shown(value)}")
     return int(value) if kind == "int" else value
+
+
+def _shown(value) -> str:
+    """``reprlib.repr(value)``, or a description where an int in it is too long for CPython to print."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # CPython's digit limit on int-to-str, met by the int or one inside the value
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to show"
 
 
 def _float(value, what: str) -> float:

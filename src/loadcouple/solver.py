@@ -11,13 +11,20 @@ iteration gives the step, whose end is the tangent upper bound, and a
 certified sub-solution: a bracket that shrinks as it proceeds.  The first
 iteration's tangent bound, anchored at the start, is the one the
 bound-quality report reads: it is the only place a tangent plane is solved.
+
+One iteration loop runs a stack of rows that share one
+coefficient layout and differ in the demand scale: each row's logic is
+written once, as a generator, and each round serves every row's map
+evaluation, and every row's Newton step, with one kernel call.  A solve is
+one row; a demand sweep solves its feasible scales together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -34,9 +41,9 @@ class SolverConfig:
 
     The solve stops once the residual rule holds or, when ``interval_width``
     is set, once the certified interval is at most that wide.  ``start``
-    overrides the default starting iterate (the asymptotic lower bound),
-    which lets sweep drivers warm-start from a neighbouring fixed point; it
-    is raised to that bound where it lies below.
+    overrides the default starting iterate (the asymptotic lower bound), as
+    when a caller knows a point near the fixed point; it is raised to that
+    bound where it lies below.
     """
 
     tol_residual: float = 1e-10
@@ -70,7 +77,11 @@ class SolveReport:
     ``status == "converged"``; the certified low end under the interval
     stop), ``lower`` the asymptotic solution and ``upper`` the latest tangent
     bound, raised to ``fixed_point``; for feasible instances the three are
-    ordered lower <= fixed_point <= upper.  ``residual`` is the final
+    ordered lower <= fixed_point <= upper.  Under the residual stop the last
+    iterate's tangent bound is computed the first time ``upper`` is read,
+    from the interference terms its map evaluation kept; until then the
+    solve has taken one Jacobian per step, and the last trace entry's width
+    is that of the bound before.  ``residual`` is the final
     iterate's.  ``linear`` carries the feasibility check's diagnostics; its
     read-only ``solution`` is ``lower``.
     ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
@@ -84,7 +95,7 @@ class SolveReport:
     status: str
     fixed_point: Optional[np.ndarray]
     lower: Optional[np.ndarray]
-    upper: Optional[np.ndarray]
+    _upper: Union[np.ndarray, None, Callable[[], Optional[np.ndarray]]] = field(repr=False)
     residual: float
     iterations: int
     trace: list[TraceEntry] = field(default_factory=list)
@@ -92,17 +103,44 @@ class SolveReport:
     fallbacks: int = 0
     start_upper: Optional[np.ndarray] = None
 
+    @property
+    def upper(self) -> Optional[np.ndarray]:
+        if callable(self._upper):
+            self._upper = self._upper()
+        return self._upper
 
-def _iterate(cc, rho, linear, config) -> SolveReport:
-    """Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration.
+
+MAP, STEP = "map", "step"
+
+
+def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The tangent plane's fixed point rho + step, clamped at zero; None when unusable.
+
+    Unusable: the system is singular or the point has a component below
+    -NEGATIVE_ATOL.
+    """
+    if steps is None:
+        return None
+    tangent = rho + steps[:, 0]
+    return np.maximum(tangent, 0.0) if np.min(tangent) >= -linfeas.NEGATIVE_ATOL else None
+
+
+def _newton(cc, rho, linear, config):
+    """Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration, as a generator.
 
     The next iterate is the tangent plane's fixed point, ``upper``, or f(rho)
-    where that system is singular or has a component below -NEGATIVE_ATOL;
-    either stays above the asymptotic solution L, as f(rho) >= f(L) >= L.
-    ``low`` is a sub-solution, f(low) >= low: the asymptotic solution, then,
-    checked by evaluation, any iterate that is one and, under the interval
-    stop, the zero of the minorant through ``low`` with slope J(rho) - I at a
-    super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
+    where that system is unusable; either stays above the asymptotic
+    solution L, as f(rho) >= f(L) >= L.  ``low`` is a sub-solution,
+    f(low) >= low: the asymptotic solution, then, checked by evaluation, any
+    iterate that is one and, under the interval stop, the zero of the
+    minorant through ``low`` with slope J(rho) - I at a super-solution rho
+    (J is nonincreasing, so J(rho) <= J on [low, rho*]).
+
+    The kernels are :func:`_iterate`'s.  The row yields ``(MAP, x)`` and is
+    sent f(x) with the u and log1p(1/u) that gave it, and yields
+    ``(STEP, u, lg, rhs)`` and is sent the solution of (I - J) x = rhs, J
+    the Jacobian where u and lg were kept, or None.  It returns its
+    :class:`SolveReport`.
     """
     stop_width = config.interval_width
     lower = linear.solution
@@ -110,27 +148,32 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
     upper = start_upper = None
     trace: list[TraceEntry] = []
     fallbacks = 0
-    f_rho = coupling.load_function(cc, rho)
+    f_rho, u, lg = yield MAP, rho
     for t in range(config.max_iter + 1):
         residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
         converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
         if np.all(f_rho >= rho) and np.all(rho >= low):
             low, f_low = rho, f_rho
         lift = stop_width is not None and bool(np.all(f_rho <= rho))
-        f_low = coupling.load_function(cc, low) if lift and f_low is None else f_low
-        rhs = np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
-        steps = linfeas._lu_solve(np.eye(len(rho)) - coupling.jacobian(cc, rho), rhs)
-        tangent = None if steps is None else rho + steps[:, 0]  # the tangent plane's fixed point
-        usable = tangent is not None and bool(np.min(tangent) >= -linfeas.NEGATIVE_ATOL)
-        if usable:
-            upper = np.maximum(tangent, 0.0)
-            if t == 0:  # anchored at the start: the bound the bound-quality report reads
-                start_upper = upper
-        if steps is not None and lift:
-            candidate = np.maximum(low + steps[:, 1], low)
-            f_candidate = coupling.load_function(cc, candidate)
-            if np.all(f_candidate >= candidate):
-                low, f_low = candidate, f_candidate
+        if lift and f_low is None:
+            f_low, *_ = yield MAP, low
+        step = STEP, u, lg, np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
+        # the residual stop needs no step at its last iterate past the start: ``upper``
+        # takes it when it is read
+        deferred = stop_width is None and t > 0 and (converged or t == config.max_iter)
+        if not deferred:
+            steps = yield step
+            bound = _tangent_bound(rho, steps)
+            usable = bound is not None
+            if usable:
+                upper = bound
+                if t == 0:  # anchored at the start: the bound the bound-quality report reads
+                    start_upper = upper
+            if steps is not None and lift:
+                candidate = np.maximum(low + steps[:, 1], low)
+                f_candidate, *_ = yield MAP, candidate
+                if np.all(f_candidate >= candidate):
+                    low, f_low = candidate, f_candidate
         width = float(np.max(upper - low)) if upper is not None else math.inf
         trace.append(TraceEntry(iteration=t, residual=residual, interval_width=width))
         done = converged or (stop_width is not None and width <= stop_width)
@@ -139,12 +182,82 @@ def _iterate(cc, rho, linear, config) -> SolveReport:
             break
         fallbacks += not usable
         rho = upper if usable else f_rho  # Newton from above, else a plain step
-        f_rho = coupling.load_function(cc, rho)
+        f_rho, u, lg = yield MAP, rho
     point = rho if stop_width is None else low
-    # the maximum of an upper bound and any vector is an upper bound
-    upper = None if upper is None else np.maximum(upper, point)
+    if deferred:
+        upper = functools.partial(_last_upper, cc, rho, step, upper, point)
+    else:  # the maximum of an upper bound and any vector is an upper bound
+        upper = None if upper is None else np.maximum(upper, point)
     return SolveReport(status, point, lower, upper, residual, len(trace) - 1, trace, linear, fallbacks,
                        start_upper)
+
+
+def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as the rows of one array; a lone one as a view, cheaper than ``np.stack``'s copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _last_upper(cc, rho, step, upper, point) -> Optional[np.ndarray]:
+    """The tangent bound at the last iterate ``rho`` by its ``step`` request, else ``upper``; at least ``point``."""
+    (steps,) = _serve(cc, cc.a[None], [step])
+    bound = _tangent_bound(rho, steps)
+    upper = upper if bound is None else bound
+    return None if upper is None else np.maximum(upper, point)
+
+
+def _iterate(rows, config) -> list[SolveReport]:
+    """:func:`_newton` on each ``(cc, start, linear)`` row, all rows in lockstep.
+
+    The rows' coefficients share one layout and differ only in ``a``.  Each
+    round serves every row's request at once: the maps in one
+    :func:`coupling._evaluate`, and the steps with the same number of
+    right-hand sides in one :func:`coupling._slopes` and one stacked LU.
+    A stack runs on one BLAS thread, so that its rows' bits, which can
+    differ in the last places from a solve alone, do not depend on the
+    thread count.  A lone row is served request by request, on the one-row
+    GEMVs and ``gesv``, so a solve has the same bits as ever.
+    """
+    cc = rows[0][0]
+    a = _rows([row_cc.a for row_cc, _, _ in rows])
+    runs = [_newton(row_cc, start, linear, config) for row_cc, start, linear in rows]
+    if len(runs) == 1:  # a lone solve: each request is its own batch, with nothing to group
+        (run,) = runs
+        request = next(run)
+        while True:
+            (reply,) = _serve(cc, a, [request])
+            try:
+                request = run.send(reply)
+            except StopIteration as stop:
+                return [stop.value]
+    reports: list[Optional[SolveReport]] = [None] * len(runs)
+    with linfeas._one_blas_thread:
+        pending = {r: next(run) for r, run in enumerate(runs)}
+        while pending:
+            batches: dict[tuple, list[int]] = {}  # the maps, and the steps by their right-hand sides' shape
+            for r, request in pending.items():
+                batches.setdefault((request[0], request[-1].shape), []).append(r)
+            served = {}
+            for batch in batches.values():
+                replies = _serve(cc, a if len(batch) == len(a) else a[batch], [pending[r] for r in batch])
+                for r, reply in zip(batch, replies):
+                    try:
+                        served[r] = runs[r].send(reply)
+                    except StopIteration as stop:
+                        reports[r] = stop.value
+            pending = dict(sorted(served.items()))  # in row order, so a batch of every row is all of ``a``
+    return reports
+
+
+def _serve(cc, a, requests):
+    """The reply to each request, all of one kind and shape, from one kernel call on rates ``a``.
+
+    A step's reply is None where I - J is singular or the solution not finite.
+    """
+    args = [_rows(column) for column in zip(*[request[1:] for request in requests])]
+    if requests[0][0] is MAP:
+        return zip(*coupling._evaluate(cc, a, *args))
+    u, lg, rhs = args
+    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling._slopes(cc, a, u, lg), rhs)
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -185,4 +298,17 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
     if linear.status != linfeas.FEASIBLE:
         return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
     start = linear.solution if config.start is None else np.maximum(config.start, linear.solution)
-    return _iterate(cc, start.copy(), linear, config)
+    return _iterate([(cc, start.copy(), linear)], config)[0]
+
+
+def solve_rows(rows, config: Optional[SolverConfig] = None) -> list[SolveReport]:
+    """:func:`solve_coefficients` on each ``(coefficients, linear)`` row, all rows in lockstep.
+
+    Each ``linear`` is the row's feasible verdict, and each row starts from
+    its asymptotic solution (``config.start`` is not read).  The rows'
+    coefficients share one layout and differ only in ``a``, as
+    ``cc.scaled(s)`` for every s > 0 do.  A row's last bits can differ from
+    its solve alone, as its products are shared with the other rows.
+    """
+    config = config or SolverConfig()
+    return _iterate([(cc, linear.solution.copy(), linear) for cc, linear in rows], config) if rows else []

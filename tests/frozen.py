@@ -24,7 +24,10 @@ largest relative change, the labels of the moved numbers and any change in
 the text around them (statuses, verdicts, exit codes, generated-file
 digests), then one summary line.  A number's label is the key of its
 ``key=value``, else its CSV header column, else the words before it on its
-line.  ``diff`` exits 1 when any text changed.
+line.  ``diff`` exits 1 when any text changed.  With ``--max-rel X``
+(``diff --max-rel 1e-10 old.json new.json``) it also exits 1 when any
+number moved by more than X relative, so a re-pin can state the tolerance
+it was made under.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -243,6 +247,9 @@ def main(argv) -> int:
         for run, dumped in zip(("cold", "warm"), dumps):
             print(f"# {run} loads: " + ", ".join(f"{count} {path}" for path, count in dumped["loads"].items()))
         return 0
+    max_rel = math.inf
+    if len(argv) == 5 and argv[:2] == ["diff", "--max-rel"]:
+        max_rel, argv = float(argv[2]), ["diff", *argv[3:]]
     if len(argv) == 3 and argv[0] == "diff":
         a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
         changes = compare(a, b)
@@ -252,12 +259,12 @@ def main(argv) -> int:
             print(f"{key}: {c.moved} of {c.numbers} numbers moved, max rel {c.max_rel:.3g}"
                   f"{f' ({names})' if names else ''}{text}")
         moved = sum(c.moved for c in changes.values())
-        max_rel = max((c.max_rel for c in changes.values()), default=0.0)
+        largest = max((c.max_rel for c in changes.values()), default=0.0)
         texts = sum(c.text for c in changes.values())
         print(f"# {len(changes)} of {len(a['outputs']) + len(a['files'])} outputs differ: "
-              f"{moved} of {_count_numbers(a)} numbers moved, max rel {max_rel:.3g}, "
+              f"{moved} of {_count_numbers(a)} numbers moved, max rel {largest:.3g}, "
               f"{texts} text changes")
-        return 1 if texts else 0
+        return 1 if texts or largest > max_rel else 0
     print(__doc__, file=sys.stderr)
     return 2
 

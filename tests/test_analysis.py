@@ -36,8 +36,9 @@ from loadcouple import (
     linfeas,
     load_function,
     solve,
+    solver,
 )
-from loadcouple.analysis import _bound_quality
+from loadcouple.analysis import SWEEP_ROWS, _bound_quality
 
 SEED = 57721
 
@@ -118,6 +119,50 @@ def test_sweep_scale_zero_and_bad_scales():
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             demand_sweep(instance, [0.5, bad])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), pixels_per_cell=st.integers(1, 4),
+       radius_target=st.floats(0.3, 0.999),
+       fractions=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.99), st.floats(1.01, 1.5)),
+                          min_size=1, max_size=10),
+       cut=st.integers(0, 10))
+def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_per_cell, radius_target,
+                                                       fractions, cut):
+    """Every sweep row is its scale's solve alone, whichever rows share its lockstep chunk.
+
+    A row has the status of ``solve_coefficients(cc.scaled(s), linear=verdict)``
+    run alone and its ``rho_star`` within rtol 1e-9; the bits may differ, as
+    a row's products are shared with the other rows'.  So do the rows of the
+    reversed grid, of the grid split in two at ``cut`` and of the grid
+    repeated past SWEEP_ROWS.  Scale 0, solved alone, gives exact zeros.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell, radius_target)
+    model = linfeas.model(instance)
+    scales = [fraction / model.spectral_radius for fraction in fractions]
+    alone = {}
+    for s in scales:
+        feasible, verdict = linfeas.feasibility(model.system, s)
+        alone[s] = solver.solve_coefficients(model.coefficients.scaled(s), linear=verdict) if feasible else None
+    grids = {
+        "grid": (scales, demand_sweep(instance, scales)),
+        "reversed": (scales, demand_sweep(instance, scales[::-1])[::-1]),
+        "split": (scales, demand_sweep(instance, scales[:cut]) + demand_sweep(instance, scales[cut:])),
+    }
+    long = scales * (SWEEP_ROWS // len(scales) + 1)
+    grids["long"] = (long, demand_sweep(instance, long))
+    for name, (grid, rows) in grids.items():
+        assert [row.scale for row in rows] == grid, name
+        for row in rows:
+            report = alone[row.scale]
+            assert row.feasible == (report is not None), name
+            if report is None:
+                assert row.rho_star is None and row.solve_status is None
+                continue
+            assert row.solve_status == report.status, name
+            np.testing.assert_allclose(row.rho_star, report.fixed_point, rtol=1e-9, atol=0, err_msg=name)
+            if row.scale == 0:
+                assert not np.any(row.rho_star) and not np.any(row.rho_lower)
 
 
 def test_boundary_matches_spectral_radius():

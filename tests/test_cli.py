@@ -192,6 +192,21 @@ def test_sweep_output_ignores_thread_env(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert all(o == outputs[0] for o in outputs)
+    # a sweep stacks its rows' products, which OpenBLAS would split among its threads
+    # in a way that moves last bits; the stacks run on one thread, so the count does not show
+    n81 = _write_instance(tmp_path, generate(ScenarioSpec(num_sites=27, rng_seed=7, demand_bits_per_user=80_000.0)),
+                          "n81.json")
+    src = str(Path(loadcouple.__file__).parents[1])
+    for scales in ("0.5:4:12", "0.1:4:32"):  # the longer grid moved bits on two threads, unpinned
+        stdouts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "loadcouple.cli", "sweep", "--instance", str(n81),
+                                   "--scales", scales], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        assert stdouts[0] == stdouts[1], scales
 
 
 def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
@@ -199,7 +214,7 @@ def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):
     inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=1.0))
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--instance", str(inst), "--scales", "0.9999:0.99995:2", "--out", str(out)]
-    # this close to 1/rho(A) every row, the cold first one included, converges
+    # this close to 1/rho(A) every row converges from its own asymptotic solution
     assert main(argv) == 0
     _, _, rows = _read_csv(out)
     assert [row[3] for row in rows] == ["converged", "converged"]
@@ -376,23 +391,23 @@ FROZEN_STDOUT = {
     "n9 solve": "4596d965883b140a06e23d7e20f94059ef51a5f597de1d57b8c6af665413d53b",
     "n9 feasibility": "dbe4104ae1dc8f5c453c522ce5b00020564553407f584e1f2062a426dec4dc7f",
     "n9 bounds": "a5a3ee06d64a6238f75052668759db93dfee2f269b1b7b5b0211a85ccd9f8150",
-    "n9 sweep": "011448c910b8da8c6580e9422e4340748a336cf3723bc9a42806f23a7b3fb250",
+    "n9 sweep": "302e95038fcc518c2c390f279e3447b478eedb3c35604cf02c3d4084118b95f8",
     "n9 boundary": "cd65c5d47ed3158c4c8c3c11899a092cc09a4ca90942335262306257c28944ff",
     "n9_rot solve": "b5832ee27d74f1ef31c06cff01b3ac3f650a4dfedb2e94ba18ba3247b145e376",
     "n9_rot feasibility": "953ec07cce0b8af205e74b16ad3ecc53027fefca4ebd1d87e3d895517d4b2585",
     "n9_rot bounds": "60a50a2b7cdc330ed7e8115d1bc27a81b701902daaabb9dfe265a002e3d009d9",
-    "n9_rot sweep": "79b8412444ef596cfda110f2a223f654d08caa230f3e5927c6b4198ebac4999a",
+    "n9_rot sweep": "69a652f2d00e99b465552e3099defe3e2c4e51777b3681eaf18c2dbe42046dae",
     "n9_rot boundary": "9ad2f9934bfb6faa73c63175fdbfb360644dcf6635dcea6eb5937b4c108cff16",
     "n9 compare": "5f3f06e2f35f937ecf774e737756c353a3d7f9b5a7ef6108c70f292da9891f9a",
     "n36 solve": "d1a2d4feb7843e0c3cd87b4c06b37713d4276afb9bbbb77d8f60513cca42a5df",
     "n36 feasibility": "f71d56987e20a9f5b76023c5e3c127279eb14baa6bc31f30b8258c7b49343aff",
     "n36 bounds": "2f7f3313e6cf8f826bb08146cf086a44e76413cd8c78c41f8925a8ed6e6cf257",
-    "n36 sweep": "29769706146f6adf597bb4ccdb6104c8c4270a904222078e192ec304e302d66b",
+    "n36 sweep": "20772a8d78072e1d8badf699f85e4acfb0be900bdafe8d107349590c043af0e8",
     "n36 boundary": "12916d3490cada831a769025f68546aaa0d457fafa67435ba4eec0acc3dbe6b7",
     "n36_rot solve": "4e615c459142d410bb88a9e5e24cbff933a256c65b9c9522a41af358bc805483",
     "n36_rot feasibility": "4fa0cfb3b955b4495d6b683fe00968617abe3b7734deafce28164a8298d4165c",
     "n36_rot bounds": "1f929432a7d5b153364c3c3175463b6cda07c09bcfc99e32b72f70002189824f",
-    "n36_rot sweep": "8a935509dfc83968dc6cbaef26585f9ddeba4990e3ccaad8ba8df388c8dc16ae",
+    "n36_rot sweep": "991a268ffd05583657486d8db1f4228b6dbbcdb9e5e975d53db5614436967c94",
     "n36_rot boundary": "3992b2ec6bf184a5d03aad684f4c6835bbe4d1540e834fd57ef0af5ae944686e",
     "n36 compare": "6703e565c6fad49232529a8bd67ec82fcde2c3e62323cfc43c497ee48a90502d",
 }

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -264,6 +266,53 @@ def test_lu_solve_two_columns_match_two_one_column_solves():
 def test_lu_solve_exact_zero_pivot_is_none_without_warning():
     # pytest turns warnings into errors (pyproject.toml), so a warning from the solve fails here
     assert linfeas._lu_solve(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([0.1, 0.2])) is None
+
+
+def test_lu_solve_stack_is_each_lone_solve_and_falls_back_on_a_zero_pivot():
+    """A stacked solve gives each system's lone bits; a zero pivot in one leaves the others solved."""
+    rng = np.random.default_rng(SEED + 12)
+    lhs = np.eye(4) - rng.uniform(0.0, 0.2, (3, 4, 4))
+    rhs = rng.uniform(-1.0, 1.0, (3, 4, 1))
+    for stack in (lhs, np.stack([lhs[0], np.ones((4, 4)), lhs[2]])):
+        solved = linfeas._lu_solve_stack(stack, rhs)
+        for one_lhs, one_rhs, x in zip(stack, rhs, solved):
+            alone = linfeas._lu_solve(one_lhs, one_rhs)
+            assert (x is None) == (alone is None) and (x is None or np.array_equal(x, alone))
+        assert (solved[1] is None) == (stack is not lhs)
+
+
+def test_one_blas_thread_pins_nested_and_concurrent_blocks_and_restores_the_count():
+    """While any block is inside, OpenBLAS runs on one thread; the last to leave restores the count."""
+    calls = linfeas._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count setter")
+    get, set_ = calls
+    before, interval = get(), sys.getswitchinterval()
+    seen, errors = [], []
+
+    def work():
+        try:
+            for _ in range(200):
+                with linfeas._one_blas_thread:
+                    with linfeas._one_blas_thread:
+                        seen.append(get())
+        except Exception as exc:  # reported below: a thread's exception would go unseen
+            errors.append(exc)
+
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(seen) == 8 * 200 and set(seen) == {1}
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
 
 
 def _nilpotent(m) -> bool:

@@ -390,6 +390,14 @@ def test_spec_rejects_unknown_and_bad_fields(tmp_path):
         load_scenario_spec(path)
 
 
+def test_spec_names_a_field_whose_int_is_too_long_to_print():
+    """An int past CPython's int-to-str digit limit is still a SchemaError that names its field."""
+    with pytest.raises(SchemaError, match=r"'duration_s' .* an int of 16610 bits"):
+        ScenarioSpec(duration_s=10**5000)
+    with pytest.raises(SchemaError, match="'num_sites' .* a list holding an int too long to show"):
+        ScenarioSpec(num_sites=[10**5000])
+
+
 def test_generated_instance_survives_file_round_trip(tmp_path):
     instance = generate(ScenarioSpec(users_per_cell_area=4, rng_seed=13))
     path = tmp_path / "inst.json"

@@ -162,13 +162,14 @@ def test_max_iter_exceeded_reports_partial_state():
 def test_max_iter_exceeded_reports_the_residual_of_the_point_it_returns(monkeypatch, max_iter):
     """No step past the last trace entry: one map evaluation per entry, the last at the returned point."""
     instance = random_instance(np.random.default_rng(SEED + 5), 4, 5, radius_target=0.9)
-    evaluate, evaluations = coupling.load_function, []
-    monkeypatch.setattr(coupling, "load_function", lambda cc, rho: evaluations.append(1) or evaluate(cc, rho))
+    evaluate, evaluations = coupling._evaluate, []
+    monkeypatch.setattr(coupling, "_evaluate", lambda cc, a, rho: evaluations.extend(rho) or evaluate(cc, a, rho))
     report = solve(instance, SolverConfig(max_iter=max_iter))
     assert report.status == "max_iter_exceeded"
     assert len(evaluations) == len(report.trace) == max_iter + 1
     rho = report.fixed_point
-    assert report.residual == np.max(np.abs(evaluate(coefficients(instance), rho) - rho))
+    assert np.array_equal(evaluations[-1], rho)
+    assert report.residual == np.max(np.abs(load_function(coefficients(instance), rho) - rho))
 
 
 def test_bounds_enclose_every_refresh():
@@ -360,7 +361,8 @@ def test_newton_fallbacks_are_counted(monkeypatch):
     instance = random_instance(rng, 4, 5, radius_target=0.6)
     assert solve(instance).fallbacks == 0
     # every Newton system I - J is the zero matrix
-    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: np.eye(cc.num_cells))
+    monkeypatch.setattr(coupling, "_slopes",
+                        lambda cc, a, u, lg: np.broadcast_to(np.eye(cc.num_cells), (len(u),) + (cc.num_cells,) * 2))
     report = solve(instance)
     assert report.status == "converged"
     assert report.iterations > 0
@@ -368,23 +370,30 @@ def test_newton_fallbacks_are_counted(monkeypatch):
 
 
 def test_newton_iteration_factors_once(monkeypatch):
-    """A solve evaluates the Jacobian once per iteration and solves no linear system beyond its verdict.
+    """A solve takes one Jacobian per iteration and solves no linear system beyond its verdict.
 
-    The verdict is the instance's model's: the first solve takes it, a
-    second solve of the same instance reads it.
+    Under the residual stop the last iterate's tangent bound is solved once
+    ``upper`` is read, and only then; the interval stop reads the bound at
+    every iterate, the last included.  The verdict is the instance's
+    model's: the first solve takes it, a second solve of the same instance
+    reads it.
     """
     jacobians, linear_solves = [], []
-    original_jacobian, original_solve_linear = coupling.jacobian, linfeas.solve_linear
-    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or original_jacobian(cc, rho))
+    original_slopes, original_solve_linear = coupling._slopes, linfeas.solve_linear
+    monkeypatch.setattr(coupling, "_slopes",
+                        lambda cc, a, u, lg: jacobians.extend(u) or original_slopes(cc, a, u, lg))
     monkeypatch.setattr(linfeas, "solve_linear",
                         lambda system: linear_solves.append(1) or original_solve_linear(system))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
-    for config, verdicts in ((None, 1), (SolverConfig(interval_width=1e-6), 0)):
+    for config, verdicts, deferred in ((None, 1, 1), (SolverConfig(interval_width=1e-6), 0, 0)):
         jacobians.clear()
         linear_solves.clear()
         report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
-        assert len(jacobians) == len(report.trace) == report.iterations + 1
+        assert len(jacobians) == len(report.trace) - deferred == report.iterations + 1 - deferred
+        for _ in range(2):
+            assert report.upper is not None
+            assert len(jacobians) == report.iterations + 1
         assert len(linear_solves) == verdicts  # the feasibility verdict, taken by the first solve only
 
 
@@ -394,13 +403,13 @@ def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_site
     instance = generate(ScenarioSpec(num_sites=num_sites, rng_seed=7, demand_bits_per_user=80_000.0))
     boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
     points = []
-    evaluate = coupling.load_function
+    evaluate = coupling._evaluate
 
-    def recording(cc, rho):
-        points.append(np.asarray(rho, dtype=np.float64).tobytes())
-        return evaluate(cc, rho)
+    def recording(cc, a, rho):
+        points.extend(row.tobytes() for row in rho)
+        return evaluate(cc, a, rho)
 
-    monkeypatch.setattr(coupling, "load_function", recording)
+    monkeypatch.setattr(coupling, "_evaluate", recording)
     for fraction in (0.5, 0.9, 0.99, 0.999):
         points.clear()
         report = solve(instance.with_demand_scale(fraction * boundary))
@@ -457,35 +466,39 @@ def test_solver_output_is_frozen_near_the_boundary(tmp_path, monkeypatch):
        noise_exponent=st.floats(-8.0, 0.0), radius_target=st.floats(0.3, 0.9999))
 def test_newton_descends_from_above_property(seed, num_cells, pixels_per_cell, noise_exponent,
                                              radius_target):
-    """Newton from above: super-solutions, decreasing, one evaluation and one Jacobian each.
+    """Newton from above: super-solutions, decreasing, one evaluation each and one Jacobian per step.
 
     On low-noise instances, where the tangent system at the asymptotic
     solution can be unusable, every plain step comes before the first
     tangent step.  Every iterate after it is a super-solution, f(x) <= x,
     and each is below the one before, both within rounding.  Under the
-    residual stop the map and the Jacobian are evaluated once per iterate.
-    Starts: the default, 0 (raised to the default) and 2 rho* from above.
+    residual stop the map is evaluated once per iterate and the Jacobian
+    once per step; a start that already meets the stop takes one for its
+    start bound.  Starts: the default, 0 (raised to the default) and 2 rho*
+    from above.
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell, radius_target)
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
     default = solve(instance)
     points, values, jacobians = [], [], []
-    evaluate, differentiate = coupling.load_function, coupling.jacobian
+    evaluate, slopes = coupling._evaluate, coupling._slopes
 
-    def recording(cc, rho):
-        points.append(rho)
-        values.append(evaluate(cc, rho))
-        return values[-1]
+    def recording(cc, a, rho):
+        result = evaluate(cc, a, rho)
+        points.extend(rho)
+        values.extend(result[0])
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coupling, "load_function", recording)
-        patch.setattr(coupling, "jacobian", lambda cc, rho: jacobians.append(1) or differentiate(cc, rho))
+        patch.setattr(coupling, "_evaluate", recording)
+        patch.setattr(coupling, "_slopes", lambda cc, a, u, lg: jacobians.extend(u) or slopes(cc, a, u, lg))
         for start in (None, np.zeros(num_cells), 2.0 * default.fixed_point):
             for log in (points, values, jacobians):
                 log.clear()
             report = solve(instance, SolverConfig(start=start))
             assert report.status == "converged"
-            assert len(points) == len(jacobians) == report.iterations + 1
+            assert len(points) == report.iterations + 1
+            assert len(jacobians) == max(report.iterations, 1)
             plain = report.fallbacks
             for before, after in zip(values[:plain], points[1:plain + 1]):
                 assert np.array_equal(after, before)  # a plain step, rho <- f(rho)
