@@ -194,40 +194,50 @@ def _cell_sums(cc: CouplingCoefficients, weights: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def _evaluate(cc: CouplingCoefficients, a: np.ndarray, rho: np.ndarray):
-    """The map at each row of ``rho`` (rows x num_cells), row r with rate per demand ``a[r]``.
-
-    Returns the loads with the interference-plus-noise u and log1p(1/u) they
-    used, which :func:`_slopes` takes to give the Jacobian at the same rows.
-    """
-    u = rho @ cc.rel + cc.noise
-    lg = np.log1p(1.0 / u)
-    return _loads(cc, a, lg), u, lg
-
-
-def _slopes(cc: CouplingCoefficients, a: np.ndarray, u: np.ndarray, lg: np.ndarray) -> np.ndarray:
-    """The Jacobian at each row whose u and log1p(1/u) :func:`_evaluate` gave (rows x n x n)."""
-    # the derivative's denominator a lg^2 (u^2 + u), grouped so that a huge u (noise or
-    # interference far above the serving power) stays in the float range: lg u and
-    # lg (u + 1) both tend to 1 as u grows
-    return _cell_sums(cc, LN2 / (a * (lg * u) * (lg * (u + 1.0))))
-
-
-def load_function(cc: CouplingCoefficients, rho) -> np.ndarray:
-    """Evaluate the coupling map: the load each cell needs given loads ``rho``."""
+def _stack(cc: CouplingCoefficients, rho, a):
+    """``rho`` as rows of loads, and the rates per demand of each row: ``a``, or ``cc.a`` for all."""
     rho = np.asarray(rho, dtype=np.float64)
-    return _evaluate(cc, cc.a[None], rho[None])[0][0]
+    return rho.reshape(-1, cc.num_cells), cc.a[None] if a is None else a
 
 
-def jacobian(cc: CouplingCoefficients, rho) -> np.ndarray:
+def _terms(cc: CouplingCoefficients, rho: np.ndarray):
+    """The interference-plus-noise u at each row of loads ``rho``, and log1p(1/u)."""
+    u = rho @ cc.rel + cc.noise
+    return u, np.log1p(1.0 / u)
+
+
+def load_function(cc: CouplingCoefficients, rho, a=None, terms=False):
+    """Evaluate the coupling map: the load each cell needs given loads ``rho``.
+
+    A stack of loads (rows x num_cells) gives a stack of loads, row r with
+    rate per demand ``a[r]`` (``cc.a`` for every row by default).  With
+    ``terms`` the loads come with the interference-plus-noise u and
+    log1p(1/u) they used, which :func:`jacobian` takes to give the slopes at
+    the same points.
+    """
+    rows, a = _stack(cc, rho, a)
+    u, lg = _terms(cc, rows)
+    loads = _loads(cc, a, lg)
+    if np.ndim(rho) == 1:
+        loads, u, lg = loads[0], u[0], lg[0]
+    return (loads, u, lg) if terms else loads
+
+
+def jacobian(cc: CouplingCoefficients, rho, a=None, terms=None) -> np.ndarray:
     """Partial derivatives of the coupling map, row i = d load_i / d rho.
 
     The diagonal is exactly zero: a cell's own load does not enter its
-    pixels' interference.
+    pixels' interference.  A stack of loads with rates ``a`` gives a stack
+    of Jacobians (rows x n x n), as in :func:`load_function`, whose
+    ``terms`` at ``rho`` spare computing them again.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    _, u, lg = _evaluate(cc, cc.a[None], rho[None])
-    return _slopes(cc, cc.a[None], u, lg)[0]
+    rows, a = _stack(cc, rho, a)
+    u, lg = _terms(cc, rows) if terms is None else terms
+    # the derivative's denominator a lg^2 (u^2 + u), grouped so that a huge u (noise or
+    # interference far above the serving power) stays in the float range: lg u and
+    # lg (u + 1) both tend to 1 as u grows
+    slopes = _cell_sums(cc, LN2 / (a * (lg * u) * (lg * (u + 1.0))))
+    return slopes[0] if np.ndim(rho) == 1 else slopes
 
 
 def asymptotic_linearization(cc: CouplingCoefficients) -> LinearizedSystem:

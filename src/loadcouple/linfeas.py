@@ -177,6 +177,13 @@ class _OneBlasThread:
     process-wide, so nested and concurrent blocks share one pin, and the
     last to leave restores the count the first found.  Where numpy's
     OpenBLAS has no setter, blocks run unpinned.
+
+    The pin covers only the blocks.  A BLAS call that another thread makes
+    outside one while a block runs (a lone solve, a verdict LU, a Perron
+    ``eigvals``) gets one thread or the full count depending on timing, so
+    at sizes where OpenBLAS splits its work, that call's last bits can
+    depend on scheduling.  OpenBLAS also does not promise that changing the
+    count is safe while another thread is inside a BLAS call.
     """
 
     def __init__(self):

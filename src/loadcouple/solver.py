@@ -21,6 +21,7 @@ one row; a demand sweep solves its feasible scales together.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -41,9 +42,9 @@ class SolverConfig:
 
     The solve stops once the residual rule holds or, when ``interval_width``
     is set, once the certified interval is at most that wide.  ``start``
-    overrides the default starting iterate (the asymptotic lower bound), as
-    when a caller knows a point near the fixed point; it is raised to that
-    bound where it lies below.
+    overrides a lone solve's starting iterate (the asymptotic lower bound);
+    it is raised to that bound where it lies below.  No caller in the
+    package sets it: the tests use it to start Newton from chosen points.
     """
 
     tol_residual: float = 1e-10
@@ -138,8 +139,8 @@ def _newton(cc, rho, linear, config):
 
     The kernels are :func:`_iterate`'s.  The row yields ``(MAP, x)`` and is
     sent f(x) with the u and log1p(1/u) that gave it, and yields
-    ``(STEP, u, lg, rhs)`` and is sent the solution of (I - J) x = rhs, J
-    the Jacobian where u and lg were kept, or None.  It returns its
+    ``(STEP, x, u, lg, rhs)`` and is sent the solution of (I - J(x)) y = rhs,
+    from the u and lg that x's evaluation kept, or None.  It returns its
     :class:`SolveReport`.
     """
     stop_width = config.interval_width
@@ -157,7 +158,7 @@ def _newton(cc, rho, linear, config):
         lift = stop_width is not None and bool(np.all(f_rho <= rho))
         if lift and f_low is None:
             f_low, *_ = yield MAP, low
-        step = STEP, u, lg, np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
+        step = STEP, rho, u, lg, np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
         # the residual stop needs no step at its last iterate past the start: ``upper``
         # takes it when it is read
         deferred = stop_width is None and t > 0 and (converged or t == config.max_iter)
@@ -210,27 +211,18 @@ def _iterate(rows, config) -> list[SolveReport]:
 
     The rows' coefficients share one layout and differ only in ``a``.  Each
     round serves every row's request at once: the maps in one
-    :func:`coupling._evaluate`, and the steps with the same number of
-    right-hand sides in one :func:`coupling._slopes` and one stacked LU.
-    A stack runs on one BLAS thread, so that its rows' bits, which can
-    differ in the last places from a solve alone, do not depend on the
-    thread count.  A lone row is served request by request, on the one-row
-    GEMVs and ``gesv``, so a solve has the same bits as ever.
+    :func:`coupling.load_function`, and the steps with the same number of
+    right-hand sides in one :func:`coupling.jacobian` and one stacked LU.  A
+    lone row takes the one-row GEMVs and ``gesv``, so a solve has the same
+    bits as ever.  A stack of rows runs on one BLAS thread, so that its
+    rows' bits, which can differ in the last places from a solve alone, do
+    not depend on the thread count.
     """
     cc = rows[0][0]
     a = _rows([row_cc.a for row_cc, _, _ in rows])
     runs = [_newton(row_cc, start, linear, config) for row_cc, start, linear in rows]
-    if len(runs) == 1:  # a lone solve: each request is its own batch, with nothing to group
-        (run,) = runs
-        request = next(run)
-        while True:
-            (reply,) = _serve(cc, a, [request])
-            try:
-                request = run.send(reply)
-            except StopIteration as stop:
-                return [stop.value]
     reports: list[Optional[SolveReport]] = [None] * len(runs)
-    with linfeas._one_blas_thread:
+    with linfeas._one_blas_thread if len(runs) > 1 else contextlib.nullcontext():
         pending = {r: next(run) for r, run in enumerate(runs)}
         while pending:
             batches: dict[tuple, list[int]] = {}  # the maps, and the steps by their right-hand sides' shape
@@ -255,9 +247,9 @@ def _serve(cc, a, requests):
     """
     args = [_rows(column) for column in zip(*[request[1:] for request in requests])]
     if requests[0][0] is MAP:
-        return zip(*coupling._evaluate(cc, a, *args))
-    u, lg, rhs = args
-    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling._slopes(cc, a, u, lg), rhs)
+        return zip(*coupling.load_function(cc, *args, a, terms=True))
+    rho, u, lg, rhs = args
+    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling.jacobian(cc, rho, a, (u, lg)), rhs)
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -305,10 +297,12 @@ def solve_rows(rows, config: Optional[SolverConfig] = None) -> list[SolveReport]
     """:func:`solve_coefficients` on each ``(coefficients, linear)`` row, all rows in lockstep.
 
     Each ``linear`` is the row's feasible verdict, and each row starts from
-    its asymptotic solution (``config.start`` is not read).  The rows'
-    coefficients share one layout and differ only in ``a``, as
+    its asymptotic solution, so a ``config.start`` raises ValueError.  The
+    rows' coefficients share one layout and differ only in ``a``, as
     ``cc.scaled(s)`` for every s > 0 do.  A row's last bits can differ from
     its solve alone, as its products are shared with the other rows.
     """
     config = config or SolverConfig()
+    if config.start is not None:
+        raise ValueError("solve_rows starts every row from its asymptotic solution; start must be None")
     return _iterate([(cc, linear.solution.copy(), linear) for cc, linear in rows], config) if rows else []

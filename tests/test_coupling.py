@@ -146,6 +146,27 @@ def test_jacobian_matches_central_differences():
         )
 
 
+def test_stacked_map_and_jacobian_match_one_row_calls():
+    """A stack of loads, each row with its own rates, gives each row's one-row map and Jacobian.
+
+    The Jacobian from the terms the map kept is the one computed afresh.
+    """
+    rng = np.random.default_rng(SEED + 43)
+    cc = coefficients(random_instance(rng, 5, 4))
+    scales = (0.5, 1.0, 3.0)
+    rho = rng.uniform(0.05, 1.0, (len(scales), 5))
+    a = np.stack([cc.scaled(s).a for s in scales])
+    loads, u, lg = load_function(cc, rho, a, terms=True)
+    slopes = jacobian(cc, rho, a, (u, lg))
+    np.testing.assert_array_equal(slopes, jacobian(cc, rho, a))
+    for r, s in enumerate(scales):
+        np.testing.assert_allclose(loads[r], load_function(cc.scaled(s), rho[r]), rtol=1e-13)
+        np.testing.assert_allclose(slopes[r], jacobian(cc.scaled(s), rho[r]), rtol=1e-13)
+    one, one_u, one_lg = load_function(cc, rho[0], terms=True)
+    assert one.shape == (5,) and one_u.shape == one_lg.shape == cc.a.shape
+    np.testing.assert_array_equal(jacobian(cc, rho[0], terms=(one_u, one_lg)), jacobian(cc, rho[0]))
+
+
 def test_jacobian_diagonal_zero_offdiagonal_positive():
     rng = np.random.default_rng(SEED + 5)
     instance = random_instance(rng, 5, 6)

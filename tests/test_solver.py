@@ -32,6 +32,7 @@ from loadcouple import (
     netmodel,
     save_instance,
     solve,
+    solver,
     spectral_radius,
 )
 
@@ -162,8 +163,10 @@ def test_max_iter_exceeded_reports_partial_state():
 def test_max_iter_exceeded_reports_the_residual_of_the_point_it_returns(monkeypatch, max_iter):
     """No step past the last trace entry: one map evaluation per entry, the last at the returned point."""
     instance = random_instance(np.random.default_rng(SEED + 5), 4, 5, radius_target=0.9)
-    evaluate, evaluations = coupling._evaluate, []
-    monkeypatch.setattr(coupling, "_evaluate", lambda cc, a, rho: evaluations.extend(rho) or evaluate(cc, a, rho))
+    evaluate, evaluations = coupling.load_function, []
+    monkeypatch.setattr(coupling, "load_function",
+                        lambda cc, rho, *args, **kwargs: evaluations.extend(np.atleast_2d(rho))
+                        or evaluate(cc, rho, *args, **kwargs))
     report = solve(instance, SolverConfig(max_iter=max_iter))
     assert report.status == "max_iter_exceeded"
     assert len(evaluations) == len(report.trace) == max_iter + 1
@@ -361,8 +364,8 @@ def test_newton_fallbacks_are_counted(monkeypatch):
     instance = random_instance(rng, 4, 5, radius_target=0.6)
     assert solve(instance).fallbacks == 0
     # every Newton system I - J is the zero matrix
-    monkeypatch.setattr(coupling, "_slopes",
-                        lambda cc, a, u, lg: np.broadcast_to(np.eye(cc.num_cells), (len(u),) + (cc.num_cells,) * 2))
+    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho, *args: np.broadcast_to(
+        np.eye(cc.num_cells), (len(rho),) + (cc.num_cells,) * 2))
     report = solve(instance)
     assert report.status == "converged"
     assert report.iterations > 0
@@ -379,9 +382,9 @@ def test_newton_iteration_factors_once(monkeypatch):
     reads it.
     """
     jacobians, linear_solves = [], []
-    original_slopes, original_solve_linear = coupling._slopes, linfeas.solve_linear
-    monkeypatch.setattr(coupling, "_slopes",
-                        lambda cc, a, u, lg: jacobians.extend(u) or original_slopes(cc, a, u, lg))
+    original_jacobian, original_solve_linear = coupling.jacobian, linfeas.solve_linear
+    monkeypatch.setattr(coupling, "jacobian", lambda cc, rho, *args: jacobians.extend(np.atleast_2d(rho))
+                        or original_jacobian(cc, rho, *args))
     monkeypatch.setattr(linfeas, "solve_linear",
                         lambda system: linear_solves.append(1) or original_solve_linear(system))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
@@ -403,13 +406,13 @@ def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_site
     instance = generate(ScenarioSpec(num_sites=num_sites, rng_seed=7, demand_bits_per_user=80_000.0))
     boundary = 1.0 / spectral_radius(asymptotic_linearization(coefficients(instance)).slope)
     points = []
-    evaluate = coupling._evaluate
+    evaluate = coupling.load_function
 
-    def recording(cc, a, rho):
-        points.extend(row.tobytes() for row in rho)
-        return evaluate(cc, a, rho)
+    def recording(cc, rho, *args, **kwargs):
+        points.extend(row.tobytes() for row in np.atleast_2d(rho))
+        return evaluate(cc, rho, *args, **kwargs)
 
-    monkeypatch.setattr(coupling, "_evaluate", recording)
+    monkeypatch.setattr(coupling, "load_function", recording)
     for fraction in (0.5, 0.9, 0.99, 0.999):
         points.clear()
         report = solve(instance.with_demand_scale(fraction * boundary))
@@ -424,6 +427,15 @@ def test_malformed_start_is_rejected():
     for start in ([[0.1, 0.1], [0.1, 0.1]], [0.1], [0.1, 0.1, 0.1], [math.nan, 0.1], [math.inf, 0.1]):
         with pytest.raises(ValueError, match="start must be a finite array"):
             solve(instance, SolverConfig(start=np.array(start)))
+
+
+def test_solve_rows_rejects_a_start():
+    """Every lockstep row starts from its own asymptotic solution, so a start is refused, not dropped."""
+    model = linfeas.model(frozen_two_cell())
+    rows = [(model.coefficients, model.verdict)]
+    assert solver.solve_rows(rows)[0].status == "converged"
+    with pytest.raises(ValueError, match="start must be None"):
+        solver.solve_rows(rows, SolverConfig(start=np.array([0.1, 0.1])))
 
 
 # sha256 of fixed_point, upper and start_upper (their tobytes, in that
@@ -481,17 +493,18 @@ def test_newton_descends_from_above_property(seed, num_cells, pixels_per_cell, n
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
     default = solve(instance)
     points, values, jacobians = [], [], []
-    evaluate, slopes = coupling._evaluate, coupling._slopes
+    evaluate, differentiate = coupling.load_function, coupling.jacobian
 
-    def recording(cc, a, rho):
-        result = evaluate(cc, a, rho)
-        points.extend(rho)
-        values.extend(result[0])
+    def recording(cc, rho, *args, **kwargs):
+        result = evaluate(cc, rho, *args, **kwargs)
+        points.extend(np.atleast_2d(rho))
+        values.extend(np.atleast_2d(result[0] if kwargs.get("terms") else result))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coupling, "_evaluate", recording)
-        patch.setattr(coupling, "_slopes", lambda cc, a, u, lg: jacobians.extend(u) or slopes(cc, a, u, lg))
+        patch.setattr(coupling, "load_function", recording)
+        patch.setattr(coupling, "jacobian", lambda cc, rho, *args: jacobians.extend(np.atleast_2d(rho))
+                      or differentiate(cc, rho, *args))
         for start in (None, np.zeros(num_cells), 2.0 * default.fixed_point):
             for log in (points, values, jacobians):
                 log.clear()
