@@ -128,28 +128,31 @@ def _perron_root(a: np.ndarray) -> Optional[float]:
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
     """Solve ``lhs @ x = rhs`` by one LAPACK ``gesv``; None on an exact zero pivot or a non-finite x.
 
-    All columns of ``rhs`` share the one LU.  numpy raises ``LinAlgError``
-    when ``gesv`` meets an exact zero pivot; a NaN ``lhs`` gives a NaN x.  No
-    pivot threshold applies: a relative one depends on the row order.
+    All columns of ``rhs`` share the one LU.  It is :func:`_lu_solve_stack`
+    on a stack of one system, where a vector ``rhs`` takes a trailing axis:
+    numpy reads a stack's right-hand sides as matrices.
     """
-    try:
-        x = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return x if np.all(np.isfinite(x)) else None
+    vector = rhs.ndim == 1
+    (x,) = _lu_solve_stack(lhs[None], (rhs[:, None] if vector else rhs)[None])
+    return x[:, 0] if vector and x is not None else x
 
 
 def _lu_solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> list[Optional[np.ndarray]]:
-    """:func:`_lu_solve` on each system of a stack, by one stacked ``gesv``.
+    """Solve each system ``lhs[k] @ x = rhs[k]`` of a stack by one stacked ``gesv``; None where unusable.
 
-    numpy raises for the whole stack when any system meets an exact zero
-    pivot; the systems are then solved one at a time.  Each system's LU
-    is its own, so its bits do not depend on the others.
+    Unusable: an exact zero pivot or a non-finite x.  numpy raises
+    ``LinAlgError`` for the whole stack when any system meets an exact zero
+    pivot; the systems are then solved one at a time.  A NaN ``lhs`` gives a
+    NaN x.  No pivot threshold applies: a relative one depends on the row
+    order.  Each system's LU is its own, so its bits do not depend on the
+    others.
     """
     try:
         x = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        return [_lu_solve(one_lhs, one_rhs) for one_lhs, one_rhs in zip(lhs, rhs)]
+        if len(lhs) == 1:
+            return [None]
+        return [_lu_solve_stack(one_lhs[None], one_rhs[None])[0] for one_lhs, one_rhs in zip(lhs, rhs)]
     return [one if np.all(np.isfinite(one)) else None for one in x]
 
 

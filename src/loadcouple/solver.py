@@ -12,11 +12,12 @@ certified sub-solution: a bracket that shrinks as it proceeds.  The first
 iteration's tangent bound, anchored at the start, is the one the
 bound-quality report reads: it is the only place a tangent plane is solved.
 
-One iteration loop runs a stack of rows that share one
-coefficient layout and differ in the demand scale: each row's logic is
-written once, as a generator, and each round serves every row's map
-evaluation, and every row's Newton step, with one kernel call.  A solve is
-one row; a demand sweep solves its feasible scales together.
+One plain loop runs a stack of rows that share one coefficient layout and
+differ in the demand scale.  Each round evaluates the map at every running
+row with one kernel call and takes every row's Newton step with one
+Jacobian call and one stacked LU; each row keeps its bounds, trace and
+fallback count in lists of its own.  A solve is one row; a demand sweep
+solves its feasible scales together.
 """
 
 from __future__ import annotations
@@ -38,19 +39,15 @@ MAX_ITER_EXCEEDED = "max_iter_exceeded"
 
 @dataclass
 class SolverConfig:
-    """Stop rule and start of :func:`solve`.
+    """Stop rule of :func:`solve`.
 
     The solve stops once the residual rule holds or, when ``interval_width``
-    is set, once the certified interval is at most that wide.  ``start``
-    overrides a lone solve's starting iterate (the asymptotic lower bound);
-    it is raised to that bound where it lies below.  No caller in the
-    package sets it: the tests use it to start Newton from chosen points.
+    is set, once the certified interval is at most that wide.
     """
 
     tol_residual: float = 1e-10
     interval_width: Optional[float] = None
     max_iter: int = 10_000
-    start: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.tol_residual > 0.0:
@@ -88,8 +85,8 @@ class SolveReport:
     ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
     because the tangent system was unusable.
     ``start_upper`` is the first iteration's tangent bound, the fixed point
-    of the tangent plane at the start iterate (the asymptotic solution by
-    default), clamped at zero; None when that system is singular or has a
+    of the tangent plane at the start iterate, the asymptotic solution,
+    clamped at zero; None when that system is singular or has a
     component below -NEGATIVE_ATOL.
     """
 
@@ -111,9 +108,6 @@ class SolveReport:
         return self._upper
 
 
-MAP, STEP = "map", "step"
-
-
 def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """The tangent plane's fixed point rho + step, clamped at zero; None when unusable.
 
@@ -126,130 +120,130 @@ def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.
     return np.maximum(tangent, 0.0) if np.min(tangent) >= -linfeas.NEGATIVE_ATOL else None
 
 
-def _newton(cc, rho, linear, config):
-    """Newton from ``rho`` on a feasible system, one LU of I - J(rho) per iteration, as a generator.
-
-    The next iterate is the tangent plane's fixed point, ``upper``, or f(rho)
-    where that system is unusable; either stays above the asymptotic
-    solution L, as f(rho) >= f(L) >= L.  ``low`` is a sub-solution,
-    f(low) >= low: the asymptotic solution, then, checked by evaluation, any
-    iterate that is one and, under the interval stop, the zero of the
-    minorant through ``low`` with slope J(rho) - I at a super-solution rho
-    (J is nonincreasing, so J(rho) <= J on [low, rho*]).
-
-    The kernels are :func:`_iterate`'s.  The row yields ``(MAP, x)`` and is
-    sent f(x) with the u and log1p(1/u) that gave it, and yields
-    ``(STEP, x, u, lg, rhs)`` and is sent the solution of (I - J(x)) y = rhs,
-    from the u and lg that x's evaluation kept, or None.  It returns its
-    :class:`SolveReport`.
-    """
-    stop_width = config.interval_width
-    lower = linear.solution
-    low, f_low = lower, None
-    upper = start_upper = None
-    trace: list[TraceEntry] = []
-    fallbacks = 0
-    f_rho, u, lg = yield MAP, rho
-    for t in range(config.max_iter + 1):
-        residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
-        converged = residual <= config.tol_residual * (1.0 + float(np.max(rho, initial=0.0)))
-        if np.all(f_rho >= rho) and np.all(rho >= low):
-            low, f_low = rho, f_rho
-        lift = stop_width is not None and bool(np.all(f_rho <= rho))
-        if lift and f_low is None:
-            f_low, *_ = yield MAP, low
-        step = STEP, rho, u, lg, np.column_stack([f_rho - rho] + ([f_low - low] if lift else []))
-        # the residual stop needs no step at its last iterate past the start: ``upper``
-        # takes it when it is read
-        deferred = stop_width is None and t > 0 and (converged or t == config.max_iter)
-        if not deferred:
-            steps = yield step
-            bound = _tangent_bound(rho, steps)
-            usable = bound is not None
-            if usable:
-                upper = bound
-                if t == 0:  # anchored at the start: the bound the bound-quality report reads
-                    start_upper = upper
-            if steps is not None and lift:
-                candidate = np.maximum(low + steps[:, 1], low)
-                f_candidate, *_ = yield MAP, candidate
-                if np.all(f_candidate >= candidate):
-                    low, f_low = candidate, f_candidate
-        width = float(np.max(upper - low)) if upper is not None else math.inf
-        trace.append(TraceEntry(iteration=t, residual=residual, interval_width=width))
-        done = converged or (stop_width is not None and width <= stop_width)
-        if done or t == config.max_iter:  # no step past the last reported iterate
-            status = CONVERGED if done else MAX_ITER_EXCEEDED
-            break
-        fallbacks += not usable
-        rho = upper if usable else f_rho  # Newton from above, else a plain step
-        f_rho, u, lg = yield MAP, rho
-    point = rho if stop_width is None else low
-    if deferred:
-        upper = functools.partial(_last_upper, cc, rho, step, upper, point)
-    else:  # the maximum of an upper bound and any vector is an upper bound
-        upper = None if upper is None else np.maximum(upper, point)
-    return SolveReport(status, point, lower, upper, residual, len(trace) - 1, trace, linear, fallbacks,
-                       start_upper)
-
-
-def _rows(arrays: list[np.ndarray]) -> np.ndarray:
+def _rows(arrays) -> np.ndarray:
     """The arrays as the rows of one array; a lone one as a view, cheaper than ``np.stack``'s copy."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _last_upper(cc, rho, step, upper, point) -> Optional[np.ndarray]:
-    """The tangent bound at the last iterate ``rho`` by its ``step`` request, else ``upper``; at least ``point``."""
-    (steps,) = _serve(cc, cc.a[None], [step])
+def _evaluate(cc, a, points) -> list[np.ndarray]:
+    """f at each ``(k, x)`` of ``points``, x with the rates per demand ``a[k]``, by one map call."""
+    if not points:
+        return []
+    rows, xs = zip(*points)
+    return list(coupling.load_function(cc, _rows(xs), a[list(rows)]))
+
+
+def _steps(cc, rho, a, u, lg, rhs) -> list[Optional[np.ndarray]]:
+    """The solution of (I - J(rho[k])) y = rhs[k] for each row k, None where unusable, by one stacked LU.
+
+    J is taken from the u and log1p(1/u) that the map evaluation at ``rho``
+    kept.  A solution is None where I - J is singular or it is not finite.
+    """
+    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling.jacobian(cc, rho, a, (u, lg)), rhs)
+
+
+def _last_upper(cc, a, rho, f_rho, u, lg, upper) -> Optional[np.ndarray]:
+    """The tangent bound at a residual-stop solve's last iterate ``rho``, else ``upper``; at least ``rho``."""
+    (steps,) = _steps(cc, rho[None], a[None], u[None], lg[None], (f_rho - rho)[None, :, None])
     bound = _tangent_bound(rho, steps)
     upper = upper if bound is None else bound
-    return None if upper is None else np.maximum(upper, point)
+    return None if upper is None else np.maximum(upper, rho)
 
 
-def _iterate(rows, config) -> list[SolveReport]:
-    """:func:`_newton` on each ``(cc, start, linear)`` row, all rows in lockstep.
+def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
+    """Newton from each row of ``rho`` on a feasible system, all rows in lockstep: one report per row.
 
-    The rows' coefficients share one layout and differ only in ``a``.  Each
-    round serves every row's request at once: the maps in one
-    :func:`coupling.load_function`, and the steps with the same number of
-    right-hand sides in one :func:`coupling.jacobian` and one stacked LU.  A
-    lone row takes the one-row GEMVs and ``gesv``, so a solve has the same
-    bits as ever.  A stack of rows runs on one BLAS thread, so that its
-    rows' bits, which can differ in the last places from a solve alone, do
-    not depend on the thread count.
+    Row r has rates per demand ``a[r]`` and the feasible verdict
+    ``linears[r]``, whose solution it must not start below; the rows'
+    coefficients share ``cc``'s layout and differ only in ``a``.  One LU of
+    I - J(rho) per iteration: the next iterate is the tangent plane's fixed
+    point, ``upper``, or f(rho) where that system is unusable; either stays
+    above the asymptotic solution L, as f(rho) >= f(L) >= L.  ``low`` is a
+    sub-solution, f(low) >= low: the asymptotic solution, then, checked by
+    evaluation, any iterate that is one and, under the interval stop, the
+    zero of the minorant through ``low`` with slope J(rho) - I at a
+    super-solution rho (J is nonincreasing, so J(rho) <= J on [low, rho*]).
+
+    Each round evaluates the map at every running row in one
+    :func:`coupling.load_function`, and takes the steps in one
+    :func:`coupling.jacobian` and one stacked LU; the interval stop adds at
+    most one map call for f(low) and one for its lift candidates.  A lone
+    row takes the one-row GEMVs and ``gesv``, so a solve has the same bits
+    as ever.  A stack of rows runs on one BLAS thread, so that its rows'
+    bits, which can differ in the last places from a solve alone, do not
+    depend on the thread count.
     """
-    cc = rows[0][0]
-    a = _rows([row_cc.a for row_cc, _, _ in rows])
-    runs = [_newton(row_cc, start, linear, config) for row_cc, start, linear in rows]
-    reports: list[Optional[SolveReport]] = [None] * len(runs)
-    with linfeas._one_blas_thread if len(runs) > 1 else contextlib.nullcontext():
-        pending = {r: next(run) for r, run in enumerate(runs)}
-        while pending:
-            batches: dict[tuple, list[int]] = {}  # the maps, and the steps by their right-hand sides' shape
-            for r, request in pending.items():
-                batches.setdefault((request[0], request[-1].shape), []).append(r)
-            served = {}
-            for batch in batches.values():
-                replies = _serve(cc, a if len(batch) == len(a) else a[batch], [pending[r] for r in batch])
-                for r, reply in zip(batch, replies):
-                    try:
-                        served[r] = runs[r].send(reply)
-                    except StopIteration as stop:
-                        reports[r] = stop.value
-            pending = dict(sorted(served.items()))  # in row order, so a batch of every row is all of ``a``
-    return reports
-
-
-def _serve(cc, a, requests):
-    """The reply to each request, all of one kind and shape, from one kernel call on rates ``a``.
-
-    A step's reply is None where I - J is singular or the solution not finite.
-    """
-    args = [_rows(column) for column in zip(*[request[1:] for request in requests])]
-    if requests[0][0] is MAP:
-        return zip(*coupling.load_function(cc, *args, a, terms=True))
-    rho, u, lg, rhs = args
-    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling.jacobian(cc, rho, a, (u, lg)), rhs)
+    stop_width, count = config.interval_width, len(rho)
+    low = [linear.solution for linear in linears]
+    f_low: list[Optional[np.ndarray]] = [None] * count
+    upper: list[Optional[np.ndarray]] = [None] * count
+    start_upper: list[Optional[np.ndarray]] = [None] * count
+    traces: list[list[TraceEntry]] = [[] for _ in range(count)]
+    fallbacks = [0] * count
+    reports: list[Optional[SolveReport]] = [None] * count
+    ids = list(range(count))  # ids[k] is the row of running iterate k, in row order
+    with linfeas._one_blas_thread if count > 1 else contextlib.nullcontext():
+        for t in range(config.max_iter + 1):
+            f_rho, u, lg = coupling.load_function(cc, rho, a, terms=True)
+            residual = np.max(np.abs(rho - f_rho), axis=1, initial=0.0)
+            converged = residual <= config.tol_residual * (1.0 + np.max(rho, axis=1, initial=0.0))
+            sub = np.all(f_rho >= rho, axis=1)
+            lift = np.all(f_rho <= rho, axis=1) if stop_width is not None else [False] * len(ids)
+            for k, r in enumerate(ids):
+                if sub[k] and np.all(rho[k] >= low[r]):
+                    low[r], f_low[r] = rho[k], f_rho[k]
+            unknown = [k for k, r in enumerate(ids) if lift[k] and f_low[r] is None]
+            for k, f in zip(unknown, _evaluate(cc, a, [(k, low[ids[k]]) for k in unknown])):
+                f_low[ids[k]] = f
+            # the residual stop needs no step at its last iterate past the start: ``upper``
+            # takes it when it is read
+            stepping = [k for k in range(len(ids))
+                        if stop_width is not None or t == 0 or not (converged[k] or t == config.max_iter)]
+            usable, candidates = {}, []
+            if stepping:
+                rows = stepping if len(stepping) < len(ids) else slice(None)  # all: views, not copies
+                rhs = [f_rho[rows] - rho[rows]]
+                # a second right-hand side, the minorant's step from ``low``, for the rows that lift;
+                # one stack takes one shape, so the other rows get zeros, whose solution is not read
+                if any(lift[k] for k in stepping):
+                    rhs.append(np.array([f_low[ids[k]] - low[ids[k]] if lift[k] else np.zeros(cc.num_cells)
+                                         for k in stepping]))
+                steps = _steps(cc, rho[rows], a[rows], u[rows], lg[rows], np.stack(rhs, axis=2))
+                for k, step in zip(stepping, steps):
+                    r = ids[k]
+                    bound = _tangent_bound(rho[k], step)
+                    usable[k] = bound is not None
+                    if bound is not None:
+                        upper[r] = bound
+                        if t == 0:  # anchored at the start: the bound the bound-quality report reads
+                            start_upper[r] = bound
+                    if step is not None and lift[k]:
+                        candidates.append((k, np.maximum(low[r] + step[:, 1], low[r])))
+            for (k, candidate), f_candidate in zip(candidates, _evaluate(cc, a, candidates)):
+                if np.all(f_candidate >= candidate):
+                    low[ids[k]], f_low[ids[k]] = candidate, f_candidate
+            keep, after = [], []
+            for k, r in enumerate(ids):
+                width = float(np.max(upper[r] - low[r])) if upper[r] is not None else math.inf
+                traces[r].append(TraceEntry(iteration=t, residual=float(residual[k]), interval_width=width))
+                done = converged[k] or (stop_width is not None and width <= stop_width)
+                if not (done or t == config.max_iter):  # no step past the last reported iterate
+                    fallbacks[r] += not usable[k]
+                    keep.append(k)
+                    after.append(upper[r] if usable[k] else f_rho[k])  # Newton from above, else a plain step
+                    continue
+                point = rho[k] if stop_width is None else low[r]
+                if k not in usable:
+                    last = functools.partial(_last_upper, cc, a[k], rho[k], f_rho[k], u[k], lg[k], upper[r])
+                else:  # the maximum of an upper bound and any vector is an upper bound
+                    last = None if upper[r] is None else np.maximum(upper[r], point)
+                reports[r] = SolveReport(CONVERGED if done else MAX_ITER_EXCEEDED, point, linears[r].solution,
+                                         last, float(residual[k]), t, traces[r], linears[r], fallbacks[r],
+                                         start_upper[r])
+            if not keep:
+                return reports
+            ids, rho = [ids[k] for k in keep], _rows(after)
+            a = a if len(keep) == len(a) else a[keep]
 
 
 def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -257,8 +251,8 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
 
     The exact linear feasibility check runs first; infeasible instances are
     reported without a single nonlinear iteration.  Otherwise Newton
-    iterates from the asymptotic solution (or ``config.start``) until the
-    residual drops below ``tol_residual`` relative to 1 + the largest load.
+    iterates from the asymptotic solution until the residual drops below
+    ``tol_residual`` relative to 1 + the largest load.
     After the first step every iterate is the fixed point of a tangent plane,
     a super-solution, unless that system was unusable and a plain step
     rho <- f(rho) was taken.
@@ -277,32 +271,26 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
     """:func:`solve` on coefficients.
 
     ``linear`` is the outcome of :func:`linfeas.feasibility` on ``cc`` when the
-    caller has already taken that verdict; it is taken here otherwise.  A
-    ``config.start`` that is not a finite array of shape ``(num_cells,)``
-    raises ValueError.
+    caller has already taken that verdict; it is taken here otherwise.
     """
-    config = config or SolverConfig()
-    if config.start is not None and not (np.shape(config.start) == (cc.num_cells,)
-                                         and np.all(np.isfinite(config.start))):
-        raise ValueError(f"start must be a finite array of shape ({cc.num_cells},)")
     if linear is None:
         _, linear = linfeas.feasibility(coupling.asymptotic_linearization(cc))
     if linear.status != linfeas.FEASIBLE:
         return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
-    start = linear.solution if config.start is None else np.maximum(config.start, linear.solution)
-    return _iterate([(cc, start.copy(), linear)], config)[0]
+    return _iterate(cc, cc.a[None], linear.solution[None].copy(), [linear], config or SolverConfig())[0]
 
 
 def solve_rows(rows, config: Optional[SolverConfig] = None) -> list[SolveReport]:
     """:func:`solve_coefficients` on each ``(coefficients, linear)`` row, all rows in lockstep.
 
     Each ``linear`` is the row's feasible verdict, and each row starts from
-    its asymptotic solution, so a ``config.start`` raises ValueError.  The
-    rows' coefficients share one layout and differ only in ``a``, as
-    ``cc.scaled(s)`` for every s > 0 do.  A row's last bits can differ from
-    its solve alone, as its products are shared with the other rows.
+    its asymptotic solution.  The rows' coefficients share one layout and
+    differ only in ``a``, as ``cc.scaled(s)`` for every s > 0 do.  A row's
+    last bits can differ from its solve alone, as its products are shared
+    with the other rows.
     """
-    config = config or SolverConfig()
-    if config.start is not None:
-        raise ValueError("solve_rows starts every row from its asymptotic solution; start must be None")
-    return _iterate([(cc, linear.solution.copy(), linear) for cc, linear in rows], config) if rows else []
+    if not rows:
+        return []
+    coefficients, linears = zip(*rows)
+    return _iterate(coefficients[0], _rows([cc.a for cc in coefficients]),
+                    np.stack([linear.solution for linear in linears]), linears, config or SolverConfig())

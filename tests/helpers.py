@@ -10,7 +10,8 @@ convert instance-file blocks by typed walks, the references for the
 loader's conversions: one typed pack per gains row, with the garbage
 collector paused, one numpy array for the serving pairs and one for the
 cell and pixel fields.  ``fixed_point_iteration`` (plain iteration of
-the map, the paper's scheme) and ``tangent_linearization`` (the tangent
+the map, the paper's scheme), ``solve_from`` (the solver's Newton loop from a
+chosen start) and ``tangent_linearization`` (the tangent
 plane as an affine system) are the references for the solver's Newton
 iteration and its tangent bound.  ``bound_quality_reference`` builds the
 bound quality table cell by cell, with scalar arithmetic.
@@ -39,8 +40,10 @@ from loadcouple import (
     coupling,
     feasibility_check,
     jacobian,
+    linfeas,
     load_function,
     solve_linear,
+    solver,
 )
 from loadcouple.netmodel import _float, _typed
 
@@ -252,6 +255,21 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
             return f_rho, residual, t, False
         rho = f_rho
     return rho, residual, max_iter, False
+
+
+def solve_from(instance, start, config=None):
+    """The solve of a feasible instance with Newton started at ``start`` raised to the asymptotic solution.
+
+    The package starts every solve from the asymptotic solution, which is
+    what a ``start`` of None gives; any other start enters the solver's
+    loop directly.
+    """
+    if start is None:
+        return solver.solve(instance, config)
+    model = linfeas.model(instance)
+    cc, linear = model.coefficients, model.verdict
+    return solver._iterate(cc, cc.a[None], np.maximum(start, linear.solution)[None], [linear],
+                           config or solver.SolverConfig())[0]
 
 
 def tangent_linearization(cc, anchor) -> LinearizedSystem:

@@ -24,6 +24,7 @@ from helpers import (
     hessian_entry,
     lower_bound,
     random_instance,
+    solve_from,
     tangent_linearization,
     two_cell_instance,
     upper_bound,
@@ -98,8 +99,7 @@ def test_02_fixed_point_unique_across_starts(corpus):
             ends = []
             for _ in range(10):
                 start = rng.uniform(0.0, 3.0, size=inst.num_cells)
-                config = solver.SolverConfig(tol_residual=1e-12, start=start)
-                report = solver.solve(inst, config)
+                report = solve_from(inst, start, solver.SolverConfig(tol_residual=1e-12))
                 assert report.status == solver.CONVERGED
                 ends.append(report.fixed_point)
             stacked = np.stack(ends)

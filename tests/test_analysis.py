@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import sys
 import threading
@@ -23,6 +24,7 @@ from helpers import (
 from loadcouple import (
     NetworkInstance,
     PreconditionError,
+    ScenarioSpec,
     SolveReport,
     SolverConfig,
     asymptotic_linearization,
@@ -33,6 +35,7 @@ from loadcouple import (
     demand_sweep,
     feasibility_boundary,
     feasibility_check,
+    generate,
     linfeas,
     load_function,
     solve,
@@ -163,6 +166,32 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
             np.testing.assert_allclose(row.rho_star, report.fixed_point, rtol=1e-9, atol=0, err_msg=name)
             if row.scale == 0:
                 assert not np.any(row.rho_star) and not np.any(row.rho_lower)
+
+
+# sha256 of every row's rho_star (its tobytes) and solve_status, in grid order, of
+# demand_sweep on the seed-7 scenarios over 40 scales from 0 to 0.999 of the boundary:
+# scale 0 is solved alone, the other 39 in lockstep chunks of SWEEP_ROWS = 32 and 7
+# rows, so these are the stacked solver's bits, which the frozen 8-scale sweeps do not reach.
+LOCKSTEP_SWEEP_DIGESTS = {
+    36: "76b27aff8b799457abd805565d2861d83887d04aeaa876dfab1231a984d183dd",
+    81: "4b08122910c05f24c6495f41535bf68d611ec5f71c94482a38d528bb54a6b57f",
+}
+
+
+def test_lockstep_sweep_output_is_frozen():
+    assert SWEEP_ROWS == 32
+    got = {}
+    for num_sites in (12, 27):
+        instance = generate(ScenarioSpec(num_sites=num_sites, rng_seed=7, demand_bits_per_user=80_000.0))
+        boundary = 1.0 / linfeas.model(instance).spectral_radius
+        rows = demand_sweep(instance, np.linspace(0.0, 0.999 * boundary, 40))
+        digest = hashlib.sha256()
+        for row in rows:
+            assert row.feasible and row.solve_status == "converged"
+            digest.update(row.rho_star.tobytes())
+            digest.update(row.solve_status.encode())
+        got[instance.num_cells] = digest.hexdigest()
+    assert got == LOCKSTEP_SWEEP_DIGESTS
 
 
 def test_boundary_matches_spectral_radius():

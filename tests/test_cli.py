@@ -178,27 +178,17 @@ def test_sweep_csv_layout(tmp_path):
     assert rows[-1][4] == "n/a"
 
 
-def test_sweep_output_ignores_thread_env(tmp_path, monkeypatch):
-    rng = np.random.default_rng(SEED + 5)
-    inst = _write_instance(tmp_path, random_instance(rng, 3, 4, radius_target=0.8))
-    outputs = []
-    for value in (None, "1", "4", "zero"):
-        if value is None:
-            monkeypatch.delenv("LOADCOUPLE_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LOADCOUPLE_THREADS", value)
-        out = tmp_path / f"sweep-{value}.csv"
-        assert main(["sweep", "--instance", str(inst), "--scales", "0.2:1.0:5",
-                     "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert all(o == outputs[0] for o in outputs)
+def test_sweep_output_ignores_thread_env(tmp_path, capsys):
     # a sweep stacks its rows' products, which OpenBLAS would split among its threads
-    # in a way that moves last bits; the stacks run on one thread, so the count does not show
+    # in a way that moves last bits; the stacks run on one thread, so the count does not
+    # show: this process's sweep prints the bytes of subprocesses on 1 and 2 threads
     n81 = _write_instance(tmp_path, generate(ScenarioSpec(num_sites=27, rng_seed=7, demand_bits_per_user=80_000.0)),
                           "n81.json")
     src = str(Path(loadcouple.__file__).parents[1])
     for scales in ("0.5:4:12", "0.1:4:32"):  # the longer grid moved bits on two threads, unpinned
-        stdouts = []
+        capsys.readouterr()
+        assert main(["sweep", "--instance", str(n81), "--scales", scales]) == 0
+        stdouts = [capsys.readouterr().out.encode()]
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -206,7 +196,7 @@ def test_sweep_output_ignores_thread_env(tmp_path, monkeypatch):
                                    "--scales", scales], capture_output=True, env=env)
             assert proc.returncode == 0, proc.stderr
             stdouts.append(proc.stdout)
-        assert stdouts[0] == stdouts[1], scales
+        assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0], scales
 
 
 def test_sweep_exit_code_flags_unconverged_rows(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     FROZEN_TWO_CELL_FIXED_POINT,
@@ -15,6 +15,7 @@ from helpers import (
     frozen_two_cell,
     lower_bound,
     random_instance,
+    solve_from,
     upper_bound,
 )
 from loadcouple import (
@@ -115,7 +116,7 @@ def test_unique_fixed_point_from_random_starts():
         solutions = []
         for _ in range(5):
             start = rng.uniform(0.0, 3.0, n)
-            report = solve(instance, SolverConfig(start=start))
+            report = solve_from(instance, start)
             assert report.status == "converged"
             solutions.append(report.fixed_point)
         for other in solutions[1:]:
@@ -225,7 +226,7 @@ def test_warm_start_converges_immediately():
     rng = np.random.default_rng(SEED + 10)
     instance = random_instance(rng, 4, 5, radius_target=0.7)
     cold = solve(instance)
-    warm = solve(instance, SolverConfig(start=cold.fixed_point))
+    warm = solve_from(instance, cold.fixed_point)
     assert warm.status == "converged"
     assert warm.iterations <= 2
     np.testing.assert_allclose(warm.fixed_point, cold.fixed_point, rtol=1e-9)
@@ -311,8 +312,8 @@ def test_interval_stop_certifies_both_ends_property(seed, num_cells, radius_targ
                        + _stop_distance(cc, newton.fixed_point, 1e-10))
     for start in (None, 1.05 * newton.fixed_point):
         for width in (1e-3, 1e-6):
-            config = SolverConfig(start=start, interval_width=width)
-            report = solve(instance, config)
+            config = SolverConfig(interval_width=width)
+            report = solve_from(instance, start, config)
             assert report.status == "converged"
             lo, hi = report.fixed_point, report.upper
             slack = 1e-12 * (1.0 + np.max(hi))
@@ -321,6 +322,47 @@ def test_interval_stop_certifies_both_ends_property(seed, num_cells, radius_targ
             assert np.all(lo <= hi)
             if report.residual > config.tol_residual * (1.0 + np.max(hi)):  # stopped by width
                 assert np.max(hi - lo) <= width
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), noise_exponent=st.floats(-8.0, 0.0),
+       width=st.sampled_from([1e-3, 1e-6]))
+@example(seed=1, num_cells=3, noise_exponent=-8.0, width=1e-3)
+def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noise_exponent, width):
+    """A stack of rows under the interval stop certifies each row's bracket and agrees with its lone solve.
+
+    The grid runs from 0.1 to 0.999 of the boundary, on instances whose
+    noise can be low enough that the tangent system at the asymptotic
+    solution is unusable: in one round, rows that lift their low end (after
+    a Newton step, at a super-solution) then share the stacked LU with rows
+    that do not (at the start, or after a plain step).  The explicit example
+    has such a round.  Each row's low end is a sub-solution and its upper
+    end a super-solution, both by evaluation, and its upper end is its solve
+    alone's within rtol 1e-9.  The low ends can differ by more: where a lift
+    candidate sits at the fixed point within rounding, whether it passes
+    f(x) >= x can differ between the stack and the lone solve, and the one
+    that passes ends with the narrower bracket.  So each low end is only
+    checked to lie below the other solve's upper end.
+    """
+    instance = random_instance(np.random.default_rng(seed), num_cells, 3, 0.9)
+    instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
+    model = linfeas.model(instance)
+    rows = []
+    for fraction in (0.1, 0.5, 0.9, 0.99, 0.999):
+        feasible, verdict = linfeas.feasibility(model.system, fraction / model.spectral_radius)
+        assert feasible
+        rows.append((model.coefficients.scaled(fraction / model.spectral_radius), verdict))
+    config = SolverConfig(interval_width=width)
+    for (cc, verdict), report in zip(rows, solver.solve_rows(rows, config)):
+        alone = solver.solve_coefficients(cc, config, linear=verdict)
+        assert report.status == alone.status == "converged"
+        lo, hi = report.fixed_point, report.upper
+        slack = 1e-12 * (1.0 + np.max(hi))
+        assert np.all(load_function(cc, lo) >= lo - slack)
+        assert np.all(load_function(cc, hi) <= hi + slack)
+        assert np.all(lo <= hi)
+        np.testing.assert_allclose(hi, alone.upper, rtol=1e-9, atol=0)
+        assert np.all(lo <= alone.upper + slack) and np.all(alone.fixed_point <= hi + slack)
 
 
 @settings(max_examples=30)
@@ -339,7 +381,7 @@ def test_fixed_point_does_not_depend_on_start_property(seed, num_cells, radius_t
     assert default.status == "converged"
     points = [default.fixed_point]
     for start in (np.zeros(num_cells), 2.0 * default.fixed_point):
-        report = solve(instance, SolverConfig(start=start))
+        report = solve_from(instance, start)
         assert report.status == "converged"
         points.append(report.fixed_point)
     for i, a in enumerate(points):
@@ -421,23 +463,6 @@ def test_newton_never_evaluates_the_map_twice_at_one_point(monkeypatch, num_site
         assert len(set(points)) == len(points), fraction
 
 
-def test_malformed_start_is_rejected():
-    """A start that is not a finite vector of one load per cell raises instead of iterating."""
-    instance = frozen_two_cell()
-    for start in ([[0.1, 0.1], [0.1, 0.1]], [0.1], [0.1, 0.1, 0.1], [math.nan, 0.1], [math.inf, 0.1]):
-        with pytest.raises(ValueError, match="start must be a finite array"):
-            solve(instance, SolverConfig(start=np.array(start)))
-
-
-def test_solve_rows_rejects_a_start():
-    """Every lockstep row starts from its own asymptotic solution, so a start is refused, not dropped."""
-    model = linfeas.model(frozen_two_cell())
-    rows = [(model.coefficients, model.verdict)]
-    assert solver.solve_rows(rows)[0].status == "converged"
-    with pytest.raises(ValueError, match="start must be None"):
-        solver.solve_rows(rows, SolverConfig(start=np.array([0.1, 0.1])))
-
-
 # sha256 of fixed_point, upper and start_upper (their tobytes, in that
 # order) and the iteration count, for the seed-7 n=36 scenario at
 # near_boundary's fractions of its boundary, under the residual stop (None)
@@ -508,7 +533,7 @@ def test_newton_descends_from_above_property(seed, num_cells, pixels_per_cell, n
         for start in (None, np.zeros(num_cells), 2.0 * default.fixed_point):
             for log in (points, values, jacobians):
                 log.clear()
-            report = solve(instance, SolverConfig(start=start))
+            report = solve_from(instance, start)
             assert report.status == "converged"
             assert len(points) == report.iterations + 1
             assert len(jacobians) == max(report.iterations, 1)
