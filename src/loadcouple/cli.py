@@ -2,8 +2,9 @@
 
 Every command reads and writes plain files (JSON in, CSV out) and is
 deterministic given its inputs: random scenarios carry their seed in the
-spec file.  Exit codes: 0 success, 2 invalid input, 3 infeasible where the
-command needs feasibility, 4 iteration limit hit.
+spec file.  Exit codes: 0 success, 2 invalid input (one too large to
+allocate included), 3 infeasible where the command needs feasibility, 4
+iteration limit hit.
 
 CSV layout: an initial comment line ``# key=value ...`` with run-level
 results, then a header row, then data rows.  Floats are written with 17
@@ -91,19 +92,16 @@ def _cmd_solve(args) -> int:
     report = solver.solve(instance, solver.SolverConfig(
         tol_residual=args.tol, max_iter=args.max_iter, interval_width=args.interval_width))
 
+    radius = _fmt(linfeas.model(instance).spectral_radius)
     header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "residual"]
     if report.status == solver.INFEASIBLE:
-        comment = (
-            f"status={report.status} iterations=0 "
-            f"linear_status={report.linear.status} spectral_radius={_fmt(report.linear.spectral_radius)}"
-        )
+        comment = (f"status={report.status} iterations=0 "
+                   f"linear_status={report.linear.status} spectral_radius={radius}")
         rows = [[i + 1, None, None, None, None] for i in range(instance.num_cells)]
         _write_csv(args.out, comment, header, rows)
         return EXIT_INFEASIBLE
-    comment = (
-        f"status={report.status} iterations={report.iterations} "
-        f"residual={_fmt(report.residual)} spectral_radius={_fmt(report.linear.spectral_radius)}"
-    )
+    comment = (f"status={report.status} iterations={report.iterations} "
+               f"residual={_fmt(report.residual)} spectral_radius={radius}")
     rows, upper = [], report.upper  # read once: the first read solves the last tangent system
     for i in range(instance.num_cells):
         rows.append([i + 1, float(report.fixed_point[i]), float(report.lower[i]),
@@ -115,11 +113,10 @@ def _cmd_solve(args) -> int:
 def _cmd_feasibility(args) -> int:
     instance = netmodel.load_instance(args.instance)
     feasible, outcome = linfeas.feasibility_check(instance)
-    flags = " reducible" if outcome.reducible else ""
-    print(
-        f"{'feasible' if feasible else 'infeasible'} "
-        f"(linear status {outcome.status}, spectral radius {_fmt(outcome.spectral_radius)}{flags})"
-    )
+    model = linfeas.model(instance)
+    flags = " reducible" if model.reducible else ""
+    print(f"{'feasible' if feasible else 'infeasible'} "
+          f"(linear status {outcome.status}, spectral radius {_fmt(model.spectral_radius)}{flags})")
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
@@ -239,7 +236,7 @@ def main(argv=None) -> int:
     except analysis.PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (netmodel.SchemaError, OSError, ValueError) as exc:
+    except (netmodel.SchemaError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -4,15 +4,15 @@ The asymptotic linearization is an exact feasibility instrument: the
 nonlinear load coupling system has a fixed point if and only if the
 asymptotic affine system ``rho = slope @ rho + offset`` has a nonnegative
 solution, and that solution sits below the nonlinear fixed point.  The
-verdict is one dense linear solve.  The feasibility outcome also reports
-the slope's spectral radius, only when a caller reads it: for a
+verdict is one dense linear solve, and holds only its status and solution.
+
+An instance's questions read one :class:`Model`, from :func:`model`: its
+coefficients, asymptotic system, unit-scale verdict, spectral radius and
+reducibility, each built once for as long as the instance lives.  The
+model is the one place an instance's radius is computed: for a
 nonnegative irreducible slope (every generated one) from a few LU steps of
 Noda's inverse iteration, whose Collatz-Wielandt bracket certifies it, and
 for any other matrix from one dense eigenvalue solve.
-
-An instance's questions read one :class:`Model`, from :func:`model`: its
-coefficients, asymptotic system, unit-scale verdict and spectral radius,
-each built once for as long as the instance lives.
 """
 
 from __future__ import annotations
@@ -49,25 +49,10 @@ class LinearSolveOutcome:
     """Result of solving an affine load system ``rho = slope @ rho + offset``.
 
     ``solution`` is present exactly when ``status == "feasible"``.
-    ``spectral_radius`` is the slope's spectral radius, computed the first
-    time it is read; values below one characterize solvable systems.
-    ``reducible`` flags slopes whose directed graph (an edge k -> i where
-    slope[i, k] > 0) is not strongly connected: some cell's load does not
-    reach another's through any chain of interference, and the spectral
-    characterization weakens from irreducible to merely nonnegative coupling.
     """
 
     status: str
     solution: Optional[np.ndarray]
-    slope: np.ndarray
-
-    @cached_property
-    def spectral_radius(self) -> float:
-        return spectral_radius(self.slope)
-
-    @cached_property
-    def reducible(self) -> bool:
-        return not _reach(self.slope).all()
 
 
 def _reach(slope: np.ndarray) -> np.ndarray:
@@ -233,13 +218,13 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     order = np.argsort(-_reach(slope).sum(axis=1), kind="stable")
     solution = _lu_solve(lhs.take(order, axis=0).take(order, axis=1), rhs[order])
     if solution is None:
-        return LinearSolveOutcome(SINGULAR, None, slope)
+        return LinearSolveOutcome(SINGULAR, None)
     solution = solution[np.argsort(order)]
     if np.min(solution) < -NEGATIVE_ATOL:
-        return LinearSolveOutcome(INFEASIBLE_NEGATIVE, None, slope)
+        return LinearSolveOutcome(INFEASIBLE_NEGATIVE, None)
     solution = np.maximum(solution, 0.0)
     solution.setflags(write=False)
-    return LinearSolveOutcome(FEASIBLE, solution, slope)
+    return LinearSolveOutcome(FEASIBLE, solution)
 
 
 def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[bool, LinearSolveOutcome]:
@@ -267,9 +252,13 @@ def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
 class Model:
     """One instance's coupling coefficients and asymptotic system, with what they give once.
 
-    ``verdict`` is :func:`feasibility` at scale 1 and ``spectral_radius``
-    rho(A) of the slope; each is computed the first time it is read, and
-    the verdict's ``spectral_radius`` is this one value.  Every array is
+    ``verdict`` is :func:`feasibility` at scale 1, ``spectral_radius``
+    rho(A) of the slope, below one exactly for solvable systems, and
+    ``reducible`` whether the slope's directed graph (an edge k -> i where
+    slope[i, k] > 0) is not strongly connected: some cell's load does not
+    reach another's through any chain of interference, and the spectral
+    characterization weakens from irreducible to merely nonnegative
+    coupling.  Each is computed the first time it is read.  Every array is
     read-only, so no caller can change a later answer.
     """
 
@@ -278,15 +267,15 @@ class Model:
 
     @cached_property
     def verdict(self) -> LinearSolveOutcome:
-        verdict = feasibility(self.system)[1]
-        if "spectral_radius" in self.__dict__:  # 1.0 * A is A bit for bit: the radii agree
-            verdict.__dict__["spectral_radius"] = self.spectral_radius
-        return verdict
+        return feasibility(self.system)[1]
 
     @cached_property
     def spectral_radius(self) -> float:
-        verdict = self.__dict__.get("verdict")
-        return spectral_radius(self.system.slope) if verdict is None else verdict.spectral_radius
+        return spectral_radius(self.system.slope)
+
+    @cached_property
+    def reducible(self) -> bool:
+        return not _reach(self.system.slope).all()
 
 
 # each instance's model, dropped with the instance; instances compare by identity

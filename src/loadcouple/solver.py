@@ -80,7 +80,7 @@ class SolveReport:
     from the interference terms its map evaluation kept; until then the
     solve has taken one Jacobian per step, and the last trace entry's width
     is that of the bound before.  ``residual`` is the final
-    iterate's.  ``linear`` carries the feasibility check's diagnostics; its
+    iterate's.  ``linear`` is the feasibility check's verdict; its
     read-only ``solution`` is ``lower``.
     ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
     because the tangent system was unusable.

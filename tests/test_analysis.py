@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -29,6 +30,7 @@ from loadcouple import (
     SolverConfig,
     asymptotic_linearization,
     bound_quality,
+    cli,
     coefficients,
     compare_configs,
     coupling,
@@ -38,6 +40,8 @@ from loadcouple import (
     generate,
     linfeas,
     load_function,
+    load_instance,
+    save_instance,
     solve,
     solver,
 )
@@ -484,35 +488,69 @@ def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, insta
     assert counts["feasibility"] == counts["solve_linear"] == repeat_verdicts
 
 
-def _radii_read_by_every_question(instance) -> dict:
-    """The spectral radius of A as each command prints it or divides by it, by question."""
+def _instance_file(tmp_path, kind, seed):
+    """A feasible, an infeasible or a feasible reducible instance saved to a file, and the instance it loads as.
+
+    Give each call its own ``seed``: a load of bytes loaded before returns
+    the earlier instance, whose model may hold its radius already.
+    """
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng, 4, 5, radius_target=1.4 if kind == "infeasible" else 0.8)
+    if kind == "reducible":  # cell 4 serves no demand, so no other cell's load reaches its row
+        instance = dataclasses.replace(instance, demand_bits=np.where(instance.server_of == 3, 0.0,
+                                                                      instance.demand_bits))
+    path = tmp_path / f"{kind}.json"
+    save_instance(instance, path)
+    return path, load_instance(path)  # every later load of the file returns this instance
+
+
+def _radii_read_by_every_question(path, instance, capsys) -> dict:
+    """The spectral radius of A as each command prints it or each question divides by it, by question.
+
+    solve and a sweep at scale 1 give the printed radius, feasibility its
+    whole line; boundary and compare give the inverse of their boundary.
+    """
+    def printed(*argv):
+        cli.main([argv[0], "--instance", str(path), *argv[1:]])
+        return capsys.readouterr().out
+
+    boundary = 1.0 / _slope_radius(instance)  # from the oracle: the model builds nothing for it
     return {
-        "solve": lambda: solve(instance).linear.spectral_radius,
-        "feasibility": lambda: feasibility_check(instance)[1].spectral_radius,
-        "sweep": lambda: demand_sweep(instance, [1.0])[0].spectral_radius,
-        "boundary": lambda: 1.0 / feasibility_boundary(instance, lo=0.5, hi=2.0).scale,
+        "solve": lambda: re.search(r"spectral_radius=(\S+)", printed("solve")).group(1),
+        "feasibility": lambda: printed("feasibility"),
+        "sweep": lambda: printed("sweep", "--scales", "1:1:1").splitlines()[2].split(",")[2],
+        "boundary": lambda: 1.0 / feasibility_boundary(instance, lo=0.5 * boundary, hi=2.0 * boundary).scale,
         "compare": lambda: 1.0 / compare_configs(instance, instance).boundary_a,
     }
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["verdict_first", "radius_first"])
-def test_every_question_on_one_instance_shares_one_perron_root(monkeypatch, reverse):
+def test_every_question_on_one_instance_shares_one_perron_root(monkeypatch, capsys, tmp_path, reverse):
     """solve, feasibility, sweep, boundary and compare on one instance compute rho(A) once in total.
 
-    In the forward order the unit-scale verdict is taken before the radius
-    is read, in the reverse order after: either way its radius is the
-    model's.
+    Each prints or divides by the model's radius, byte for byte, and
+    feasibility prints the model's reducible flag, on a feasible, an
+    infeasible and a reducible instance.  In the forward order the
+    unit-scale verdict is taken before the radius is read, in the reverse
+    order after.
     """
-    instance = random_instance(np.random.default_rng(SEED + 18), 4, 5, radius_target=0.8)
     counts = _count_calls(monkeypatch)
-    questions = _radii_read_by_every_question(instance)
-    radii = {name: questions[name]() for name in (reversed(questions) if reverse else questions)}
-    assert counts["spectral_radius"] == 1
-    assert counts["coefficients"] == counts["asymptotic_linearization"] == 1
-    radius = linfeas.model(instance).spectral_radius
-    assert radii["solve"] == radii["feasibility"] == radii["sweep"] == radius
-    # 1/(1/x) is x or a neighbour of x
-    assert radii["boundary"] == radii["compare"] == pytest.approx(radius, rel=4e-16)
+    for kind in ("feasible", "infeasible", "reducible"):
+        path, instance = _instance_file(tmp_path, kind, SEED + 18 + reverse)
+        questions = _radii_read_by_every_question(path, instance, capsys)
+        counts.clear()
+        answers = {name: questions[name]() for name in (reversed(questions) if reverse else questions)}
+        assert counts["spectral_radius"] == 1, kind
+        assert counts["coefficients"] == counts["asymptotic_linearization"] == 1, kind
+        model = linfeas.model(instance)
+        assert model.reducible == (kind == "reducible")
+        radius, status = cli._fmt(model.spectral_radius), model.verdict.status
+        assert answers["solve"] == answers["sweep"] == radius, kind
+        assert answers["feasibility"] == (f"{'feasible' if kind != 'infeasible' else 'infeasible'} "
+                                          f"(linear status {status}, spectral radius {radius}"
+                                          f"{' reducible' if kind == 'reducible' else ''})\n")
+        # 1/(1/x) is x or a neighbour of x
+        assert answers["boundary"] == answers["compare"] == pytest.approx(model.spectral_radius, rel=4e-16)
 
 
 def test_model_arrays_are_read_only():
@@ -528,7 +566,7 @@ def test_model_arrays_are_read_only():
         model.coefficients.rel[0, 0] = 1.0
     cc = model.coefficients
     for array in (cc.pixel, cc.cell_of, cc.starts, cc.a, cc.rel, cc.noise, cc.scaled(2.0).a,
-                  model.system.slope, model.system.offset, model.verdict.slope):
+                  model.system.slope, model.system.offset):
         assert not array.flags.writeable
     assert np.array_equal(solve(instance).lower, lower)
 
@@ -538,7 +576,7 @@ def test_a_model_is_freed_with_its_instance():
     instance = random_instance(np.random.default_rng(SEED + 21), 4, 5, radius_target=0.8)
     report = solve(instance)
     model = weakref.ref(linfeas.model(instance))
-    assert model().spectral_radius == report.linear.spectral_radius
+    assert model().verdict is report.linear
     del instance
     assert model() is None
     assert report.linear.status == "feasible"  # a report keeps its verdict, not the model
@@ -567,11 +605,12 @@ def _questions(instance) -> dict:
 
     def solved():
         report = solve(instance)
-        return report, report.linear.spectral_radius
+        return report, linfeas.model(instance).spectral_radius
 
     def checked():
         feasible, outcome = feasibility_check(instance)
-        return feasible, outcome, outcome.spectral_radius
+        model = linfeas.model(instance)
+        return feasible, outcome, model.spectral_radius, model.reducible
 
     questions = {
         "solve": solved,

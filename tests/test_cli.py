@@ -537,6 +537,47 @@ def test_sweep_rejects_non_finite_scales_with_one_error_line(tmp_path, capsys, s
     assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err, err
 
 
+@contextlib.contextmanager
+def _address_space_capped(slack=1 << 30):
+    """The process may map at most ``slack`` bytes more while inside, so no oversized array is ever backed.
+
+    numpy refuses these sizes by itself on a host that does not overcommit;
+    the cap makes a host that does refuse them too.  Where there is no
+    ``resource`` module or no ``/proc/self/statm``, the block runs uncapped.
+    """
+    try:
+        import resource
+        mapped = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + slack if hard == resource.RLIM_INFINITY else min(hard, mapped + slack)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_an_input_too_large_to_allocate_exits_2_with_one_error_line(tmp_path, capsys, command):
+    """A spec of 1e15 users per cell (128 PiB of draws) and a grid of 1e11 scales (800 GB): no traceback."""
+    if command == "generate":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"num_sites": 3, "users_per_cell_area": 1000000000000000}))
+        argv = ["generate", "--spec", str(spec), "--out", str(tmp_path / "x.json")]
+    else:
+        path = _write_instance(tmp_path, frozen_two_cell())
+        argv = ["sweep", "--instance", str(path), "--scales", "0.5:4:99999999999"]
+    with _address_space_capped():
+        code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.json").exists()
+
+
 def _set_gain_db(doc):
     doc["gains_db"][0][0] = 1e300
 

@@ -42,6 +42,11 @@ def _affine(slope, offset, anchor=None):
     return LinearizedSystem(slope=slope, offset=offset)
 
 
+def _bare_model(system) -> linfeas.Model:
+    """A model of a bare affine system: its radius and reducible flag read only the slope."""
+    return linfeas.Model(coefficients=None, system=system)
+
+
 def test_two_cell_closed_form():
     rng = np.random.default_rng(SEED)
     for _ in range(25):
@@ -57,10 +62,11 @@ def test_two_cell_closed_form():
 
 
 def test_infeasible_when_coupling_product_exceeds_one():
-    outcome = solve_linear(_affine([[0.0, 2.0], [0.8, 0.0]], [0.1, 0.1]))
+    system = _affine([[0.0, 2.0], [0.8, 0.0]], [0.1, 0.1])
+    outcome = solve_linear(system)
     assert outcome.status == "infeasible_negative"
     assert outcome.solution is None
-    assert outcome.spectral_radius > 1.0
+    assert spectral_radius(system.slope) > 1.0
 
 
 def test_singular_on_the_boundary():
@@ -68,7 +74,7 @@ def test_singular_on_the_boundary():
         outcome = solve_linear(_affine(slope, [0.1, 0.2]))
         assert outcome.status == "singular"
         assert outcome.solution is None
-        np.testing.assert_allclose(outcome.spectral_radius, 1.0, atol=1e-8)
+        np.testing.assert_allclose(spectral_radius(np.array(slope)), 1.0, atol=1e-8)
 
 
 def test_nan_slope_is_singular_not_feasible():
@@ -95,11 +101,13 @@ def test_nilpotent_slope_is_feasible_at_any_scale_in_both_cell_orders(gains):
 
 def test_zero_slope_returns_offset():
     offset = np.array([0.3, 0.0, 1.2])
-    outcome = solve_linear(_affine(np.zeros((3, 3)), offset))
+    system = _affine(np.zeros((3, 3)), offset)
+    outcome = solve_linear(system)
     assert outcome.status == "feasible"
     assert np.array_equal(outcome.solution, offset)
-    assert outcome.spectral_radius == 0.0
-    assert outcome.reducible
+    model = _bare_model(system)
+    assert model.spectral_radius == 0.0
+    assert model.reducible
 
 
 def test_anchor_shifts_solution():
@@ -406,14 +414,14 @@ def test_reducible_flag_for_isolated_cell():
     gains = np.array([[1e-7, 9e-8], [1e-8, 2e-8]])
     instance = build_instance(gains, demands=[5.0, 5.0], powers=[1.0, 1.0], noise=1e-9)
     _, outcome = feasibility_check(instance)
-    assert outcome.reducible
+    assert linfeas.model(instance).reducible
     assert outcome.status == "feasible"
 
 
 def test_cyclic_slope_is_not_flagged_reducible():
     # zero entries off the diagonal, yet 1 -> 3 -> 2 -> 1 links every cell to every other
     slope = np.array([[0.0, 0.3, 0.0], [0.0, 0.0, 0.3], [0.3, 0.0, 0.0]])
-    assert not solve_linear(_affine(slope, np.ones(3))).reducible
+    assert not _bare_model(_affine(slope, np.ones(3))).reducible
 
 
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(1, 8),
@@ -421,15 +429,13 @@ def test_cyclic_slope_is_not_flagged_reducible():
 def test_reducible_flag_means_not_strongly_connected_property(seed, num_cells, density):
     rng = np.random.default_rng(seed)
     slope = rng.uniform(0.1, 1.0, (num_cells, num_cells)) * (rng.uniform(size=(num_cells, num_cells)) < density)
-    outcome = solve_linear(_affine(slope, np.ones(num_cells)))
-    assert outcome.reducible == (not _irreducible(slope))
+    assert _bare_model(_affine(slope, np.ones(num_cells))).reducible == (not _irreducible(slope))
 
 
 def test_irreducible_corpus_not_flagged():
     rng = np.random.default_rng(SEED + 4)
     instance = random_instance(rng, 4, 5, radius_target=0.5)
-    _, outcome = feasibility_check(instance)
-    assert not outcome.reducible
+    assert not linfeas.model(instance).reducible
 
 
 def test_lower_bound_below_fixed_point():
