@@ -65,8 +65,9 @@ def _parse_scales(text: str) -> list[float]:
         first, last, count = float(first), float(last), int(count)
     except ValueError as exc:
         raise netmodel.SchemaError(f"--scales expects FIRST:LAST:COUNT, got {text!r}") from exc
-    if not (count >= 1 and 0 < first <= last < math.inf):  # false for nan too
-        raise netmodel.SchemaError(f"--scales needs finite 0 < FIRST <= LAST and COUNT >= 1, got {text!r}")
+    if not (count >= 1 and 0 < first <= last < math.inf and (count > 1 or first == last)):  # false for nan too
+        raise netmodel.SchemaError(f"--scales needs finite 0 < FIRST <= LAST, COUNT >= 1 and FIRST = LAST "
+                                   f"when COUNT is 1, got {text!r}")
     return list(np.linspace(first, last, count))
 
 
@@ -102,10 +103,10 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     comment = (f"status={report.status} iterations={report.iterations} "
                f"residual={_fmt(report.residual)} spectral_radius={radius}")
-    rows, upper = [], report.upper  # read once: the first read solves the last tangent system
+    rows = []
     for i in range(instance.num_cells):
         rows.append([i + 1, float(report.fixed_point[i]), float(report.lower[i]),
-                     None if upper is None else float(upper[i]), report.residual])
+                     None if report.upper is None else float(report.upper[i]), report.residual])
     _write_csv(args.out, comment, header, rows)
     return EXIT_OK if report.status == solver.CONVERGED else EXIT_MAX_ITER
 

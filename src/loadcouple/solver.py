@@ -8,9 +8,10 @@ tangent plane at any iterate is a super-solution, f(x) <= x, and Newton
 steps from a super-solution decrease to the fixed point in a few steps, also
 at the feasibility boundary, with no line search.  One LU of I - J(rho) per
 iteration gives the step, whose end is the tangent upper bound, and a
-certified sub-solution: a bracket that shrinks as it proceeds.  The first
-iteration's tangent bound, anchored at the start, is the one the
-bound-quality report reads: it is the only place a tangent plane is solved.
+certified sub-solution: a bracket that shrinks as it proceeds.  So under
+the residual stop the last Newton iterate is itself the upper end, and no
+tangent plane is solved there.  The first iteration's tangent bound,
+anchored at the start, is the one the bound-quality report reads.
 
 One plain loop runs a stack of rows that share one coefficient layout and
 differ in the demand scale.  Each round evaluates the map at every running
@@ -23,10 +24,9 @@ solves its feasible scales together.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -75,11 +75,11 @@ class SolveReport:
     ``status == "converged"``; the certified low end under the interval
     stop), ``lower`` the asymptotic solution and ``upper`` the latest tangent
     bound, raised to ``fixed_point``; for feasible instances the three are
-    ordered lower <= fixed_point <= upper.  Under the residual stop the last
-    iterate's tangent bound is computed the first time ``upper`` is read,
-    from the interference terms its map evaluation kept; until then the
-    solve has taken one Jacobian per step, and the last trace entry's width
-    is that of the bound before.  ``residual`` is the final
+    ordered lower <= fixed_point <= upper.  Under the residual stop no
+    tangent system is solved at the last iterate once there is a usable
+    bound: after a Newton step that iterate is the latest bound, so
+    ``upper`` is ``fixed_point``, and after a plain step it is the older
+    bound raised to it.  ``residual`` is the final
     iterate's.  ``linear`` is the feasibility check's verdict; its
     read-only ``solution`` is ``lower``.
     ``fallbacks`` counts iterations that took the plain step rho <- f(rho)
@@ -93,19 +93,13 @@ class SolveReport:
     status: str
     fixed_point: Optional[np.ndarray]
     lower: Optional[np.ndarray]
-    _upper: Union[np.ndarray, None, Callable[[], Optional[np.ndarray]]] = field(repr=False)
+    upper: Optional[np.ndarray]
     residual: float
     iterations: int
     trace: list[TraceEntry] = field(default_factory=list)
     linear: Optional[linfeas.LinearSolveOutcome] = None
     fallbacks: int = 0
     start_upper: Optional[np.ndarray] = None
-
-    @property
-    def upper(self) -> Optional[np.ndarray]:
-        if callable(self._upper):
-            self._upper = self._upper()
-        return self._upper
 
 
 def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -142,14 +136,6 @@ def _steps(cc, rho, a, u, lg, rhs) -> list[Optional[np.ndarray]]:
     return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling.jacobian(cc, rho, a, (u, lg)), rhs)
 
 
-def _last_upper(cc, a, rho, f_rho, u, lg, upper) -> Optional[np.ndarray]:
-    """The tangent bound at a residual-stop solve's last iterate ``rho``, else ``upper``; at least ``rho``."""
-    (steps,) = _steps(cc, rho[None], a[None], u[None], lg[None], (f_rho - rho)[None, :, None])
-    bound = _tangent_bound(rho, steps)
-    upper = upper if bound is None else bound
-    return None if upper is None else np.maximum(upper, rho)
-
-
 def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     """Newton from each row of ``rho`` on a feasible system, all rows in lockstep: one report per row.
 
@@ -158,7 +144,10 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     coefficients share ``cc``'s layout and differ only in ``a``.  One LU of
     I - J(rho) per iteration: the next iterate is the tangent plane's fixed
     point, ``upper``, or f(rho) where that system is unusable; either stays
-    above the asymptotic solution L, as f(rho) >= f(L) >= L.  ``low`` is a
+    above the asymptotic solution L, as f(rho) >= f(L) >= L.  A row steps at
+    its last iterate only under the interval stop, which reads the bound
+    there, or while it has no usable bound yet; otherwise the report's
+    ``upper`` is the latest bound raised to that iterate.  ``low`` is a
     sub-solution, f(low) >= low: the asymptotic solution, then, checked by
     evaluation, any iterate that is one and, under the interval stop, the
     zero of the minorant through ``low`` with slope J(rho) - I at a
@@ -195,10 +184,10 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
             unknown = [k for k, r in enumerate(ids) if lift[k] and f_low[r] is None]
             for k, f in zip(unknown, _evaluate(cc, a, [(k, low[ids[k]]) for k in unknown])):
                 f_low[ids[k]] = f
-            # the residual stop needs no step at its last iterate past the start: ``upper``
-            # takes it when it is read
-            stepping = [k for k in range(len(ids))
-                        if stop_width is not None or t == 0 or not (converged[k] or t == config.max_iter)]
+            # the residual stop takes no step at its last iterate once it has a tangent bound: that
+            # iterate is the bound, or above the bound it fell back from
+            stepping = [k for k, r in enumerate(ids) if stop_width is not None or upper[r] is None
+                        or not (converged[k] or t == config.max_iter)]
             usable, candidates = {}, []
             if stepping:
                 rows = stepping if len(stepping) < len(ids) else slice(None)  # all: views, not copies
@@ -233,10 +222,8 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
                     after.append(upper[r] if usable[k] else f_rho[k])  # Newton from above, else a plain step
                     continue
                 point = rho[k] if stop_width is None else low[r]
-                if k not in usable:
-                    last = functools.partial(_last_upper, cc, a[k], rho[k], f_rho[k], u[k], lg[k], upper[r])
-                else:  # the maximum of an upper bound and any vector is an upper bound
-                    last = None if upper[r] is None else np.maximum(upper[r], point)
+                # the maximum of an upper bound and any vector is an upper bound
+                last = None if upper[r] is None else np.maximum(upper[r], point)
                 reports[r] = SolveReport(CONVERGED if done else MAX_ITER_EXCEEDED, point, linears[r].solution,
                                          last, float(residual[k]), t, traces[r], linears[r], fallbacks[r],
                                          start_upper[r])

@@ -378,12 +378,12 @@ FROZEN_FILES = {
     "n36_rot": "c535e2b36dada001f12a5f22d248b6654a224c3bda1eb6665ba75a0be98ff532",
 }
 FROZEN_STDOUT = {
-    "n9 solve": "4596d965883b140a06e23d7e20f94059ef51a5f597de1d57b8c6af665413d53b",
+    "n9 solve": "1682be1ab357a6568f803741f7563fbe313a473b68d52e03d4be968e8ae71735",
     "n9 feasibility": "dbe4104ae1dc8f5c453c522ce5b00020564553407f584e1f2062a426dec4dc7f",
     "n9 bounds": "a5a3ee06d64a6238f75052668759db93dfee2f269b1b7b5b0211a85ccd9f8150",
     "n9 sweep": "302e95038fcc518c2c390f279e3447b478eedb3c35604cf02c3d4084118b95f8",
     "n9 boundary": "cd65c5d47ed3158c4c8c3c11899a092cc09a4ca90942335262306257c28944ff",
-    "n9_rot solve": "b5832ee27d74f1ef31c06cff01b3ac3f650a4dfedb2e94ba18ba3247b145e376",
+    "n9_rot solve": "65c591890dc3f44d3e012329249242a601908ec34dc57157607c5a0e2d7ea847",
     "n9_rot feasibility": "953ec07cce0b8af205e74b16ad3ecc53027fefca4ebd1d87e3d895517d4b2585",
     "n9_rot bounds": "60a50a2b7cdc330ed7e8115d1bc27a81b701902daaabb9dfe265a002e3d009d9",
     "n9_rot sweep": "69a652f2d00e99b465552e3099defe3e2c4e51777b3681eaf18c2dbe42046dae",
@@ -526,7 +526,7 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["generate", "--spec", str(badspec), "--out", str(tmp_path / "x.json")]) == 2
 
 
-@pytest.mark.parametrize("scales", ["1:inf:3", "-inf:1:2", "nan:1:2", "1:nan:2"])
+@pytest.mark.parametrize("scales", ["1:inf:3", "-inf:1:2", "nan:1:2", "1:nan:2", "1:16:1"])
 def test_sweep_rejects_non_finite_scales_with_one_error_line(tmp_path, capsys, scales):
     path = _write_instance(tmp_path, frozen_two_cell())
     with warnings.catch_warnings(record=True) as caught:

@@ -337,10 +337,11 @@ def _boundary_fraction_rows(instance):
 
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), noise_exponent=st.floats(-8.0, 0.0),
-       width=st.sampled_from([1e-3, 1e-6]))
+       width=st.sampled_from([1e-3, 1e-6, None]))
 @example(seed=1, num_cells=3, noise_exponent=-8.0, width=1e-3)
+@example(seed=1, num_cells=3, noise_exponent=-8.0, width=None)
 def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noise_exponent, width):
-    """A stack of rows under the interval stop certifies each row's bracket and agrees with its lone solve.
+    """A stack of rows under either stop certifies each row's bracket and agrees with its lone solve.
 
     The grid runs from 0.1 to 0.999 of the boundary, on instances whose
     noise can be low enough that the tangent system at the asymptotic
@@ -353,7 +354,9 @@ def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noi
     candidate sits at the fixed point within rounding, whether it passes
     f(x) >= x can differ between the stack and the lone solve, and the one
     that passes ends with the narrower bracket.  So each low end is only
-    checked to lie below the other solve's upper end.
+    checked to lie below the other solve's upper end.  Under the residual
+    stop (``width`` None) the low end is ``lower``, and the fixed point
+    lies between the two ends.
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, 3, 0.9)
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
@@ -362,11 +365,13 @@ def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noi
     for (cc, verdict), report in zip(rows, solver.solve_rows(rows, config)):
         alone = solver.solve_coefficients(cc, config, linear=verdict)
         assert report.status == alone.status == "converged"
-        lo, hi = report.fixed_point, report.upper
+        lo, hi = (report.fixed_point if width is not None else report.lower), report.upper
         slack = 1e-12 * (1.0 + np.max(hi))
         assert np.all(load_function(cc, lo) >= lo - slack)
         assert np.all(load_function(cc, hi) <= hi + slack)
         assert np.all(lo <= hi)
+        if width is None:
+            assert np.all(lo <= report.fixed_point) and np.all(report.fixed_point <= hi)
         np.testing.assert_allclose(hi, alone.upper, rtol=1e-9, atol=0)
         assert np.all(lo <= alone.upper + slack) and np.all(alone.fixed_point <= hi + slack)
 
@@ -425,6 +430,8 @@ def test_report_ordering_is_exact_near_boundary(radius_target):
         assert report.status == "converged"
         assert np.all(report.lower <= report.fixed_point)
         assert np.all(report.fixed_point <= report.upper)
+        if config is None and report.fallbacks == 0:  # the last Newton iterate is the upper end
+            assert np.array_equal(report.upper, report.fixed_point)
 
 
 def test_newton_fallbacks_are_counted(monkeypatch):
@@ -442,31 +449,37 @@ def test_newton_fallbacks_are_counted(monkeypatch):
 
 
 def test_newton_iteration_factors_once(monkeypatch):
-    """A solve takes one Jacobian per iteration and solves no linear system beyond its verdict.
+    """A solve takes one Jacobian and one LU per step, and solves no linear system beyond its verdict.
 
-    Under the residual stop the last iterate's tangent bound is solved once
-    ``upper`` is read, and only then; the interval stop reads the bound at
-    every iterate, the last included.  The verdict is the instance's
-    model's: the first solve takes it, a second solve of the same instance
-    reads it.
+    Under the residual stop a solve steps at every iterate but its last,
+    which is its upper end, so reading ``upper`` runs no kernel; the
+    interval stop reads the bound at every iterate, the last included.  The
+    verdict is the instance's model's: the first solve takes it, a second
+    solve of the same instance reads it.
     """
-    jacobians, linear_solves = [], []
-    original_jacobian, original_solve_linear = coupling.jacobian, linfeas.solve_linear
+    jacobians, systems, linear_solves = [], [], []
+    original_jacobian, original_lu, original_solve_linear = (coupling.jacobian, linfeas._lu_solve_stack,
+                                                             linfeas.solve_linear)
     monkeypatch.setattr(coupling, "jacobian", lambda cc, rho, *args: jacobians.extend(np.atleast_2d(rho))
                         or original_jacobian(cc, rho, *args))
+    monkeypatch.setattr(linfeas, "_lu_solve_stack", lambda lhs, rhs: systems.extend(lhs) or original_lu(lhs, rhs))
     monkeypatch.setattr(linfeas, "solve_linear",
                         lambda system: linear_solves.append(1) or original_solve_linear(system))
     instance = random_instance(np.random.default_rng(SEED + 62), 4, 5, radius_target=0.99)
-    for config, verdicts, deferred in ((None, 1, 1), (SolverConfig(interval_width=1e-6), 0, 0)):
+    for config, verdicts, last in ((None, 1, 0), (SolverConfig(interval_width=1e-6), 0, 1)):
         jacobians.clear()
+        systems.clear()
         linear_solves.clear()
         report = solve(instance, config)
         assert report.status == "converged" and report.iterations > 1
-        assert len(jacobians) == len(report.trace) - deferred == report.iterations + 1 - deferred
+        assert len(jacobians) == len(report.trace) - 1 + last == report.iterations + last
+        assert len(systems) == report.iterations + last + verdicts
+        assert len(linear_solves) == verdicts  # the feasibility verdict, taken by the first solve only
+        jacobians.clear()
+        systems.clear()
         for _ in range(2):
             assert report.upper is not None
-            assert len(jacobians) == report.iterations + 1
-        assert len(linear_solves) == verdicts  # the feasibility verdict, taken by the first solve only
+        assert not jacobians and not systems
 
 
 @pytest.mark.parametrize("num_sites", [3, 12])
