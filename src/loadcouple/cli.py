@@ -28,21 +28,24 @@ EXIT_INFEASIBLE = 3
 EXIT_MAX_ITER = 4
 
 
+_CONVERSION = {int: "%d", float: "%.17g", np.float64: "%.17g", str: "%s"}  # by the type of a table field
+
+
+def _csv_row(row: list) -> str:
+    """One table row by one ``%``: n/a for None and NaN, each other field by its type's conversion."""
+    values = ["n/a" if v is None or v != v else v for v in row]
+    return ",".join(map(_CONVERSION.__getitem__, map(type, values))) % tuple(values)
+
+
 def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "n/a"
-        return f"{value:.17g}"
-    return str(value)
+    """One field as a table row prints it, for the comment line and the one-line reports."""
+    return _csv_row([value])
 
 
 def _write_csv(path, comment: str, header: list[str], rows: list[list]) -> None:
     lines = [f"# {comment}"] if comment else []
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += map(_csv_row, rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -60,6 +63,8 @@ def _parse_rotate(text: str) -> tuple[int, float]:
 
 
 def _parse_scales(text: str) -> list[float]:
+    if text.split() != [text]:  # int() and float() strip whitespace, which the comment line would echo
+        raise netmodel.SchemaError(f"--scales takes no whitespace, got {text!r}")
     try:
         first, last, count = text.split(":")
         first, last, count = float(first), float(last), int(count)
@@ -68,7 +73,7 @@ def _parse_scales(text: str) -> list[float]:
     if not (count >= 1 and 0 < first <= last < math.inf and (count > 1 or first == last)):  # false for nan too
         raise netmodel.SchemaError(f"--scales needs finite 0 < FIRST <= LAST, COUNT >= 1 and FIRST = LAST "
                                    f"when COUNT is 1, got {text!r}")
-    return list(np.linspace(first, last, count))
+    return np.linspace(first, last, count).tolist()
 
 
 def _exit_for(results) -> int:
@@ -101,12 +106,12 @@ def _cmd_solve(args) -> int:
         rows = [[i + 1, None, None, None, None] for i in range(instance.num_cells)]
         _write_csv(args.out, comment, header, rows)
         return EXIT_INFEASIBLE
+    residual = _fmt(report.residual)
     comment = (f"status={report.status} iterations={report.iterations} "
-               f"residual={_fmt(report.residual)} spectral_radius={radius}")
-    rows = []
-    for i in range(instance.num_cells):
-        rows.append([i + 1, float(report.fixed_point[i]), float(report.lower[i]),
-                     None if report.upper is None else float(report.upper[i]), report.residual])
+               f"residual={residual} spectral_radius={radius}")
+    upper = [None] * instance.num_cells if report.upper is None else report.upper.tolist()
+    columns = (report.fixed_point.tolist(), report.lower.tolist(), upper)
+    rows = [[i, *values, residual] for i, values in enumerate(zip(*columns), start=1)]
     _write_csv(args.out, comment, header, rows)
     return EXIT_OK if report.status == solver.CONVERGED else EXIT_MAX_ITER
 
@@ -128,12 +133,10 @@ def _cmd_sweep(args) -> int:
     ids = range(1, instance.num_cells + 1)
     header = (["scale", "feasible", "spectral_radius", "status"]
               + [f"rho_star_{i}" for i in ids] + [f"rho_lower_{i}" for i in ids])
-    table = []
-    for row in rows:
-        record = [row.scale, int(row.feasible), row.spectral_radius, row.solve_status or "n/a"]
-        record += list(map(float, row.rho_star)) if row.rho_star is not None else [None] * len(ids)
-        record += list(map(float, row.rho_lower)) if row.rho_lower is not None else [None] * len(ids)
-        table.append(record)
+    missing = [None] * instance.num_cells  # an infeasible scale
+    table = [[row.scale, int(row.feasible), row.spectral_radius, row.solve_status,
+              *(missing if row.rho_star is None else row.rho_star.tolist()),
+              *(missing if row.rho_lower is None else row.rho_lower.tolist())] for row in rows]
     _write_csv(args.out, f"scales={args.scales}", header, table)
     return _exit_for(rows)
 

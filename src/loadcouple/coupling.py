@@ -42,7 +42,7 @@ def _per_cell_views(packed_name: str) -> cached_property:
     """Per-cell tuple of views into one packed array, built on first access."""
     def views(cc):
         packed = getattr(cc, packed_name)
-        return tuple(packed[..., s:e] for s, e in zip(cc.starts[:-1], cc.starts[1:]))
+        return tuple(packed[..., cut] for cut in cc.cell_slices)
     return cached_property(views)
 
 
@@ -77,6 +77,8 @@ class CouplingCoefficients:
     rate_per_demand = _per_cell_views("a")
     rel_interference = _per_cell_views("rel")
     rel_noise = _per_cell_views("noise")
+    # cell i's packed positions starts[i]:starts[i + 1] as a slice, for every cell
+    cell_slices = cached_property(lambda cc: tuple(map(slice, cc.starts[:-1].tolist(), cc.starts[1:].tolist())))
 
     def __post_init__(self):
         for name in ("pixel", "cell_of", "starts", "a", "rel", "noise"):
@@ -181,16 +183,15 @@ def _loads(cc: CouplingCoefficients, a: np.ndarray, lg: np.ndarray) -> np.ndarra
 def _cell_sums(cc: CouplingCoefficients, weights: np.ndarray) -> np.ndarray:
     """Matrix [r, i] is ``rel @ weights[r]`` over cell i's packed columns, one product per cell for all rows.
 
-    One row takes a GEMV per cell on vectors, the cheapest call; a stack
-    takes one ``matmul`` per cell.  A cell that serves no demanded pixel
-    gets a zero row.
+    One row takes a GEMV per cell on vectors by ``ndarray.dot``, the
+    cheapest call, with no Python dispatch frame; a stack takes one
+    ``matmul`` per cell.  A cell that serves no demanded pixel gets a zero row.
     """
     rows = len(weights)
     out = np.empty((cc.num_cells, cc.num_cells, rows))
-    blocks, columns, product = (out[..., 0], weights[0], np.dot) if rows == 1 else (out, weights.T, np.matmul)
-    starts = cc.starts.tolist()
-    for block, rel, s, e in zip(blocks, cc.rel_interference, starts, starts[1:]):
-        product(rel, columns[s:e], out=block)
+    blocks, columns, product = (out[..., 0], weights[0], np.ndarray.dot) if rows == 1 else (out, weights.T, np.matmul)
+    for block, rel, cut in zip(blocks, cc.rel_interference, cc.cell_slices):
+        product(rel, columns[cut], out=block)
     return out.transpose(2, 0, 1)
 
 

@@ -138,7 +138,7 @@ def _lu_solve_stack(lhs: np.ndarray, rhs: np.ndarray) -> list[Optional[np.ndarra
         if len(lhs) == 1:
             return [None]
         return [_lu_solve_stack(one_lhs[None], one_rhs[None])[0] for one_lhs, one_rhs in zip(lhs, rhs)]
-    return [one if np.all(np.isfinite(one)) else None for one in x]
+    return [one if np.isfinite(one).all() else None for one in x]
 
 
 @functools.cache

@@ -111,7 +111,7 @@ def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.
     if steps is None:
         return None
     tangent = rho + steps[:, 0]
-    return np.maximum(tangent, 0.0) if np.min(tangent) >= -linfeas.NEGATIVE_ATOL else None
+    return np.maximum(tangent, 0.0) if tangent.min() >= -linfeas.NEGATIVE_ATOL else None
 
 
 def _rows(arrays) -> np.ndarray:
@@ -174,12 +174,13 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     with linfeas._one_blas_thread if count > 1 else contextlib.nullcontext():
         for t in range(config.max_iter + 1):
             f_rho, u, lg = coupling.load_function(cc, rho, a, terms=True)
-            residual = np.max(np.abs(rho - f_rho), axis=1, initial=0.0)
-            converged = residual <= config.tol_residual * (1.0 + np.max(rho, axis=1, initial=0.0))
-            sub = np.all(f_rho >= rho, axis=1)
-            lift = np.all(f_rho <= rho, axis=1) if stop_width is not None else [False] * len(ids)
+            plain_step = f_rho - rho  # the residual, and the Newton step's right-hand side
+            residual = np.abs(plain_step).max(axis=1, initial=0.0)
+            converged = residual <= config.tol_residual * (1.0 + rho.max(axis=1, initial=0.0))
+            sub = (f_rho >= rho).all(axis=1)
+            lift = (f_rho <= rho).all(axis=1) if stop_width is not None else [False] * len(ids)
             for k, r in enumerate(ids):
-                if sub[k] and np.all(rho[k] >= low[r]):
+                if sub[k] and (rho[k] >= low[r]).all():
                     low[r], f_low[r] = rho[k], f_rho[k]
             unknown = [k for k, r in enumerate(ids) if lift[k] and f_low[r] is None]
             for k, f in zip(unknown, _evaluate(cc, a, [(k, low[ids[k]]) for k in unknown])):
@@ -191,13 +192,13 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
             usable, candidates = {}, []
             if stepping:
                 rows = stepping if len(stepping) < len(ids) else slice(None)  # all: views, not copies
-                rhs = [f_rho[rows] - rho[rows]]
+                rhs = [plain_step[rows]]
                 # a second right-hand side, the minorant's step from ``low``, for the rows that lift;
                 # one stack takes one shape, so the other rows get zeros, whose solution is not read
                 if any(lift[k] for k in stepping):
                     rhs.append(np.array([f_low[ids[k]] - low[ids[k]] if lift[k] else np.zeros(cc.num_cells)
                                          for k in stepping]))
-                steps = _steps(cc, rho[rows], a[rows], u[rows], lg[rows], np.stack(rhs, axis=2))
+                steps = _steps(cc, rho[rows], a[rows], u[rows], lg[rows], _rows(rhs).transpose(1, 2, 0))
                 for k, step in zip(stepping, steps):
                     r = ids[k]
                     bound = _tangent_bound(rho[k], step)
@@ -209,11 +210,11 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
                     if step is not None and lift[k]:
                         candidates.append((k, np.maximum(low[r] + step[:, 1], low[r])))
             for (k, candidate), f_candidate in zip(candidates, _evaluate(cc, a, candidates)):
-                if np.all(f_candidate >= candidate):
+                if (f_candidate >= candidate).all():
                     low[ids[k]], f_low[ids[k]] = candidate, f_candidate
             keep, after = [], []
             for k, r in enumerate(ids):
-                width = float(np.max(upper[r] - low[r])) if upper[r] is not None else math.inf
+                width = float((upper[r] - low[r]).max()) if upper[r] is not None else math.inf
                 traces[r].append(TraceEntry(iteration=t, residual=float(residual[k]), interval_width=width))
                 done = converged[k] or (stop_width is not None and width <= stop_width)
                 if not (done or t == config.max_iter):  # no step past the last reported iterate

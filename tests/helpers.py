@@ -19,7 +19,8 @@ bound quality table cell by cell, with scalar arithmetic.
 ``wrap_angle_reference`` (the fold by ``%``) and ``best_server_reference``
 (argmax down the cells x pixels products) are the generator's and the
 best-server kernels as they were before their arrays were laid out one
-pixel per row.
+pixel per row.  ``csv_row_reference`` prints a CSV table row field by
+field, the CLI writer's rule before each row became one ``%``.
 """
 
 from __future__ import annotations
@@ -406,3 +407,14 @@ def wrap_angle_reference(deg):
 def best_server_reference(power_per_ru, gains) -> np.ndarray:
     """``netmodel.assign_best_server`` as argmax down the columns of the cells x pixels products."""
     return np.argmax(power_per_ru[:, None] * gains, axis=0)
+
+
+def csv_row_reference(row) -> str:
+    """A CSV table row, each field printed on its own: n/a for None and NaN, floats at 17 digits."""
+    def field(value):
+        if value is None:
+            return "n/a"
+        if isinstance(value, float):
+            return "n/a" if math.isnan(value) else f"{value:.17g}"
+        return str(value)
+    return ",".join(field(v) for v in row)

@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import frozen
 import loadcouple
-from helpers import build_instance, frozen_two_cell, random_instance
+from helpers import build_instance, csv_row_reference, frozen_two_cell, random_instance
 from loadcouple import (
     ScenarioSpec,
     SolverConfig,
@@ -39,7 +40,7 @@ from loadcouple import (
     solver,
     validate,
 )
-from loadcouple.cli import _build_parser, main
+from loadcouple.cli import _build_parser, _csv_row, main
 
 SEED = 141421
 
@@ -535,6 +536,73 @@ def test_sweep_rejects_non_finite_scales_with_one_error_line(tmp_path, capsys, s
     assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err, err
+
+
+@pytest.mark.parametrize("scales", ["1:2:2\n", " 1:2:2"])
+def test_sweep_rejects_whitespace_in_scales_with_one_error_line(tmp_path, capsys, scales):
+    """int() and float() would strip it, and the comment line would echo it, an empty line included."""
+    path, out = _write_instance(tmp_path, frozen_two_cell()), tmp_path / "sweep.csv"
+    assert main(["sweep", "--instance", str(path), f"--scales={scales}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "whitespace" in err, err
+    assert not out.exists()
+
+
+# every kind of field a table row holds: cell ids and feasible flags, floats of both
+# types at every magnitude (NaN, infinities, signed zeros and subnormals included),
+# missing values and solve statuses
+CSV_FIELDS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300]),
+    st.floats().map(np.float64),
+    st.none(),
+    st.sampled_from([solver.CONVERGED, solver.MAX_ITER_EXCEEDED, solver.INFEASIBLE]),
+)
+
+
+@given(st.lists(CSV_FIELDS, min_size=1, max_size=200))
+@example([1, 0.30000000000000004, 0.29, math.nan, 3.3333333333333335, math.nan])  # bounds, no start_upper
+def test_csv_row_prints_each_field_as_the_field_rule_does_property(row):
+    assert _csv_row(row) == csv_row_reference(row)
+
+
+def _profiler_events(argv) -> int:
+    """Python ``call`` and ``c_call`` events in one in-process ``main(argv)``: a cost that machine load does not move."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(count)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+    assert code == 0
+    return events
+
+
+@pytest.fixture(scope="module")
+def seed7_n36(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed7") / "n36.json"
+    save_instance(generate(ScenarioSpec(num_sites=12, rng_seed=7, demand_bits_per_user=80_000.0)), path)
+    return str(path)
+
+
+# counted at n=36: 1747, 3792 and 3206 events with one _fmt call per printed value and np.dot per
+# cell's GEMV, 906, 1864 and 1976 without; solve's bound leaves 20% slack, the others 25%
+@pytest.mark.parametrize("command, bound", [("solve", 1100), ("sweep", 2330), ("compare", 2470)])
+def test_a_warm_table_command_makes_few_interpreter_calls(seed7_n36, command, bound):
+    """A warm command spends its calls in its kernels: no Python call per printed value or per cell's GEMV."""
+    argv = {"solve": ["solve", "--instance", seed7_n36],
+            "sweep": ["sweep", "--instance", seed7_n36, "--scales", "1:16:8"],
+            "compare": ["compare", "--a", seed7_n36, "--b", seed7_n36]}[command]
+    _profiler_events(argv)  # loads the file, builds the model and the parser
+    events = _profiler_events(argv)
+    assert events <= bound, events
 
 
 @contextlib.contextmanager
