@@ -8,12 +8,14 @@ the coupling coefficients, A and b, the unit-scale verdict and rho(A) are
 each built at most once per instance, whatever is asked of it.  Each
 question takes each scale's verdict from s A and s b, and computes fixed
 points, from ``CouplingCoefficients.scaled``, only where they exist.
+Every answer that rests on a solve holds that solve's
+:class:`solver.SolveReport`, not copies of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,14 +35,15 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
-    """One demand scale: verdict, spectral radius and, when feasible, load vectors."""
+    """One demand scale: s rho(A) and the report of its solve, or of its verdict where it is infeasible."""
 
     scale: float
-    feasible: bool
     spectral_radius: float
-    rho_star: Optional[np.ndarray]
-    rho_lower: Optional[np.ndarray]
-    solve_status: Optional[str]
+    report: solver.SolveReport
+
+    @property
+    def feasible(self) -> bool:
+        return self.report.status != solver.INFEASIBLE
 
 
 @dataclass(frozen=True)
@@ -54,17 +57,18 @@ class BoundaryCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CellBounds:
-    """One solve's fixed point, both linear bounds and their gaps in percent, and its status.
+    """One solve's report, its first tangent bound and both bounds' gaps in percent.
 
-    Each column is a float64 array with one entry per cell, cell i at index i.
+    The report's ``fixed_point``, ``lower`` and ``status`` are the table's
+    loads, lower bound and status.  ``rho_upper`` is its ``start_upper``, NaN
+    where there is none.  Each column is a float64 array with one entry per
+    cell, cell i at index i.
     """
 
-    rho_star: np.ndarray
-    rho_lower: np.ndarray
+    report: solver.SolveReport
     rho_upper: np.ndarray
     lower_gap_pct: np.ndarray
     upper_gap_pct: np.ndarray
-    solve_status: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,23 +76,24 @@ class ComparisonReport:
     """Side-by-side verdict for two configurations of the same cell set.
 
     ``verdict`` is one of ``"equal"``, ``"a_dominates"``, ``"b_dominates"``,
-    ``"incomparable"``.  ``bounds_a`` and ``bounds_b`` are each side's bound
-    quality table at the base demand, its ``rho_star`` the loads the verdict
-    reads; None for a configuration that is infeasible there.
+    ``"incomparable"``.  ``report_a`` and ``report_b`` are each side's solve
+    at the base demand, its ``fixed_point`` the loads the verdict reads;
+    None for a configuration that is infeasible there.
     """
 
     verdict: str
     boundary_a: float
     boundary_b: float
-    bounds_a: Optional[CellBounds]
-    bounds_b: Optional[CellBounds]
+    report_a: Optional[solver.SolveReport]
+    report_b: Optional[solver.SolveReport]
 
 
 def demand_sweep(instance, scales) -> list[SweepRow]:
-    """Fixed point and bounds across a grid of demand scales.
+    """Fixed point and bounds across a grid of demand scales: one row per scale, holding its solve's report.
 
     Each row reports s rho(A) and takes its verdict from one LU of
-    I - s A, with A built once.  The feasible scales are solved together,
+    I - s A, with A built once; an infeasible scale's report carries that
+    verdict and no loads.  The feasible scales are solved together,
     up to SWEEP_ROWS at a time, each from its own asymptotic solution: a
     row does not depend on the rows before it, and all of a chunk's rows
     share each map evaluation, Jacobian and stacked LU.  Scale 0 drops
@@ -96,30 +101,17 @@ def demand_sweep(instance, scales) -> list[SweepRow]:
     grid.  A negative or non-finite scale raises ValueError.
     """
     model = linfeas.model(instance)
-    radius = model.spectral_radius
     config = solver.SolverConfig()
-    rows: list[SweepRow] = []
-    chunk: list[tuple[int, linfeas.LinearSolveOutcome]] = []
-
-    def solve_group(group):
-        scaled = [(model.coefficients.scaled(rows[i].scale), outcome) for i, outcome in group]
-        for (i, _), report in zip(group, solver.solve_rows(scaled, config)):
-            rows[i] = replace(rows[i], rho_star=report.fixed_point, rho_lower=report.lower,
-                              solve_status=report.status)
-
-    for s in map(float, scales):
-        feasible, outcome = linfeas.feasibility(model.system, s)
-        rows.append(SweepRow(s, feasible, s * radius, None, None, None))
-        if feasible and s == 0:  # no pixel left: a layout of its own
-            solve_group([(len(rows) - 1, outcome)])
-        elif feasible:
-            chunk.append((len(rows) - 1, outcome))
-            if len(chunk) == SWEEP_ROWS:
-                solve_group(chunk)
-                chunk = []
-    if chunk:
-        solve_group(chunk)
-    return rows
+    scales = [float(s) for s in scales]
+    verdicts = [linfeas.feasibility(model.system, s) for s in scales]
+    reports = {i: solver._infeasible(outcome) for i, (feasible, outcome) in enumerate(verdicts) if not feasible}
+    solvable = [i for i, (feasible, _) in enumerate(verdicts) if feasible]
+    stacked = [i for i in solvable if scales[i] != 0]
+    groups = [[i] for i in solvable if scales[i] == 0]
+    for group in groups + [stacked[k:k + SWEEP_ROWS] for k in range(0, len(stacked), SWEEP_ROWS)]:
+        rows = [(model.coefficients.scaled(scales[i]), verdicts[i][1]) for i in group]
+        reports.update(zip(group, solver.solve_rows(rows, config)))
+    return [SweepRow(s, s * model.spectral_radius, reports[i]) for i, s in enumerate(scales)]
 
 
 def feasibility_boundary(instance, lo: float, hi: float, tol: float = BOUNDARY_TOL) -> BoundaryCertificate:
@@ -184,7 +176,7 @@ def _bound_quality(report: solver.SolveReport) -> CellBounds:
         upper = np.full(len(rho), math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):  # the zero-load cells' quotients are dropped
         gaps = [np.where(rho > 0.0, np.abs(bound - rho) / rho * 100.0, 0.0) for bound in (lower, upper)]
-    return CellBounds(rho, lower, upper, *gaps, report.status)
+    return CellBounds(report, upper, *gaps)
 
 
 def compare_configs(instance_a, instance_b) -> ComparisonReport:
@@ -201,16 +193,16 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
         raise ValueError("configurations must have the same number of cells")
 
     def side(instance):
-        """Boundary scale and bound quality at base demand, both read from the instance's model."""
+        """Boundary scale and solve at base demand, both read from the instance's model."""
         model = linfeas.model(instance)
         boundary = _boundary(model.system, model.spectral_radius, COMPARE_TOL).scale
-        return boundary, bound_quality(instance) if model.verdict.status == linfeas.FEASIBLE else None
+        return boundary, solver.solve(instance) if model.verdict.status == linfeas.FEASIBLE else None
 
-    boundary_a, bounds_a = side(instance_a)
-    boundary_b, bounds_b = side(instance_b)
+    boundary_a, report_a = side(instance_a)
+    boundary_b, report_b = side(instance_b)
 
-    if bounds_a is not None and bounds_b is not None:
-        rho_a, rho_b = bounds_a.rho_star, bounds_b.rho_star
+    if report_a is not None and report_b is not None:
+        rho_a, rho_b = report_a.fixed_point, report_b.fixed_point
         if boundary_a == boundary_b and np.array_equal(rho_a, rho_b):
             verdict = "equal"
         elif boundary_a > boundary_b and np.max(rho_a) < np.max(rho_b):
@@ -219,9 +211,9 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
             verdict = "b_dominates"
         else:
             verdict = "incomparable"
-    elif bounds_a is not None:
+    elif report_a is not None:
         verdict = "a_dominates"
-    elif bounds_b is not None:
+    elif report_b is not None:
         verdict = "b_dominates"
     else:
         # neither feasible at base demand: only the boundary scales can rank them
@@ -231,10 +223,4 @@ def compare_configs(instance_a, instance_b) -> ComparisonReport:
             verdict = "b_dominates"
         else:
             verdict = "equal"
-    return ComparisonReport(
-        verdict=verdict,
-        boundary_a=boundary_a,
-        boundary_b=boundary_b,
-        bounds_a=bounds_a,
-        bounds_b=bounds_b,
-    )
+    return ComparisonReport(verdict, boundary_a, boundary_b, report_a, report_b)

@@ -76,11 +76,14 @@ def _parse_scales(text: str) -> list[float]:
     return np.linspace(first, last, count).tolist()
 
 
-def _exit_for(results) -> int:
-    """Exit 4 when the solve behind any sweep row or bound quality table stopped at its iteration limit."""
-    if any(result.solve_status == solver.MAX_ITER_EXCEEDED for result in results):
-        return EXIT_MAX_ITER
-    return EXIT_OK
+def _column(values, size: int) -> list:
+    """An array's values as a table column, or ``size`` n/a fields where there is no array."""
+    return [None] * size if values is None else values.tolist()
+
+
+def _exit_for(reports) -> int:
+    """Exit 4 when any solve behind a command's output stopped at its iteration limit."""
+    return EXIT_MAX_ITER if any(report.status == solver.MAX_ITER_EXCEEDED for report in reports) else EXIT_OK
 
 
 def _cmd_generate(args) -> int:
@@ -109,11 +112,10 @@ def _cmd_solve(args) -> int:
     residual = _fmt(report.residual)
     comment = (f"status={report.status} iterations={report.iterations} "
                f"residual={residual} spectral_radius={radius}")
-    upper = [None] * instance.num_cells if report.upper is None else report.upper.tolist()
-    columns = (report.fixed_point.tolist(), report.lower.tolist(), upper)
+    columns = (report.fixed_point.tolist(), report.lower.tolist(), _column(report.upper, instance.num_cells))
     rows = [[i, *values, residual] for i, values in enumerate(zip(*columns), start=1)]
     _write_csv(args.out, comment, header, rows)
-    return EXIT_OK if report.status == solver.CONVERGED else EXIT_MAX_ITER
+    return _exit_for([report])
 
 
 def _cmd_feasibility(args) -> int:
@@ -133,12 +135,11 @@ def _cmd_sweep(args) -> int:
     ids = range(1, instance.num_cells + 1)
     header = (["scale", "feasible", "spectral_radius", "status"]
               + [f"rho_star_{i}" for i in ids] + [f"rho_lower_{i}" for i in ids])
-    missing = [None] * instance.num_cells  # an infeasible scale
-    table = [[row.scale, int(row.feasible), row.spectral_radius, row.solve_status,
-              *(missing if row.rho_star is None else row.rho_star.tolist()),
-              *(missing if row.rho_lower is None else row.rho_lower.tolist())] for row in rows]
+    n = instance.num_cells
+    table = [[row.scale, int(row.feasible), row.spectral_radius, row.report.status if row.feasible else None,
+              *_column(row.report.fixed_point, n), *_column(row.report.lower, n)] for row in rows]
     _write_csv(args.out, f"scales={args.scales}", header, table)
-    return _exit_for(rows)
+    return _exit_for(row.report for row in rows)
 
 
 def _cmd_boundary(args) -> int:
@@ -155,26 +156,27 @@ def _cmd_compare(args) -> int:
     report = analysis.compare_configs(instance_a, instance_b)
     header = ["cell_id", "rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
               "rho_upper_a", "rho_upper_b"]
-    tables = (report.bounds_a, report.bounds_b)
-    missing = [None] * instance_a.num_cells  # a side infeasible at base demand
-    columns = [missing if t is None else getattr(t, attr).tolist()
-               for attr in ("rho_star", "rho_lower", "rho_upper") for t in tables]
+    reports = (report.report_a, report.report_b)
+    # a side infeasible at base demand has no report, and getattr's default gives it n/a columns
+    columns = [_column(getattr(side, attr, None), instance_a.num_cells)
+               for attr in ("fixed_point", "lower", "start_upper") for side in reports]
     rows = [[i, *values] for i, values in enumerate(zip(*columns), start=1)]
     comment = (f"verdict={report.verdict} boundary_a={_fmt(report.boundary_a)} "
                f"boundary_b={_fmt(report.boundary_b)}")
     _write_csv(args.out, comment, header, rows)
     print(f"{report.verdict} (boundary a {_fmt(report.boundary_a)}, b {_fmt(report.boundary_b)})")
-    return _exit_for([t for t in tables if t is not None])
+    return _exit_for(side for side in reports if side is not None)
 
 
 def _cmd_bounds(args) -> int:
     instance = netmodel.load_instance(args.instance)
     table = analysis.bound_quality(instance)
     header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"]
-    columns = (table.rho_star, table.rho_lower, table.rho_upper, table.lower_gap_pct, table.upper_gap_pct)
+    columns = (table.report.fixed_point, table.report.lower, table.rho_upper, table.lower_gap_pct,
+               table.upper_gap_pct)
     rows = [[i, *values] for i, values in enumerate(np.column_stack(columns).tolist(), start=1)]
     _write_csv(args.out, "", header, rows)
-    return _exit_for([table])
+    return _exit_for([table.report])
 
 
 @functools.cache  # built on the first main() call, then reused: parse_args keeps no state

@@ -67,9 +67,9 @@ class TraceEntry:
     interval_width: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Everything :func:`solve` knows at termination.
+    """Everything :func:`solve` knows at termination: the one record of a solve.
 
     ``fixed_point`` is the final iterate (the fixed point itself once
     ``status == "converged"``; the certified low end under the interval
@@ -100,6 +100,11 @@ class SolveReport:
     linear: Optional[linfeas.LinearSolveOutcome] = None
     fallbacks: int = 0
     start_upper: Optional[np.ndarray] = None
+
+
+def _infeasible(linear: linfeas.LinearSolveOutcome) -> SolveReport:
+    """The report on a verdict that is not feasible: no iteration, no loads, no bounds."""
+    return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
 
 
 def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -264,7 +269,7 @@ def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[Solve
     if linear is None:
         _, linear = linfeas.feasibility(coupling.asymptotic_linearization(cc))
     if linear.status != linfeas.FEASIBLE:
-        return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
+        return _infeasible(linear)
     return _iterate(cc, cc.a[None], linear.solution[None].copy(), [linear], config or SolverConfig())[0]
 
 

@@ -32,7 +32,6 @@ from itertools import chain
 import numpy as np
 
 from loadcouple import (
-    CellBounds,
     LinearizedSystem,
     NetworkInstance,
     SchemaError,
@@ -207,8 +206,11 @@ def fd_hessian_entry(cc, cell, k, h, rho, eps=1e-4) -> float:
     return (fpp - fpm - fmp + fmm) / (4 * eps * eps)
 
 
-def bound_quality_reference(report) -> CellBounds:
-    """``analysis._bound_quality`` on a feasible report as a loop over cells, one scalar gap at a time."""
+def bound_quality_reference(report) -> dict[str, np.ndarray]:
+    """``analysis._bound_quality`` on a feasible report as a loop over cells, one scalar gap at a time.
+
+    The table's five columns, by their ``bounds`` CSV header names.
+    """
     rho, lower, upper = report.fixed_point, report.lower, report.start_upper
     if upper is None:
         upper = np.full(len(rho), math.nan)
@@ -221,7 +223,7 @@ def bound_quality_reference(report) -> CellBounds:
             lower_gap = upper_gap = 0.0
         cells.append((float(rho[i]), float(lower[i]), float(upper[i]), float(lower_gap), float(upper_gap)))
     columns = np.array(cells, dtype=np.float64).reshape(len(rho), 5).T
-    return CellBounds(*columns, solve_status=report.status)
+    return dict(zip(("rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"), columns))
 
 
 def lower_bound(instance) -> np.ndarray:

@@ -300,7 +300,7 @@ def test_11_scenario_rotation_comparison():
         assert second.fixed_point[7] > first.fixed_point[7]
         assert second.fixed_point[8] > first.fixed_point[8]
         table = analysis.bound_quality(base)
-        loaded = table.rho_star != 0.0
+        loaded = table.report.fixed_point != 0.0
         assert np.all(table.upper_gap_pct[loaded] < 10.0)
         assert np.all(table.upper_gap_pct[loaded] < table.lower_gap_pct[loaded])
         assert time.perf_counter() - started < 30.0

@@ -62,13 +62,16 @@ def test_sweep_splits_at_the_boundary():
     rows = demand_sweep(instance, scales)
     assert [row.scale for row in rows] == list(scales)
     for row in rows:
+        report = row.report
         if row.scale < 0.995:
-            assert row.feasible and row.solve_status == "converged"
-            assert row.rho_star is not None and row.rho_lower is not None
-            assert np.all(row.rho_lower <= row.rho_star + 1e-12)
+            assert row.feasible and report.status == "converged"
+            assert report.fixed_point is not None and report.lower is not None
+            assert np.all(report.lower <= report.fixed_point + 1e-12)
         elif row.scale > 1.005:
-            assert not row.feasible
-            assert row.rho_star is None and row.solve_status is None
+            # an infeasible row carries its verdict, and no loads: it took no iteration
+            assert not row.feasible and report.status == "infeasible"
+            assert report.linear.status in ("infeasible_negative", "singular")
+            assert report.iterations == 0 and report.fixed_point is None
 
 
 def test_sweep_loads_grow_with_demand():
@@ -76,7 +79,7 @@ def test_sweep_loads_grow_with_demand():
     instance = random_instance(rng, 4, 5, radius_target=0.9)
     rows = demand_sweep(instance, np.linspace(0.2, 1.0, 5))
     for prev, cur in zip(rows, rows[1:]):
-        assert np.all(cur.rho_star > prev.rho_star)
+        assert np.all(cur.report.fixed_point > prev.report.fixed_point)
         assert cur.spectral_radius > prev.spectral_radius
 
 
@@ -95,7 +98,7 @@ def test_sweep_small_scale_limit_matches_zero_load():
     (row,) = demand_sweep(instance, [1e-5])
     # the map at tiny loads is steeper than its asymptotic slope, so the
     # linear term vanishes like scale times the tangent weight, not exactly
-    np.testing.assert_allclose(row.rho_star / 1e-5, offset_at_unit_scale, rtol=1e-3)
+    np.testing.assert_allclose(row.report.fixed_point / 1e-5, offset_at_unit_scale, rtol=1e-3)
 
 
 def test_sweep_rows_do_not_depend_on_schedule():
@@ -111,7 +114,7 @@ def test_sweep_rows_do_not_depend_on_schedule():
             assert a.feasible == b.feasible
             assert a.spectral_radius == pytest.approx(b.spectral_radius, rel=1e-12)
             if a.feasible:
-                np.testing.assert_allclose(a.rho_star, b.rho_star, rtol=1e-8, atol=1e-10)
+                np.testing.assert_allclose(a.report.fixed_point, b.report.fixed_point, rtol=1e-8, atol=1e-10)
 
 
 def test_sweep_scale_zero_and_bad_scales():
@@ -121,8 +124,8 @@ def test_sweep_scale_zero_and_bad_scales():
         warnings.simplefilter("error")
         rows = demand_sweep(instance, [0.0, 0.5, 0.0])
     for row in rows[::2]:
-        assert row.feasible and row.spectral_radius == 0.0 and row.solve_status == "converged"
-        assert not np.any(row.rho_star) and not np.any(row.rho_lower)
+        assert row.feasible and row.spectral_radius == 0.0 and row.report.status == "converged"
+        assert not np.any(row.report.fixed_point) and not np.any(row.report.lower)
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             demand_sweep(instance, [0.5, bad])
@@ -139,7 +142,7 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
     """Every sweep row is its scale's solve alone, whichever rows share its lockstep chunk.
 
     A row has the status of ``solve_coefficients(cc.scaled(s), linear=verdict)``
-    run alone and its ``rho_star`` within rtol 1e-9; the bits may differ, as
+    run alone and its ``fixed_point`` within rtol 1e-9; the bits may differ, as
     a row's products are shared with the other rows'.  So do the rows of the
     reversed grid, of the grid split in two at ``cut`` and of the grid
     repeated past SWEEP_ROWS.  Scale 0, solved alone, gives exact zeros.
@@ -161,18 +164,18 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
     for name, (grid, rows) in grids.items():
         assert [row.scale for row in rows] == grid, name
         for row in rows:
-            report = alone[row.scale]
-            assert row.feasible == (report is not None), name
-            if report is None:
-                assert row.rho_star is None and row.solve_status is None
+            lone = alone[row.scale]
+            assert row.feasible == (lone is not None), name
+            if lone is None:
+                assert row.report.fixed_point is None and row.report.status == "infeasible"
                 continue
-            assert row.solve_status == report.status, name
-            np.testing.assert_allclose(row.rho_star, report.fixed_point, rtol=1e-9, atol=0, err_msg=name)
+            assert row.report.status == lone.status, name
+            np.testing.assert_allclose(row.report.fixed_point, lone.fixed_point, rtol=1e-9, atol=0, err_msg=name)
             if row.scale == 0:
-                assert not np.any(row.rho_star) and not np.any(row.rho_lower)
+                assert not np.any(row.report.fixed_point) and not np.any(row.report.lower)
 
 
-# sha256 of every row's rho_star (its tobytes) and solve_status, in grid order, of
+# sha256 of every row's fixed point (its tobytes) and status, in grid order, of
 # demand_sweep on the seed-7 scenarios over 40 scales from 0 to 0.999 of the boundary:
 # scale 0 is solved alone, the other 39 in lockstep chunks of SWEEP_ROWS = 32 and 7
 # rows, so these are the stacked solver's bits, which the frozen 8-scale sweeps do not reach.
@@ -191,9 +194,9 @@ def test_lockstep_sweep_output_is_frozen():
         rows = demand_sweep(instance, np.linspace(0.0, 0.999 * boundary, 40))
         digest = hashlib.sha256()
         for row in rows:
-            assert row.feasible and row.solve_status == "converged"
-            digest.update(row.rho_star.tobytes())
-            digest.update(row.solve_status.encode())
+            assert row.feasible and row.report.status == "converged"
+            digest.update(row.report.fixed_point.tobytes())
+            digest.update(row.report.status.encode())
         got[instance.num_cells] = digest.hexdigest()
     assert got == LOCKSTEP_SWEEP_DIGESTS
 
@@ -243,14 +246,15 @@ def test_bound_quality_fields_consistent():
     instance = random_instance(rng, 4, 6, radius_target=0.6)
     b = bound_quality(instance)
     report = solve(instance)
-    assert b.solve_status == report.status == "converged"
-    for column in (b.rho_star, b.rho_lower, b.rho_upper, b.lower_gap_pct, b.upper_gap_pct):
+    rho_star, rho_lower = b.report.fixed_point, b.report.lower
+    assert b.report.status == report.status == "converged"
+    for column in (rho_star, rho_lower, b.rho_upper, b.lower_gap_pct, b.upper_gap_pct):
         assert column.dtype == np.float64 and column.shape == (instance.num_cells,)
-    np.testing.assert_allclose(b.rho_star, report.fixed_point, rtol=1e-9)
-    assert np.all(b.rho_lower <= b.rho_star + 1e-12)
-    assert np.all(b.rho_upper >= b.rho_star - 1e-9)
-    np.testing.assert_allclose(b.lower_gap_pct, (b.rho_star - b.rho_lower) / b.rho_star * 100.0, rtol=1e-9)
-    np.testing.assert_allclose(b.upper_gap_pct, (b.rho_upper - b.rho_star) / b.rho_star * 100.0,
+    np.testing.assert_allclose(rho_star, report.fixed_point, rtol=1e-9)
+    assert np.all(rho_lower <= rho_star + 1e-12)
+    assert np.all(b.rho_upper >= rho_star - 1e-9)
+    np.testing.assert_allclose(b.lower_gap_pct, (rho_star - rho_lower) / rho_star * 100.0, rtol=1e-9)
+    np.testing.assert_allclose(b.upper_gap_pct, (b.rho_upper - rho_star) / rho_star * 100.0,
                                rtol=1e-6, atol=1e-9)
 
 
@@ -279,7 +283,7 @@ def test_bound_quality_zero_demand_cell():
     silent = dataclasses.replace(
         instance, demand_bits=np.where(instance.server_of == 2, 0.0, instance.demand_bits))
     bounds = bound_quality(silent)
-    assert bounds.rho_star[2] == 0.0
+    assert bounds.report.fixed_point[2] == 0.0
     assert bounds.lower_gap_pct[2] == 0.0 and bounds.upper_gap_pct[2] == 0.0
 
 
@@ -292,13 +296,15 @@ def test_bound_quality_infeasible_raises():
 
 def _assert_table_of(report, table):
     """``table`` is the cell loop's, bit for bit, and holds the report's fixed point and lower bound."""
-    reference = bound_quality_reference(report)
-    assert table.solve_status == reference.solve_status == report.status
-    for name in ("rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"):
-        got, want = getattr(table, name), getattr(reference, name)
+    assert table.report.status == report.status
+    columns = {"rho_star": table.report.fixed_point, "rho_lower": table.report.lower,
+               "rho_upper": table.rho_upper, "lower_gap_pct": table.lower_gap_pct,
+               "upper_gap_pct": table.upper_gap_pct}
+    for name, want in bound_quality_reference(report).items():
+        got = columns[name]
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
-    assert table.rho_star.tobytes() == report.fixed_point.tobytes()
-    assert table.rho_lower.tobytes() == report.lower.tobytes()
+    assert table.report.fixed_point.tobytes() == report.fixed_point.tobytes()
+    assert table.report.lower.tobytes() == report.lower.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,7 +333,7 @@ def test_compare_instance_with_itself_is_equal():
     report = compare_configs(instance, instance)
     assert report.verdict == "equal"
     assert report.boundary_a == report.boundary_b
-    np.testing.assert_allclose(report.bounds_a.rho_star, report.bounds_b.rho_star, rtol=0)
+    np.testing.assert_allclose(report.report_a.fixed_point, report.report_b.fixed_point, rtol=0)
 
 
 def test_compare_without_perron_root_has_no_boundary():
@@ -357,7 +363,7 @@ def test_compare_detects_dominance():
     report = compare_configs(instance, heavier)
     assert report.verdict == "a_dominates"
     assert report.boundary_a > report.boundary_b
-    assert np.max(report.bounds_a.rho_star) < np.max(report.bounds_b.rho_star)
+    assert np.max(report.report_a.fixed_point) < np.max(report.report_b.fixed_point)
     flipped = compare_configs(heavier, instance)
     assert flipped.verdict == "b_dominates"
 
@@ -368,7 +374,7 @@ def test_compare_feasible_beats_infeasible():
     overloaded = instance.with_demand_scale(3.0)  # radius 1.5 at base demand
     report = compare_configs(instance, overloaded)
     assert report.verdict == "a_dominates"
-    assert report.bounds_a is not None and report.bounds_b is None
+    assert report.report_a is not None and report.report_b is None
 
 
 def test_compare_rejects_mismatched_sizes():
@@ -409,11 +415,13 @@ def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per
                                radius_target=radius_target)
     scales = np.sort(fractions) * 0.999 / _slope_radius(instance)
     rows = demand_sweep(instance, scales)
-    assert all(row.feasible and row.solve_status == "converged" for row in rows)
+    assert all(row.feasible and row.report.status == "converged" for row in rows)
     for row in rows:
-        assert np.all(row.rho_lower <= row.rho_star)
+        report = row.report
+        assert np.all(report.lower <= report.fixed_point)
+        assert np.all(report.fixed_point <= report.upper)  # the reported ends, not a proof under rounding
     for prev, cur in zip(rows, rows[1:]):
-        assert np.all(prev.rho_star <= cur.rho_star)
+        assert np.all(prev.report.fixed_point <= cur.report.fixed_point)
 
 
 @settings(max_examples=60)

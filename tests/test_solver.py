@@ -145,8 +145,8 @@ def test_tiny_demand_is_the_zero_demand_limit(scale):
         report = solve(instance)
         feasible, outcome = linfeas.feasibility_check(instance)
         (row,) = demand_sweep(frozen_two_cell(), [scale])
-    assert report.status == "converged" and feasible and row.solve_status == "converged"
-    for loads in (report.fixed_point, report.lower, report.upper, outcome.solution, row.rho_star):
+    assert report.status == "converged" and feasible and row.report.status == "converged"
+    for loads in (report.fixed_point, report.lower, report.upper, outcome.solution, row.report.fixed_point):
         assert np.all(loads >= 0.0) and np.max(loads) <= 1e-290
 
 
