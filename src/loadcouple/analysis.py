@@ -6,8 +6,9 @@ system is rho = s (A rho + b), feasible iff s rho(A) < 1: the boundary is
 1/rho(A).  Every question reads the instance's :func:`linfeas.model`, so
 the coupling coefficients, A and b, the unit-scale verdict and rho(A) are
 each built at most once per instance, whatever is asked of it.  Each
-question takes each scale's verdict from s A and s b, and computes fixed
-points, from ``CouplingCoefficients.scaled``, only where they exist.
+question takes each scale's verdict from s A and s b, by
+:func:`linfeas.solve_linear`, and the loads at a scale from
+:func:`solver.solve_scales`, which solves exactly the feasible scales.
 Every answer that rests on a solve holds that solve's
 :class:`solver.SolveReport`, not copies of its fields.
 """
@@ -25,8 +26,6 @@ from . import linfeas, solver
 # each certified boundary bracket is at most this wide relative to its lower end
 BOUNDARY_TOL = 1e-6  # feasibility_boundary's default
 COMPARE_TOL = 1e-4  # compare_configs'
-# feasible scales a sweep solves in lockstep: bounds its stack of n x n Jacobians
-SWEEP_ROWS = 32
 
 
 class PreconditionError(ValueError):
@@ -91,27 +90,15 @@ class ComparisonReport:
 def demand_sweep(instance, scales) -> list[SweepRow]:
     """Fixed point and bounds across a grid of demand scales: one row per scale, holding its solve's report.
 
-    Each row reports s rho(A) and takes its verdict from one LU of
-    I - s A, with A built once; an infeasible scale's report carries that
-    verdict and no loads.  The feasible scales are solved together,
-    up to SWEEP_ROWS at a time, each from its own asymptotic solution: a
-    row does not depend on the rows before it, and all of a chunk's rows
-    share each map evaluation, Jacobian and stacked LU.  Scale 0 drops
-    every pixel, so its row is solved alone.  Row order matches the input
-    grid.  A negative or non-finite scale raises ValueError.
+    Each row reports s rho(A) and the report of :func:`solver.solve_scales`
+    at s; an infeasible scale's report carries its verdict and no loads.
+    Row order matches the input grid.  A negative or non-finite scale
+    raises ValueError.
     """
-    model = linfeas.model(instance)
-    config = solver.SolverConfig()
     scales = [float(s) for s in scales]
-    verdicts = [linfeas.feasibility(model.system, s) for s in scales]
-    reports = {i: solver._infeasible(outcome) for i, (feasible, outcome) in enumerate(verdicts) if not feasible}
-    solvable = [i for i, (feasible, _) in enumerate(verdicts) if feasible]
-    stacked = [i for i in solvable if scales[i] != 0]
-    groups = [[i] for i in solvable if scales[i] == 0]
-    for group in groups + [stacked[k:k + SWEEP_ROWS] for k in range(0, len(stacked), SWEEP_ROWS)]:
-        rows = [(model.coefficients.scaled(scales[i]), verdicts[i][1]) for i in group]
-        reports.update(zip(group, solver.solve_rows(rows, config)))
-    return [SweepRow(s, s * model.spectral_radius, reports[i]) for i, s in enumerate(scales)]
+    reports = solver.solve_scales(instance, scales)
+    radius = linfeas.model(instance).spectral_radius
+    return [SweepRow(s, s * radius, report) for s, report in zip(scales, reports)]
 
 
 def feasibility_boundary(instance, lo: float, hi: float, tol: float = BOUNDARY_TOL) -> BoundaryCertificate:
@@ -126,11 +113,15 @@ def feasibility_boundary(instance, lo: float, hi: float, tol: float = BOUNDARY_T
     if not (0 < lo < hi and tol > 0):
         raise ValueError(f"need 0 < lo < hi and tol > 0, got lo={lo}, hi={hi}, tol={tol}")
     model = linfeas.model(instance)
-    if not linfeas.feasibility(model.system, lo)[0]:
+    if not _feasible(model.system, lo):
         raise PreconditionError(f"instance is infeasible at lo={lo}")
-    if linfeas.feasibility(model.system, hi)[0]:
+    if _feasible(model.system, hi):
         raise PreconditionError(f"instance is feasible at hi={hi}")
     return _boundary(model.system, model.spectral_radius, tol, lo, hi)
+
+
+def _feasible(system, scale: float) -> bool:
+    return linfeas.solve_linear(system, scale).status == linfeas.FEASIBLE
 
 
 def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> BoundaryCertificate:
@@ -150,7 +141,7 @@ def _boundary(system, radius: float, tol: float, lo=0.0, hi=math.inf) -> Boundar
     delta = tol / (2.0 + tol) * (1.0 - 1e-6)
     below, above = max(lo, s * (1.0 - delta)), min(hi, s * (1.0 + delta))
     if not (below <= s <= above and above - below <= tol * below
-            and linfeas.feasibility(system, below)[0] and not linfeas.feasibility(system, above)[0]):
+            and _feasible(system, below) and not _feasible(system, above)):
         raise ValueError(f"boundary scale 1/rho(A) = {s:.17g} is not certified at tol={tol:g}")
     return BoundaryCertificate(scale=s, last_feasible=below, first_infeasible=above)
 

@@ -89,9 +89,11 @@ class CouplingCoefficients:
 
         Only ``a`` carries the demand, so it is the one array that changes.
         At s = 0 every pixel drops out, as zero-demand pixels do in
-        :func:`coefficients`.
+        :func:`coefficients`.  At s = 1 they are these coefficients.
         """
         _check_scale(s)
+        if s == 1:
+            return self
         if s == 0:
             return replace(self, pixel=self.pixel[:0], cell_of=self.cell_of[:0],
                            starts=np.zeros_like(self.starts), a=self.a[:0],

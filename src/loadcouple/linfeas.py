@@ -4,7 +4,8 @@ The asymptotic linearization is an exact feasibility instrument: the
 nonlinear load coupling system has a fixed point if and only if the
 asymptotic affine system ``rho = slope @ rho + offset`` has a nonnegative
 solution, and that solution sits below the nonlinear fixed point.  The
-verdict is one dense linear solve, and holds only its status and solution.
+verdict at demand scale s, :func:`solve_linear`, is one dense linear solve
+of s times the unit-scale system, and holds only its status and solution.
 
 An instance's questions read one :class:`Model`, from :func:`model`: its
 coefficients, asymptotic system, unit-scale verdict, spectral radius and
@@ -22,7 +23,7 @@ import functools
 import math
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -199,22 +200,31 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
-    """Solve ``rho = slope @ rho + offset`` for a nonnegative load vector.
+def solve_linear(system: coupling.LinearizedSystem, scale: float = 1.0) -> LinearSolveOutcome:
+    """Exact feasibility of the load coupling system at demand scale ``scale``, and its lower load bound.
 
-    The system is solved densely as (I - slope) rho = offset,
+    ``system`` is the asymptotic linearization at unit scale.  Its slope and
+    offset are linear in the demand, so the system at scale s is s times
+    both.  Solvability of that asymptotic system for a nonnegative load
+    vector is necessary and sufficient, so the verdict needs no nonlinear
+    iteration and no spectral radius.  A negative or non-finite scale
+    raises ValueError.
+
+    The system is solved densely as (I - s slope) rho = s offset,
     with one LAPACK ``gesv``, in Frobenius block order: cells by descending
     count of the cells that reach them, so each strongly connected block
     comes before the blocks it depends on and partial pivoting stays inside
     a block; a strictly triangular slope is then a back substitution of
     nonnegative terms in any cell order.  ``singular`` means an exact zero
     LU pivot (numpy's ``LinAlgError``) or a non-finite solution, as from a
-    NaN slope or offset or a pivot so small that the solve overflows.  Any
+    NaN slope or offset or a pivot so small that the solve overflows;
+    singular systems sit on the boundary and count as infeasible.  Any
     solution component below -NEGATIVE_ATOL reports ``infeasible_negative``;
     components within rounding of zero are clamped.
     """
-    slope = system.slope
-    lhs, rhs = np.eye(slope.shape[0]) - slope, system.offset
+    _check_scale(scale)
+    slope = scale * system.slope  # scaled before its reach, so an entry that underflows links nothing
+    lhs, rhs = np.eye(slope.shape[0]) - slope, scale * system.offset
     order = np.argsort(-_reach(slope).sum(axis=1), kind="stable")
     solution = _lu_solve(lhs.take(order, axis=0).take(order, axis=1), rhs[order])
     if solution is None:
@@ -227,23 +237,8 @@ def solve_linear(system: coupling.LinearizedSystem) -> LinearSolveOutcome:
     return LinearSolveOutcome(FEASIBLE, solution)
 
 
-def feasibility(system: coupling.LinearizedSystem, scale: float = 1.0) -> tuple[bool, LinearSolveOutcome]:
-    """Exact feasibility of the nonlinear load coupling system at demand scale ``scale``.
-
-    ``system`` is the asymptotic linearization of the coefficients at unit
-    scale.  Its slope and offset are linear in the demand, so the system at
-    scale s is s times both.  Solvability of the asymptotic linear system is
-    necessary and sufficient, so the verdict needs no nonlinear iteration
-    and no spectral radius.  Singular systems sit on the boundary and count
-    as infeasible.
-    """
-    _check_scale(scale)
-    outcome = solve_linear(replace(system, slope=scale * system.slope, offset=scale * system.offset))
-    return outcome.status == FEASIBLE, outcome
-
-
 def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
-    """:func:`feasibility` for an instance: its model's verdict."""
+    """Whether the instance is feasible at its own demand, and its model's verdict."""
     verdict = model(instance).verdict
     return verdict.status == FEASIBLE, verdict
 
@@ -252,7 +247,7 @@ def feasibility_check(instance) -> tuple[bool, LinearSolveOutcome]:
 class Model:
     """One instance's coupling coefficients and asymptotic system, with what they give once.
 
-    ``verdict`` is :func:`feasibility` at scale 1, ``spectral_radius``
+    ``verdict`` is :func:`solve_linear` at scale 1, ``spectral_radius``
     rho(A) of the slope, below one exactly for solvable systems, and
     ``reducible`` whether the slope's directed graph (an edge k -> i where
     slope[i, k] > 0) is not strongly connected: some cell's load does not
@@ -267,7 +262,7 @@ class Model:
 
     @cached_property
     def verdict(self) -> LinearSolveOutcome:
-        return feasibility(self.system)[1]
+        return solve_linear(self.system)
 
     @cached_property
     def spectral_radius(self) -> float:

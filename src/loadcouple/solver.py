@@ -13,12 +13,13 @@ the residual stop the last Newton iterate is itself the upper end, and no
 tangent plane is solved there.  The first iteration's tangent bound,
 anchored at the start, is the one the bound-quality report reads.
 
-One plain loop runs a stack of rows that share one coefficient layout and
-differ in the demand scale.  Each round evaluates the map at every running
-row with one kernel call and takes every row's Newton step with one
-Jacobian call and one stacked LU; each row keeps its bounds, trace and
-fallback count in lists of its own.  A solve is one row; a demand sweep
-solves its feasible scales together.
+:func:`solve_scales`, the one entry from a demand scale to its report,
+takes each scale's verdict and runs the feasible scales through one plain
+loop over a stack of rows that share one coefficient layout and differ in
+the demand scale.  Each round evaluates the map at every running row with
+one kernel call and takes every row's Newton step with one Jacobian call
+and one stacked LU; each row keeps its bounds, trace and fallback count in
+lists of its own.  A solve is one row at scale 1.
 """
 
 from __future__ import annotations
@@ -35,14 +36,17 @@ from . import coupling, linfeas
 CONVERGED = "converged"
 INFEASIBLE = "infeasible"
 MAX_ITER_EXCEEDED = "max_iter_exceeded"
+# feasible scales solved in lockstep: bounds a stack of n x n Jacobians
+SWEEP_ROWS = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Stop rule of :func:`solve`.
 
     The solve stops once the residual rule holds or, when ``interval_width``
-    is set, once the certified interval is at most that wide.
+    is set, once the certified interval is at most that wide.  ``max_iter``
+    is an integer, not a bool, of at least 1.
     """
 
     tol_residual: float = 1e-10
@@ -54,8 +58,8 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if not (self.interval_width is None or self.interval_width > 0.0):
             raise ValueError("interval_width must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if isinstance(self.max_iter, bool) or not hasattr(self.max_iter, "__index__") or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,17 @@ class SolveReport:
     start_upper: Optional[np.ndarray] = None
 
 
-def _infeasible(linear: linfeas.LinearSolveOutcome) -> SolveReport:
-    """The report on a verdict that is not feasible: no iteration, no loads, no bounds."""
-    return SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=linear)
-
-
-def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """The tangent plane's fixed point rho + step, clamped at zero; None when unusable.
+def _tangent_bound(rho: np.ndarray, steps: Optional[np.ndarray], idle: np.ndarray) -> Optional[np.ndarray]:
+    """The tangent plane's fixed point rho + step, clamped at zero and 0 at the ``idle`` cells; None when unusable.
 
     Unusable: the system is singular or the point has a component below
-    -NEGATIVE_ATOL.
+    -NEGATIVE_ATOL.  An idle cell's rows of the map and of J are zero, so its
+    bound is 0; its step holds only rounding that pivoting leaks from busy rows.
     """
     if steps is None:
         return None
     tangent = rho + steps[:, 0]
+    tangent[idle] = 0.0
     return np.maximum(tangent, 0.0) if tangent.min() >= -linfeas.NEGATIVE_ATOL else None
 
 
@@ -168,6 +169,7 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     depend on the thread count.
     """
     stop_width, count = config.interval_width, len(rho)
+    idle = cc.starts[:-1] == cc.starts[1:]  # cells that serve no demanded pixel
     low = [linear.solution for linear in linears]
     f_low: list[Optional[np.ndarray]] = [None] * count
     upper: list[Optional[np.ndarray]] = [None] * count
@@ -206,14 +208,14 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
                 steps = _steps(cc, rho[rows], a[rows], u[rows], lg[rows], _rows(rhs).transpose(1, 2, 0))
                 for k, step in zip(stepping, steps):
                     r = ids[k]
-                    bound = _tangent_bound(rho[k], step)
+                    bound = _tangent_bound(rho[k], step, idle)
                     usable[k] = bound is not None
                     if bound is not None:
                         upper[r] = bound
                         if t == 0:  # anchored at the start: the bound the bound-quality report reads
                             start_upper[r] = bound
                     if step is not None and lift[k]:
-                        candidates.append((k, np.maximum(low[r] + step[:, 1], low[r])))
+                        candidates.append((k, np.where(idle, 0.0, np.maximum(low[r] + step[:, 1], low[r]))))
             for (k, candidate), f_candidate in zip(candidates, _evaluate(cc, a, candidates)):
                 if (f_candidate >= candidate).all():
                     low[ids[k]], f_low[ids[k]] = candidate, f_candidate
@@ -255,35 +257,30 @@ def solve(instance, config: Optional[SolverConfig] = None) -> SolveReport:
     (f(rho) >= rho, checked by evaluation) rather than the last iterate; the
     fixed point lies between them.
     """
-    model = linfeas.model(instance)
-    return solve_coefficients(model.coefficients, config, linear=model.verdict)
+    return solve_scales(instance, [1.0], config)[0]
 
 
-def solve_coefficients(cc: coupling.CouplingCoefficients, config: Optional[SolverConfig] = None,
-                       linear: Optional[linfeas.LinearSolveOutcome] = None) -> SolveReport:
-    """:func:`solve` on coefficients.
+def solve_scales(instance, scales, config: Optional[SolverConfig] = None) -> list[SolveReport]:
+    """:func:`solve` at every pixel demand scaled by each of ``scales``: one report per scale, in order.
 
-    ``linear`` is the outcome of :func:`linfeas.feasibility` on ``cc`` when the
-    caller has already taken that verdict; it is taken here otherwise.
+    Every verdict is taken before any solve, so a negative or non-finite
+    scale raises ValueError first.  Scale 1 reads the model's verdict, any
+    other scale s takes one LU of I - s A; an infeasible scale's report
+    holds its verdict and no loads.  The feasible scales are solved up to
+    SWEEP_ROWS at a time in grid order, each from its own asymptotic
+    solution, sharing each map evaluation, Jacobian and stacked LU, so a
+    row's last bits can differ from its solve alone's.  Scale 0 drops every
+    pixel, so it is solved alone.
     """
-    if linear is None:
-        _, linear = linfeas.feasibility(coupling.asymptotic_linearization(cc))
-    if linear.status != linfeas.FEASIBLE:
-        return _infeasible(linear)
-    return _iterate(cc, cc.a[None], linear.solution[None].copy(), [linear], config or SolverConfig())[0]
-
-
-def solve_rows(rows, config: Optional[SolverConfig] = None) -> list[SolveReport]:
-    """:func:`solve_coefficients` on each ``(coefficients, linear)`` row, all rows in lockstep.
-
-    Each ``linear`` is the row's feasible verdict, and each row starts from
-    its asymptotic solution.  The rows' coefficients share one layout and
-    differ only in ``a``, as ``cc.scaled(s)`` for every s > 0 do.  A row's
-    last bits can differ from its solve alone, as its products are shared
-    with the other rows.
-    """
-    if not rows:
-        return []
-    coefficients, linears = zip(*rows)
-    return _iterate(coefficients[0], _rows([cc.a for cc in coefficients]),
-                    np.stack([linear.solution for linear in linears]), linears, config or SolverConfig())
+    model, config = linfeas.model(instance), config or SolverConfig()
+    scales = [float(s) for s in scales]
+    verdicts = [model.verdict if s == 1.0 else linfeas.solve_linear(model.system, s) for s in scales]
+    reports = {i: SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=verdict)
+               for i, verdict in enumerate(verdicts) if verdict.status != linfeas.FEASIBLE}
+    stacked = [i for i, s in enumerate(scales) if i not in reports and s != 0]
+    groups = [[i] for i, s in enumerate(scales) if i not in reports and s == 0]
+    for group in groups + [stacked[k:k + SWEEP_ROWS] for k in range(0, len(stacked), SWEEP_ROWS)]:
+        rows, linears = [model.coefficients.scaled(scales[i]) for i in group], [verdicts[i] for i in group]
+        reports.update(zip(group, _iterate(rows[0], _rows([cc.a for cc in rows]),
+                                           np.stack([linear.solution for linear in linears]), linears, config)))
+    return [reports[i] for i in range(len(scales))]

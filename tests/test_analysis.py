@@ -45,7 +45,8 @@ from loadcouple import (
     solve,
     solver,
 )
-from loadcouple.analysis import SWEEP_ROWS, _bound_quality
+from loadcouple.analysis import _bound_quality
+from loadcouple.solver import SWEEP_ROWS
 
 SEED = 57721
 
@@ -141,9 +142,9 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
                                                        fractions, cut):
     """Every sweep row is its scale's solve alone, whichever rows share its lockstep chunk.
 
-    A row has the status of ``solve_coefficients(cc.scaled(s), linear=verdict)``
-    run alone and its ``fixed_point`` within rtol 1e-9; the bits may differ, as
-    a row's products are shared with the other rows'.  So do the rows of the
+    A row has the status of ``solve_scales(instance, [s])`` run alone and
+    its ``fixed_point`` within rtol 1e-9; the bits may differ, as a row's
+    products are shared with the other rows'.  So do the rows of the
     reversed grid, of the grid split in two at ``cut`` and of the grid
     repeated past SWEEP_ROWS.  Scale 0, solved alone, gives exact zeros.
     """
@@ -152,8 +153,8 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
     scales = [fraction / model.spectral_radius for fraction in fractions]
     alone = {}
     for s in scales:
-        feasible, verdict = linfeas.feasibility(model.system, s)
-        alone[s] = solver.solve_coefficients(model.coefficients.scaled(s), linear=verdict) if feasible else None
+        (report,) = solver.solve_scales(instance, [s])
+        alone[s] = report if report.status != "infeasible" else None
     grids = {
         "grid": (scales, demand_sweep(instance, scales)),
         "reversed": (scales, demand_sweep(instance, scales[::-1])[::-1]),
@@ -426,11 +427,23 @@ def test_sweep_loads_are_monotone_in_demand_property(seed, num_cells, pixels_per
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), num_cells=st.integers(2, 6), pixels_per_cell=st.integers(1, 5),
-       fraction=st.floats(0.5, 0.999))
-def test_permuting_cells_permutes_loads_and_bounds_property(seed, num_cells, pixels_per_cell, fraction):
+       fraction=st.floats(0.5, 0.999), busy=st.integers(1, 6))
+# in the permuted order, Newton's LU pivots a busy row above the idle cell's unit row
+@example(seed=1, num_cells=3, pixels_per_cell=3, fraction=0.9, busy=2)
+@example(seed=2, num_cells=5, pixels_per_cell=4, fraction=0.5, busy=2)
+def test_permuting_cells_permutes_loads_and_bounds_property(seed, num_cells, pixels_per_cell, fraction, busy):
+    """Renumbering the cells renumbers every load and bound; a cell that serves no demand has exactly 0.
+
+    The cells from ``busy`` on are idle: their pixels demand nothing, so
+    their rows of the slope are zero and the slope is reducible, nilpotent
+    when one cell is busy.
+    """
     rng = np.random.default_rng(seed)
     instance = random_instance(rng, num_cells, pixels_per_cell, radius_target=fraction)
     order = rng.permutation(num_cells)
+    idle = np.arange(num_cells) >= busy
+    instance = dataclasses.replace(instance, demand_bits=np.where(idle[instance.server_of], 0.0,
+                                                                  instance.demand_bits))
     permuted = dataclasses.replace(instance, power_per_ru=instance.power_per_ru[order],
                                    gains=instance.gains[order],
                                    server_of=np.argsort(order)[instance.server_of])
@@ -439,6 +452,11 @@ def test_permuting_cells_permutes_loads_and_bounds_property(seed, num_cells, pix
     for name in ("fixed_point", "lower", "start_upper"):
         if getattr(report, name) is not None:
             np.testing.assert_allclose(getattr(moved, name), getattr(report, name)[order], rtol=1e-9)
+    for one, cells in ((report, idle), (moved, idle[order])):
+        for name in ("fixed_point", "lower", "upper", "start_upper"):
+            if getattr(one, name) is not None:
+                assert not np.any(getattr(one, name)[cells]), name
+    assert linfeas.model(instance).reducible == linfeas.model(permuted).reducible == idle.any()
     comparison = compare_configs(instance, permuted)
     assert comparison.boundary_b == pytest.approx(comparison.boundary_a, rel=1e-12, abs=0)
 
@@ -447,7 +465,7 @@ def _count_calls(monkeypatch) -> Counter:
     """Count coefficient and slope builds, Perron roots, LU verdicts, linear solves and instance rebuilds."""
     counts = Counter()
     targets = [(coupling, "coefficients"), (coupling, "asymptotic_linearization"),
-               (linfeas, "spectral_radius"), (linfeas, "feasibility"), (linfeas, "solve_linear"),
+               (linfeas, "spectral_radius"), (linfeas, "solve_linear"),
                (NetworkInstance, "with_demand_scale")]
     for owner, name in targets:
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
@@ -465,9 +483,21 @@ def test_boundary_raises_when_radius_is_off(monkeypatch):
     counts = _count_calls(monkeypatch)
     with pytest.raises(ValueError, match="not certified"):
         feasibility_boundary(instance, lo=0.5, hi=4.0, tol=1e-6)
-    assert counts["feasibility"] == 4  # lo, hi and the two certificate verdicts, nothing more
+    assert counts["solve_linear"] == 4  # lo, hi and the two certificate verdicts, nothing more
     with pytest.raises(ValueError, match="not certified"):
         compare_configs(instance, instance)
+
+
+def test_the_unit_scale_verdict_is_the_models(monkeypatch):
+    """A solve and a sweep's row at scale 1 hold the model's verdict: no second LU is taken at scale 1."""
+    instance = random_instance(np.random.default_rng(SEED + 18), 4, 5, radius_target=0.8)
+    verdict = linfeas.model(instance).verdict
+    counts = _count_calls(monkeypatch)
+    assert solve(instance).linear is verdict
+    assert counts["solve_linear"] == 0
+    rows = demand_sweep(instance, [0.5, 1.0])
+    assert rows[1].report.linear is verdict
+    assert counts["solve_linear"] == 1  # scale 0.5's verdict alone
 
 
 # the second time a question is asked of the same instances, it takes only the
@@ -489,11 +519,11 @@ def test_one_build_and_one_perron_root_per_instance(monkeypatch, question, insta
     assert counts["coefficients"] == counts["asymptotic_linearization"] == instances
     assert counts["spectral_radius"] == radii
     assert counts["with_demand_scale"] == 0
-    assert counts["feasibility"] == counts["solve_linear"] == verdicts
+    assert counts["solve_linear"] == verdicts
     counts.clear()
     question(a, b)  # the same question again: nothing is built a second time
     assert counts["coefficients"] == counts["asymptotic_linearization"] == counts["spectral_radius"] == 0
-    assert counts["feasibility"] == counts["solve_linear"] == repeat_verdicts
+    assert counts["solve_linear"] == repeat_verdicts
 
 
 def _instance_file(tmp_path, kind, seed):

@@ -94,8 +94,8 @@ def test_nilpotent_slope_is_feasible_at_any_scale_in_both_cell_orders(gains):
     system = asymptotic_linearization(coefficients(instance))
     assert spectral_radius(system.slope) == 0.0
     for scale in (1e14, 1e16, 1e20):
-        feasible, outcome = linfeas.feasibility(system, scale)
-        assert feasible and outcome.status == "feasible", scale
+        outcome = solve_linear(system, scale)
+        assert outcome.status == "feasible", scale
         assert np.all(np.isfinite(outcome.solution))
 
 
@@ -249,13 +249,12 @@ def test_verdict_matches_solvability_property(seed, num_cells, radius_target, ma
     system = asymptotic_linearization(cc)
     boundary = 1.0 / eig_radius(system.slope)
 
-    assert linfeas.feasibility(system, (1.0 - margin) * boundary)[0]
-    below = cc.scaled((1.0 - margin) * boundary)
-    report = solver.solve_coefficients(below)
+    assert solve_linear(system, (1.0 - margin) * boundary).status == "feasible"
+    (report,) = solver.solve_scales(instance, [(1.0 - margin) * boundary])
     assert report.status == "converged"
     assert np.all(report.lower <= report.fixed_point) and np.all(report.fixed_point <= report.upper)
 
-    assert not linfeas.feasibility(system, (1.0 + margin) * boundary)[0]
+    assert solve_linear(system, (1.0 + margin) * boundary).status != "feasible"
     above = cc.scaled((1.0 + margin) * boundary)
     rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
     assert not converged and steps < 10_000 and np.max(rho) > DIVERGENCE_LIMIT
@@ -350,8 +349,8 @@ def test_permuting_cells_permutes_the_verdict_property(seed, num_cells, reducibl
     order = rng.permutation(num_cells)
     scale = (1.0 + side * delta) / eig_radius(slope)
 
-    _, outcome = linfeas.feasibility(_affine(slope, offset), scale)
-    _, permuted = linfeas.feasibility(_affine(slope[np.ix_(order, order)], offset[order]), scale)
+    outcome = solve_linear(_affine(slope, offset), scale)
+    permuted = solve_linear(_affine(slope[np.ix_(order, order)], offset[order]), scale)
     assert permuted.status == outcome.status
     if outcome.status == "feasible":
         np.testing.assert_allclose(permuted.solution, outcome.solution[order], rtol=1e-6)
@@ -370,7 +369,7 @@ def test_nilpotent_verdict_does_not_depend_on_cell_order():
         slope = np.triu(rng.uniform(0.1, 1.0, (num_cells, num_cells)), k=1)
         offset = rng.uniform(0.1, 1.0, num_cells)
         for scale in (1e10, 1e16, 1e20):
-            verdicts = {linfeas.feasibility(_affine(slope[np.ix_(order, order)], offset[order]), scale)[1].status
+            verdicts = {solve_linear(_affine(slope[np.ix_(order, order)], offset[order]), scale).status
                         for order in map(list, itertools.permutations(range(num_cells)))}
             # the identity order is triangular, so its solve is a positive back substitution
             assert verdicts == {"feasible"}, (num_cells, scale, verdicts)
@@ -403,8 +402,8 @@ def test_permuting_block_triangular_cells_permutes_the_solution_property(seed, n
     offset = rng.uniform(0.1, 1.0, num_cells)
     order = rng.permutation(num_cells)
 
-    _, outcome = linfeas.feasibility(_affine(slope, offset), scale)
-    _, permuted = linfeas.feasibility(_affine(slope[np.ix_(order, order)], offset[order]), scale)
+    outcome = solve_linear(_affine(slope, offset), scale)
+    permuted = solve_linear(_affine(slope[np.ix_(order, order)], offset[order]), scale)
     assert (outcome.status, permuted.status) == ("feasible", "feasible")
     np.testing.assert_allclose(permuted.solution, outcome.solution[order], rtol=1e-9)
 

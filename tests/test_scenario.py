@@ -165,8 +165,9 @@ def test_wrap_angle_edges():
             assert _same_bits(_wrap_angle(deg), wrap_angle_reference(deg)), deg
 
 
-@pytest.mark.xfail(strict=True, reason="the 3x3 image window misses nearer images when the site "
-                   "layout's periods are not a reduced lattice basis (7 sites: 668 of 4410 links)")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the 3x3 image window misses nearer images when the site "
+                          "layout's periods are not a reduced lattice basis (7 sites: 668 of 4410 links)")
 def test_nearest_image_is_nearest_in_a_seven_by_seven_window():
     instance = generate(ScenarioSpec(num_sites=7, rng_seed=7))
     images = _periodic_images(instance.pixel_xy, instance.wrap_periods)

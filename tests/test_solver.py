@@ -253,6 +253,18 @@ def test_config_rejects_bad_values():
             SolverConfig(interval_width=width)
 
 
+def test_config_is_frozen_and_max_iter_is_a_whole_number():
+    """A config is valid by construction: no field is assigned later, and ``max_iter`` is an int >= 1."""
+    config = SolverConfig()
+    for name, value in (("max_iter", -5), ("tol_residual", math.nan), ("interval_width", 1e-6)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    for max_iter in (2.5, math.inf, True, -1, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_perron_root_computed_once_per_solve(monkeypatch):
     """A spectral radius is computed only when the model's radius is read, and once.
 
@@ -324,15 +336,12 @@ def test_interval_stop_certifies_both_ends_property(seed, num_cells, radius_targ
                 assert np.max(hi - lo) <= width
 
 
-def _boundary_fraction_rows(instance):
-    """``solve_rows`` input for ``instance`` at 0.1, 0.5, 0.9, 0.99 and 0.999 of its boundary."""
+def _boundary_fraction_scales(instance):
+    """The demand scales 0.1, 0.5, 0.9, 0.99 and 0.999 of ``instance``'s boundary, each feasible."""
     model = linfeas.model(instance)
-    rows = []
-    for fraction in (0.1, 0.5, 0.9, 0.99, 0.999):
-        feasible, verdict = linfeas.feasibility(model.system, fraction / model.spectral_radius)
-        assert feasible
-        rows.append((model.coefficients.scaled(fraction / model.spectral_radius), verdict))
-    return rows
+    scales = [fraction / model.spectral_radius for fraction in (0.1, 0.5, 0.9, 0.99, 0.999)]
+    assert all(linfeas.solve_linear(model.system, s).status == "feasible" for s in scales)
+    return scales
 
 
 @settings(max_examples=25)
@@ -360,10 +369,10 @@ def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noi
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, 3, 0.9)
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 10.0 ** noise_exponent)
-    rows = _boundary_fraction_rows(instance)
+    scales = _boundary_fraction_scales(instance)
     config = SolverConfig(interval_width=width)
-    for (cc, verdict), report in zip(rows, solver.solve_rows(rows, config)):
-        alone = solver.solve_coefficients(cc, config, linear=verdict)
+    for s, report in zip(scales, solver.solve_scales(instance, scales, config)):
+        cc, (alone,) = linfeas.model(instance).coefficients.scaled(s), solver.solve_scales(instance, [s], config)
         assert report.status == alone.status == "converged"
         lo, hi = (report.fixed_point if width is not None else report.lower), report.upper
         slack = 1e-12 * (1.0 + np.max(hi))
@@ -376,8 +385,9 @@ def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noi
         assert np.all(lo <= alone.upper + slack) and np.all(alone.fixed_point <= hi + slack)
 
 
-@pytest.mark.xfail(strict=True, reason="the interval stop's low end depends on whether a lift candidate "
-                                       "within rounding of the fixed point passes f(x) >= x")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the interval stop's low end depends on whether a lift candidate "
+                          "within rounding of the fixed point passes f(x) >= x")
 def test_lockstep_interval_stop_low_end_is_the_lone_solves():
     """A stacked row's certified low end is its solve alone's, within rtol 1e-9.
 
@@ -389,10 +399,10 @@ def test_lockstep_interval_stop_low_end_is_the_lone_solves():
     """
     instance = random_instance(np.random.default_rng(0), 3, 3, 0.9)
     instance = dataclasses.replace(instance, noise_power=instance.noise_power * 1e-2)
-    rows = _boundary_fraction_rows(instance)
+    scales = _boundary_fraction_scales(instance)
     config = SolverConfig(interval_width=1e-6)
-    for (cc, verdict), report in zip(rows, solver.solve_rows(rows, config)):
-        alone = solver.solve_coefficients(cc, config, linear=verdict)
+    for s, report in zip(scales, solver.solve_scales(instance, scales, config)):
+        (alone,) = solver.solve_scales(instance, [s], config)
         assert report.status == alone.status == "converged"
         np.testing.assert_allclose(report.fixed_point, alone.fixed_point, rtol=1e-9, atol=0)
 
