@@ -7,7 +7,8 @@ allocate included), 3 infeasible where the command needs feasibility, 4
 iteration limit hit.
 
 CSV layout: an initial comment line ``# key=value ...`` with run-level
-results, then a header row, then data rows.  Floats are written with 17
+results (all but ``bounds``), then a header row, then data rows; a per-cell
+table has one row per cell, ``cell_id`` first.  Floats are written with 17
 significant digits so they parse back to the same values.
 """
 
@@ -77,8 +78,14 @@ def _parse_scales(text: str) -> list[float]:
 
 
 def _column(values, size: int) -> list:
-    """An array's values as a table column, or ``size`` n/a fields where there is no array."""
-    return [None] * size if values is None else values.tolist()
+    """An array's values as a table column, or any other value ``size`` times: None gives n/a fields."""
+    return values.tolist() if isinstance(values, np.ndarray) else [values] * size
+
+
+def _cell_table(path, comment: str, names: list[str], size: int, columns: list) -> None:
+    """One row per cell through :func:`_write_csv`: its 1-based id, then each :func:`_column`'s value."""
+    rows = zip(*(_column(values, size) for values in columns))
+    _write_csv(path, comment, ["cell_id", *names], [[i, *values] for i, values in enumerate(rows, start=1)])
 
 
 def _exit_for(reports) -> int:
@@ -100,22 +107,15 @@ def _cmd_solve(args) -> int:
     instance = netmodel.load_instance(args.instance)
     report = solver.solve(instance, solver.SolverConfig(
         tol_residual=args.tol, max_iter=args.max_iter, interval_width=args.interval_width))
-
-    radius = _fmt(linfeas.model(instance).spectral_radius)
-    header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "residual"]
-    if report.status == solver.INFEASIBLE:
-        comment = (f"status={report.status} iterations=0 "
-                   f"linear_status={report.linear.status} spectral_radius={radius}")
-        rows = [[i + 1, None, None, None, None] for i in range(instance.num_cells)]
-        _write_csv(args.out, comment, header, rows)
-        return EXIT_INFEASIBLE
-    residual = _fmt(report.residual)
-    comment = (f"status={report.status} iterations={report.iterations} "
-               f"residual={residual} spectral_radius={radius}")
-    columns = (report.fixed_point.tolist(), report.lower.tolist(), _column(report.upper, instance.num_cells))
-    rows = [[i, *values, residual] for i, values in enumerate(zip(*columns), start=1)]
-    _write_csv(args.out, comment, header, rows)
-    return _exit_for([report])
+    infeasible = report.status == solver.INFEASIBLE
+    residual = _fmt(report.residual)  # n/a for an infeasible report's NaN
+    detail = f"linear_status={report.linear.status}" if infeasible else f"residual={residual}"
+    comment = (f"status={report.status} iterations={report.iterations} {detail} "
+               f"spectral_radius={_fmt(linfeas.model(instance).spectral_radius)}")
+    # the residual formatted once, its text in every row
+    _cell_table(args.out, comment, ["rho_star", "rho_lower", "rho_upper", "residual"], instance.num_cells,
+                [report.fixed_point, report.lower, report.upper, residual])
+    return EXIT_INFEASIBLE if infeasible else _exit_for([report])
 
 
 def _cmd_feasibility(args) -> int:
@@ -154,16 +154,13 @@ def _cmd_compare(args) -> int:
     instance_a = netmodel.load_instance(args.a)
     instance_b = netmodel.load_instance(args.b)
     report = analysis.compare_configs(instance_a, instance_b)
-    header = ["cell_id", "rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
-              "rho_upper_a", "rho_upper_b"]
     reports = (report.report_a, report.report_b)
-    # a side infeasible at base demand has no report, and getattr's default gives it n/a columns
-    columns = [_column(getattr(side, attr, None), instance_a.num_cells)
-               for attr in ("fixed_point", "lower", "start_upper") for side in reports]
-    rows = [[i, *values] for i, values in enumerate(zip(*columns), start=1)]
     comment = (f"verdict={report.verdict} boundary_a={_fmt(report.boundary_a)} "
                f"boundary_b={_fmt(report.boundary_b)}")
-    _write_csv(args.out, comment, header, rows)
+    # a side infeasible at base demand has no report, and getattr's default gives it n/a columns
+    _cell_table(args.out, comment, ["rho_star_a", "rho_star_b", "rho_lower_a", "rho_lower_b",
+                                    "rho_upper_a", "rho_upper_b"], instance_a.num_cells,
+                [getattr(side, attr, None) for attr in ("fixed_point", "lower", "start_upper") for side in reports])
     print(f"{report.verdict} (boundary a {_fmt(report.boundary_a)}, b {_fmt(report.boundary_b)})")
     return _exit_for(side for side in reports if side is not None)
 
@@ -171,11 +168,9 @@ def _cmd_compare(args) -> int:
 def _cmd_bounds(args) -> int:
     instance = netmodel.load_instance(args.instance)
     table = analysis.bound_quality(instance)
-    header = ["cell_id", "rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"]
-    columns = (table.report.fixed_point, table.report.lower, table.rho_upper, table.lower_gap_pct,
-               table.upper_gap_pct)
-    rows = [[i, *values] for i, values in enumerate(np.column_stack(columns).tolist(), start=1)]
-    _write_csv(args.out, "", header, rows)
+    _cell_table(args.out, "", ["rho_star", "rho_lower", "rho_upper", "lower_gap_pct", "upper_gap_pct"],
+                instance.num_cells, [table.report.fixed_point, table.report.lower, table.rho_upper,
+                                     table.lower_gap_pct, table.upper_gap_pct])
     return _exit_for([table.report])
 
 

@@ -232,7 +232,8 @@ def jacobian(cc: CouplingCoefficients, rho, a=None, terms=None) -> np.ndarray:
     The diagonal is exactly zero: a cell's own load does not enter its
     pixels' interference.  A stack of loads with rates ``a`` gives a stack
     of Jacobians (rows x n x n), as in :func:`load_function`, whose
-    ``terms`` at ``rho`` spare computing them again.
+    ``terms`` at ``rho`` spare computing them again.  The result is a new
+    array, which the caller owns and may overwrite.
     """
     rows, a = _stack(cc, rho, a)
     u, lg = _terms(cc, rows) if terms is None else terms

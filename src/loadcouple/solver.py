@@ -133,15 +133,6 @@ def _evaluate(cc, a, points) -> list[np.ndarray]:
     return list(coupling.load_function(cc, _rows(xs), a[list(rows)]))
 
 
-def _steps(cc, rho, a, u, lg, rhs) -> list[Optional[np.ndarray]]:
-    """The solution of (I - J(rho[k])) y = rhs[k] for each row k, None where unusable, by one stacked LU.
-
-    J is taken from the u and log1p(1/u) that the map evaluation at ``rho``
-    kept.  A solution is None where I - J is singular or it is not finite.
-    """
-    return linfeas._lu_solve_stack(np.eye(cc.num_cells) - coupling.jacobian(cc, rho, a, (u, lg)), rhs)
-
-
 def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     """Newton from each row of ``rho`` on a feasible system, all rows in lockstep: one report per row.
 
@@ -170,6 +161,7 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     """
     stop_width, count = config.interval_width, len(rho)
     idle = cc.starts[:-1] == cc.starts[1:]  # cells that serve no demanded pixel
+    diagonal = np.arange(cc.num_cells)
     low = [linear.solution for linear in linears]
     f_low: list[Optional[np.ndarray]] = [None] * count
     upper: list[Optional[np.ndarray]] = [None] * count
@@ -205,7 +197,10 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
                 if any(lift[k] for k in stepping):
                     rhs.append(np.array([f_low[ids[k]] - low[ids[k]] if lift[k] else np.zeros(cc.num_cells)
                                          for k in stepping]))
-                steps = _steps(cc, rho[rows], a[rows], u[rows], lg[rows], _rows(rhs).transpose(1, 2, 0))
+                lhs = coupling.jacobian(cc, rho[rows], a[rows], (u[rows], lg[rows]))
+                np.negative(lhs, out=lhs)  # I - J(rho) in J's own buffer, bit for bit: J's diagonal is 0.0
+                lhs[:, diagonal, diagonal] += 1.0
+                steps = linfeas._lu_solve_stack(lhs, _rows(rhs).transpose(1, 2, 0))
                 for k, step in zip(stepping, steps):
                     r = ids[k]
                     bound = _tangent_bound(rho[k], step, idle)

@@ -130,19 +130,23 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tupl
     """Generate the seed-7 files under ``root`` and run every frozen command on them.
 
     The scenarios have 9 and 36 cells (80 kbit per user), each unrotated and
-    with cell 2 turned to 45 degrees.  Returns each generated file's bytes
-    by name, and each output's exit code and stdout by ``"<file> <command>"``
-    twice: read cold, then warm (see :func:`run_cold_and_warm`); then the
-    count of loads by path in the cold runs and in the warm ones.
+    with cell 2 turned to 45 degrees, and 9 cells overloaded (1.6 Mbit per
+    user, boundary scale 0.54), unrotated: infeasible at base demand and at
+    every sweep scale.  A scenario's ``compare`` ranks its unrotated file
+    against its rotated one; the overloaded one's ranks n9's against it.  Returns
+    each generated file's bytes by name, and each output's exit code and
+    stdout by ``"<file> <command>"`` twice: read cold, then warm (see
+    :func:`run_cold_and_warm`); then the count of loads by path in the cold
+    runs and in the warm ones.
     """
     from loadcouple import netmodel
 
     files, cold, warm, loads = {}, {}, {}, (Counter(), Counter())
-    for name, sites in (("n9", 3), ("n36", 12)):
+    for name, sites, demand, rotated in (("n9", 3, 80_000.0, True), ("n36", 12, 80_000.0, True),
+                                         ("n9_over", 3, 1.6e6, False)):
         spec = root / f"{name}_spec.json"
-        spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7,
-                                    "demand_bits_per_user": 80_000.0}))
-        paths = [root / f"{name}.json", root / f"{name}_rot.json"]
+        spec.write_text(json.dumps({"num_sites": sites, "rng_seed": 7, "demand_bits_per_user": demand}))
+        paths = [root / f"{name}.json", root / f"{name}_rot.json"][:1 + rotated]
         for path, rotate in zip(paths, ([], ["--rotate", "2:45"])):
             run_cli(["generate", "--spec", str(spec), "--out", str(path), *rotate])
             files[path.stem] = path.read_bytes()
@@ -153,8 +157,9 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tupl
             for command, extra in FROZEN_COMMANDS:
                 key = f"{path.stem} {command}"
                 cold[key], warm[key] = run_cold_and_warm([command, "--instance", str(path), *extra], loads)
+        a, b = paths if rotated else (root / "n9.json", paths[0])
         key = f"{name} compare"
-        cold[key], warm[key] = run_cold_and_warm(["compare", "--a", str(paths[0]), "--b", str(paths[1])], loads)
+        cold[key], warm[key] = run_cold_and_warm(["compare", "--a", str(a), "--b", str(b)], loads)
     return files, cold, warm, loads
 
 

@@ -376,6 +376,15 @@ def test_compare_feasible_beats_infeasible():
     report = compare_configs(instance, overloaded)
     assert report.verdict == "a_dominates"
     assert report.report_a is not None and report.report_b is None
+    flipped = compare_configs(overloaded, instance)
+    assert flipped.verdict == "b_dominates"
+    assert flipped.report_a is None and flipped.report_b is not None
+    # neither side feasible at base demand: the higher boundary scale ranks first
+    worse = instance.with_demand_scale(4.0)  # radius 2
+    report = compare_configs(overloaded, worse)
+    assert report.verdict == "a_dominates" and report.boundary_a > report.boundary_b
+    assert report.report_a is None and report.report_b is None
+    assert compare_configs(worse, overloaded).verdict == "b_dominates"
 
 
 def test_compare_rejects_mismatched_sizes():

@@ -368,15 +368,19 @@ def _sha256(data: bytes) -> str:
 
 # sha256 of every instance file ``generate`` writes for the seed-7 scenarios
 # with 9 and 36 cells (80 kbit per user), unrotated and with cell 2 turned
-# to 45 degrees, and of every command's exit code and stdout on them, with
-# the files parsed (cold) and then found among the loaded instances (warm; see
-# tests/frozen.py, which also compares two versions before a re-pin); the
-# sweep crosses the feasibility boundary of both sizes
+# to 45 degrees, and with 9 cells overloaded (1.6 Mbit per user), and of
+# every command's exit code and stdout on them, with the files parsed (cold)
+# and then found among the loaded instances (warm; see tests/frozen.py, which
+# also compares two versions before a re-pin); the sweep crosses the
+# feasibility boundary of both sizes, and the overloaded file gives every
+# table's infeasible rows: exit 3 from solve, feasibility and bounds, a sweep
+# of infeasible scales, and a compare with one side infeasible
 FROZEN_FILES = {
     "n9": "a724209a0c37ef5eba55bafbd98af7ffe17dbdc69c3c2e5bdbffa2b48fe04b33",
     "n9_rot": "9ce0e43e08fde82430edc7f53172e8c00cdaaf85025a935c7f15a1446c8d4f24",
     "n36": "05bc6e3bf89bf9145b06b237804cdef2b603806483ac057bddec752d252051ef",
     "n36_rot": "c535e2b36dada001f12a5f22d248b6654a224c3bda1eb6665ba75a0be98ff532",
+    "n9_over": "6fb1e69416f4bb57617495998f2f25bc8225aa9b7334299d6ab2138fee09f827",
 }
 FROZEN_STDOUT = {
     "n9 solve": "1682be1ab357a6568f803741f7563fbe313a473b68d52e03d4be968e8ae71735",
@@ -401,6 +405,12 @@ FROZEN_STDOUT = {
     "n36_rot sweep": "991a268ffd05583657486d8db1f4228b6dbbcdb9e5e975d53db5614436967c94",
     "n36_rot boundary": "3992b2ec6bf184a5d03aad684f4c6835bbe4d1540e834fd57ef0af5ae944686e",
     "n36 compare": "6703e565c6fad49232529a8bd67ec82fcde2c3e62323cfc43c497ee48a90502d",
+    "n9_over solve": "ae12269f293a824d80a5f631b4b89c32c3a7ec519aadcc0e02aaf20fd117fc7d",
+    "n9_over feasibility": "f642b201ebdc0223afaf7aa3e4ab1b28b3f95006da70f3b6072b743bd58e440e",
+    "n9_over bounds": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "n9_over sweep": "07f5051998d62f9a93c5ed75158a3fba5fbf48e3f58cb5ce413a86f53d40eb31",
+    "n9_over boundary": "7936779f9566fb4a7fc11dbd919b544a562663fa70d9a813a04725922e6cf1f7",
+    "n9_over compare": "99637cd4f721215776670d6fc41cf9952deb9231ac4d3da15804394d239ffb24",
 }
 
 
@@ -431,8 +441,8 @@ def test_cli_stdout_is_frozen(frozen_dumps):
 def test_frozen_diff_of_a_cold_and_a_warm_dump_shows_no_change(frozen_dumps, tmp_path, capsys):
     """The cold run parses every load and the warm run none, finding instances by the files' stat signatures."""
     cold, warm = (dumped["loads"] for dumped in frozen_dumps)
-    assert cold == {"parse": 24, "content": 0, "signature": 0}
-    assert warm["parse"] == 0 and warm["content"] + warm["signature"] == 24
+    assert cold == {"parse": 31, "content": 0, "signature": 0}
+    assert warm["parse"] == 0 and warm["content"] + warm["signature"] == 31
     if loadcouple.netmodel._TRUSTS_SIGNATURES:
         assert warm["signature"] > 0
     paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
@@ -441,7 +451,7 @@ def test_frozen_diff_of_a_cold_and_a_warm_dump_shows_no_change(frozen_dumps, tmp
     capsys.readouterr()
     assert frozen.main(["diff", *map(str, paths)]) == 0
     (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith("# 0 of 26 outputs differ: 0 of ") and line.endswith(", 0 text changes")
+    assert line.startswith("# 0 of 33 outputs differ: 0 of ") and line.endswith(", 0 text changes")
 
 
 def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path, capsys):
@@ -477,7 +487,7 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
         paths[-1].write_text(json.dumps(dump))
     capsys.readouterr()
     assert frozen.main(["diff", str(paths[0]), str(paths[0])]) == 0
-    assert capsys.readouterr().out.startswith("# 0 of 26 outputs differ")
+    assert capsys.readouterr().out.startswith("# 0 of 33 outputs differ")
     assert frozen.main(["diff", str(paths[0]), str(paths[1])]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith(f"{key}: 1 of {total} numbers moved") and line.endswith("(residual x1)")
@@ -717,8 +727,9 @@ def _repeat_in(block, k, key):
 
 
 # blocks of a shape only the gate rejects, fields the format does not define or
-# that a cell or pixel lacks or mistypes, and keys written twice; the error each
-# gives.  A mutation may return the document to write in place of the one it got.
+# that a cell or pixel lacks or mistypes, keys written twice and a top level that
+# is not an object; the error each gives.  A mutation may return the document to
+# write in place of the one it got.
 REJECTED_BLOCKS = {
     "gains_db 3 x 5": (_drop_last_pixel_gain,
                        "invalid instance: gain_shape_mismatch: gains shape (3, 5) does not match (3, 6)"),
@@ -736,6 +747,7 @@ REJECTED_BLOCKS = {
                                       "duplicate field 'noise_power_w'"),
     "cell x_m twice": (_repeat_in("cells", 2, "x_m"), "cells[2]: duplicate field 'x_m'"),
     "pixel demand_bits twice": (_repeat_in("pixels", 4, "demand_bits"), "pixels[4]: duplicate field 'demand_bits'"),
+    "top level [1, 2]": (lambda doc: [1, 2], "top level must be an object"),
 }
 
 

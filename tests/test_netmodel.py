@@ -1164,12 +1164,25 @@ def test_files_with_the_same_bytes_share_one_instance(tmp_path, monkeypatch):
 
 
 def test_the_least_recently_loaded_instance_is_dropped_first(tmp_path, monkeypatch):
+    """So is the least recently recorded stat signature: its file is read and hashed again, and hits by content."""
     monkeypatch.setattr(netmodel, "_LOADED", OrderedDict())
+    monkeypatch.setattr(netmodel, "_SIGNED", OrderedDict())
+    monkeypatch.setattr(netmodel, "_SIGNED_MAX", 2)
     paths = [tmp_path / f"units{k}.json" for k in range(netmodel._LOADED_MAX + 1)]
     for units, path in enumerate(paths, start=1):
         save_instance(dataclasses.replace(_small_instance(), num_resource_units=units), path)
+    _past_the_slack()
     first = [load_instance(path) for path in paths[:-1]]
-    assert load_instance(paths[0]) is first[0]  # now the most recently loaded
+    assert len(netmodel._SIGNED) == 2 * netmodel._TRUSTS_SIGNATURES  # the first files' signatures dropped
+    hashed, sha256 = [], netmodel.hashlib.sha256
+    with monkeypatch.context() as patched:
+        patched.setattr(netmodel, "_parse_instance", _no_parse)
+        patched.setattr(netmodel, "hashlib", SimpleNamespace(sha256=lambda data: hashed.append(1) or sha256(data)))
+        assert load_instance(paths[0]) is first[0]  # now the most recently loaded
+        assert hashed == [1]
+        if netmodel._TRUSTS_SIGNATURES:  # its signature recorded again, so the next load reads nothing
+            patched.setattr(netmodel, "hashlib", _NO_HASH)
+            assert load_instance(paths[0]) is first[0]
     load_instance(paths[-1])
     assert len(netmodel._LOADED) == netmodel._LOADED_MAX
     assert load_instance(paths[0]) is first[0]
