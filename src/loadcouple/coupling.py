@@ -24,7 +24,7 @@ case, with the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,21 +84,19 @@ class CouplingCoefficients:
         for name in ("pixel", "cell_of", "starts", "a", "rel", "noise"):
             getattr(self, name).setflags(write=False)
 
-    def scaled(self, s: float) -> "CouplingCoefficients":
-        """The coefficients with every pixel demand multiplied by ``s``.
+    def rates(self, scales) -> np.ndarray:
+        """Row r is ``a`` with every pixel demand multiplied by ``scales[r]``, a new array.
 
-        Only ``a`` carries the demand, so it is the one array that changes.
-        At s = 0 every pixel drops out, as zero-demand pixels do in
-        :func:`coefficients`.  At s = 1 they are these coefficients.
+        Only ``a`` carries the demand, so the rows share every other array.
+        At s = 1 the row equals ``a``.  At s = 0 it is +inf, so every map
+        term and Jacobian weight is exactly 0, as if every pixel had dropped
+        out.
         """
-        _check_scale(s)
-        if s == 1:
-            return self
-        if s == 0:
-            return replace(self, pixel=self.pixel[:0], cell_of=self.cell_of[:0],
-                           starts=np.zeros_like(self.starts), a=self.a[:0],
-                           rel=self.rel[:, :0], noise=self.noise[:0])
-        return replace(self, a=self.a / np.maximum(s, self.a / RATE_PER_DEMAND_MAX))
+        for s in scales:
+            _check_scale(s)
+        s = np.array(scales, dtype=np.float64)[:, None]
+        with np.errstate(divide="ignore"):  # s = 0 gives a / 0 = +inf
+            return self.a / np.where(s == 0, 0.0, np.maximum(s, self.a / RATE_PER_DEMAND_MAX))
 
 
 @dataclass(frozen=True, eq=False)

@@ -294,10 +294,10 @@ def rotate_sector(instance: NetworkInstance, cell_id: int, new_azimuth_deg: floa
     not depend on azimuth, so the row is updated by the antenna pattern
     delta at each pixel's bearing, then serving is reassigned by best
     server.  A rotation to the cell's current azimuth (mod 360) returns the
-    instance unchanged.
+    instance unchanged.  ``cell_id`` is an integer, not a bool, in 1..num_cells.
     """
-    if not 1 <= cell_id <= instance.num_cells:
-        raise ValueError(f"cell_id {cell_id} out of range 1..{instance.num_cells}")
+    if isinstance(cell_id, bool) or not hasattr(cell_id, "__index__") or not 1 <= cell_id <= instance.num_cells:
+        raise ValueError(f"cell_id must be an integer in 1..{instance.num_cells}, got {cell_id!r}")
     idx = cell_id - 1
     old_az = float(instance.azimuth_deg[idx])
     new_az = float(new_azimuth_deg) % 360.0

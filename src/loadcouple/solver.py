@@ -137,9 +137,9 @@ def _iterate(cc, a, rho, linears, config) -> list[SolveReport]:
     """Newton from each row of ``rho`` on a feasible system, all rows in lockstep: one report per row.
 
     Row r has rates per demand ``a[r]`` and the feasible verdict
-    ``linears[r]``, whose solution it must not start below; the rows'
-    coefficients share ``cc``'s layout and differ only in ``a``.  One LU of
-    I - J(rho) per iteration: the next iterate is the tangent plane's fixed
+    ``linears[r]``, whose solution it must not start below; the rows read
+    ``cc``'s layout, ``rel`` and ``noise``, and differ only in ``a``.  One LU
+    of I - J(rho) per iteration: the next iterate is the tangent plane's fixed
     point, ``upper``, or f(rho) where that system is unusable; either stays
     above the asymptotic solution L, as f(rho) >= f(L) >= L.  A row steps at
     its last iterate only under the interval stop, which reads the bound
@@ -264,18 +264,17 @@ def solve_scales(instance, scales, config: Optional[SolverConfig] = None) -> lis
     holds its verdict and no loads.  The feasible scales are solved up to
     SWEEP_ROWS at a time in grid order, each from its own asymptotic
     solution, sharing each map evaluation, Jacobian and stacked LU, so a
-    row's last bits can differ from its solve alone's.  Scale 0 drops every
-    pixel, so it is solved alone.
+    row's last bits can differ from its solve alone's.  Every row reads the
+    model's coefficients at its scale's rates, +inf at scale 0: no load.
     """
     model, config = linfeas.model(instance), config or SolverConfig()
     scales = [float(s) for s in scales]
     verdicts = [model.verdict if s == 1.0 else linfeas.solve_linear(model.system, s) for s in scales]
     reports = {i: SolveReport(INFEASIBLE, None, None, None, math.nan, 0, linear=verdict)
                for i, verdict in enumerate(verdicts) if verdict.status != linfeas.FEASIBLE}
-    stacked = [i for i, s in enumerate(scales) if i not in reports and s != 0]
-    groups = [[i] for i, s in enumerate(scales) if i not in reports and s == 0]
-    for group in groups + [stacked[k:k + SWEEP_ROWS] for k in range(0, len(stacked), SWEEP_ROWS)]:
-        rows, linears = [model.coefficients.scaled(scales[i]) for i in group], [verdicts[i] for i in group]
-        reports.update(zip(group, _iterate(rows[0], _rows([cc.a for cc in rows]),
+    cc, feasible = model.coefficients, [i for i in range(len(scales)) if i not in reports]
+    for group in (feasible[k:k + SWEEP_ROWS] for k in range(0, len(feasible), SWEEP_ROWS)):
+        linears = [verdicts[i] for i in group]
+        reports.update(zip(group, _iterate(cc, cc.rates([scales[i] for i in group]),
                                            np.stack([linear.solution for linear in linears]), linears, config)))
     return [reports[i] for i in range(len(scales))]

@@ -21,10 +21,10 @@ and hashed) or a signature hit (neither).
 
 ``diff`` prints, per output that changed, how many numbers moved, the
 largest relative change, the labels of the moved numbers and any change in
-the text around them (statuses, verdicts, exit codes, generated-file
-digests), then one summary line.  A number's label is the key of its
-``key=value``, else its CSV header column, else the words before it on its
-line.  ``diff`` exits 1 when any text changed.  With ``--max-rel X``
+the text around them (statuses, verdicts, exit codes, error messages,
+generated-file digests), then one summary line.  A number's label is the
+key of its ``key=value``, else its CSV header column, else the words before
+it on its line.  ``diff`` exits 1 when any text changed.  With ``--max-rel X``
 (``diff --max-rel 1e-10 old.json new.json``) it also exits 1 when any
 number moved by more than X relative, so a re-pin can state the tolerance
 it was made under.
@@ -61,14 +61,14 @@ KEY = re.compile(r"(\w+)=$")
 PHRASE = re.compile(r"[A-Za-z_][A-Za-z_ ]*")
 
 
-def run_cli(argv) -> tuple[int, str]:
-    """Exit code and stdout of one in-process CLI run."""
+def run_cli(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
     from loadcouple.cli import main  # here, so that ``diff`` runs without the package
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 LOAD_PATHS = ("parse", "content", "signature")
@@ -108,7 +108,7 @@ def counting_loads(counts: Counter):
         yield
 
 
-def run_cold_and_warm(argv, loads: tuple[Counter, Counter]) -> tuple[tuple[int, str], tuple[int, str]]:
+def run_cold_and_warm(argv, loads: tuple[Counter, Counter]) -> tuple[tuple[int, str, str], tuple[int, str, str]]:
     """:func:`run_cli` with the instances loaded so far forgotten, then again on the ones it loaded.
 
     The load paths each run takes are added to the Counter of ``loads`` at its position.
@@ -123,7 +123,7 @@ def run_cold_and_warm(argv, loads: tuple[Counter, Counter]) -> tuple[tuple[int, 
     return tuple(outputs)
 
 
-Outputs = dict[str, tuple[int, str]]
+Outputs = dict[str, tuple[int, str, str]]
 
 
 def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tuple[Counter, Counter]]:
@@ -134,8 +134,8 @@ def frozen_outputs(root: Path) -> tuple[dict[str, bytes], Outputs, Outputs, tupl
     user, boundary scale 0.54), unrotated: infeasible at base demand and at
     every sweep scale.  A scenario's ``compare`` ranks its unrotated file
     against its rotated one; the overloaded one's ranks n9's against it.  Returns
-    each generated file's bytes by name, and each output's exit code and
-    stdout by ``"<file> <command>"`` twice: read cold, then warm (see
+    each generated file's bytes by name, and each output's exit code, stdout
+    and stderr by ``"<file> <command>"`` twice: read cold, then warm (see
     :func:`run_cold_and_warm`); then the count of loads by path in the cold
     runs and in the warm ones.
     """
@@ -172,7 +172,8 @@ def dump() -> tuple[dict, dict]:
         files, cold, warm, loads = frozen_outputs(Path(root))
     digests = {stem: hashlib.sha256(data).hexdigest() for stem, data in files.items()}
     return tuple({"files": digests,
-                  "outputs": {key: {"code": code, "stdout": out} for key, (code, out) in outputs.items()},
+                  "outputs": {key: {"code": code, "stdout": out, "stderr": err}
+                              for key, (code, out, err) in outputs.items()},
                   "loads": {path: counts[path] for path in LOAD_PATHS}}
                  for outputs, counts in zip((cold, warm), loads))
 
@@ -232,7 +233,7 @@ def compare(a: dict, b: dict) -> dict[str, Change]:
             changes[key] = Change(0, 0, 0.0, True)
             continue
         (x, text_x), (y, text_y) = _split(old["stdout"]), _split(new["stdout"])
-        text = old["code"] != new["code"] or text_x != text_y
+        text = old["code"] != new["code"] or old["stderr"] != new["stderr"] or text_x != text_y
         pairs = list(zip(x, y)) if len(x) == len(y) else []
         moved = [abs(p - q) / max(abs(p), abs(q)) for p, q in pairs if p != q]
         names = tuple(name for name, (p, q) in zip(labels(old["stdout"]), pairs) if p != q)

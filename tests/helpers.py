@@ -239,9 +239,10 @@ def lower_bound(instance) -> np.ndarray:
 DIVERGENCE_LIMIT = 1e15
 
 
-def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
+def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000, a=None):
     """Plain iteration of the coupling map, no pre-checks, no bound tracking.
 
+    ``a`` is a one-row stack of rates per demand, ``cc.a`` by default.
     Returns (rho, residual, iterations, converged).  Runs from any
     nonnegative start, including on infeasible systems, where the iterates
     grow without bound and the call returns unconverged once they pass
@@ -250,7 +251,7 @@ def fixed_point_iteration(cc, start, tol_residual=1e-10, max_iter=10_000):
     rho = np.asarray(start, dtype=np.float64).copy()
     residual = math.inf
     for t in range(max_iter + 1):
-        f_rho = coupling.load_function(cc, rho)
+        f_rho = coupling.load_function(cc, rho, a)
         residual = float(np.max(np.abs(rho - f_rho), initial=0.0))
         if residual <= tol_residual * (1.0 + float(np.max(rho, initial=0.0))):
             return rho, residual, t, True

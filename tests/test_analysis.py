@@ -127,6 +127,8 @@ def test_sweep_scale_zero_and_bad_scales():
     for row in rows[::2]:
         assert row.feasible and row.spectral_radius == 0.0 and row.report.status == "converged"
         assert not np.any(row.report.fixed_point) and not np.any(row.report.lower)
+        assert not np.any(row.report.upper) and not np.any(row.report.start_upper)
+        assert row.report.residual == 0.0
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             demand_sweep(instance, [0.5, bad])
@@ -146,7 +148,8 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
     its ``fixed_point`` within rtol 1e-9; the bits may differ, as a row's
     products are shared with the other rows'.  So do the rows of the
     reversed grid, of the grid split in two at ``cut`` and of the grid
-    repeated past SWEEP_ROWS.  Scale 0, solved alone, gives exact zeros.
+    repeated past SWEEP_ROWS.  Scale 0, whose rates per demand are +inf,
+    gives exact zeros in whichever chunk it rides.
     """
     instance = random_instance(np.random.default_rng(seed), num_cells, pixels_per_cell, radius_target)
     model = linfeas.model(instance)
@@ -177,9 +180,9 @@ def test_lockstep_sweep_rows_match_lone_solves_property(seed, num_cells, pixels_
 
 
 # sha256 of every row's fixed point (its tobytes) and status, in grid order, of
-# demand_sweep on the seed-7 scenarios over 40 scales from 0 to 0.999 of the boundary:
-# scale 0 is solved alone, the other 39 in lockstep chunks of SWEEP_ROWS = 32 and 7
-# rows, so these are the stacked solver's bits, which the frozen 8-scale sweeps do not reach.
+# demand_sweep on the seed-7 scenarios over 40 scales from 0 to 0.999 of the boundary,
+# in lockstep chunks of SWEEP_ROWS = 32 and 8 rows, scale 0 in the first, so these are
+# the stacked solver's bits, which the frozen 8-scale sweeps do not reach.
 LOCKSTEP_SWEEP_DIGESTS = {
     36: "76b27aff8b799457abd805565d2861d83887d04aeaa876dfab1231a984d183dd",
     81: "4b08122910c05f24c6495f41535bf68d611ec5f71c94482a38d528bb54a6b57f",
@@ -612,9 +615,9 @@ def test_model_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         model.coefficients.rel[0, 0] = 1.0
     cc = model.coefficients
-    for array in (cc.pixel, cc.cell_of, cc.starts, cc.a, cc.rel, cc.noise, cc.scaled(2.0).a,
-                  model.system.slope, model.system.offset):
+    for array in (cc.pixel, cc.cell_of, cc.starts, cc.a, cc.rel, cc.noise, model.system.slope, model.system.offset):
         assert not array.flags.writeable
+    assert not np.shares_memory(cc.rates([1.0, 2.0]), cc.a)  # the caller's own rows, even at scale 1
     assert np.array_equal(solve(instance).lower, lower)
 
 

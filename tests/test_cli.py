@@ -412,6 +412,10 @@ FROZEN_STDOUT = {
     "n9_over boundary": "7936779f9566fb4a7fc11dbd919b544a562663fa70d9a813a04725922e6cf1f7",
     "n9_over compare": "99637cd4f721215776670d6fc41cf9952deb9231ac4d3da15804394d239ffb24",
 }
+# the stderr of every frozen output that writes any; every other output's is empty
+FROZEN_STDERR = {
+    "n9_over bounds": "error: no bound quality on an infeasible instance\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -435,6 +439,7 @@ def test_cli_stdout_is_frozen(frozen_dumps):
         digests = {key: _sha256(f"{o['code']}\n{o['stdout']}".encode())
                    for key, o in dumped["outputs"].items()}
         assert digests == FROZEN_STDOUT
+        assert {key: o["stderr"] for key, o in dumped["outputs"].items() if o["stderr"]} == FROZEN_STDERR
     assert warm["outputs"] == cold["outputs"]
 
 
@@ -460,11 +465,11 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     out = frozen_dump["outputs"][key]["stdout"]
     total = len(frozen.NUMBER.findall(out))
 
-    def with_stdout(text):
-        return {**frozen_dump, "outputs": {**frozen_dump["outputs"], key: {"code": 0, "stdout": text}}}
+    def with_output(**fields):
+        return {**frozen_dump, "outputs": {**frozen_dump["outputs"], key: {**frozen_dump["outputs"][key], **fields}}}
 
     def bumped(match):  # one ulp up: its last printed digits change
-        return with_stdout(out[:match.start()] + f"{np.nextafter(float(match.group()), np.inf):.17g}"
+        return with_output(stdout=out[:match.start()] + f"{np.nextafter(float(match.group()), np.inf):.17g}"
                            + out[match.end():])
 
     # the first long number is the residual in the "# key=value" comment
@@ -479,10 +484,12 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     lower = list(frozen.NUMBER.finditer(out, row, out.index("\n", row + 1)))[2]
     (change,) = frozen.compare(frozen_dump, bumped(lower)).values()
     assert (change.moved, change.labels) == (1, ("rho_lower",))
-    texted = with_stdout(out.replace("status=converged", "status=max_iter_exceeded"))
+    texted = with_output(stdout=out.replace("status=converged", "status=max_iter_exceeded"))
     assert frozen.compare(frozen_dump, texted) == {key: frozen.Change(0, total, 0.0, True)}
+    errored = with_output(stderr="error: something else\n")
+    assert frozen.compare(frozen_dump, errored) == {key: frozen.Change(0, total, 0.0, True)}
     paths = []
-    for name, dump in (("a", frozen_dump), ("b", moved), ("c", texted)):
+    for name, dump in (("a", frozen_dump), ("b", moved), ("c", texted), ("d", errored)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(dump))
     capsys.readouterr()
@@ -492,6 +499,9 @@ def test_frozen_diff_counts_moved_numbers_and_text_changes(frozen_dump, tmp_path
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith(f"{key}: 1 of {total} numbers moved") and line.endswith("(residual x1)")
     assert frozen.main(["diff", str(paths[0]), str(paths[2])]) == 1
+    capsys.readouterr()
+    assert frozen.main(["diff", str(paths[0]), str(paths[3])]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{key}: 0 of {total} numbers moved, max rel 0  TEXT CHANGED"
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):

@@ -155,13 +155,13 @@ def test_stacked_map_and_jacobian_match_one_row_calls():
     cc = coefficients(random_instance(rng, 5, 4))
     scales = (0.5, 1.0, 3.0)
     rho = rng.uniform(0.05, 1.0, (len(scales), 5))
-    a = np.stack([cc.scaled(s).a for s in scales])
+    a = cc.rates(scales)
     loads, u, lg = load_function(cc, rho, a, terms=True)
     slopes = jacobian(cc, rho, a, (u, lg))
     np.testing.assert_array_equal(slopes, jacobian(cc, rho, a))
     for r, s in enumerate(scales):
-        np.testing.assert_allclose(loads[r], load_function(cc.scaled(s), rho[r]), rtol=1e-13)
-        np.testing.assert_allclose(slopes[r], jacobian(cc.scaled(s), rho[r]), rtol=1e-13)
+        np.testing.assert_allclose(loads[r], load_function(cc, rho[r], a[r:r + 1]), rtol=1e-13)
+        np.testing.assert_allclose(slopes[r], jacobian(cc, rho[r], a[r:r + 1]), rtol=1e-13)
     one, one_u, one_lg = load_function(cc, rho[0], terms=True)
     assert one.shape == (5,) and one_u.shape == one_lg.shape == cc.a.shape
     np.testing.assert_array_equal(jacobian(cc, rho[0], terms=(one_u, one_lg)), jacobian(cc, rho[0]))
@@ -389,18 +389,17 @@ def test_cell_sums_match_segmented_sum_property(seed, n, all_idle):
     """The Jacobian and the asymptotic slope against an n x M product summed by ``reduceat``.
 
     Pixels are served by random cells, some with zero demand and some of
-    those by none, so some cells own no packed column; ``all_idle`` takes
-    ``cc.scaled(0)``, where no cell owns one (M = 0).
+    those by none, so some cells own no packed column; ``all_idle`` sets
+    every demand to 0, so that no cell owns one (M = 0).
     """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6 * n + 1))
     gains = 10.0 ** rng.uniform(-9.0, -6.0, (n, m))
     demands = rng.uniform(1.0, 4.0, m) * (rng.uniform(size=m) < 0.8)
     server_of = np.where(demands > 0, rng.integers(0, n, m), rng.integers(-1, n, m))
-    instance = build_instance(gains, demands, 10.0 ** rng.uniform(-0.3, 0.3, n), noise=1e-9,
-                              server_of=server_of)
+    instance = build_instance(gains, np.zeros(m) if all_idle else demands, 10.0 ** rng.uniform(-0.3, 0.3, n),
+                              noise=1e-9, server_of=server_of)
     cc = coefficients(instance)
-    cc = cc.scaled(0.0) if all_idle else cc
     rho = rng.uniform(0.0, 2.0, n)
     u = rho @ cc.rel + cc.noise
     lg = np.log1p(1.0 / u)
@@ -433,19 +432,29 @@ def test_rel_is_column_major():
     assert cc.rel.flags.f_contiguous and not cc.rel.flags.c_contiguous
 
 
-def test_scaled_matches_rebuilt_coefficients():
+def test_rates_match_rebuilt_coefficients():
+    """Each row of ``rates`` is the ``a`` of the coefficients rebuilt at its scale, on the same layout.
+
+    At s = 0 the rebuild drops every pixel, and the rates, +inf, give its exact zeros.
+    """
     rng = np.random.default_rng(SEED + 42)
     instance = _instance_with_empty_cell(rng, 4, 2)
     cc = coefficients(instance)
-    for s in (0.0, 0.3, 1.0, 7.5):
-        scaled, rebuilt = cc.scaled(s), coefficients(instance.with_demand_scale(s))
-        for name in ("pixel", "cell_of", "starts", "rel", "noise"):
-            np.testing.assert_array_equal(getattr(scaled, name), getattr(rebuilt, name))
-        # a / s against a / (demand * s): the two roundings differ by an ulp or two
-        np.testing.assert_allclose(scaled.a, rebuilt.a, rtol=1e-15)
+    scales = (0.0, 0.3, 1.0, 7.5)
+    for s, a in zip(scales, cc.rates(scales)):
+        rebuilt = coefficients(instance.with_demand_scale(s))
         rho = rng.uniform(0.0, 1.0, 4)
-        np.testing.assert_allclose(load_function(scaled, rho), load_function(rebuilt, rho),
+        if s == 0:
+            assert rebuilt.a.size == 0 and np.all(a == np.inf)
+            assert np.all(load_function(rebuilt, rho) == 0.0) and not np.any(jacobian(rebuilt, rho))
+            assert np.all(load_function(cc, rho, a[None]) == 0.0) and not np.any(jacobian(cc, rho, a[None]))
+            continue
+        for name in ("pixel", "cell_of", "starts", "rel", "noise"):
+            np.testing.assert_array_equal(getattr(cc, name), getattr(rebuilt, name))
+        # a / s against a / (demand * s): the two roundings differ by an ulp or two
+        np.testing.assert_allclose(a, rebuilt.a, rtol=1e-15)
+        np.testing.assert_allclose(load_function(cc, rho, a[None]), load_function(rebuilt, rho),
                                    rtol=1e-14)
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            cc.scaled(bad)
+            cc.rates([1.0, bad])

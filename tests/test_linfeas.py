@@ -255,8 +255,8 @@ def test_verdict_matches_solvability_property(seed, num_cells, radius_target, ma
     assert np.all(report.lower <= report.fixed_point) and np.all(report.fixed_point <= report.upper)
 
     assert solve_linear(system, (1.0 + margin) * boundary).status != "feasible"
-    above = cc.scaled((1.0 + margin) * boundary)
-    rho, _, steps, converged = fixed_point_iteration(above, np.zeros(num_cells))
+    above = cc.rates([(1.0 + margin) * boundary])
+    rho, _, steps, converged = fixed_point_iteration(cc, np.zeros(num_cells), a=above)
     assert not converged and steps < 10_000 and np.max(rho) > DIVERGENCE_LIMIT
 
 

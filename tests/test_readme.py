@@ -46,7 +46,7 @@ def test_readme_class_attributes_resolve():
     references = sorted({(cls, attr) for cls, attr in CLASS_REFERENCE.findall(README.read_text())
                          if cls in exported})
     assert ("SolveReport", "fallbacks") in references
-    assert ("CouplingCoefficients", "scaled") in references
+    assert ("CouplingCoefficients", "rates") in references
     assert [f"{cls}.{attr}" for cls, attr in references if not _has_attribute(exported[cls], attr)] == []
 
 

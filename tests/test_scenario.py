@@ -319,6 +319,15 @@ def test_rotation_near_the_float_range_does_not_warn():
     assert np.array_equal(turned.gains[1], instance.gains[1])
 
 
+def test_rotation_takes_an_integer_cell_id_in_range():
+    """A float or bool that compares within range is no cell id; a numpy integer is one."""
+    instance = generate(ScenarioSpec(rng_seed=4))
+    for bad in (0, instance.num_cells + 1, 1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="cell_id must be an integer"):
+            rotate_sector(instance, bad, 30.0)
+    assert np.array_equal(rotate_sector(instance, np.int64(2), 30.0).gains, rotate_sector(instance, 2, 30.0).gains)
+
+
 def test_rotation_to_same_azimuth_is_identity():
     instance = generate(ScenarioSpec(rng_seed=4))
     assert rotate_sector(instance, 1, 0.0) is instance

@@ -372,12 +372,13 @@ def test_lockstep_interval_stop_certifies_each_row_property(seed, num_cells, noi
     scales = _boundary_fraction_scales(instance)
     config = SolverConfig(interval_width=width)
     for s, report in zip(scales, solver.solve_scales(instance, scales, config)):
-        cc, (alone,) = linfeas.model(instance).coefficients.scaled(s), solver.solve_scales(instance, [s], config)
+        cc, (alone,) = linfeas.model(instance).coefficients, solver.solve_scales(instance, [s], config)
+        a = cc.rates([s])
         assert report.status == alone.status == "converged"
         lo, hi = (report.fixed_point if width is not None else report.lower), report.upper
         slack = 1e-12 * (1.0 + np.max(hi))
-        assert np.all(load_function(cc, lo) >= lo - slack)
-        assert np.all(load_function(cc, hi) <= hi + slack)
+        assert np.all(load_function(cc, lo, a) >= lo - slack)
+        assert np.all(load_function(cc, hi, a) <= hi + slack)
         assert np.all(lo <= hi)
         if width is None:
             assert np.all(lo <= report.fixed_point) and np.all(report.fixed_point <= hi)
